@@ -13,8 +13,9 @@
 // SSIDB_PIPELINE, default 32) over an update-only sibench at the same
 // MPL, SSI series, flush_on_commit. Interleaving (A,B,A,B,...) rather
 // than back-to-back blocks keeps slow drift (thermal, page cache) out of
-// the comparison. Watch commits_per_sec and log_mean_batch: pipelining
-// should multiply both.
+// the comparison. Watch commits_per_sec and the mean flush batch
+// (log.records / log.flush_batches in the JSON line's window delta):
+// pipelining should multiply both.
 //
 // Durable points need SSIDB_WAL_DIR (real write+fsync WAL); without it
 // the flush is the simulated latency (SSIDB_FLUSH_US, default 100us),

@@ -3,7 +3,8 @@
 // Every binary sweeps MPL for the three concurrency-control series (S2PL /
 // SI / SSI) exactly as Chapter 6 does, printing one CSV row per point:
 //   figure,series,mpl,commits_per_sec,deadlocks_per_commit,
-//   conflicts_per_commit,unsafe_per_commit,total_commits
+//   conflicts_per_commit,unsafe_per_commit,total_commits,app_rollbacks,
+//   errors
 // A fresh engine is created per point (the paper restarts between runs) so
 // points are independent.
 //

@@ -250,43 +250,35 @@ void ReportShardCounters(benchmark::State& state) {
   // were, whether the ring ever backpressured, and the deepest in-flight
   // commit window — these land in BENCH_micro_ops.json so the lock-free
   // pipeline's behaviour stays tracked alongside its throughput.
-  const DBStats s = g_mt_db->GetStats();
-  state.counters["commit_waits"] =
-      benchmark::Counter(static_cast<double>(s.commit_waits));
-  state.counters["commit_wakeups"] =
-      benchmark::Counter(static_cast<double>(s.commit_wakeups));
-  state.counters["ring_full_stalls"] =
-      benchmark::Counter(static_cast<double>(s.ring_full_stalls));
-  state.counters["max_commit_window"] =
-      benchmark::Counter(static_cast<double>(s.max_commit_window_depth));
+  const obs::MetricsSnapshot s = g_mt_db->metrics()->Collect();
+  const auto report = [&](const char* counter, const char* metric) {
+    state.counters[counter] = benchmark::Counter(
+        static_cast<double>(s.Find(metric).value_or(0)));
+  };
+  report("commit_waits", "commit.waits");
+  report("commit_wakeups", "commit.wakeups");
+  report("ring_full_stalls", "commit.ring_full_stalls");
+  report("max_commit_window", "commit.max_window_depth");
   // Certification-stage split: how many SSI commits skipped certification
   // entirely (conflict-free fast path) vs were validated by a combining
   // pass, and how much batching the combiner actually achieved
   // (combined/batches > 1 means one lock acquisition certified several
   // committers).
-  state.counters["commit_fastpath"] =
-      benchmark::Counter(static_cast<double>(s.commit_fastpath));
-  state.counters["commit_combined"] =
-      benchmark::Counter(static_cast<double>(s.commit_combined_txns));
-  state.counters["commit_batches"] =
-      benchmark::Counter(static_cast<double>(s.commit_combine_batches));
-  state.counters["commit_max_batch"] =
-      benchmark::Counter(static_cast<double>(s.commit_max_batch));
+  report("commit_fastpath", "commit.fastpath");
+  report("commit_combined", "commit.combined_txns");
+  report("commit_batches", "commit.combine_batches");
+  report("commit_max_batch", "commit.max_batch");
   // Commit-path latency percentiles over the whole run, read straight off
   // the engine's commit.total_ns stage histogram (sampled recording; the
   // MT series push enough commits that the quantiles are stable).
-  const obs::Histogram* commit_hist =
-      g_mt_db->metrics()->FindHistogram("commit.total_ns");
-  if (commit_hist != nullptr) {
-    const obs::HistogramSnapshot snap = commit_hist->Snapshot();
-    if (snap.count > 0) {
-      state.counters["commit_p50_us"] =
-          benchmark::Counter(snap.Quantile(0.50) / 1000.0);
-      state.counters["commit_p95_us"] =
-          benchmark::Counter(snap.Quantile(0.95) / 1000.0);
-      state.counters["commit_p99_us"] =
-          benchmark::Counter(snap.Quantile(0.99) / 1000.0);
-    }
+  const obs::HistogramSnapshot* commit = s.FindHistogram("commit.total_ns");
+  if (commit != nullptr && commit->count > 0) {
+    state.counters["commit_p50_us"] =
+        benchmark::Counter(commit->Quantile(0.50) / 1000.0);
+    state.counters["commit_p95_us"] =
+        benchmark::Counter(commit->Quantile(0.95) / 1000.0);
+    state.counters["commit_p99_us"] =
+        benchmark::Counter(commit->Quantile(0.99) / 1000.0);
   }
   // SSIDB_METRICS_DUMP: write the full registry snapshot once per MT run
   // (numeric suffix keeps successive benchmarks from overwriting).

@@ -219,12 +219,11 @@ void PastRamReport() {
     peak_rss = std::max(peak_rss, sample_rss());
   }
 
-  const DBStats stats = db->GetStats();
+  const obs::MetricsSnapshot stats = db->metrics()->Collect();
+  const uint64_t hits = stats.Find("pool.hits").value_or(0);
+  const uint64_t misses = stats.Find("pool.misses").value_or(0);
   const double hit_rate =
-      stats.buffer_pool_hits + stats.buffer_pool_misses > 0
-          ? static_cast<double>(stats.buffer_pool_hits) /
-                (stats.buffer_pool_hits + stats.buffer_pool_misses)
-          : 0.0;
+      hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
 
   printf("past-RAM: pool=%zuMB dataset=%.1fMB (%llu keys, load %.2fs)\n",
          pool_mb, dataset_bytes / (1024.0 * 1024.0),
@@ -240,8 +239,10 @@ void PastRamReport() {
          static_cast<size_t>(opts.buffer_pool_bytes), dataset_bytes,
          static_cast<unsigned long long>(keys), MedianOf(fault_rps),
          MedianOf(hot_rps), hit_rate, peak_rss,
-         static_cast<unsigned long long>(stats.spilled_chains),
-         static_cast<unsigned long long>(stats.faulted_chains));
+         static_cast<unsigned long long>(
+             stats.Find("tier.spilled_chains").value_or(0)),
+         static_cast<unsigned long long>(
+             stats.Find("tier.faulted_chains").value_or(0)));
 
   db.reset();
   std::error_code ec;

@@ -136,10 +136,10 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(commits.load()),
          static_cast<unsigned long long>(retries.load()), audits,
          static_cast<long long>(final_total));
-  const ssidb::DBStats stats = db->GetStats();
+  const ssidb::obs::MetricsSnapshot stats = db->metrics()->Collect();
   printf("engine: %llu unsafe aborts, %llu lock waits, %llu log records\n",
-         static_cast<unsigned long long>(stats.unsafe_aborts),
-         static_cast<unsigned long long>(stats.lock_waits),
-         static_cast<unsigned long long>(stats.log_records));
+         static_cast<unsigned long long>(*stats.Find("ssi.unsafe_aborts")),
+         static_cast<unsigned long long>(*stats.Find("lock.waits")),
+         static_cast<unsigned long long>(*stats.Find("log.records")));
   return 0;
 }

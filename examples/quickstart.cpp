@@ -93,11 +93,11 @@ int main() {
     query->Commit();
   }
 
-  // 6. Engine statistics.
-  ssidb::DBStats stats = db->GetStats();
+  // 6. Engine statistics: one registry snapshot, read by metric name.
+  const ssidb::obs::MetricsSnapshot stats = db->metrics()->Collect();
   printf("stats: unsafe_aborts=%llu deadlocks=%llu log_records=%llu\n",
-         static_cast<unsigned long long>(stats.unsafe_aborts),
-         static_cast<unsigned long long>(stats.deadlocks),
-         static_cast<unsigned long long>(stats.log_records));
+         static_cast<unsigned long long>(*stats.Find("ssi.unsafe_aborts")),
+         static_cast<unsigned long long>(*stats.Find("lock.deadlocks")),
+         static_cast<unsigned long long>(*stats.Find("log.records")));
   return 0;
 }

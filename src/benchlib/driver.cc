@@ -98,17 +98,10 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   };
   sleep_for(config.warmup_seconds);
-  // Snapshot the group-commit counters at the window start: the mean
-  // batch size must be derived over the measurement window alone, or the
-  // setup/load and warmup phases would dominate the ratio.
-  const DBStats at_start = db->GetStats();
-  // Commit-latency percentiles are windowed the same way: snapshot the
-  // commit.total_ns stage histogram here, subtract it from the end-of-run
-  // snapshot, and read the quantiles off the delta.
-  const obs::Histogram* commit_hist =
-      db->metrics()->FindHistogram("commit.total_ns");
-  obs::HistogramSnapshot commit_at_start;
-  if (commit_hist != nullptr) commit_at_start = commit_hist->Snapshot();
+  // The engine's record of the window is the registry delta between
+  // snapshots at its two edges, so setup, load and warmup cannot
+  // contaminate any counter or histogram in it.
+  const obs::MetricsSnapshot at_start = db->metrics()->Collect();
   const auto start = std::chrono::steady_clock::now();
   phase.store(1, std::memory_order_release);
   sleep_for(config.measure_seconds);
@@ -125,40 +118,9 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
     total.unsafe += r.unsafe;
     total.timeouts += r.timeouts;
     total.app_rollbacks += r.app_rollbacks;
+    total.errors += r.errors;
   }
-  // Durable-regime overhead record: what the engine's durability + GC
-  // machinery did while the workload ran.
-  const DBStats engine = db->GetStats();
-  total.checkpoints_taken = engine.checkpoints_taken;
-  total.checkpoint_bytes_written = engine.checkpoint_bytes_written;
-  total.wal_segments_deleted = engine.wal_segments_deleted;
-  total.versions_pruned = engine.versions_pruned;
-  const uint64_t window_batches =
-      engine.log_flush_batches - at_start.log_flush_batches;
-  const uint64_t window_records = engine.log_records - at_start.log_records;
-  total.log_flush_batches = window_batches;
-  total.log_mean_batch =
-      window_batches == 0
-          ? 0.0
-          : static_cast<double>(window_records) /
-                static_cast<double>(window_batches);
-  // Disk-tier record (zero when the buffer pool is disabled).
-  total.buffer_pool_hits = engine.buffer_pool_hits;
-  total.buffer_pool_misses = engine.buffer_pool_misses;
-  total.buffer_pool_evictions = engine.buffer_pool_evictions;
-  total.buffer_pool_writebacks = engine.buffer_pool_writebacks;
-  total.spilled_chains = engine.spilled_chains;
-  total.faulted_chains = engine.faulted_chains;
-  if (commit_hist != nullptr) {
-    const obs::HistogramSnapshot window =
-        commit_hist->Snapshot().Delta(commit_at_start);
-    if (window.count > 0) {
-      total.commit_p50_us = window.Quantile(0.50) / 1000.0;
-      total.commit_p95_us = window.Quantile(0.95) / 1000.0;
-      total.commit_p99_us = window.Quantile(0.99) / 1000.0;
-      total.commit_max_us = static_cast<double>(window.max) / 1000.0;
-    }
-  }
+  total.window = db->metrics()->Collect().Delta(at_start);
   return total;
 }
 

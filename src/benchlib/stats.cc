@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/obs/exporter.h"
+
 namespace ssidb::bench {
 
 void RunResult::Count(const Status& status) {
@@ -22,66 +24,53 @@ void RunResult::Count(const Status& status) {
     case Status::Code::kTimedOut:
       ++timeouts;
       break;
-    default:
+    case Status::Code::kNotFound:
       ++app_rollbacks;
+      break;
+    default:
+      ++errors;
       break;
   }
 }
 
 std::string ResultHeader() {
   return "figure,series,mpl,commits_per_sec,deadlocks_per_commit,"
-         "conflicts_per_commit,unsafe_per_commit,total_commits";
+         "conflicts_per_commit,unsafe_per_commit,total_commits,"
+         "app_rollbacks,errors";
 }
 
 std::string ResultRow(const std::string& figure, const std::string& series,
                       int mpl, const RunResult& r) {
   char buf[256];
   const double c = r.commits > 0 ? static_cast<double>(r.commits) : 1.0;
-  snprintf(buf, sizeof(buf), "%s,%s,%d,%.1f,%.4f,%.4f,%.4f,%llu",
+  snprintf(buf, sizeof(buf), "%s,%s,%d,%.1f,%.4f,%.4f,%.4f,%llu,%llu,%llu",
            figure.c_str(), series.c_str(), mpl, r.Throughput(),
            r.deadlocks / c, r.update_conflicts / c, r.unsafe / c,
-           static_cast<unsigned long long>(r.commits));
+           static_cast<unsigned long long>(r.commits),
+           static_cast<unsigned long long>(r.app_rollbacks),
+           static_cast<unsigned long long>(r.errors));
   return buf;
 }
 
 std::string ResultJsonLine(const std::string& figure,
                            const std::string& series, int mpl,
                            const RunResult& r) {
-  char buf[1536];
+  char buf[512];
   snprintf(buf, sizeof(buf),
            "{\"figure\":\"%s\",\"series\":\"%s\",\"mpl\":%d,"
            "\"commits_per_sec\":%.1f,\"seconds\":%.3f,\"commits\":%llu,"
            "\"deadlocks\":%llu,\"update_conflicts\":%llu,\"unsafe\":%llu,"
-           "\"timeouts\":%llu,\"checkpoints\":%llu,"
-           "\"checkpoint_bytes_written\":%llu,\"wal_segments_deleted\":%llu,"
-           "\"versions_pruned\":%llu,\"log_flush_batches\":%llu,"
-           "\"log_mean_batch\":%.2f,\"buffer_pool_hits\":%llu,"
-           "\"buffer_pool_misses\":%llu,\"buffer_pool_evictions\":%llu,"
-           "\"buffer_pool_writebacks\":%llu,\"spilled_chains\":%llu,"
-           "\"faulted_chains\":%llu,\"commit_p50_us\":%.2f,"
-           "\"commit_p95_us\":%.2f,\"commit_p99_us\":%.2f,"
-           "\"commit_max_us\":%.2f}",
+           "\"timeouts\":%llu,\"app_rollbacks\":%llu,\"errors\":%llu,"
+           "\"metrics\":",
            figure.c_str(), series.c_str(), mpl, r.Throughput(), r.seconds,
            static_cast<unsigned long long>(r.commits),
            static_cast<unsigned long long>(r.deadlocks),
            static_cast<unsigned long long>(r.update_conflicts),
            static_cast<unsigned long long>(r.unsafe),
            static_cast<unsigned long long>(r.timeouts),
-           static_cast<unsigned long long>(r.checkpoints_taken),
-           static_cast<unsigned long long>(r.checkpoint_bytes_written),
-           static_cast<unsigned long long>(r.wal_segments_deleted),
-           static_cast<unsigned long long>(r.versions_pruned),
-           static_cast<unsigned long long>(r.log_flush_batches),
-           r.log_mean_batch,
-           static_cast<unsigned long long>(r.buffer_pool_hits),
-           static_cast<unsigned long long>(r.buffer_pool_misses),
-           static_cast<unsigned long long>(r.buffer_pool_evictions),
-           static_cast<unsigned long long>(r.buffer_pool_writebacks),
-           static_cast<unsigned long long>(r.spilled_chains),
-           static_cast<unsigned long long>(r.faulted_chains),
-           r.commit_p50_us, r.commit_p95_us, r.commit_p99_us,
-           r.commit_max_us);
-  return buf;
+           static_cast<unsigned long long>(r.app_rollbacks),
+           static_cast<unsigned long long>(r.errors));
+  return buf + obs::ToJson(r.window) + "}";
 }
 
 }  // namespace ssidb::bench

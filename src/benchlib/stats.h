@@ -9,10 +9,12 @@
 #include <string>
 
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 
 namespace ssidb::bench {
 
-/// Outcome counts of one measured run at one MPL point.
+/// Client-side outcome counts of one measured run at one MPL point, plus
+/// the engine's own record of the same window.
 struct RunResult {
   double seconds = 0;
   uint64_t commits = 0;
@@ -20,45 +22,18 @@ struct RunResult {
   uint64_t update_conflicts = 0;  ///< First-committer-wins aborts.
   uint64_t unsafe = 0;            ///< SSI dangerous-structure aborts.
   uint64_t timeouts = 0;
-  uint64_t app_rollbacks = 0;     ///< Intentional rollbacks (e.g. 1% NEWO).
+  /// Intentional rollbacks: kNotFound, the TPC-C New-Order 1% unused-item
+  /// rollback (spec 2.4.1.4).
+  uint64_t app_rollbacks = 0;
+  /// Every other failed attempt that is not an abort — engine or workload
+  /// errors (a corrupt row, kIOError from a read-only engine). A clean run
+  /// has zero.
+  uint64_t errors = 0;
 
-  // Durable-regime overhead counters, snapshotted from DBStats at the end
-  // of the run (absolute for the engine; points use a fresh engine, so
-  // they read as per-run totals). Zero in the simulated/in-memory regime.
-  uint64_t checkpoints_taken = 0;
-  uint64_t checkpoint_bytes_written = 0;
-  uint64_t wal_segments_deleted = 0;
-  uint64_t versions_pruned = 0;
-  /// Group-commit shape over the *measurement window* (delta-derived from
-  /// counters snapshotted at window start, so setup/warmup appends cannot
-  /// contaminate the ratio): flush batches and the mean records per batch
-  /// (what LogOptions::group_commit_wait_us tunes at high MPL).
-  uint64_t log_flush_batches = 0;
-  double log_mean_batch = 0;
-
-  // Disk-tier counters (DBStats snapshot; zero when the buffer pool is
-  // disabled). hit_rate = hits / (hits + misses) when pages were touched.
-  uint64_t buffer_pool_hits = 0;
-  uint64_t buffer_pool_misses = 0;
-  uint64_t buffer_pool_evictions = 0;
-  uint64_t buffer_pool_writebacks = 0;
-  uint64_t spilled_chains = 0;
-  uint64_t faulted_chains = 0;
-
-  /// Commit-path latency over the measurement window (microseconds),
-  /// derived from the engine's "commit.total_ns" stage histogram delta.
-  /// Zero when the window recorded no samples (commit timing is sampled;
-  /// very short windows may record none). max is cumulative across the
-  /// engine's lifetime (histogram maxima cannot be windowed).
-  double commit_p50_us = 0;
-  double commit_p95_us = 0;
-  double commit_p99_us = 0;
-  double commit_max_us = 0;
-
-  double BufferPoolHitRate() const {
-    const uint64_t total = buffer_pool_hits + buffer_pool_misses;
-    return total > 0 ? static_cast<double>(buffer_pool_hits) / total : 0;
-  }
+  /// The DB's metrics registry over the measurement window:
+  /// end.Delta(start) of two Collect() snapshots taken at the window
+  /// edges. Empty when the run was not driven by RunWorkload.
+  obs::MetricsSnapshot window;
 
   uint64_t TotalAborts() const {
     return deadlocks + update_conflicts + unsafe + timeouts;
@@ -80,7 +55,8 @@ std::string ResultRow(const std::string& figure, const std::string& series,
                       int mpl, const RunResult& r);
 
 /// One measured point as a single-line JSON object (for SSIDB_BENCH_JSON
-/// artifacts: one object per line, JSON Lines).
+/// artifacts: one object per line, JSON Lines): the client-side counts
+/// plus the window delta as "metrics" (obs::ToJson layout).
 std::string ResultJsonLine(const std::string& figure,
                            const std::string& series, int mpl,
                            const RunResult& r);

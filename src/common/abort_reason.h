@@ -1,4 +1,4 @@
-// AbortReason: the per-abort taxonomy behind DBStats::abort_breakdown().
+// AbortReason: the per-abort taxonomy behind the abort.<reason> counters.
 //
 // The paper evaluates SSI through aggregate abort *counts*; diagnosing a
 // production engine needs the *cause*: which side of the dangerous

@@ -166,10 +166,23 @@ void DB::RegisterAllMetrics() {
                      [txns] { return txns->commit_combine_batches(); });
   r->RegisterCounter("commit.combined_txns",
                      [txns] { return txns->commit_combined_txns(); });
+  r->RegisterGauge("commit.max_batch",
+                   [txns] { return txns->commit_max_batch(); });
   r->RegisterCounter("commit.fastpath",
                      [txns] { return txns->commit_fastpath(); });
   r->RegisterGauge("txn.page_fcw_entries", [txns] {
     return static_cast<uint64_t>(txns->page_write_entries());
+  });
+  // SSI's retained state under long readers: live SIREAD entries, and
+  // how far the oldest live snapshot holds version GC behind the
+  // watermark.
+  r->RegisterGauge("siread.entries", [locks] {
+    return static_cast<uint64_t>(locks->siread_index()->EntryCount());
+  });
+  r->RegisterGauge("gc.horizon_lag", [txns] {
+    const Timestamp stable = txns->stable_ts();
+    const Timestamp horizon = txns->prune_horizon();
+    return stable > horizon ? stable - horizon : 0;
   });
   r->RegisterCounter("ckpt.taken", [this] {
     return checkpoints_taken_.load(std::memory_order_relaxed);
@@ -575,49 +588,6 @@ size_t DB::PruneVersions(TableId id) {
     versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
   }
   return freed;
-}
-
-DBStats DB::GetStats() const {
-  DBStats s;
-  s.unsafe_aborts = tracker_->unsafe_aborts();
-  s.deadlocks = lock_manager_->deadlocks_detected();
-  s.lock_waits = lock_manager_->waits();
-  s.log_records = log_manager_->appended_records();
-  s.log_flush_batches = log_manager_->flush_batches();
-  s.log_mean_flush_batch = log_manager_->mean_flush_batch();
-  s.active_txns = txn_manager_->active_count();
-  s.suspended_txns = txn_manager_->suspended_count();
-  s.lock_grants = lock_manager_->GrantCount();
-  s.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  s.checkpoint_bytes_written =
-      checkpoint_bytes_written_.load(std::memory_order_relaxed);
-  s.wal_segments_deleted =
-      wal_segments_deleted_.load(std::memory_order_relaxed);
-  s.versions_pruned = versions_pruned_.load(std::memory_order_relaxed) +
-                      executor_->versions_pruned();
-  s.page_fcw_entries = txn_manager_->page_write_entries();
-  s.commit_waits = txn_manager_->commit_waits();
-  s.commit_wakeups = txn_manager_->commit_wakeups();
-  s.ring_full_stalls = txn_manager_->ring_full_stalls();
-  s.max_commit_window_depth = txn_manager_->max_commit_window_depth();
-  s.commit_combine_batches = txn_manager_->commit_combine_batches();
-  s.commit_combined_txns = txn_manager_->commit_combined_txns();
-  s.commit_max_batch = txn_manager_->commit_max_batch();
-  s.commit_fastpath = txn_manager_->commit_fastpath();
-  if (tier_ != nullptr) {
-    const BufferPool* pool = tier_->pool();
-    s.buffer_pool_hits = pool->hits();
-    s.buffer_pool_misses = pool->misses();
-    s.buffer_pool_evictions = pool->evictions();
-    s.buffer_pool_writebacks = pool->writebacks();
-    s.spilled_chains = tier_->spilled_chains();
-    s.faulted_chains = tier_->faulted_chains();
-  }
-  for (size_t i = 0; i < kAbortReasonCount; ++i) {
-    s.aborts.by_reason[i] =
-        txn_manager_->abort_count(static_cast<AbortReason>(i));
-  }
-  return s;
 }
 
 }  // namespace ssidb

@@ -136,105 +136,6 @@ class Transaction {
   Executor::TxnCtx ctx_;
 };
 
-/// Aggregate engine counters surfaced to benchmarks and tests.
-///
-/// Consistency contract: every counter is maintained as a relaxed atomic
-/// (or read under its subsystem's narrow mutex) and is individually
-/// coherent — GetStats() never tears a single counter and may be called
-/// from any thread at any time, including under full concurrent load. No
-/// ordering is promised *across* counters: a snapshot may show a commit's
-/// log record but not yet its lock release, because the engine no longer
-/// has any global lock under which a cross-subsystem cut could be taken.
-struct DBStats {
-  uint64_t unsafe_aborts = 0;      ///< SSI dangerous structures detected.
-  uint64_t deadlocks = 0;          ///< Lock cycles detected.
-  uint64_t lock_waits = 0;         ///< Blocking lock acquisitions.
-  uint64_t log_records = 0;  ///< Commit records appended (write txns only).
-  uint64_t log_flush_batches = 0;  ///< Group-commit flushes.
-  /// Mean records per group-commit flush batch (0 before the first
-  /// flush). The adaptive straggler wait (LogOptions::group_commit_wait_us)
-  /// exists to raise this at high MPL.
-  double log_mean_flush_batch = 0;
-  size_t active_txns = 0;
-  size_t suspended_txns = 0;       ///< Committed-but-retained (§3.3).
-  size_t lock_grants = 0;          ///< Live (txn, key, mode) grants.
-
-  // Durability + storage-GC counters (one coherent record for benches and
-  // the recovery-smoke JSON; zero for in-memory engines where durable).
-  uint64_t checkpoints_taken = 0;  ///< Base + delta images written.
-  uint64_t checkpoint_bytes_written = 0;  ///< Image bytes, incl. deltas.
-  uint64_t wal_segments_deleted = 0;      ///< Segments reclaimed by GC.
-  /// Committed versions reclaimed: inline write-path prunes plus the
-  /// background sweep plus manual PruneVersions calls.
-  uint64_t versions_pruned = 0;
-  /// Live entries in the kPage first-committer-wins map (bounded by the
-  /// CleanupSuspended sweep; 0 under kRow granularity).
-  size_t page_fcw_entries = 0;
-
-  // Commit-pipeline counters (the lock-free commit-slot ring + sharded
-  // waiter parking; see src/txn/commit_ring.h).
-  /// Commit acknowledgments that parked waiting for watermark coverage.
-  uint64_t commit_waits = 0;
-  /// Waiter-shard notifications issued by watermark advances (targeted
-  /// wakeups — the old design issued one notify_all per retire).
-  uint64_t commit_wakeups = 0;
-  /// Commits that stalled on a full commit-slot ring (backpressure;
-  /// should stay 0 unless DBOptions::commit_ring_slots is tiny).
-  uint64_t ring_full_stalls = 0;
-  /// Deepest observed in-flight commit window (allocated commit clock
-  /// minus stable watermark, sampled at allocation).
-  uint64_t max_commit_window_depth = 0;
-
-  // Certification-stage counters (flat-combining SSI commit validation +
-  // the conflict-free fast path; see src/txn/commit_combiner.h and the
-  // "Certification triage" argument in src/txn/txn_manager.h).
-  /// Combining passes that certified at least one commit.
-  uint64_t commit_combine_batches = 0;
-  /// Commits certified by those passes (combined/batches = mean batch;
-  /// > batches under contention means combining actually amortized).
-  uint64_t commit_combined_txns = 0;
-  /// Largest single combining pass.
-  uint64_t commit_max_batch = 0;
-  /// SSI commits that skipped certification entirely because both
-  /// conflict sides were clear under their own latch.
-  uint64_t commit_fastpath = 0;
-
-  // Disk-tier counters (buffer pool + spill/fault protocol; see
-  // src/storage/storage_tier.h). All zero when the tier is disabled
-  // (DBOptions::buffer_pool_bytes == 0).
-  /// Run-file page reads served from a resident pool frame.
-  uint64_t buffer_pool_hits = 0;
-  /// Run-file page reads that went to disk (pool frame load).
-  uint64_t buffer_pool_misses = 0;
-  /// Valid frames reclaimed by the clock (second-chance) scan.
-  uint64_t buffer_pool_evictions = 0;
-  /// Dirty frames written back to their run file.
-  uint64_t buffer_pool_writebacks = 0;
-  /// Cold version chains evicted to runs by the spill sweep.
-  uint64_t spilled_chains = 0;
-  /// Evicted chains faulted back in from runs by reads.
-  uint64_t faulted_chains = 0;
-
-  /// Abort forensics: per-reason taxonomy counts (abort_reason.h), counted
-  /// exactly once per abort at its kActive->kAborted transition. The
-  /// classification is made at the decision site (conflict tracker, FCW
-  /// check, deadlock detector), so e.g. kSsiInSide vs kSsiOutSide tells
-  /// which side of a dangerous structure the victim sat on.
-  struct AbortBreakdown {
-    uint64_t by_reason[kAbortReasonCount] = {};
-    uint64_t Count(AbortReason r) const {
-      return by_reason[static_cast<size_t>(r)];
-    }
-    uint64_t total() const {
-      uint64_t t = 0;
-      for (uint64_t v : by_reason) t += v;
-      return t;
-    }
-  };
-  AbortBreakdown aborts;
-  const AbortBreakdown& abort_breakdown() const { return aborts; }
-};
-
 class DB {
  public:
   /// Open the engine. With LogOptions::wal_dir unset this is a fresh
@@ -286,25 +187,6 @@ class DB {
   /// segment is ever re-read from disk.
   Status Checkpoint();
 
-  /// Number of checkpoint images written (manual + background, base +
-  /// delta).
-  uint64_t checkpoints_taken() const {
-    return checkpoints_taken_.load(std::memory_order_relaxed);
-  }
-
-  /// Total bytes of checkpoint images written (a delta after touching k of
-  /// N keys is O(k) of this while a base is O(N)).
-  uint64_t checkpoint_bytes_written() const {
-    return checkpoint_bytes_written_.load(std::memory_order_relaxed);
-  }
-
-  /// WAL segments garbage-collected by checkpoints (covered by a base
-  /// image per their metadata; replay time and disk stay bounded by the
-  /// base cadence).
-  uint64_t wal_segments_deleted() const {
-    return wal_segments_deleted_.load(std::memory_order_relaxed);
-  }
-
   /// What recovery found at Open (zeroed for in-memory engines).
   const recovery::RecoveryStats& recovery_stats() const {
     return recovery_stats_;
@@ -320,7 +202,6 @@ class DB {
     return read_only_.load(std::memory_order_acquire);
   }
 
-  DBStats GetStats() const;
   const DBOptions& options() const { return options_; }
 
   /// Render a full metrics snapshot — every registered counter, gauge and
@@ -333,8 +214,9 @@ class DB {
   /// checkpoints) to `path`, one timestamp-sorted text line per event.
   Status DumpTrace(const std::string& path) const;
 
-  /// The metrics registry (tests/benches fold snapshots into their own
-  /// output; the eventual network front-end serves it from /metrics).
+  /// The metrics registry: the engine's one stats surface. Tests read a
+  /// Collect() snapshot by name, benches print its window Delta, and the
+  /// eventual network front-end serves it from /metrics.
   obs::MetricsRegistry* metrics() { return &metrics_; }
   obs::TraceRing* trace_ring() { return &trace_; }
 
@@ -416,6 +298,8 @@ class DB {
   /// Live Session count (the session.open gauge); sessions decrement on
   /// destruction.
   std::atomic<size_t> sessions_open_{0};
+  /// Read only through the registry: ckpt.taken (base + delta images),
+  /// ckpt.bytes_written, wal.segments_deleted and gc.versions_pruned.
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::atomic<uint64_t> checkpoint_bytes_written_{0};
   std::atomic<uint64_t> wal_segments_deleted_{0};

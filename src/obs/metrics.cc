@@ -16,6 +16,15 @@ size_t HistogramShards() {
   return static_cast<size_t>(t < 16 ? t : 16);
 }
 
+template <typename T>
+const T* FindIn(const std::vector<std::pair<std::string, T>>& v,
+                std::string_view name) {
+  for (const auto& [n, x] : v) {
+    if (n == name) return &x;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 uint64_t HistogramSnapshot::Quantile(double q) const {
@@ -53,6 +62,35 @@ HistogramSnapshot HistogramSnapshot::Delta(
       const uint64_t now = b < buckets.size() ? buckets[b] : 0;
       d.buckets[b] = now >= before ? now - before : 0;
     }
+  }
+  return d;
+}
+
+std::optional<uint64_t> MetricsSnapshot::Find(std::string_view name) const {
+  if (const uint64_t* v = FindIn(counters, name)) return *v;
+  if (const uint64_t* v = FindIn(gauges, name)) return *v;
+  return std::nullopt;
+}
+
+const HistogramSnapshot* MetricsSnapshot::FindHistogram(
+    std::string_view name) const {
+  return FindIn(histograms, name);
+}
+
+MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& since) const {
+  MetricsSnapshot d;
+  d.counters.reserve(counters.size());
+  for (const auto& [name, now] : counters) {
+    const uint64_t* before = FindIn(since.counters, name);
+    const uint64_t base = before == nullptr ? 0 : *before;
+    d.counters.emplace_back(name, now >= base ? now - base : 0);
+  }
+  d.gauges = gauges;
+  d.histograms.reserve(histograms.size());
+  for (const auto& [name, now] : histograms) {
+    const HistogramSnapshot* before = FindIn(since.histograms, name);
+    d.histograms.emplace_back(name,
+                              before == nullptr ? now : now.Delta(*before));
   }
   return d;
 }
@@ -130,10 +168,8 @@ MetricsSnapshot MetricsRegistry::Collect() const {
 
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
   std::lock_guard<std::mutex> guard(mu_);
-  for (const auto& [n, h] : histograms_) {
-    if (n == name) return h;
-  }
-  return nullptr;
+  const Histogram* const* h = FindIn(histograms_, name);
+  return h == nullptr ? nullptr : *h;
 }
 
 }  // namespace obs

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -140,7 +141,7 @@ class Histogram {
 
   /// Merge every shard into one snapshot. Safe concurrently with
   /// recorders; each shard counter is individually coherent (same
-  /// contract as DBStats).
+  /// contract as the registry's counters).
   HistogramSnapshot Snapshot() const;
 
   size_t shards() const { return shard_mask_ + 1; }
@@ -158,18 +159,37 @@ class Histogram {
 };
 
 /// One collected view of every registered metric, sorted by name.
+///
+/// Consistency contract: every value is individually coherent — a counter
+/// is one relaxed atomic (or is read under its subsystem's narrow mutex),
+/// so Collect() never tears it and may run on any thread at any time,
+/// including under full concurrent load. No ordering is promised *across*
+/// metrics: a snapshot may show a commit's log record but not yet its lock
+/// release, because the engine has no global lock under which a
+/// cross-subsystem cut could be taken.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, uint64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
+
+  /// Counter or gauge `name`; nullopt when no such metric was collected,
+  /// so a misspelt name never reads as zero.
+  std::optional<uint64_t> Find(std::string_view name) const;
+  /// Histogram `name`, or nullptr when none was collected.
+  const HistogramSnapshot* FindHistogram(std::string_view name) const;
+
+  /// The window from `since` (an earlier Collect() of the same registry)
+  /// to this snapshot: counters are differenced, gauges keep their end
+  /// value, histograms use HistogramSnapshot::Delta. A metric absent from
+  /// `since` counts from zero.
+  MetricsSnapshot Delta(const MetricsSnapshot& since) const;
 };
 
-/// Named registry. Registration stores a *reader* for each metric — a
-/// callback over the owning subsystem's existing atomic counter (the
-/// DBStats accessors keep their contract; the registry is the one metrics
-/// system layered over the same storage) or a pointer to a Histogram the
-/// subsystem records into directly. The mutex is registration/collection
-/// only; no hot path ever takes it.
+/// Named registry — the engine's one stats surface. Registration stores a
+/// *reader* for each metric — a callback over the owning subsystem's
+/// existing atomic counter or a pointer to a Histogram the subsystem
+/// records into directly. The mutex is registration/collection only; no
+/// hot path ever takes it.
 class MetricsRegistry {
  public:
   using ValueFn = std::function<uint64_t()>;
@@ -188,7 +208,7 @@ class MetricsRegistry {
   /// Evaluate every reader and merge every histogram.
   MetricsSnapshot Collect() const;
 
-  /// Lookup for window-delta consumers (benchlib); nullptr if absent.
+  /// One live histogram by name; nullptr if absent.
   const Histogram* FindHistogram(std::string_view name) const;
 
  private:

@@ -139,7 +139,7 @@ class BufferPool {
   /// runs serve their first faults without touching disk.
   Status FlushFile(uint64_t file_id);
 
-  // Counters (relaxed; DBStats contract).
+  // Counters (relaxed; registry contract).
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const {

@@ -88,7 +88,7 @@ class StorageTier {
 
   size_t run_count(uint32_t table_id) const;
 
-  // Spill/fault counters (relaxed; DBStats contract). The pool owns
+  // Spill/fault counters (relaxed; registry contract). The pool owns
   // hits/misses/evictions/writebacks.
   uint64_t spilled_chains() const {
     return spilled_chains_.load(std::memory_order_relaxed);

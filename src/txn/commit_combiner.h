@@ -91,7 +91,7 @@ class CommitCombiner {
   /// Collect the verdict of a completed request and free its slot.
   Status Harvest(size_t slot_index, Timestamp* commit_ts);
 
-  // --- Counters (relaxed; DBStats contract). ---
+  // --- Counters (relaxed; registry contract). ---
   /// Combining passes that certified at least one request.
   uint64_t combine_batches() const {
     return batches_.load(std::memory_order_relaxed);

@@ -42,7 +42,7 @@ void CommitRing::Publish(Timestamp ts) {
                      /*arg32=*/static_cast<uint32_t>(n), reuse_floor);
       }
       // Backpressure parks are counted by full_stalls_ alone — never as
-      // commit-ack waits, so DBStats keeps the two distinguishable.
+      // commit-ack waits, so the registry keeps the two distinguishable.
       WaitUntilCovered(reuse_floor, nullptr);
     }
   }

@@ -155,7 +155,7 @@ class CommitRing {
   /// mutex/condvar line; small machines keep the old footprint.
   uint64_t waiter_shards() const { return waiter_mask_ + 1; }
 
-  // --- Commit-pipeline counters (relaxed; DBStats contract). ---
+  // --- Commit-pipeline counters (relaxed; registry contract). ---
   /// Acknowledgment waits that actually parked on a condvar.
   uint64_t waits_parked() const {
     return waits_parked_.load(std::memory_order_relaxed);

@@ -95,7 +95,7 @@ class Executor {
   Status Abort(TxnCtx& txn);
 
   /// Versions reclaimed by the inline write-path prune (one slice of
-  /// DBStats::versions_pruned; the background sweep is the other).
+  /// the gc.versions_pruned counter; the background sweep is the other).
   uint64_t versions_pruned() const {
     return versions_pruned_.load(std::memory_order_relaxed);
   }

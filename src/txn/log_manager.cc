@@ -325,7 +325,6 @@ void LogManager::FlusherLoop() {
         io_error_cb_ = nullptr;
       }
       flush_batches_.fetch_add(1, std::memory_order_relaxed);
-      flushed_records_.fetch_add(batch.size(), std::memory_order_relaxed);
       // Pull out the flush subscriptions this batch covered; they fire
       // below, after blocking waiters are notified and mu_ is released.
       for (size_t i = 0; i < flush_subs_.size();) {

@@ -175,20 +175,11 @@ class LogManager {
   uint64_t appended_records() const {
     return appended_records_.load(std::memory_order_relaxed);
   }
+  /// Group-commit flushes. log.records / log.flush_batches over a window
+  /// is the mean batch the adaptive straggler wait
+  /// (LogOptions::group_commit_wait_us) exists to raise at high MPL.
   uint64_t flush_batches() const {
     return flush_batches_.load(std::memory_order_relaxed);
-  }
-  /// Mean records per group-commit flush batch (0 before the first
-  /// flush). The adaptive straggler wait (LogOptions::group_commit_wait_us)
-  /// exists to push this up at high MPL; the durable-regime bench JSON
-  /// records it per point.
-  double mean_flush_batch() const {
-    const uint64_t batches = flush_batches();
-    return batches == 0
-               ? 0.0
-               : static_cast<double>(flushed_records_.load(
-                     std::memory_order_relaxed)) /
-                     static_cast<double>(batches);
   }
   /// Bytes written to WAL segment files (0 in simulated mode).
   uint64_t wal_bytes_written() const;
@@ -252,8 +243,6 @@ class LogManager {
 
   std::atomic<uint64_t> appended_records_{0};
   std::atomic<uint64_t> flush_batches_{0};
-  /// Records covered by completed flush batches (mean_flush_batch).
-  std::atomic<uint64_t> flushed_records_{0};
   /// Wall time of one group-commit flush (flusher thread only records).
   obs::Histogram flush_batch_ns_;
 

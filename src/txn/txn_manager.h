@@ -314,7 +314,7 @@ class TxnManager {
   /// Total page-FCW entries reclaimed by those sweeps.
   uint64_t page_entries_pruned() const;
 
-  // --- Commit-pipeline counters (DBStats). ---
+  // --- Commit-pipeline counters (registry commit.*). ---
   /// Commit-acknowledgment waits that parked on a condvar: blocking
   /// Commit() calls that parked on their completion (the wrapper's sync
   /// waiter) plus ring-internal coverage parks.
@@ -531,7 +531,7 @@ class TxnManager {
                                      // before acknowledgment (coverage +
                                      // group-commit flush). Writes only.
   const uint32_t sample_mask_;
-  /// Per-reason abort counts (DBStats::abort_breakdown).
+  /// Per-reason abort counts (the registry's abort.<reason> counters).
   std::atomic<uint64_t> abort_counts_[kAbortReasonCount] = {};
   obs::TraceRing* trace_ = nullptr;
 
@@ -543,7 +543,7 @@ class TxnManager {
   const uint64_t shard_mask_;
   const std::unique_ptr<RegistryShard[]> shards_;
   /// Exact live-transaction count (a per-shard sum would not be a
-  /// coherent cut; DBStats promises individually coherent counters).
+  /// coherent cut; the registry promises individually coherent counters).
   std::atomic<size_t> active_count_{0};
 
   /// Committed, retained SSI transactions, keyed by commit timestamp

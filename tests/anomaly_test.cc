@@ -116,7 +116,7 @@ TEST(WriteSkewTest, SerializableSSIPreventsIt) {
   EXPECT_TRUE(failed.IsUnsafe()) << failed.ToString();
   EXPECT_GT(f.GetInt("x") + f.GetInt("y"), 0);  // Constraint preserved.
   EXPECT_TRUE(f.HistorySerializable());
-  EXPECT_EQ(f.db->GetStats().unsafe_aborts, 1u);
+  EXPECT_EQ(Metric(f.db.get(), "ssi.unsafe_aborts"), 1u);
   // Taxonomy: the victim is classified to its role in the dangerous
   // structure (both transactions are pivots here, so any SSI reason is
   // legitimate depending on where detection fired), the recorded
@@ -125,9 +125,11 @@ TEST(WriteSkewTest, SerializableSSIPreventsIt) {
   const AbortReason victim = c1.ok() ? fx.cause2 : fx.cause1;
   EXPECT_TRUE(IsSsiReason(victim)) << AbortReasonName(victim);
   const TxnId conflict = c1.ok() ? fx.conflict2 : fx.conflict1;
-  if (conflict != 0) EXPECT_EQ(conflict, c1.ok() ? fx.id1 : fx.id2);
+  if (conflict != 0) {
+    EXPECT_EQ(conflict, c1.ok() ? fx.id1 : fx.id2);
+  }
   EXPECT_EQ(c1.ok() ? fx.cause1 : fx.cause2, AbortReason::kNone);
-  EXPECT_EQ(f.db->GetStats().abort_breakdown().Count(victim), 1u);
+  EXPECT_EQ(Metric(f.db.get(), AbortMetric(victim)), 1u);
 }
 
 TEST(WriteSkewTest, S2PLPreventsIt) {
@@ -622,7 +624,7 @@ TEST(WriteSkewTinyPoolTest, SnapshotIsolationStillAdmitsIt) {
   EXPECT_TRUE(c2.ok());
   EXPECT_EQ(f.GetInt("x") + f.GetInt("y"), -50);
   EXPECT_FALSE(f.HistorySerializable());
-  EXPECT_GT(f.db->GetStats().faulted_chains, 0u)
+  EXPECT_GT(Metric(f.db.get(), "tier.faulted_chains"), 0u)
       << "the program must actually have read through the disk tier";
 }
 
@@ -639,8 +641,8 @@ TEST(WriteSkewTinyPoolTest, SSIVerdictUnchangedByFaulting) {
   EXPECT_TRUE(failed.IsUnsafe()) << failed.ToString();
   EXPECT_GT(f.GetInt("x") + f.GetInt("y"), 0);
   EXPECT_TRUE(f.HistorySerializable());
-  EXPECT_EQ(f.db->GetStats().unsafe_aborts, 1u);
-  EXPECT_GT(f.db->GetStats().faulted_chains, 0u);
+  EXPECT_EQ(Metric(f.db.get(), "ssi.unsafe_aborts"), 1u);
+  EXPECT_GT(Metric(f.db.get(), "tier.faulted_chains"), 0u);
   // Faulting through the disk tier must not blur the classification.
   const AbortReason victim = c1.ok() ? fx.cause2 : fx.cause1;
   EXPECT_TRUE(IsSsiReason(victim)) << AbortReasonName(victim);
@@ -659,7 +661,7 @@ TEST(WriteSkewTinyPoolTest, S2PLVerdictUnchangedByFaulting) {
   EXPECT_FALSE(c1.ok() && c2.ok());
   EXPECT_GT(f.GetInt("x") + f.GetInt("y"), 0);
   EXPECT_TRUE(f.HistorySerializable());
-  EXPECT_GT(f.db->GetStats().faulted_chains, 0u);
+  EXPECT_GT(Metric(f.db.get(), "tier.faulted_chains"), 0u);
 }
 
 TEST(WriteSkewTinyPoolTest, DoctorsOnCallPredicateReadsFaultSpilledRows) {
@@ -716,7 +718,7 @@ TEST(WriteSkewTinyPoolTest, DoctorsOnCallPredicateReadsFaultSpilledRows) {
   }
   EXPECT_LE(reserve, 1);
   EXPECT_TRUE(f.HistorySerializable());
-  EXPECT_GT(f.db->GetStats().faulted_chains, 0u);
+  EXPECT_GT(Metric(f.db.get(), "tier.faulted_chains"), 0u);
 }
 
 /// First-committer-wins (§2.2): a lost update attempt under plain SI is
@@ -741,9 +743,9 @@ TEST(AbortTaxonomyTest, FirstCommitterWinsClassifiesFcwRow) {
   EXPECT_EQ(t2->abort_cause(), AbortReason::kFcwRow)
       << AbortReasonName(t2->abort_cause());
   if (t2->active()) t2->Abort();
-  DBStats stats = f.db->GetStats();
-  EXPECT_EQ(stats.abort_breakdown().Count(AbortReason::kFcwRow), 1u);
-  EXPECT_EQ(stats.abort_breakdown().Count(AbortReason::kSsiPivot), 0u);
+  const obs::MetricsSnapshot stats = f.db->metrics()->Collect();
+  EXPECT_EQ(Metric(stats, AbortMetric(AbortReason::kFcwRow)), 1u);
+  EXPECT_EQ(Metric(stats, AbortMetric(AbortReason::kSsiPivot)), 0u);
 }
 
 /// An application rollback maps to kExplicit — the taxonomy's catch-all
@@ -754,8 +756,7 @@ TEST(AbortTaxonomyTest, ExplicitRollbackClassifiesExplicit) {
   ASSERT_TRUE(txn->Put(f.table, "k", "v").ok());
   txn->Abort();
   EXPECT_EQ(txn->abort_cause(), AbortReason::kExplicit);
-  EXPECT_EQ(f.db->GetStats().abort_breakdown().Count(AbortReason::kExplicit),
-            1u);
+  EXPECT_EQ(Metric(f.db.get(), AbortMetric(AbortReason::kExplicit)), 1u);
 }
 
 }  // namespace

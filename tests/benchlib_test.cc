@@ -1,5 +1,6 @@
 // Tests for the benchmark library: abort classification, row formatting,
-// and the MPL worker-pool driver end-to-end on a trivial workload.
+// and the MPL worker-pool driver end-to-end on a trivial workload,
+// including the window-local registry delta it attaches to each result.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "src/benchlib/driver.h"
 #include "src/benchlib/stats.h"
 #include "src/common/encoding.h"
+#include "tests/test_util.h"
 
 namespace ssidb::bench {
 namespace {
@@ -21,14 +23,16 @@ TEST(RunResultTest, CountClassifiesByStatusCode) {
   r.Count(Status::UpdateConflict());
   r.Count(Status::Unsafe());
   r.Count(Status::TimedOut());
-  r.Count(Status::NotFound());         // App-level.
-  r.Count(Status::InvalidArgument());  // App-level.
+  r.Count(Status::NotFound());         // App-level (New-Order rollback).
+  r.Count(Status::InvalidArgument());  // An error: e.g. a corrupt row.
+  r.Count(Status::IOError());          // An error: a read-only engine.
   EXPECT_EQ(r.commits, 2u);
   EXPECT_EQ(r.deadlocks, 1u);
   EXPECT_EQ(r.update_conflicts, 1u);
   EXPECT_EQ(r.unsafe, 1u);
   EXPECT_EQ(r.timeouts, 1u);
-  EXPECT_EQ(r.app_rollbacks, 2u);
+  EXPECT_EQ(r.app_rollbacks, 1u);
+  EXPECT_EQ(r.errors, 2u);
   EXPECT_EQ(r.TotalAborts(), 4u);
 }
 
@@ -49,9 +53,15 @@ TEST(RunResultTest, RowFormattingIsStable) {
   r.seconds = 1.0;
   r.commits = 10;
   r.unsafe = 1;
+  r.app_rollbacks = 2;
+  r.errors = 3;
   const std::string row = ResultRow("figX", "SSI", 4, r);
-  EXPECT_EQ(row, "figX,SSI,4,10.0,0.0000,0.0000,0.1000,10");
+  EXPECT_EQ(row, "figX,SSI,4,10.0,0.0000,0.0000,0.1000,10,2,3");
   EXPECT_NE(ResultHeader().find("commits_per_sec"), std::string::npos);
+  EXPECT_NE(ResultHeader().find(",app_rollbacks,errors"), std::string::npos);
+  const std::string json = ResultJsonLine("figX", "SSI", 4, r);
+  EXPECT_NE(json.find("\"app_rollbacks\":2,\"errors\":3"), std::string::npos)
+      << json;
 }
 
 TEST(SeriesConfigTest, ReadOnlyIsolationOverride) {
@@ -99,12 +109,43 @@ TEST(DriverTest, RunsWorkloadAcrossWorkersAndCounts) {
   config.mpl = 4;
   config.warmup_seconds = 0.01;
   config.measure_seconds = 0.05;
+  // Engine activity before the window: commits and explicit rollbacks
+  // that the window delta must not carry.
+  constexpr uint64_t kPreWindow = 500;
+  for (uint64_t i = 0; i < kPreWindow; ++i) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    ASSERT_TRUE(txn->Put(workload.table, EncodeU64Key(i), "v").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  for (int i = 0; i < 5; ++i) db->Begin()->Abort();
+  ASSERT_EQ(Metric(db.get(), "abort.explicit"), 5u);
+
   SeriesConfig series{"SSI", IsolationLevel::kSerializableSSI, std::nullopt};
   RunResult r = RunWorkload(db.get(), &workload, series, config);
   EXPECT_GT(r.commits, 0u);
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_GE(workload.calls.load(), r.commits);  // Warmup calls not counted.
-  EXPECT_EQ(db->GetStats().active_txns, 0u);    // Workers cleaned up.
+  EXPECT_EQ(Metric(db.get(), "engine.active_txns"), 0u);  // Workers done.
+
+  // The registry delta is window-local: the pre-window rollbacks are gone,
+  // and the pre-window commits were subtracted. Every counted commit
+  // appended its record inside the window (the engine may also see
+  // warmup attempts that straddle the window's opening edge).
+  EXPECT_EQ(Metric(r.window, "abort.explicit"), 0u);
+  const uint64_t records = Metric(r.window, "log.records");
+  EXPECT_GE(records, r.commits);
+  EXPECT_LE(records, Metric(db.get(), "log.records") - kPreWindow);
+  const obs::HistogramSnapshot* commit =
+      r.window.FindHistogram("commit.total_ns");
+  ASSERT_NE(commit, nullptr);
+  EXPECT_LE(commit->count, records);
+  // The JSON line embeds that same delta.
+  const std::string json = ResultJsonLine("driver", "SSI", 4, r);
+  EXPECT_NE(json.find("\"metrics\":{\"counters\":{"), std::string::npos);
+  EXPECT_NE(json.find("\"abort.explicit\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"log.records\":" + std::to_string(records)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"commit.total_ns\":{"), std::string::npos);
 }
 
 TEST(DriverTest, EnvParsingHelpers) {

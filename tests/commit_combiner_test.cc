@@ -37,6 +37,7 @@
 #include "src/txn/log_manager.h"
 #include "src/txn/txn_manager.h"
 #include "tests/interleaving_harness.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -300,19 +301,20 @@ TEST(CommitCombinerStressTest, ContendedSSICommitsUnderCombining) {
             static_cast<uint64_t>(kThreads) * kRounds);
   EXPECT_GT(committed.load(), 0u);
 
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.active_txns, 0u);
+  const obs::MetricsSnapshot s = db->metrics()->Collect();
+  const uint64_t combined = Metric(s, "commit.combined_txns");
+  const uint64_t fastpath = Metric(s, "commit.fastpath");
+  EXPECT_EQ(Metric(s, "engine.active_txns"), 0u);
   // Every SSI commit either certified (combined) or took the fast path;
   // combined also counts certification failures, but not transactions the
   // tracker aborted on access before they ever reached Commit.
-  EXPECT_GE(s.commit_combined_txns + s.commit_fastpath, committed.load());
-  EXPECT_LE(s.commit_combined_txns + s.commit_fastpath,
-            committed.load() + aborted.load());
-  EXPECT_LE(s.commit_combine_batches, s.commit_combined_txns);
+  EXPECT_GE(combined + fastpath, committed.load());
+  EXPECT_LE(combined + fastpath, committed.load() + aborted.load());
+  EXPECT_LE(Metric(s, "commit.combine_batches"), combined);
   // The ring pattern forces conflict state every round: certification must
   // actually have happened, not just the fast path.
-  EXPECT_GT(s.commit_combined_txns, 0u);
-  EXPECT_GE(s.commit_max_batch, 1u);
+  EXPECT_GT(combined, 0u);
+  EXPECT_GE(Metric(s, "commit.max_batch"), 1u);
 }
 
 }  // namespace

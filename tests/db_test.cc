@@ -387,13 +387,13 @@ TEST(DBTest, StatsTrackCommitsAndLocks) {
   ASSERT_TRUE(db->CreateTable("t", &t).ok());
   auto txn = db->Begin({IsolationLevel::kSerializableSSI});
   ASSERT_TRUE(txn->Put(t, "k", "v").ok());
-  DBStats mid = db->GetStats();
-  EXPECT_EQ(mid.active_txns, 1u);
-  EXPECT_GE(mid.lock_grants, 1u);
+  const obs::MetricsSnapshot mid = db->metrics()->Collect();
+  EXPECT_EQ(Metric(mid, "engine.active_txns"), 1u);
+  EXPECT_GE(Metric(mid, "lock.grants"), 1u);
   ASSERT_TRUE(txn->Commit().ok());
-  DBStats after = db->GetStats();
-  EXPECT_EQ(after.active_txns, 0u);
-  EXPECT_GE(after.log_records, 1u);
+  const obs::MetricsSnapshot after = db->metrics()->Collect();
+  EXPECT_EQ(Metric(after, "engine.active_txns"), 0u);
+  EXPECT_GE(Metric(after, "log.records"), 1u);
 }
 
 TEST(DBTest, SuspendedTransactionsAreCleanedUp) {
@@ -417,7 +417,7 @@ TEST(DBTest, SuspendedTransactionsAreCleanedUp) {
   auto reader = db->Begin({IsolationLevel::kSerializableSSI});
   ASSERT_TRUE(reader->Get(t, "k", &v).ok());
   ASSERT_TRUE(reader->Commit().ok());  // Holds SIREAD -> suspended.
-  EXPECT_GE(db->GetStats().suspended_txns, 1u);
+  EXPECT_GE(Metric(db.get(), "engine.suspended_txns"), 1u);
 
   ASSERT_TRUE(overlapping->Commit().ok());
   // A fresh non-overlapping commit triggers the eager cleanup sweep.
@@ -427,7 +427,7 @@ TEST(DBTest, SuspendedTransactionsAreCleanedUp) {
   auto cleaner2 = db->Begin({IsolationLevel::kSerializableSSI});
   ASSERT_TRUE(cleaner2->Get(t, "k", &v).ok());
   ASSERT_TRUE(cleaner2->Commit().ok());
-  EXPECT_LE(db->GetStats().suspended_txns, 2u);
+  EXPECT_LE(Metric(db.get(), "engine.suspended_txns"), 2u);
 }
 
 TEST(DBTest, PruneVersionsReclaimsOldVersions) {
@@ -443,7 +443,7 @@ TEST(DBTest, PruneVersionsReclaimsOldVersions) {
   // call to the reclaim; either way the chain ends at one version.
   db->PruneVersions(t);
   EXPECT_EQ(db->table(t)->Find("k")->size(), 1u);
-  EXPECT_GT(db->GetStats().versions_pruned, 0u);
+  EXPECT_GT(Metric(db.get(), "gc.versions_pruned"), 0u);
   auto reader = db->Begin({IsolationLevel::kSnapshot});
   std::string v;
   ASSERT_TRUE(reader->Get(t, "k", &v).ok());
@@ -527,8 +527,8 @@ TEST(DBTest, DroppedTransactionAutoAborts) {
     // Destroyed without Commit/Abort: the destructor must roll back and
     // release every lock.
   }
-  EXPECT_EQ(db->GetStats().active_txns, 0u);
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.active_txns"), 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);
   auto check = db->Begin();
   std::string v;
   EXPECT_TRUE(check->Get(t, "k", &v).IsNotFound());

@@ -57,22 +57,6 @@ DBOptions FaultOptions(const std::string& dir, io::Env* env,
   return opts;
 }
 
-uint64_t GaugeValue(DB* db, const std::string& name) {
-  for (const auto& [n, v] : db->metrics()->Collect().gauges) {
-    if (n == name) return v;
-  }
-  ADD_FAILURE() << "gauge not registered: " << name;
-  return 0;
-}
-
-uint64_t CounterValue(DB* db, const std::string& name) {
-  for (const auto& [n, v] : db->metrics()->Collect().counters) {
-    if (n == name) return v;
-  }
-  ADD_FAILURE() << "counter not registered: " << name;
-  return 0;
-}
-
 bool DirHasTmpFile(const std::string& dir) {
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
@@ -138,9 +122,9 @@ TEST(FaultInjectionTest, WalFsyncFailureFlipsReadOnly) {
   EXPECT_TRUE(db->Checkpoint().IsIOError());
 
   // Observability: the gauge, the WAL error counter, the injection count.
-  EXPECT_EQ(GaugeValue(db.get(), "db.read_only"), 1u);
-  EXPECT_GE(CounterValue(db.get(), "io.errors.wal"), 1u);
-  EXPECT_GE(CounterValue(db.get(), "io.injected_faults"), 1u);
+  EXPECT_EQ(Metric(db.get(), "db.read_only"), 1u);
+  EXPECT_GE(Metric(db.get(), "io.errors.wal"), 1u);
+  EXPECT_GE(Metric(db.get(), "io.injected_faults"), 1u);
 
   // Fix the disk, reopen: every acked-OK commit is back with its original
   // commit timestamp. (The poisoned commit was acked kIOError — it made
@@ -187,7 +171,7 @@ TEST(FaultInjectionTest, EIOMidSpillKeepsChainsResident) {
   db->SpillChains(t);
   EXPECT_EQ(db->SpillChains(t), 0u);
   EXPECT_GE(db->storage_tier()->io_errors(), 1u);
-  EXPECT_GE(CounterValue(db.get(), "io.errors.tier"), 1u);
+  EXPECT_GE(Metric(db.get(), "io.errors.tier"), 1u);
   for (const auto& [key, c] : cts) {
     VersionChain* chain = db->table(t)->Find(key);
     ASSERT_NE(chain, nullptr);
@@ -243,7 +227,7 @@ TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
   Status st = db->Checkpoint();
   ASSERT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_FALSE(DirHasTmpFile(wal_dir)) << "partial .tmp must be removed";
-  EXPECT_GE(CounterValue(db.get(), "io.errors.checkpoint"), 1u);
+  EXPECT_GE(Metric(db.get(), "io.errors.checkpoint"), 1u);
 
   // The previous chain is untouched: reopening right now loads the base
   // image plus WAL replay and recovers everything acked.
@@ -265,7 +249,7 @@ TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
   // The next checkpoint resumes the chain where the failed one left off.
   put("d");
   EXPECT_TRUE(db->Checkpoint().ok());
-  EXPECT_GE(db->checkpoints_taken(), 1u);
+  EXPECT_GE(Metric(db.get(), "ckpt.taken"), 1u);
 }
 
 TEST(FaultInjectionTest, ENOSPCRunCreationCleansUpTmp) {

@@ -15,7 +15,7 @@
 //     (DBOptions::version_gc_interval_ms) is the backstop.
 //
 // Plus the per-shard max-commit-ts hint that lets incremental checkpoints
-// skip cold shards latch-free, and the DBStats durability counters.
+// skip cold shards latch-free, and the registry's durability counters.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 
 #include "src/db/db.h"
 #include "src/storage/table.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -79,7 +80,7 @@ TEST(PageFcwMapTest, EntriesPrunedOnceBelowSnapshotWatermark) {
   }
   const size_t pinned_size = db->txn_manager()->page_write_entries();
   EXPECT_GE(pinned_size, static_cast<size_t>(kPages));
-  EXPECT_EQ(db->GetStats().page_fcw_entries, pinned_size);
+  EXPECT_EQ(Metric(db.get(), "txn.page_fcw_entries"), pinned_size);
 
   // Release the pin and drive enough commits for a periodic sweep: every
   // entry now sits at or below the watermark and must be erased.
@@ -130,7 +131,7 @@ TEST(VersionGcTest, BackgroundSweepReclaimsColdChainWithoutManualPrune) {
   ASSERT_TRUE(pin->Commit().ok());
   EXPECT_TRUE(WaitFor([&] { return chain->size() == 1; }))
       << "chain still holds " << chain->size() << " versions";
-  EXPECT_GT(db->GetStats().versions_pruned, 0u);
+  EXPECT_GT(Metric(db.get(), "gc.versions_pruned"), 0u);
 
   auto reader = db->Begin({IsolationLevel::kSnapshot});
   ASSERT_TRUE(reader->Get(t, "hot", &v).ok());
@@ -198,7 +199,7 @@ TEST(PruneHorizonTest, CheckpointSweepFloorsPruning) {
   EXPECT_EQ(db->table(t)->Find("k")->size(), 1u);
 }
 
-TEST(DBStatsTest, DurabilityCountersFoldIntoOneRecord) {
+TEST(GcMetricsTest, DurabilityCountersShareOneSnapshot) {
   TempDir dir;
   DBOptions opts;
   opts.log.wal_dir = dir.path;
@@ -213,19 +214,18 @@ TEST(DBStatsTest, DurabilityCountersFoldIntoOneRecord) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   ASSERT_TRUE(db->Checkpoint().ok());
-  const DBStats stats = db->GetStats();
-  EXPECT_EQ(stats.checkpoints_taken, 1u);
-  EXPECT_EQ(stats.checkpoints_taken, db->checkpoints_taken());
-  EXPECT_GT(stats.checkpoint_bytes_written, 0u);
-  EXPECT_EQ(stats.checkpoint_bytes_written, db->checkpoint_bytes_written());
-  EXPECT_EQ(stats.wal_segments_deleted, db->wal_segments_deleted());
-  EXPECT_EQ(stats.page_fcw_entries, 0u);  // kRow granularity.
+  const obs::MetricsSnapshot stats = db->metrics()->Collect();
+  EXPECT_EQ(Metric(stats, "ckpt.taken"), 1u);
+  EXPECT_GT(Metric(stats, "ckpt.bytes_written"), 0u);
+  // One base image over a single live segment: nothing to reclaim yet.
+  EXPECT_EQ(Metric(stats, "wal.segments_deleted"), 0u);
+  EXPECT_EQ(Metric(stats, "txn.page_fcw_entries"), 0u);  // kRow granularity.
 
   // Manual pruning is folded into the same counter the background sweep
   // and the inline write path feed.
-  const uint64_t before = stats.versions_pruned;
+  const uint64_t before = Metric(stats, "gc.versions_pruned");
   db->PruneVersions(t);
-  EXPECT_GE(db->GetStats().versions_pruned, before);
+  EXPECT_GE(Metric(db.get(), "gc.versions_pruned"), before);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/common/random.h"
 #include "src/db/db.h"
 #include "src/sgt/mvsg.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -267,7 +268,7 @@ TEST(PageGranularityTest, ScanLocksPagesNotRows) {
   EXPECT_EQ(count, 100);
   // 100 rows over 10 pages: the lock table should hold ~10 page locks,
   // far fewer than 100 row locks (plus its own bookkeeping).
-  EXPECT_LE(env.db->GetStats().lock_grants, 15u);
+  EXPECT_LE(Metric(env.db.get(), "lock.grants"), 15u);
   txn->Commit();
 }
 

@@ -11,6 +11,7 @@
 #include "src/common/encoding.h"
 #include "src/db/db.h"
 #include "src/txn/log_manager.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -239,7 +240,7 @@ TEST(LogIntegrationTest, CommitWritesOneRecordPerUpdateTxn) {
     ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "v").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  EXPECT_EQ(db->GetStats().log_records, 3u);
+  EXPECT_EQ(Metric(db.get(), "log.records"), 3u);
 }
 
 TEST(LogIntegrationTest, ReadOnlyCommitAppendsNoRecord) {
@@ -255,7 +256,7 @@ TEST(LogIntegrationTest, ReadOnlyCommitAppendsNoRecord) {
     ASSERT_TRUE(txn->Put(t, "k", "v").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  const uint64_t after_write = db->GetStats().log_records;
+  const uint64_t after_write = Metric(db.get(), "log.records");
   EXPECT_EQ(after_write, 1u);
   for (auto iso : {IsolationLevel::kSnapshot,
                    IsolationLevel::kSerializableSSI,
@@ -265,7 +266,7 @@ TEST(LogIntegrationTest, ReadOnlyCommitAppendsNoRecord) {
     ASSERT_TRUE(txn->Get(t, "k", &v).ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  EXPECT_EQ(db->GetStats().log_records, after_write);
+  EXPECT_EQ(Metric(db.get(), "log.records"), after_write);
 }
 
 TEST(LogIntegrationTest, FlushOnCommitSlowsCommitsDown) {

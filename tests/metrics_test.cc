@@ -1,8 +1,9 @@
 // The obs metrics layer: log-linear histogram bucket math, shard-merge
 // equivalence, the quantile error bound the header promises (<= 1/16,
-// asserted at 12.5%), window deltas, registry collection, and the engine's
-// stage histograms actually filling under load (metrics_sample_period = 1
-// makes every commit record, so short tests are deterministic).
+// asserted at 12.5%), window deltas, registry collection and lookup, the
+// registry as the engine's one stats surface, and the engine's stage
+// histograms actually filling under load (metrics_sample_period = 1 makes
+// every commit record, so short tests are deterministic).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "src/db/db.h"
 #include "src/obs/exporter.h"
 #include "src/obs/metrics.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -237,6 +241,48 @@ TEST(MetricsRegistryTest, CollectsCountersGaugesAndHistogramsSorted) {
   EXPECT_EQ(reg.FindHistogram("nope"), nullptr);
 }
 
+TEST(MetricsSnapshotTest, FindTellsMissingApartFromZero) {
+  obs::MetricsRegistry reg;
+  reg.RegisterCounter("c.zero", [] { return uint64_t{0}; });
+  reg.RegisterGauge("g.five", [] { return uint64_t{5}; });
+  Histogram h;
+  reg.RegisterHistogram("h.hist", &h);
+  const obs::MetricsSnapshot snap = reg.Collect();
+  ASSERT_TRUE(snap.Find("c.zero").has_value());
+  EXPECT_EQ(*snap.Find("c.zero"), 0u);
+  EXPECT_EQ(snap.Find("g.five"), std::optional<uint64_t>(5));
+  EXPECT_FALSE(snap.Find("c.zer0").has_value());
+  EXPECT_FALSE(snap.Find("h.hist").has_value());  // Not a counter/gauge.
+  ASSERT_NE(snap.FindHistogram("h.hist"), nullptr);
+  EXPECT_EQ(snap.FindHistogram("h.hist")->count, 0u);
+  EXPECT_EQ(snap.FindHistogram("c.zero"), nullptr);
+}
+
+TEST(MetricsSnapshotTest, DeltaDiffersCountersKeepsGaugesDiffersHistograms) {
+  obs::MetricsRegistry reg;
+  std::atomic<uint64_t> c{10};
+  std::atomic<uint64_t> g{7};
+  reg.RegisterCounter("c", [&] { return c.load(); });
+  reg.RegisterGauge("g", [&] { return g.load(); });
+  Histogram h;
+  for (int i = 0; i < 4; ++i) h.Record(3);
+  reg.RegisterHistogram("h", &h);
+  const obs::MetricsSnapshot start = reg.Collect();
+  c.store(25);
+  g.store(2);  // A gauge may fall; the window reports where it ended.
+  for (int i = 0; i < 6; ++i) h.Record(9);
+  const obs::MetricsSnapshot window = reg.Collect().Delta(start);
+  EXPECT_EQ(window.Find("c"), std::optional<uint64_t>(15));
+  EXPECT_EQ(window.Find("g"), std::optional<uint64_t>(2));
+  const HistogramSnapshot* hw = window.FindHistogram("h");
+  ASSERT_NE(hw, nullptr);
+  EXPECT_EQ(hw->count, 6u);
+  EXPECT_EQ(hw->sum, 54u);
+  EXPECT_EQ(hw->buckets[3], 0u);
+  EXPECT_EQ(hw->buckets[9], 6u);
+  EXPECT_EQ(hw->Quantile(0.5), 9u);
+}
+
 // ---- Exporter -------------------------------------------------------------
 
 TEST(ExporterTest, JsonAndPrometheusRenderAllSections) {
@@ -356,7 +402,16 @@ TEST(EngineMetricsTest, RegistrySnapshotsStayMonotoneUnderConcurrentLoad) {
   for (auto& t : workers) t.join();
 }
 
-TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
+/// Sum of every abort.<reason> counter in `snap`.
+uint64_t AbortTotal(const obs::MetricsSnapshot& snap) {
+  uint64_t total = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind("abort.", 0) == 0) total += value;
+  }
+  return total;
+}
+
+TEST(EngineMetricsTest, AbortTaxonomyCountsAsRegistryCounters) {
   DBOptions opts;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
@@ -368,7 +423,7 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     ASSERT_TRUE(seed->Put(table, "y", "50").ok());
     ASSERT_TRUE(seed->Commit().ok());
   }
-  EXPECT_EQ(db->GetStats().abort_breakdown().total(), 0u);
+  EXPECT_EQ(AbortTotal(db->metrics()->Collect()), 0u);
 
   // An explicit rollback is the simplest taxonomy entry.
   {
@@ -376,12 +431,11 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     ASSERT_TRUE(txn->Put(table, "x", "1").ok());
     txn->Abort();
   }
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.abort_breakdown().Count(AbortReason::kExplicit), 1u);
-  EXPECT_EQ(s.abort_breakdown().total(), 1u);
+  obs::MetricsSnapshot s = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s, AbortMetric(AbortReason::kExplicit)), 1u);
+  EXPECT_EQ(AbortTotal(s), 1u);
 
-  // A write-skew SSI abort lands in an SSI taxonomy slot, and the same
-  // counts surface through DumpMetrics as abort.* counters.
+  // A write-skew SSI abort lands in an SSI taxonomy slot.
   {
     auto t1 = db->Begin({IsolationLevel::kSerializableSSI});
     auto t2 = db->Begin({IsolationLevel::kSerializableSSI});
@@ -400,13 +454,166 @@ TEST(EngineMetricsTest, AbortBreakdownFoldsIntoDBStats) {
     if (t1->active()) t1->Abort();
     if (t2->active()) t2->Abort();
   }
-  s = db->GetStats();
-  const uint64_t ssi_aborts =
-      s.abort_breakdown().Count(AbortReason::kSsiPivot) +
-      s.abort_breakdown().Count(AbortReason::kSsiInSide) +
-      s.abort_breakdown().Count(AbortReason::kSsiOutSide);
+  s = db->metrics()->Collect();
+  const uint64_t ssi_aborts = Metric(s, AbortMetric(AbortReason::kSsiPivot)) +
+                              Metric(s, AbortMetric(AbortReason::kSsiInSide)) +
+                              Metric(s, AbortMetric(AbortReason::kSsiOutSide));
   EXPECT_EQ(ssi_aborts, 1u);
-  EXPECT_EQ(s.abort_breakdown().total(), 2u);
+  EXPECT_EQ(AbortTotal(s), 2u);
+}
+
+/// Registry names of every quantity the engine reports outside the disk
+/// tier — the whole of what benches, examples and tests read by name.
+const char* const kEngineMetricNames[] = {
+    "ssi.unsafe_aborts", "lock.deadlocks", "lock.waits", "lock.grants",
+    "log.records", "log.flush_batches", "engine.active_txns",
+    "engine.suspended_txns", "ckpt.taken", "ckpt.bytes_written",
+    "wal.segments_deleted", "gc.versions_pruned", "txn.page_fcw_entries",
+    "commit.waits", "commit.wakeups", "commit.ring_full_stalls",
+    "commit.max_window_depth", "commit.combine_batches", "commit.combined_txns",
+    "commit.max_batch", "commit.fastpath", "siread.entries", "gc.horizon_lag",
+};
+/// The disk-tier quantities, registered only when the tier is enabled.
+const char* const kTierMetricNames[] = {
+    "pool.hits",       "pool.misses",         "pool.evictions",
+    "pool.writebacks", "tier.spilled_chains", "tier.faulted_chains",
+};
+
+/// Drive a little SSI write load (with a read in each transaction, so the
+/// SIREAD and certification paths move too).
+void CommitSome(DB* db, TableId table, int n) {
+  for (int i = 0; i < n; ++i) {
+    auto txn = db->Begin({IsolationLevel::kSerializableSSI});
+    std::string v;
+    txn->Get(table, EncodeU64Key(static_cast<uint64_t>(i)), &v);
+    ASSERT_TRUE(
+        txn->Put(table, EncodeU64Key(static_cast<uint64_t>(i)), "x").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+}
+
+/// The registry is the engine's only stats surface: each name is
+/// registered once across all three kinds, every reported quantity is
+/// present, and a window Delta over real engine load obeys the
+/// counter/gauge/histogram rules.
+void CheckRegistrySurface(DB* db, bool tier) {
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  CommitSome(db, table, 16);
+  const obs::MetricsSnapshot start = db->metrics()->Collect();
+
+  std::set<std::string> names;
+  for (const auto& [n, v] : start.counters) {
+    EXPECT_TRUE(names.insert(n).second) << "registered twice: " << n;
+  }
+  for (const auto& [n, v] : start.gauges) {
+    EXPECT_TRUE(names.insert(n).second) << "registered twice: " << n;
+  }
+  for (const auto& [n, h] : start.histograms) {
+    EXPECT_TRUE(names.insert(n).second) << "registered twice: " << n;
+  }
+  for (const char* name : kEngineMetricNames) {
+    EXPECT_TRUE(start.Find(name).has_value()) << name;
+  }
+  for (const char* name : kTierMetricNames) {
+    EXPECT_EQ(start.Find(name).has_value(), tier) << name;
+  }
+  for (size_t i = 1; i < kAbortReasonCount; ++i) {
+    const std::string name = AbortMetric(static_cast<AbortReason>(i));
+    EXPECT_TRUE(start.Find(name).has_value()) << name;
+  }
+  EXPECT_NE(start.FindHistogram("commit.total_ns"), nullptr);
+
+  CommitSome(db, table, 16);
+  const obs::MetricsSnapshot end = db->metrics()->Collect();
+  const obs::MetricsSnapshot window = end.Delta(start);
+  ASSERT_EQ(window.counters.size(), end.counters.size());
+  for (size_t i = 0; i < end.counters.size(); ++i) {
+    const auto& [name, now] = end.counters[i];
+    EXPECT_EQ(window.counters[i].first, name);
+    EXPECT_EQ(window.counters[i].second, now - *start.Find(name)) << name;
+  }
+  EXPECT_EQ(window.gauges, end.gauges);
+  ASSERT_EQ(window.histograms.size(), end.histograms.size());
+  for (size_t i = 0; i < end.histograms.size(); ++i) {
+    const auto& [name, now] = end.histograms[i];
+    const HistogramSnapshot* before = start.FindHistogram(name);
+    ASSERT_NE(before, nullptr) << name;
+    EXPECT_EQ(window.histograms[i].second.count, now.count - before->count)
+        << name;
+    EXPECT_EQ(window.histograms[i].second.sum, now.sum - before->sum)
+        << name;
+  }
+  // The 16 windowed commits, and only they, are in the delta.
+  EXPECT_EQ(*window.Find("log.records"), 16u);
+  EXPECT_EQ(window.FindHistogram("commit.total_ns")->count,
+            end.FindHistogram("commit.total_ns")->count -
+                start.FindHistogram("commit.total_ns")->count);
+}
+
+TEST(RegistrySurfaceTest, MemoryOnlyEngine) {
+  DBOptions opts;
+  opts.metrics_sample_period = 1;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  CheckRegistrySurface(db.get(), /*tier=*/false);
+}
+
+TEST(RegistrySurfaceTest, WalAndTierEngine) {
+  ScratchDir dir;
+  DBOptions opts;
+  opts.metrics_sample_period = 1;
+  opts.log.wal_dir = dir.path + "/wal";
+  opts.log.wal_fsync = false;
+  opts.data_dir = dir.path + "/data";
+  opts.buffer_pool_bytes = 1 << 16;
+  opts.run_page_bytes = 4096;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  CheckRegistrySurface(db.get(), /*tier=*/true);
+}
+
+/// SSI's retained state under a long reader. While one SSI reader stays
+/// open, every overlapping SSI writer that commits is suspended with its
+/// SIREAD entries, and the prune horizon stays pinned at the reader's
+/// snapshot — both gauges climb. The reader's commit lets cleanup release
+/// all of it.
+TEST(EngineMetricsTest, RetainedStateGaugesTrackALongReader) {
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open({}, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  BumpWatermark(db.get(), table);
+  const obs::MetricsSnapshot idle = db->metrics()->Collect();
+  EXPECT_EQ(Metric(idle, "siread.entries"), 0u);
+  EXPECT_EQ(Metric(idle, "gc.horizon_lag"), 0u);
+
+  auto reader = db->Begin({IsolationLevel::kSerializableSSI});
+  std::string v;
+  reader->Get(table, "report", &v);
+  const obs::MetricsSnapshot opened = db->metrics()->Collect();
+
+  uint64_t last_entries = Metric(opened, "siread.entries");
+  uint64_t last_lag = Metric(opened, "gc.horizon_lag");
+  for (uint64_t i = 0; i < 8; ++i) {
+    // Read one key, write another: a SIREAD on a key the same transaction
+    // writes is dropped in favour of its write lock.
+    auto writer = db->Begin({IsolationLevel::kSerializableSSI});
+    writer->Get(table, "r" + std::to_string(i), &v);
+    ASSERT_TRUE(writer->Put(table, "w" + std::to_string(i), "x").ok());
+    ASSERT_TRUE(writer->Commit().ok());
+    const obs::MetricsSnapshot s = db->metrics()->Collect();
+    EXPECT_GT(Metric(s, "siread.entries"), last_entries) << "writer " << i;
+    EXPECT_GT(Metric(s, "gc.horizon_lag"), last_lag) << "writer " << i;
+    last_entries = Metric(s, "siread.entries");
+    last_lag = Metric(s, "gc.horizon_lag");
+  }
+
+  ASSERT_TRUE(reader->Commit().ok());
+  const obs::MetricsSnapshot after = db->metrics()->Collect();
+  EXPECT_EQ(Metric(after, "siread.entries"), 0u);
+  EXPECT_EQ(Metric(after, "gc.horizon_lag"), 0u);
+  EXPECT_EQ(Metric(after, "engine.suspended_txns"), 0u);
 }
 
 TEST(EngineMetricsTest, BackgroundDumperWritesSnapshots) {

@@ -39,6 +39,7 @@
 #include "src/recovery/wal.h"
 #include "src/workloads/sibench.h"
 #include "src/workloads/tpcc_workload.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -552,8 +553,7 @@ TEST(RecoveryTest, CheckpointGarbageCollectsCoveredSegments) {
   uint64_t remaining_seq = 0;
   ASSERT_TRUE(recovery::ParseWalSegmentSeq(after[0], &remaining_seq));
   EXPECT_GT(remaining_seq, 1u);  // Segment 1 (the create) was reclaimed.
-  EXPECT_GT(db->wal_segments_deleted(), 0u);
-  EXPECT_EQ(db->GetStats().wal_segments_deleted, db->wal_segments_deleted());
+  EXPECT_GT(Metric(db.get(), "wal.segments_deleted"), 0u);
   db.reset();
 
   // The pruned directory still recovers everything.
@@ -670,7 +670,7 @@ TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
     }
     const uint64_t scans_before = recovery::ScanWalSegmentCalls();
     ASSERT_TRUE(db->Checkpoint().ok());  // First image: a full base, O(N).
-    base_bytes = db->checkpoint_bytes_written();
+    base_bytes = Metric(db.get(), "ckpt.bytes_written");
     auto touch = db->Begin();
     for (int j = 0; j < kTouched; ++j) {
       ASSERT_TRUE(
@@ -678,19 +678,19 @@ TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
     }
     ASSERT_TRUE(touch->Commit().ok());
     ASSERT_TRUE(db->Checkpoint().ok());  // Second image: a delta, O(k).
-    delta_bytes = db->checkpoint_bytes_written() - base_bytes;
+    delta_bytes = Metric(db.get(), "ckpt.bytes_written") - base_bytes;
     // Incrementality, demonstrated: the delta after touching k of N keys
     // is a small fraction of the base sweep.
     EXPECT_GT(delta_bytes, 0u);
     EXPECT_LT(delta_bytes * 20, base_bytes);
     // O(1) GC: no ScanWalSegment re-read happened in either checkpoint.
     EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
-    EXPECT_EQ(db->GetStats().checkpoints_taken, 2u);
-    EXPECT_EQ(db->GetStats().checkpoint_bytes_written,
+    EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 2u);
+    EXPECT_EQ(Metric(db.get(), "ckpt.bytes_written"),
               base_bytes + delta_bytes);
     // A checkpoint with nothing new is a no-op, not an empty delta.
     ASSERT_TRUE(db->Checkpoint().ok());
-    EXPECT_EQ(db->checkpoints_taken(), 2u);
+    EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 2u);
   }
   // The delta file exists on disk alongside the base.
   bool saw_delta = false;
@@ -741,7 +741,7 @@ TEST(RecoveryTest, DeltaChainCompactsIntoFreshBase) {
     commit_one("k" + std::to_string(i));
     ASSERT_TRUE(db->Checkpoint().ok());
   }
-  EXPECT_EQ(db->checkpoints_taken(), 4u);
+  EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 4u);
   size_t bases = 0, deltas = 0;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     const std::string name = entry.path().filename().string();
@@ -904,7 +904,7 @@ TEST(RecoveryTest, DamagedMiddleDeltaLinkFallsBackToOlderCutPlusWal) {
         ASSERT_TRUE(db->Checkpoint().ok());
       }
     }
-    ASSERT_EQ(db->checkpoints_taken(), 4u);
+    ASSERT_EQ(Metric(db.get(), "ckpt.taken"), 4u);
   }
   // Damage the *middle* delta link (the second of three by watermark).
   std::vector<std::pair<Timestamp, std::string>> deltas;
@@ -1093,7 +1093,7 @@ TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
         ASSERT_TRUE(db->Checkpoint().ok());
       }
     }
-    ASSERT_EQ(db->checkpoints_taken(), 1u);
+    ASSERT_EQ(Metric(db.get(), "ckpt.taken"), 1u);
   }
   // First reopen: checkpoint covers the first half, WAL replay the rest
   // (records below the watermark replay idempotently over the image).
@@ -1148,7 +1148,7 @@ TEST(RecoveryTest, BackgroundCheckpointerProducesUsableImages) {
       ASSERT_TRUE(txn->Commit().ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    EXPECT_GE(db->checkpoints_taken(), 1u);
+    EXPECT_GE(Metric(db.get(), "ckpt.taken"), 1u);
   }
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());

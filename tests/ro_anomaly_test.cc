@@ -28,6 +28,7 @@
 #include <string>
 
 #include "src/db/db.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -135,7 +136,7 @@ TEST_P(ROAnomalyTest, AnomalyPreventedUnderSSI) {
     st = t2->Commit();
   }
   EXPECT_TRUE(st.IsUnsafe()) << st.ToString();
-  EXPECT_GE(db_->GetStats().unsafe_aborts, 1u);
+  EXPECT_GE(Metric(db_.get(), "ssi.unsafe_aborts"), 1u);
 
   // The committed state is the serializable one: only the deposit.
   auto check = db_->Begin({IsolationLevel::kSnapshot});

@@ -12,6 +12,7 @@
 
 #include "src/db/db.h"
 #include "src/sgt/mvsg.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -185,7 +186,7 @@ TEST(GetForUpdateTest, SSIReadModifyWriteLeavesNoSIReadResidue) {
   ASSERT_TRUE(txn->GetForUpdate(env.table, "k", &v).ok());
   ASSERT_TRUE(txn->Put(env.table, "k", "2").ok());
   ASSERT_TRUE(txn->Commit().ok());
-  EXPECT_EQ(env.db->GetStats().suspended_txns, 0u);
+  EXPECT_EQ(Metric(env.db.get(), "engine.suspended_txns"), 0u);
 }
 
 }  // namespace

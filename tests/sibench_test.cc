@@ -10,6 +10,7 @@
 
 #include "src/sgt/mvsg.h"
 #include "src/workloads/sibench.h"
+#include "tests/test_util.h"
 
 namespace ssidb::workloads {
 namespace {
@@ -110,7 +111,7 @@ TEST_P(SiBenchConcurrencyTest, ConcurrentMixConservesIncrements) {
   // Updates serialize on the row lock thanks to late snapshots (§4.5);
   // queries never write. SSI may still flag rare unsafe patterns between
   // a query and two updates, so we assert only on deadlocks here.
-  EXPECT_EQ(db->GetStats().deadlocks, 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.deadlocks"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

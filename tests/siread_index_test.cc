@@ -251,7 +251,7 @@ TEST(SIReadLifetimeTest, EntriesSurviveCommitWhileOverlapped) {
 
   // Retained past commit: the keeper overlaps the reader.
   EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(reader_id));
-  EXPECT_GE(db->GetStats().suspended_txns, 1u);
+  EXPECT_GE(Metric(db.get(), "engine.suspended_txns"), 1u);
 
   // Once no overlap remains, the next cleanup sweep drops the entries.
   ASSERT_TRUE(keeper->Commit().ok());
@@ -259,7 +259,7 @@ TEST(SIReadLifetimeTest, EntriesSurviveCommitWhileOverlapped) {
   pulse->Get(table, "k", &v);
   ASSERT_TRUE(pulse->Commit().ok());
   EXPECT_FALSE(db->lock_manager()->HoldsAnySIRead(reader_id));
-  EXPECT_EQ(db->GetStats().suspended_txns, 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
 }
 
 TEST(SIReadLifetimeTest, AbortDropsEntriesImmediately) {
@@ -401,9 +401,9 @@ TEST(SIReadLifetimeTest, ConcurrentReadersAndCleanupDrain) {
     pulse->Get(table, EncodeU64Key(0), &v);
     ASSERT_TRUE(pulse->Commit().ok());
   }
-  EXPECT_EQ(db->GetStats().suspended_txns, 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
   EXPECT_EQ(db->lock_manager()->siread_index()->GrantCount(), 0u);
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "src/common/encoding.h"
 #include "src/sgt/mvsg.h"
 #include "src/workloads/smallbank.h"
+#include "tests/test_util.h"
 
 namespace ssidb::workloads {
 namespace {
@@ -295,8 +296,7 @@ TEST_P(SmallBankSoakTest, ConcurrentMixKeepsHistorySerializable) {
         sgt::AnalyzeHistory(env.db->history()->Snapshot()).serializable);
   }
   // Engine-level sanity regardless of isolation.
-  DBStats stats = db->GetStats();
-  EXPECT_EQ(stats.active_txns, 0u);
+  EXPECT_EQ(Metric(db, "engine.active_txns"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -112,7 +112,7 @@ TEST(SpillTest, RoundTripPreservesValueAndCommitTimestamp) {
     EXPECT_EQ(after, cts[i]) << "fault must keep the original commit_ts";
     EXPECT_FALSE(tomb);
   }
-  EXPECT_EQ(f.db->GetStats().faulted_chains, kKeys);
+  EXPECT_EQ(Metric(f.db.get(), "tier.faulted_chains"), kKeys);
 }
 
 TEST(SpillTest, TombstonesSpillAndGateInserts) {
@@ -178,7 +178,7 @@ TEST(SpillTest, ScansFaultEvictedChains) {
                   .ok());
   ASSERT_TRUE(txn->Commit().ok());
   EXPECT_EQ(seen, kKeys) << "a scan must surface every spilled key";
-  EXPECT_EQ(f.db->GetStats().faulted_chains, kKeys);
+  EXPECT_EQ(Metric(f.db.get(), "tier.faulted_chains"), kKeys);
 }
 
 TEST(SpillTest, SecondChanceKeepsHotChainsResident) {

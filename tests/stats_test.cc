@@ -1,10 +1,10 @@
-// DBStats consistency contract (db.h): every counter is individually
-// coherent and GetStats() may be called from any thread at any time,
-// including while the engine is under full concurrent load. These tests
-// hammer the engine from worker threads while a sampler thread reads
-// stats continuously — under ThreadSanitizer this proves the counters are
-// race-free now that no global system mutex orders them — and then check
-// the quiesced totals against ground truth.
+// The registry's consistency contract (obs/metrics.h MetricsSnapshot):
+// every counter is individually coherent and Collect() may be called from
+// any thread at any time, including while the engine is under full
+// concurrent load. These tests hammer the engine from worker threads while
+// a sampler thread collects continuously — under ThreadSanitizer this
+// proves the counters are race-free now that no global system mutex orders
+// them — and then check the quiesced totals against ground truth.
 
 #include <gtest/gtest.h>
 
@@ -58,14 +58,13 @@ TEST(StatsTest, SamplingUnderConcurrentLoadIsCoherent) {
     });
   }
 
-  // The sampler races GetStats against the workers: the assertions here
+  // The sampler races Collect against the workers: the assertions here
   // only use per-counter coherence (no cross-counter relation), which is
   // exactly what the contract promises.
   std::thread sampler([&] {
     uint64_t samples = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      DBStats s = db->GetStats();
-      EXPECT_LE(s.active_txns, kWorkers + 1u);
+      EXPECT_LE(Metric(db.get(), "engine.active_txns"), kWorkers + 1u);
       ++samples;
     }
     EXPECT_GT(samples, 0u);
@@ -77,10 +76,10 @@ TEST(StatsTest, SamplingUnderConcurrentLoadIsCoherent) {
   sampler.join();
 
   // Quiesced: totals must match ground truth exactly.
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.active_txns, 0u);
+  const obs::MetricsSnapshot s = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s, "engine.active_txns"), 0u);
   // Every successful commit (including the seed load) appended one record.
-  EXPECT_EQ(s.log_records, committed.load() + 1);
+  EXPECT_EQ(Metric(s, "log.records"), committed.load() + 1);
   EXPECT_GT(committed.load(), 0u);
 }
 
@@ -91,17 +90,17 @@ TEST(StatsTest, GrantCountTracksLiveGrantsExactly) {
   TableId table = 0;
   ASSERT_TRUE(db->CreateTable("t", &table).ok());
 
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);
   {
     auto txn = db->Begin({IsolationLevel::kSerializable2PL});
     std::string v;
     txn->Get(table, "a", &v);            // kShared on row "a".
     txn->Put(table, "b", "1");           // kExclusive row + gap.
-    EXPECT_GT(db->GetStats().lock_grants, 0u);
+    EXPECT_GT(Metric(db.get(), "lock.grants"), 0u);
     ASSERT_TRUE(txn->Commit().ok());
   }
   // S2PL releases everything at commit; nothing is retained.
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);
 
   // An SSI reader's SIREAD locks are retained past commit (suspension,
   // §3.3) while a concurrent transaction overlaps it.
@@ -114,12 +113,12 @@ TEST(StatsTest, GrantCountTracksLiveGrantsExactly) {
   auto reader = db->Begin({IsolationLevel::kSerializableSSI});
   reader->Get(table, "b", &v);
   ASSERT_TRUE(reader->Commit().ok());
-  EXPECT_GT(db->GetStats().lock_grants, 0u);
-  EXPECT_EQ(db->GetStats().suspended_txns, 1u);
+  EXPECT_GT(Metric(db.get(), "lock.grants"), 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 1u);
   ASSERT_TRUE(overlap->Commit().ok());
   // Cleanup released the suspended reader's retained SIREAD locks.
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);
-  EXPECT_EQ(db->GetStats().suspended_txns, 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
 }
 
 /// Counter monotonicity under load: sampled values of cumulative counters
@@ -149,26 +148,18 @@ TEST(StatsTest, CumulativeCountersAreMonotonicUnderLoad) {
     });
   }
 
-  uint64_t last_log = 0, last_unsafe = 0, last_deadlocks = 0, last_waits = 0;
-  uint64_t last_by_reason[kAbortReasonCount] = {};
+  // Every registered counter is cumulative — the flat ones and each
+  // abort-taxonomy reason alike (a single relaxed atomic bumped exactly
+  // once per event) — so no sampled value ever regresses.
+  obs::MetricsSnapshot last = db->metrics()->Collect();
   for (int i = 0; i < 2000; ++i) {
-    DBStats s = db->GetStats();
-    EXPECT_GE(s.log_records, last_log);
-    EXPECT_GE(s.unsafe_aborts, last_unsafe);
-    EXPECT_GE(s.deadlocks, last_deadlocks);
-    EXPECT_GE(s.lock_waits, last_waits);
-    last_log = s.log_records;
-    last_unsafe = s.unsafe_aborts;
-    last_deadlocks = s.deadlocks;
-    last_waits = s.lock_waits;
-    // The abort taxonomy is cumulative too: each per-reason counter is a
-    // single relaxed atomic bumped exactly once per abort, so sampled
-    // values never regress either.
-    for (size_t r = 0; r < kAbortReasonCount; ++r) {
-      EXPECT_GE(s.aborts.by_reason[r], last_by_reason[r])
-          << AbortReasonName(static_cast<AbortReason>(r));
-      last_by_reason[r] = s.aborts.by_reason[r];
+    obs::MetricsSnapshot s = db->metrics()->Collect();
+    ASSERT_EQ(s.counters.size(), last.counters.size());
+    for (size_t c = 0; c < s.counters.size(); ++c) {
+      EXPECT_GE(s.counters[c].second, last.counters[c].second)
+          << s.counters[c].first;
     }
+    last = std::move(s);
   }
   stop.store(true);
   for (auto& t : workers) t.join();
@@ -177,16 +168,16 @@ TEST(StatsTest, CumulativeCountersAreMonotonicUnderLoad) {
   // unsafe counter (which counts detected dangerous structures; a victim
   // carrying an earlier cause, or a structure detected twice against the
   // same victim, makes the taxonomy side strictly smaller).
-  DBStats s = db->GetStats();
+  const obs::MetricsSnapshot s = db->metrics()->Collect();
   const uint64_t ssi_classified =
-      s.aborts.Count(AbortReason::kSsiPivot) +
-      s.aborts.Count(AbortReason::kSsiInSide) +
-      s.aborts.Count(AbortReason::kSsiOutSide);
-  EXPECT_LE(ssi_classified, s.unsafe_aborts);
+      Metric(s, AbortMetric(AbortReason::kSsiPivot)) +
+      Metric(s, AbortMetric(AbortReason::kSsiInSide)) +
+      Metric(s, AbortMetric(AbortReason::kSsiOutSide));
+  EXPECT_LE(ssi_classified, Metric(s, "ssi.unsafe_aborts"));
 }
 
-/// Commit-pipeline counters (the lock-free commit-slot ring): folded into
-/// DBStats, cumulative ones monotonic under sampling, and the window-depth
+/// Commit-pipeline counters (the lock-free commit-slot ring): registered,
+/// cumulative ones monotonic under sampling, and the window-depth
 /// high-water mark reflects real concurrency.
 TEST(StatsTest, CommitPipelineCountersFoldAndStayMonotonic) {
   DBOptions opts;
@@ -196,10 +187,10 @@ TEST(StatsTest, CommitPipelineCountersFoldAndStayMonotonic) {
   ASSERT_TRUE(db->CreateTable("t", &table).ok());
 
   // Quiet engine: nothing waited, nothing woke, nothing stalled.
-  DBStats s0 = db->GetStats();
-  EXPECT_EQ(s0.commit_waits, 0u);
-  EXPECT_EQ(s0.commit_wakeups, 0u);
-  EXPECT_EQ(s0.ring_full_stalls, 0u);
+  const obs::MetricsSnapshot s0 = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s0, "commit.waits"), 0u);
+  EXPECT_EQ(Metric(s0, "commit.wakeups"), 0u);
+  EXPECT_EQ(Metric(s0, "commit.ring_full_stalls"), 0u);
 
   std::atomic<int> done{0};
   std::vector<std::thread> workers;
@@ -219,26 +210,26 @@ TEST(StatsTest, CommitPipelineCountersFoldAndStayMonotonic) {
   // to have happened by the final check even on a single-core host).
   uint64_t last_waits = 0, last_wakeups = 0, last_stalls = 0;
   while (done.load(std::memory_order_relaxed) < 4) {
-    DBStats s = db->GetStats();
-    EXPECT_GE(s.commit_waits, last_waits);
-    EXPECT_GE(s.commit_wakeups, last_wakeups);
-    EXPECT_GE(s.ring_full_stalls, last_stalls);
-    last_waits = s.commit_waits;
-    last_wakeups = s.commit_wakeups;
-    last_stalls = s.ring_full_stalls;
+    const obs::MetricsSnapshot s = db->metrics()->Collect();
+    EXPECT_GE(Metric(s, "commit.waits"), last_waits);
+    EXPECT_GE(Metric(s, "commit.wakeups"), last_wakeups);
+    EXPECT_GE(Metric(s, "commit.ring_full_stalls"), last_stalls);
+    last_waits = Metric(s, "commit.waits");
+    last_wakeups = Metric(s, "commit.wakeups");
+    last_stalls = Metric(s, "commit.ring_full_stalls");
   }
   for (auto& t : workers) t.join();
 
-  DBStats s1 = db->GetStats();
+  const obs::MetricsSnapshot s1 = db->metrics()->Collect();
   // Every writing commit entered the window: the depth watermark is live.
-  EXPECT_GE(s1.max_commit_window_depth, 1u);
+  EXPECT_GE(Metric(s1, "commit.max_window_depth"), 1u);
   // The default 4096-slot ring cannot backpressure 4 writers.
-  EXPECT_EQ(s1.ring_full_stalls, 0u);
+  EXPECT_EQ(Metric(s1, "commit.ring_full_stalls"), 0u);
 }
 
 /// Certification-stage counters: the conflict-free fast path and the
 /// combiner are mutually exclusive classifications of an SSI commit, and
-/// DBStats must attribute each commit to exactly one of them.
+/// the registry must attribute each commit to exactly one of them.
 TEST(StatsTest, CertificationCountersSplitFastPathFromCombining) {
   DBOptions opts;
   std::unique_ptr<DB> db;
@@ -251,7 +242,7 @@ TEST(StatsTest, CertificationCountersSplitFastPathFromCombining) {
     ASSERT_TRUE(seed->Put(table, "x", "0").ok());
     ASSERT_TRUE(seed->Put(table, "y", "0").ok());
     ASSERT_TRUE(seed->Commit().ok());
-    EXPECT_EQ(db->GetStats().commit_fastpath, 0u);
+    EXPECT_EQ(Metric(db.get(), "commit.fastpath"), 0u);
   }
 
   // A lone SSI writer has no conflict state: fast path, never combined.
@@ -260,11 +251,11 @@ TEST(StatsTest, CertificationCountersSplitFastPathFromCombining) {
     ASSERT_TRUE(t->Put(table, "x", "1").ok());
     ASSERT_TRUE(t->Commit().ok());
   }
-  DBStats s0 = db->GetStats();
-  EXPECT_EQ(s0.commit_fastpath, 1u);
-  EXPECT_EQ(s0.commit_combined_txns, 0u);
-  EXPECT_EQ(s0.commit_combine_batches, 0u);
-  EXPECT_EQ(s0.commit_max_batch, 0u);
+  const obs::MetricsSnapshot s0 = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s0, "commit.fastpath"), 1u);
+  EXPECT_EQ(Metric(s0, "commit.combined_txns"), 0u);
+  EXPECT_EQ(Metric(s0, "commit.combine_batches"), 0u);
+  EXPECT_EQ(Metric(s0, "commit.max_batch"), 0u);
 
   // A write-skew pair: both transactions carry rw-antidependency state at
   // commit, so both must go through the combiner (whatever the verdicts).
@@ -281,13 +272,15 @@ TEST(StatsTest, CertificationCountersSplitFastPathFromCombining) {
     t1->Commit();  // Verdicts may differ by tracking mode; the
     t2->Commit();  // classification must not.
   }
-  DBStats s1 = db->GetStats();
-  EXPECT_EQ(s1.commit_fastpath, 1u);  // Unchanged: neither took it.
-  EXPECT_GE(s1.commit_combined_txns, 1u);
-  EXPECT_GE(s1.commit_combine_batches, 1u);
-  EXPECT_LE(s1.commit_combine_batches, s1.commit_combined_txns);
-  EXPECT_GE(s1.commit_max_batch, 1u);
-  EXPECT_LE(s1.commit_max_batch, s1.commit_combined_txns);
+  const obs::MetricsSnapshot s1 = db->metrics()->Collect();
+  const uint64_t combined = Metric(s1, "commit.combined_txns");
+  const uint64_t batches = Metric(s1, "commit.combine_batches");
+  EXPECT_EQ(Metric(s1, "commit.fastpath"), 1u);  // Unchanged: neither took it.
+  EXPECT_GE(combined, 1u);
+  EXPECT_GE(batches, 1u);
+  EXPECT_LE(batches, combined);
+  EXPECT_GE(Metric(s1, "commit.max_batch"), 1u);
+  EXPECT_LE(Metric(s1, "commit.max_batch"), combined);
 }
 
 /// The commit_ring_slots knob reaches the pipeline: a tiny ring under
@@ -317,11 +310,11 @@ TEST(StatsTest, TinyCommitRingStillDrains) {
   }
   for (auto& t : workers) t.join();
   EXPECT_EQ(committed.load(), 1200u);  // Disjoint keys: nothing aborts.
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.active_txns, 0u);
+  const obs::MetricsSnapshot s = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s, "engine.active_txns"), 0u);
   // The in-flight window is bounded by the concurrent writer count (each
   // thread has at most one allocated-but-unstamped commit).
-  EXPECT_LE(s.max_commit_window_depth, 4u);
+  EXPECT_LE(Metric(s, "commit.max_window_depth"), 4u);
 }
 
 /// The commit-ack waiter shards are sized from the runtime core topology
@@ -337,11 +330,12 @@ TEST(StatsTest, CommitAckWaiterShardsAreTopologySized) {
   EXPECT_EQ(shards & (shards - 1), 0u) << "must be a power of two";
 }
 
-/// Disk-tier counters: all six stay zero while the tier is disabled, and a
-/// spill/fault round trip moves each of them through DBStats.
-TEST(StatsTest, DiskTierCountersFoldIntoStats) {
+/// Disk-tier counters: none of the six is registered while the tier is
+/// disabled, and a spill/fault round trip moves each of them.
+TEST(StatsTest, DiskTierCountersTrackSpillAndFault) {
   {
-    // Memory-only engine: the tier never initializes, counters stay 0.
+    // Memory-only engine: the tier never initializes, so its counters do
+    // not exist rather than reading a misleading 0.
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open({}, &db).ok());
     TableId table = 0;
@@ -350,13 +344,12 @@ TEST(StatsTest, DiskTierCountersFoldIntoStats) {
     ASSERT_TRUE(txn->Put(table, "k", "v").ok());
     ASSERT_TRUE(txn->Commit().ok());
     EXPECT_EQ(db->SpillChains(table), 0u);
-    DBStats s = db->GetStats();
-    EXPECT_EQ(s.buffer_pool_hits, 0u);
-    EXPECT_EQ(s.buffer_pool_misses, 0u);
-    EXPECT_EQ(s.buffer_pool_evictions, 0u);
-    EXPECT_EQ(s.buffer_pool_writebacks, 0u);
-    EXPECT_EQ(s.spilled_chains, 0u);
-    EXPECT_EQ(s.faulted_chains, 0u);
+    const obs::MetricsSnapshot s = db->metrics()->Collect();
+    for (const char* name :
+         {"pool.hits", "pool.misses", "pool.evictions", "pool.writebacks",
+          "tier.spilled_chains", "tier.faulted_chains"}) {
+      EXPECT_FALSE(s.Find(name).has_value()) << name;
+    }
   }
 
   ScratchDir dir;
@@ -391,14 +384,15 @@ TEST(StatsTest, DiskTierCountersFoldIntoStats) {
     }
     ASSERT_TRUE(txn->Commit().ok());
   }
-  DBStats s = db->GetStats();
-  EXPECT_EQ(s.spilled_chains, kKeys);
-  EXPECT_EQ(s.faulted_chains, kKeys);
+  const obs::MetricsSnapshot s = db->metrics()->Collect();
+  EXPECT_EQ(Metric(s, "tier.spilled_chains"), kKeys);
+  EXPECT_EQ(Metric(s, "tier.faulted_chains"), kKeys);
   // The run writer warms its own pages, so faults hit; the page reads all
   // went through the pool either way.
-  EXPECT_GT(s.buffer_pool_hits + s.buffer_pool_misses, 0u);
+  EXPECT_GT(Metric(s, "pool.hits") + Metric(s, "pool.misses"), 0u);
+  EXPECT_TRUE(s.Find("pool.evictions").has_value());
   // Dirty run pages were written back by RunFile::Create's flush.
-  EXPECT_GT(s.buffer_pool_writebacks, 0u);
+  EXPECT_GT(Metric(s, "pool.writebacks"), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/common/random.h"
 #include "src/db/db.h"
 #include "src/sgt/mvsg.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -103,8 +104,8 @@ TEST_P(TransferStressTest, TotalConserved) {
                   .ok());
   check->Commit();
   EXPECT_EQ(total, static_cast<int64_t>(kAccounts) * kInitial);
-  EXPECT_EQ(db->GetStats().active_txns, 0u);
-  EXPECT_EQ(db->GetStats().lock_grants, 0u);  // Everything released.
+  EXPECT_EQ(Metric(db.get(), "engine.active_txns"), 0u);
+  EXPECT_EQ(Metric(db.get(), "lock.grants"), 0u);  // Everything released.
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,9 +7,13 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 
+#include "src/common/abort_reason.h"
 #include "src/db/db.h"
+#include "src/obs/metrics.h"
 
 namespace ssidb {
 
@@ -36,6 +40,26 @@ inline void BumpWatermark(DB* db, TableId table) {
   auto bump = db->Begin({IsolationLevel::kSnapshot});
   ASSERT_TRUE(bump->Put(table, "bump", "1").ok());
   ASSERT_TRUE(bump->Commit().ok());
+}
+
+/// Counter or gauge `name` from `snapshot`. A name the registry does not
+/// know fails the calling test (and reads 0), so a typo cannot pass for a
+/// zero count.
+inline uint64_t Metric(const obs::MetricsSnapshot& snapshot,
+                       std::string_view name) {
+  const std::optional<uint64_t> v = snapshot.Find(name);
+  if (!v.has_value()) ADD_FAILURE() << "metric not registered: " << name;
+  return v.value_or(0);
+}
+
+/// The same, from a fresh Collect() of `db`'s registry.
+inline uint64_t Metric(DB* db, std::string_view name) {
+  return Metric(db->metrics()->Collect(), name);
+}
+
+/// Registry name of the abort-taxonomy counter for `reason`.
+inline std::string AbortMetric(AbortReason reason) {
+  return std::string("abort.") + AbortReasonName(reason);
 }
 
 }  // namespace ssidb

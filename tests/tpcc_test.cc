@@ -9,6 +9,7 @@
 
 #include "src/sgt/mvsg.h"
 #include "src/workloads/tpcc_workload.h"
+#include "tests/test_util.h"
 
 namespace ssidb::workloads::tpcc {
 namespace {
@@ -809,7 +810,7 @@ TEST(TpccConcurrencyTest, ConcurrentStandardMixStaysConsistent) {
   for (auto& th : threads) th.join();
   Status st = workload->CheckConsistency(db.get());
   EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(db->GetStats().active_txns, 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.active_txns"), 0u);
 }
 
 TEST(TpccMixTest, StandardMixProportions) {
