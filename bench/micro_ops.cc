@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32c.h"
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/db/db.h"
@@ -212,6 +213,19 @@ void BM_VersionChainRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VersionChainRead)->Arg(1)->Arg(8)->Arg(64);
+
+/// CRC32C over one buffer: 64 bytes is a WAL record frame, 16384 a run
+/// page (re-checked on every run lookup that faults a chain in).
+void BM_Crc32c(benchmark::State& state) {
+  Random rng(3);
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(0, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(16384);
 
 // ---------------------------------------------------------------------------
 // Multi-threaded scaling: the sharded-storage / split-system-mutex payoff.

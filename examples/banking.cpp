@@ -50,10 +50,11 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(config.customers),
          static_cast<long long>(initial_total));
 
-  // Deposits and checks change the total; track the committed delta so the
-  // auditor can reconcile. (Balance/Amalgamate/TransactSaving conserve it;
-  // DepositChecking adds; WriteCheck subtracts, incl. the $1 penalty.)
-  std::atomic<int64_t> expected_delta{0};
+  // Deposits and checks change the total; count each in its own counter so
+  // the auditor can reconcile. (Balance/Amalgamate/TransactSaving conserve
+  // it; DepositChecking adds; WriteCheck subtracts, incl. the $1 penalty.)
+  std::atomic<int64_t> deposited{0};
+  std::atomic<int64_t> checked{0};
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> commits{0};
   std::atomic<uint64_t> retries{0};
@@ -73,31 +74,20 @@ int main(int argc, char** argv) {
         const SmallBankOp op = static_cast<SmallBankOp>(rng.Uniform(5));
         const int64_t cents = rng.UniformRange(1, 99) * 100;
 
-        // Deposits are counted into expected_delta BEFORE the commit (and
-        // rolled back on failure): a commit becomes snapshot-visible the
-        // moment the watermark covers it, slightly before RunOp returns,
-        // so counting afterwards would let an auditor snapshot observe an
-        // uncounted deposit and flag a phantom failure. Checks subtract
-        // AFTER the commit for the same reason mirrored: an uncounted
-        // visible decrease only lowers the total, never breaches the
-        // upper bound.
+        // A commit becomes snapshot-visible the moment the watermark covers
+        // it, slightly before RunOp returns. Deposits are therefore counted
+        // BEFORE the commit (and taken back on failure), checks only AFTER
+        // it: every deposit an auditor snapshot can see is counted, and
+        // every counted check is in the snapshots taken after it.
         const bool deposit = op == SmallBankOp::kDepositChecking ||
                              op == SmallBankOp::kTransactSaving;
-        if (deposit) {
-          expected_delta.fetch_add(cents, std::memory_order_relaxed);
-        }
+        if (deposit) deposited.fetch_add(cents);
         Status s = bank->RunOp(db.get(), series, op, n1, n2, cents);
         if (s.ok()) {
           commits.fetch_add(1, std::memory_order_relaxed);
-          if (op == SmallBankOp::kWriteCheck) {
-            // The program may or may not charge the $1 penalty; recompute
-            // from the audit instead of guessing: flag below.
-            expected_delta.fetch_add(-cents, std::memory_order_relaxed);
-          }
+          if (op == SmallBankOp::kWriteCheck) checked.fetch_add(cents);
         } else {
-          if (deposit) {
-            expected_delta.fetch_add(-cents, std::memory_order_relaxed);
-          }
+          if (deposit) deposited.fetch_sub(cents);
           if (s.IsAbort()) {
             retries.fetch_add(1, std::memory_order_relaxed);  // Retry later.
           }
@@ -108,15 +98,19 @@ int main(int argc, char** argv) {
 
   // Auditor: scans both balance tables at snapshot isolation (a consistent
   // snapshot is all an auditor needs; §3.8). Penalties make the exact
-  // total drift below expected_delta; it must never exceed it.
+  // total drift below the reconciled bound; it must never exceed it. The
+  // checks are read before the snapshot and the deposits after the scan,
+  // so a check committing mid-audit cannot lower the bound below a total
+  // that does not include it, and a deposit the scan saw is always counted.
   int audits = 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(seconds);
   while (std::chrono::steady_clock::now() < deadline) {
     int64_t total = 0;
+    const int64_t checked_before = checked.load();
     if (bank->TotalBalance(db.get(), &total).ok()) {
       ++audits;
-      const int64_t upper = initial_total + expected_delta.load();
+      const int64_t upper = initial_total + deposited.load() - checked_before;
       if (total > upper) {
         printf("AUDIT FAILURE: total %lld exceeds reconcilable %lld\n",
                static_cast<long long>(total), static_cast<long long>(upper));

@@ -1,7 +1,13 @@
 // CRC32C (Castagnoli) — the checksum framing every durable artifact uses
-// (WAL record frames, checkpoint footers). Software table-driven
-// implementation: no hardware intrinsics, so the format is identical on
-// every build the CI matrix covers.
+// (WAL record frames, checkpoint footers, run pages and run footers).
+//
+// Crc32c() picks its implementation once per process: on x86-64 CPUs with
+// SSE4.2 it feeds 8-byte little-endian words to the `crc32` instruction
+// (compiled per function, so the build needs no -m flag); elsewhere it
+// runs a portable slicing-by-8 table loop. Both compute the same reflected
+// Castagnoli polynomial over the same byte order, so a file written by
+// either path, or by an older byte-at-a-time build, verifies under any
+// other.
 
 #ifndef SSIDB_COMMON_CRC32C_H_
 #define SSIDB_COMMON_CRC32C_H_

@@ -29,8 +29,9 @@
 // through the buffer pool (dirty frames, flushed back before the fsync so
 // the pool's writeback path is the real write path), fsyncs, renames and
 // fsyncs the directory — the checkpoint writers' protocol. A run is only
-// opened if its header, trailer and footer CRC validate; data pages are
-// CRC-checked on every pool load parse.
+// opened if its header, trailer and footer CRC validate. A data page's CRC
+// is checked every time it is read: on every Lookup (even when the page is
+// already resident in the pool) and for every page a ForEachEntry visits.
 
 #ifndef SSIDB_STORAGE_RUN_FILE_H_
 #define SSIDB_STORAGE_RUN_FILE_H_

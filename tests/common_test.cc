@@ -1,13 +1,17 @@
-// Unit tests for src/common: Status, Slice, order-preserving encoding, and
-// the random distributions the workloads depend on.
+// Unit tests for src/common: Status, Slice, order-preserving encoding, the
+// random distributions the workloads depend on, and the CRC32C checksum.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "src/common/crc32c.h"
+#include "src/common/crc32c_internal.h"
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/common/slice.h"
@@ -287,6 +291,99 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{0u, 0u}, std::pair{1u, 9u},
                       std::pair{255u, 255u}, std::pair{65535u, 1u},
                       std::pair{1u << 30, 1u << 30}));
+
+// --- CRC32C ---------------------------------------------------------------
+
+/// Bitwise CRC32C, one byte at a time: the definition both implementations
+/// must reproduce bit for bit.
+uint32_t ReferenceCrc32c(uint32_t crc, const uint8_t* p, size_t n) {
+  uint32_t c = crc ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (c >> 1) ^ 0x82f63b78u : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+struct Crc32cImpl {
+  const char* name;
+  uint32_t (*extend)(uint32_t crc, const void* data, size_t n);
+};
+
+/// Every check runs against Crc32c() (hardware where the CPU has it) and
+/// against the portable slicing-by-8 path directly.
+class Crc32cTest : public ::testing::TestWithParam<Crc32cImpl> {
+ protected:
+  uint32_t Extend(uint32_t crc, const void* data, size_t n) const {
+    return GetParam().extend(crc, data, n);
+  }
+
+  static std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+    Random rng(seed);
+    std::vector<uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+    return bytes;
+  }
+};
+
+TEST_P(Crc32cTest, KnownAnswers) {
+  EXPECT_EQ(Extend(0, "", 0), 0u);
+  EXPECT_EQ(Extend(0, "123456789", 9), 0xE3069283u);
+  // RFC 3720 (iSCSI) appendix B.4.
+  uint8_t buf[32];
+  std::fill(buf, buf + 32, 0x00);
+  EXPECT_EQ(Extend(0, buf, 32), 0x8A9136AAu);
+  std::fill(buf, buf + 32, 0xFF);
+  EXPECT_EQ(Extend(0, buf, 32), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Extend(0, buf, 32), 0x46DD794Eu);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<uint8_t>(31 - i);
+  EXPECT_EQ(Extend(0, buf, 32), 0x113FDB5Cu);
+}
+
+TEST_P(Crc32cTest, MatchesByteAtATimeReference) {
+  constexpr size_t kPage = 16384;
+  const std::vector<uint8_t> bytes = RandomBytes(kPage + 8, 42);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(kPage);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(Extend(0, p, n), ReferenceCrc32c(0, p, n))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(Extend(0xDEADBEEFu, p, n), ReferenceCrc32c(0xDEADBEEFu, p, n))
+          << "seeded, offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST_P(Crc32cTest, StreamingSplitsCompose) {
+  const std::vector<uint8_t> bytes = RandomBytes(20000, 7);
+  Random rng(11);
+  for (int i = 0; i < 500; ++i) {
+    const size_t n = rng.Uniform(bytes.size() + 1);
+    const size_t split = rng.Uniform(n + 1);
+    const uint8_t* p = bytes.data();
+    EXPECT_EQ(Extend(Extend(0, p, split), p + split, n - split),
+              Extend(0, p, n))
+        << "length " << n << " split " << split;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, Crc32cTest,
+    ::testing::Values(
+        Crc32cImpl{"Dispatched",
+                   [](uint32_t crc, const void* data, size_t n) {
+                     return Crc32c(crc, data, n);
+                   }},
+        Crc32cImpl{"Portable", &crc32c_internal::ExtendPortable}),
+    [](const ::testing::TestParamInfo<Crc32cImpl>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace ssidb

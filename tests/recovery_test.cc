@@ -1148,6 +1148,14 @@ TEST(RecoveryTest, BackgroundCheckpointerProducesUsableImages) {
       ASSERT_TRUE(txn->Commit().ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
+    // The write loop can outrun the first checkpoint's fsync on a loaded
+    // machine; give the checkpointer a bounded deadline to land one.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Metric(db.get(), "ckpt.taken") < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
     EXPECT_GE(Metric(db.get(), "ckpt.taken"), 1u);
   }
   std::unique_ptr<DB> db;
