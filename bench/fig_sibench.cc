@@ -35,10 +35,6 @@ SetupFn MakeSetup(uint64_t items, uint32_t queries_per_update) {
     // full durable-regime overhead.
     opts.log.wal_dir = NextWalPointDir();
     opts.log.checkpoint_interval_ms = EnvCheckpointIntervalMs(0);
-    // SSIDB_GC_WAIT_US enables the adaptive group-commit straggler wait;
-    // log.records / log.flush_batches in the bench JSON's window delta
-    // shows what it bought.
-    opts.log.group_commit_wait_us = EnvGroupCommitWaitUs(0);
     FigureSetup setup;
     Status st = DB::Open(opts, &setup.db);
     if (!st.ok()) abort();

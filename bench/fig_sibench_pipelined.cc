@@ -37,7 +37,6 @@ FigureSetup MakePoint(uint64_t items) {
   opts.log.flush_latency_us = EnvFlushUs(100);
   opts.log.wal_dir = NextWalPointDir();
   opts.log.checkpoint_interval_ms = EnvCheckpointIntervalMs(0);
-  opts.log.group_commit_wait_us = EnvGroupCommitWaitUs(0);
   FigureSetup setup;
   Status st = DB::Open(opts, &setup.db);
   if (!st.ok()) abort();

@@ -158,13 +158,6 @@ uint32_t EnvCheckpointIntervalMs(uint32_t dflt) {
   return ms >= 0 ? static_cast<uint32_t>(ms) : dflt;
 }
 
-uint32_t EnvGroupCommitWaitUs(uint32_t dflt) {
-  const char* v = std::getenv("SSIDB_GC_WAIT_US");
-  if (v == nullptr) return dflt;
-  const long us = std::atol(v);
-  return us >= 0 ? static_cast<uint32_t>(us) : dflt;
-}
-
 std::string EnvWalDir() {
   const char* v = std::getenv("SSIDB_WAL_DIR");
   return v == nullptr ? std::string() : std::string(v);

@@ -108,9 +108,6 @@ double EnvSeconds(double dflt);
 std::vector<int> EnvMpls(const std::vector<int>& dflt);
 uint32_t EnvFlushUs(uint32_t dflt);
 uint32_t EnvCheckpointIntervalMs(uint32_t dflt);
-/// SSIDB_GC_WAIT_US: LogOptions::group_commit_wait_us for the adaptive
-/// straggler wait (0/unset = classic group commit).
-uint32_t EnvGroupCommitWaitUs(uint32_t dflt);
 std::string EnvWalDir();
 
 /// SSIDB_METRICS_DUMP: base path for DumpMetrics() snapshots ("" = off).

@@ -71,14 +71,18 @@ enum class DeadlockPolicy {
 
 /// Durability configuration for the write-ahead log (§6.1.2 vs §6.1.3).
 ///
-/// Two modes share the group-commit flusher:
-///   * Simulated (wal_dir empty, the default): records are encoded, the
-///     flusher sleeps flush_latency_us per batch and discards them — the
-///     paper's I/O-bound regime without touching the filesystem.
+/// Two modes share one log buffer and drain routine (see log_manager.h):
+///   * Simulated (wal_dir empty, the default): records are encoded, each
+///     drain sleeps flush_latency_us and discards them — the paper's
+///     I/O-bound regime without touching the filesystem.
 ///   * Durable (wal_dir set): records are appended to segmented WAL files
-///     in wal_dir with a real write+fsync per batch; DB::Open replays them
-///     (plus the latest checkpoint) to recover committed state after a
-///     crash. flush_latency_us is ignored — the disk provides the latency.
+///     in wal_dir with one write (plus an fsync with wal_fsync) per drain;
+///     DB::Open replays them (plus the latest checkpoint) to recover
+///     committed state after a crash. flush_latency_us is ignored — the
+///     disk provides the latency.
+/// A drain that waits (an fsync or a simulated latency) runs on the
+/// group-commit flusher thread; otherwise committing threads drain the
+/// buffer themselves and no flusher thread exists.
 struct LogOptions {
   /// If false, commits return without waiting for a flush ("no log flush"
   /// configuration of Fig 6.1: ~100us transactions). If true, each commit
@@ -123,12 +127,9 @@ struct LogOptions {
   /// full sweep (the pre-delta behaviour).
   uint32_t checkpoint_max_deltas = 4;
 
-  /// Adaptive group commit: when nonzero and flush_on_commit is set, the
-  /// flusher briefly waits (up to this many microseconds) for straggler
-  /// commits before flushing a batch that is small relative to the recent
-  /// arrival rate — trading a bounded latency bump for larger fsync
-  /// batches at high MPL. 0 (default) flushes whatever arrived during the
-  /// previous flush, the classic group-commit policy.
+  /// Ignored: whatever is appended during one sync joins the next, so a
+  /// straggler wait has nothing left to coalesce. Kept only because
+  /// perfbench/src/workloads.cc assigns it; delete the two together.
   uint32_t group_commit_wait_us = 0;
 };
 

@@ -90,9 +90,9 @@ DB::DB(const DBOptions& options)
                                          txn_manager_.get(),
                                          lock_manager_.get(), tracker_.get(),
                                          history_.get());
-  // Degraded-mode wiring: the WAL flusher's first unrecoverable I/O
+  // Degraded-mode wiring: the WAL writer's first unrecoverable I/O
   // failure flips the DB read-only. Registered after txn_manager_ exists
-  // (the callback targets it); fires inline if the flusher already failed.
+  // (the callback targets it); fires inline if a drain already failed.
   log_manager_->SetIOErrorCallback(
       [this](const Status& cause) { EnterReadOnlyMode(cause); });
   RegisterAllMetrics();
@@ -500,7 +500,7 @@ Status DB::Checkpoint() {
   // below the base watermark AND any table-create it holds binds an id the
   // base image captured (ids are dense: id < base table count — the
   // create-watermark rule). The highest-sequence segment always stays (it
-  // may be the flusher's live file), as does any segment the registry does
+  // may be the writer's live file), as does any segment the registry does
   // not know (never the case in practice: this session's segments are
   // registered at append time, pre-crash ones by recovery's scan). Best
   // effort: a kept segment just replays idempotently.
@@ -538,14 +538,16 @@ Status DB::CreateTable(const std::string& name, TableId* id) {
   // creates append their records in id order, and no transaction can
   // commit against the table before its create record is in the log —
   // replay never meets a commit whose table-create is missing or
-  // misordered.
+  // misordered. The append defers its drain: a drain fires other commits'
+  // flush callbacks, which must not run under the catalog lock.
   Status st = catalog_.CreateTable(name, &created, [&](TableId tid) {
     if (!durable) return;
     LogRecord record;
     record.type = LogRecordType::kTableCreate;
     record.redo.push_back(RedoEntry{tid, name, std::string(), false});
-    lsn = log_manager_->Append(std::move(record));
+    lsn = log_manager_->Append(record, /*drain=*/false);
   });
+  if (lsn != 0) log_manager_->Drain();
   if (!st.ok()) return st;
   if (id != nullptr) *id = created;
   if (durable && options_.log.flush_on_commit) {

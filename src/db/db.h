@@ -192,7 +192,7 @@ class DB {
     return recovery_stats_;
   }
 
-  /// Degraded (read-only) mode: set when the WAL flusher reports an
+  /// Degraded (read-only) mode: set when the WAL writer reports an
   /// unrecoverable I/O failure (fsync or append). Reads and read-only
   /// commits keep serving from memory; writing commits fail fast with
   /// kIOError before certification; checkpoints, spills and compactions

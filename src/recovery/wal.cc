@@ -35,15 +35,16 @@ uint64_t ScanWalSegmentCalls() {
   return g_scan_calls.load(std::memory_order_relaxed);
 }
 
-WalFrame MakeWalFrame(const LogRecord& record) {
+void WalBatch::Add(const LogRecord& record) {
   WalFrame frame;
-  frame.bytes = record.Encode();
+  frame.offset = bytes.size();
   frame.type = record.type;
   frame.commit_ts = record.commit_ts;
   if (record.type == LogRecordType::kTableCreate && !record.redo.empty()) {
     frame.table_id = record.redo[0].table;
   }
-  return frame;
+  record.EncodeTo(&bytes);
+  frames.push_back(frame);
 }
 
 void AccumulateSegmentMeta(LogRecordType type, Timestamp commit_ts,
@@ -172,34 +173,54 @@ Status WalWriter::RotateSegment() {
   return fsync_ ? SyncDir(dir_, env_) : Status::OK();
 }
 
-Status WalWriter::AppendBatch(const std::vector<WalFrame>& frames) {
+Status WalWriter::WriteAll(const char* data, size_t n) {
+  size_t written = 0;
+  while (written < n) {
+    const ssize_t w = env_->Write(fd_, data + written, n - written);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write", dir_);
+    }
+    written += static_cast<size_t>(w);
+  }
+  return Status::OK();
+}
+
+Status WalWriter::AppendBatch(const WalBatch& batch) {
   // Sticky failure: once any write or fsync has failed, the segment may
   // end in a torn frame, and durability of earlier "flushed" bytes is
   // unknowable. Refuse all further appends (see header).
   if (!io_status_.ok()) return io_status_;
   Status st = EnsureOpen();
   if (!st.ok()) return st;
-  for (const WalFrame& frame : frames) {
+  const std::vector<WalFrame>& frames = batch.frames;
+  const auto frame_end = [&](size_t i) {
+    return i + 1 < frames.size() ? frames[i + 1].offset : batch.bytes.size();
+  };
+  size_t i = 0;
+  while (i < frames.size()) {
     if (segment_offset_ >= segment_bytes_) {
       st = RotateSegment();
       if (!st.ok()) return io_status_ = st;
     }
-    // Accumulated lock-free; counted even if the write below fails —
-    // overstating a segment is the conservative direction for GC.
-    AccumulateSegmentMeta(frame.type, frame.commit_ts, frame.table_id,
-                          &current_meta_);
-    size_t written = 0;
-    while (written < frame.bytes.size()) {
-      const ssize_t n = env_->Write(fd_, frame.bytes.data() + written,
-                                    frame.bytes.size() - written);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return io_status_ = ErrnoStatus("write", dir_);
-      }
-      written += static_cast<size_t>(n);
-    }
-    segment_offset_ += frame.bytes.size();
-    bytes_written_.fetch_add(frame.bytes.size(), std::memory_order_relaxed);
+    // Gather the run of frames this segment takes: each frame starts
+    // while the segment is still below its size, exactly as if they were
+    // written one by one. Metadata is accumulated lock-free and counted
+    // even if the write below fails — overstating a segment is the
+    // conservative direction for GC.
+    const size_t run_begin = frames[i].offset;
+    uint64_t offset = segment_offset_;
+    do {
+      AccumulateSegmentMeta(frames[i].type, frames[i].commit_ts,
+                            frames[i].table_id, &current_meta_);
+      offset += frame_end(i) - frames[i].offset;
+      ++i;
+    } while (i < frames.size() && offset < segment_bytes_);
+    const size_t run_bytes = frame_end(i - 1) - run_begin;
+    st = WriteAll(batch.bytes.data() + run_begin, run_bytes);
+    if (!st.ok()) return io_status_ = st;
+    segment_offset_ = offset;
+    bytes_written_.fetch_add(run_bytes, std::memory_order_relaxed);
   }
   PublishCurrentMeta();
   if (fsync_ && env_->Fsync(fd_) != 0) {

@@ -1,5 +1,5 @@
 // Segmented, file-backed write-ahead log: the physical layer under
-// LogManager's group-commit flusher and the input to crash recovery.
+// LogManager and the input to crash recovery.
 //
 // Layout: LogOptions::wal_dir holds segment files named
 // wal-<seq, 20 digits>.log. A segment is a plain concatenation of
@@ -14,8 +14,11 @@
 // the engine's own writer has touched it, so the newest on-disk segment is
 // exactly the pre-crash tail.
 //
-// Threading: WalWriter is driven by a single thread (LogManager's
-// flusher); readers run before the writer's first append (recovery) or on
+// Threading: one thread at a time drives a WalWriter — whichever thread
+// holds LogManager's writer role (the committing thread that drained the
+// log buffer, or the flusher when batches are fsynced). Role hand-offs go
+// through LogManager's mutex, which orders one holder's writes before the
+// next's. Readers run before the writer's first append (recovery) or on
 // test-owned copies.
 
 #ifndef SSIDB_RECOVERY_WAL_H_
@@ -68,18 +71,32 @@ struct WalSegmentMeta {
   uint32_t max_table_id_created = 0;
 };
 
-/// One record headed for the WAL: the encoded frame plus the fields the
-/// per-segment metadata accumulates. Built by MakeWalFrame so the encoder
-/// and the metadata can never disagree.
+/// One frame of a WalBatch: where its bytes start in WalBatch::bytes plus
+/// the fields the per-segment metadata accumulates.
 struct WalFrame {
-  std::string bytes;
+  size_t offset = 0;
   LogRecordType type = LogRecordType::kCommit;
   Timestamp commit_ts = 0;
   /// Assigned table id for kTableCreate records; 0 otherwise.
   uint32_t table_id = 0;
 };
 
-WalFrame MakeWalFrame(const LogRecord& record);
+/// Records headed for the WAL, encoded back to back into one contiguous
+/// buffer. Add() is the only way in, so the encoder and the per-frame
+/// metadata can never disagree.
+struct WalBatch {
+  std::string bytes;
+  std::vector<WalFrame> frames;
+
+  /// Encode `record` onto the end of `bytes` and describe it in `frames`.
+  void Add(const LogRecord& record);
+  bool empty() const { return frames.empty(); }
+  /// Empties the batch, keeping both buffers' capacity.
+  void clear() {
+    bytes.clear();
+    frames.clear();
+  }
+};
 
 /// Fold one record's contribution into `meta` (shared by the writer's
 /// append path and recovery's rebuild-from-scan).
@@ -132,13 +149,14 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Append every frame, rotating segments as needed, then sync once.
-  /// Frames are written whole and in order, so the durable log is always a
-  /// prefix of the appended sequence (modulo a torn final frame). Segment
-  /// metadata is accumulated locally (no locking on the per-frame path)
-  /// and published to the registry when a segment seals (before the next
-  /// segment's file exists) and at the end of each batch — exactly the
-  /// granularity the registry invariant needs, since GC never touches the
-  /// open (highest-sequence) segment.
+  /// Frames are written in order, one write() per run of frames that
+  /// share a segment; rotation happens only at frame boundaries, so the
+  /// durable log is always a prefix of the appended sequence (modulo a
+  /// torn final frame). Segment metadata is accumulated locally (no
+  /// locking on the per-frame path) and published to the registry when a
+  /// segment seals (before the next segment's file exists) and at the end
+  /// of each batch — exactly the granularity the registry invariant
+  /// needs, since GC never touches the open (highest-sequence) segment.
   ///
   /// Failure policy (fsyncgate-correct): the first write or fsync failure
   /// poisons the writer permanently — every later AppendBatch returns the
@@ -148,7 +166,7 @@ class WalWriter {
   /// pages while marking them clean), and appending past a possibly-torn
   /// frame would bury the tear mid-segment where recovery must treat it
   /// as corruption rather than a clean tail.
-  Status AppendBatch(const std::vector<WalFrame>& frames);
+  Status AppendBatch(const WalBatch& batch);
 
   /// Install metadata for segments that predate this writer (recovery's
   /// scan already parsed them). Existing entries are kept — a segment this
@@ -161,8 +179,8 @@ class WalWriter {
   /// Drop a deleted segment's registry entry (checkpoint GC).
   void ForgetSegment(uint64_t seq);
 
-  // Counters are relaxed atomics: the writer is single-threaded (the
-  // flusher), but stats/GC readers sample from other threads.
+  // Counters are relaxed atomics: one thread writes at a time, but
+  // stats/GC readers sample from other threads.
   uint64_t bytes_written() const {
     return bytes_written_.load(std::memory_order_relaxed);
   }
@@ -176,13 +194,16 @@ class WalWriter {
   /// pre-crash segment).
   Status EnsureOpen();
   Status RotateSegment();
+  /// write() all `n` bytes to the open segment, retrying on EINTR and
+  /// short writes.
+  Status WriteAll(const char* data, size_t n);
 
   const std::string dir_;
   const uint64_t segment_bytes_;
   const bool fsync_;
   io::Env* const env_;
 
-  /// First write/fsync failure, sticky (flusher thread only). See
+  /// First write/fsync failure, sticky (writer-role holder only). See
   /// AppendBatch's failure policy.
   Status io_status_;
 
@@ -198,13 +219,13 @@ class WalWriter {
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> segments_created_{0};
 
-  /// The open segment's metadata, accumulated lock-free by the flusher
+  /// The open segment's metadata, accumulated lock-free by the writer
   /// and published to meta_ at rotation and batch end.
   WalSegmentMeta current_meta_;
 
   /// Segment metadata registry: seeded by recovery for pre-crash
   /// segments, extended by the append path for this session's. Guarded by
-  /// meta_mu_ (the flusher writes, stats/GC threads read).
+  /// meta_mu_ (the writer writes, stats/GC threads read).
   mutable std::mutex meta_mu_;
   std::map<uint64_t, WalSegmentMeta> meta_;
 };

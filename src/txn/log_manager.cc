@@ -1,6 +1,7 @@
 #include "src/txn/log_manager.h"
 
 #include <chrono>
+#include <thread>
 
 #include "src/common/crc32c.h"
 #include "src/common/encoding.h"
@@ -13,24 +14,48 @@ namespace {
 /// Frames larger than this are rejected as corrupt before a bogus length
 /// can drive a huge allocation (1 GiB dwarfs any real transaction).
 constexpr uint32_t kMaxRecordBody = 1u << 30;
+/// crc + len.
+constexpr size_t kFrameHeaderBytes = 8;
+
+void StoreBig32(char* dst, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    dst[i] = static_cast<char>(v >> (24 - 8 * i));
+  }
+}
+
+/// Whether a drain waits on a sync or a simulated latency.
+bool DrainBlocks(const LogOptions& options) {
+  return options.wal_dir.empty()
+             ? options.flush_on_commit && options.flush_latency_us > 0
+             : options.wal_fsync;
+}
 }  // namespace
 
-std::string LogRecord::Encode() const {
-  std::string body;
-  body.push_back(static_cast<char>(type));
-  PutBig64(&body, txn_id);
-  PutBig64(&body, commit_ts);
-  PutBig32(&body, static_cast<uint32_t>(redo.size()));
+void LogRecord::EncodeTo(std::string* out) const {
+  // Reserve the header, append the body behind it, then patch the CRC and
+  // length in place: one pass, no intermediate body string.
+  const size_t header = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  out->push_back(static_cast<char>(type));
+  PutBig64(out, txn_id);
+  PutBig64(out, commit_ts);
+  PutBig32(out, static_cast<uint32_t>(redo.size()));
   for (const RedoEntry& e : redo) {
-    PutBig32(&body, e.table);
-    PutLengthPrefixed(&body, e.key);
-    body.push_back(e.tombstone ? 1 : 0);
-    PutLengthPrefixed(&body, e.value);
+    PutBig32(out, e.table);
+    PutLengthPrefixed(out, e.key);
+    out->push_back(e.tombstone ? 1 : 0);
+    PutLengthPrefixed(out, e.value);
   }
+  const size_t body = header + kFrameHeaderBytes;
+  const size_t len = out->size() - body;
+  char* frame = out->data() + header;
+  StoreBig32(frame, Crc32c(0, frame + kFrameHeaderBytes, len));
+  StoreBig32(frame + 4, static_cast<uint32_t>(len));
+}
+
+std::string LogRecord::Encode() const {
   std::string out;
-  PutBig32(&out, Crc32c(body));
-  PutBig32(&out, static_cast<uint32_t>(body.size()));
-  out += body;
+  EncodeTo(&out);
   return out;
 }
 
@@ -107,46 +132,47 @@ Status LogRecord::Decode(Slice in, LogRecord* out) {
 }
 
 LogManager::LogManager(const LogOptions& options, io::Env* env)
-    : options_(options), env_(io::ResolveEnv(env)) {
+    : options_(options),
+      env_(io::ResolveEnv(env)),
+      drain_blocks_(DrainBlocks(options)),
+      pending_(std::make_unique<recovery::WalBatch>()),
+      draining_(std::make_unique<recovery::WalBatch>()) {
   if (durable()) {
     wal_ = std::make_unique<recovery::WalWriter>(
         options_.wal_dir, options_.wal_segment_bytes, options_.wal_fsync,
         env_);
   }
-  // The flusher runs whenever batches have somewhere to go: always in
-  // durable mode (even without flush_on_commit, records drain to disk
-  // asynchronously), only for the flush-latency simulation otherwise.
-  if (durable() || options_.flush_on_commit) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
+  if (drain_blocks_) flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
 LogManager::~LogManager() { Quiesce(); }
 
 void LogManager::Quiesce() {
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    stop_.store(true);
+  std::unique_lock<std::mutex> guard(mu_);
+  stop_ = true;
+  // Hand a deferred append's frames to a writer (the notify below wakes
+  // the flusher); a thread already inside a drain empties the buffer
+  // before it gives up the role.
+  StartDrainLocked(guard);
+  if (flusher_.joinable()) {
+    guard.unlock();
+    work_cv_.notify_all();
+    // The flusher finishes its drain before it exits: a clean shutdown
+    // leaves every appended record in the WAL.
+    flusher_.join();
+    guard.lock();
   }
-  work_cv_.notify_all();
-  // Joining drains pending_: a clean shutdown leaves every appended record
-  // in the WAL. Idempotent — a second call finds the flusher already
-  // joined and the subscription list empty.
-  if (flusher_.joinable()) flusher_.join();
-  // The final batch fired every subscription it covered; anything left
+  // Every drain fired the subscriptions it covered; anything left
   // subscribed past the last appended LSN (API misuse, but survivable)
   // fires now with the sticky status so no completion is ever dropped.
-  std::vector<FlushSub> leftover;
-  Status sticky;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    leftover.swap(flush_subs_);
-    sticky = io_status_;
-  }
-  for (FlushSub& sub : leftover) sub.cb(sticky);
+  std::multimap<Lsn, FlushCallback> leftover;
+  leftover.swap(flush_subs_);
+  const Status sticky = io_status_;
+  guard.unlock();
+  for (auto& sub : leftover) sub.second(sticky);
 }
 
-Lsn LogManager::Append(LogRecord record) {
+Lsn LogManager::Append(const LogRecord& record, bool drain) {
   if (!durable() && !options_.flush_on_commit &&
       !retain_.load(std::memory_order_acquire)) {
     // "No flush" regime: the buffer is durable by decree, nothing reads
@@ -156,26 +182,44 @@ Lsn LogManager::Append(LogRecord record) {
     appended_records_.fetch_add(1, std::memory_order_relaxed);
     return next_lsn_.fetch_add(1, std::memory_order_relaxed);
   }
-  recovery::WalFrame frame = recovery::MakeWalFrame(record);
-  std::lock_guard<std::mutex> guard(mu_);
+  std::unique_lock<std::mutex> guard(mu_);
+  const size_t offset = pending_->bytes.size();
+  pending_->Add(record);
   const Lsn lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
   appended_records_.fetch_add(1, std::memory_order_relaxed);
   if (retain_.load(std::memory_order_relaxed)) {
-    retained_.push_back(frame.bytes);
+    retained_.emplace_back(pending_->bytes, offset);
   }
-  if (durable() || options_.flush_on_commit) {
-    pending_.push_back(std::move(frame));
+  if (drain && StartDrainLocked(guard)) {
+    // Wake the flusher with mu_ free, so it does not wake only to block.
+    guard.unlock();
     work_cv_.notify_one();
-  } else {
-    flushed_lsn_ = lsn;
   }
   return lsn;
+}
+
+void LogManager::Drain() {
+  std::unique_lock<std::mutex> guard(mu_);
+  if (StartDrainLocked(guard)) {
+    guard.unlock();
+    work_cv_.notify_one();
+  }
+}
+
+bool LogManager::StartDrainLocked(std::unique_lock<std::mutex>& guard) {
+  // A role holder loops until the buffer is empty, so frames added while
+  // the role is taken are never stranded.
+  if (writing_ || pending_->empty()) return false;
+  writing_ = true;
+  if (drain_blocks_) return true;
+  DrainLocked(guard);
+  return false;
 }
 
 Status LogManager::WaitFlushed(Lsn lsn) {
   if (!options_.flush_on_commit) return Status::OK();
   std::unique_lock<std::mutex> guard(mu_);
-  flushed_cv_.wait(guard, [&] { return flushed_lsn_ >= lsn || stop_.load(); });
+  flushed_cv_.wait(guard, [&] { return flushed_lsn_ >= lsn || stop_; });
   return io_status_;
 }
 
@@ -189,16 +233,15 @@ void LogManager::SetIOErrorCallback(IOErrorCallback cb) {
     }
     already_failed = io_status_;
   }
-  // The flusher failed before registration (it starts in the constructor,
-  // so the window is real): the transition already happened — fire inline
-  // so the owner still observes it.
+  // A drain failed before registration: the transition already happened
+  // — fire inline so the owner still observes it.
   cb(already_failed);
 }
 
 void LogManager::OnFlushed(Lsn lsn, FlushCallback cb) {
   // Same satisfaction condition as WaitFlushed's wake predicate; when it
   // already holds, fire inline with the sticky status — the subscriber
-  // never learns whether it raced the flush or followed it.
+  // never learns whether it raced the drain or followed it.
   if (!options_.flush_on_commit) {
     cb(Status::OK());
     return;
@@ -206,8 +249,8 @@ void LogManager::OnFlushed(Lsn lsn, FlushCallback cb) {
   Status st;
   {
     std::unique_lock<std::mutex> guard(mu_);
-    if (flushed_lsn_ < lsn && !stop_.load()) {
-      flush_subs_.push_back(FlushSub{lsn, std::move(cb)});
+    if (flushed_lsn_ < lsn && !stop_) {
+      flush_subs_.emplace(lsn, std::move(cb));
       return;
     }
     st = io_status_;
@@ -221,7 +264,6 @@ std::vector<std::string> LogManager::RetainedRecords() const {
 }
 
 uint64_t LogManager::wal_bytes_written() const {
-  std::lock_guard<std::mutex> guard(mu_);
   return wal_ != nullptr ? wal_->bytes_written() : 0;
 }
 
@@ -244,105 +286,64 @@ void LogManager::RegisterMetrics(obs::MetricsRegistry* registry) {
   registry->RegisterHistogram("log.flush_batch_ns", &flush_batch_ns_);
 }
 
-void LogManager::FlusherLoop() {
-  for (;;) {
-    Lsn batch_end;
-    std::vector<recovery::WalFrame> batch;
-    {
-      std::unique_lock<std::mutex> guard(mu_);
-      work_cv_.wait(guard,
-                    [&] { return !pending_.empty() || stop_.load(); });
-      if (stop_.load() && pending_.empty()) return;
-      // Adaptive group commit (LogOptions::group_commit_wait_us): when
-      // the batch on hand is small relative to the recent arrival rate —
-      // commits trickling in one fsync each while more are clearly on
-      // the way — a brief straggler wait coalesces them into one flush.
-      // The wait is bounded by the knob, exits early once the expected
-      // batch materializes, and is skipped when waiting cannot at least
-      // double the batch, when commits do not wait on flushes (no one's
-      // latency to trade), or during shutdown.
-      const uint32_t wait_us = options_.group_commit_wait_us;
-      if (wait_us > 0 && options_.flush_on_commit && !stop_.load()) {
-        const double expected =
-            arrival_rate_per_us_ * static_cast<double>(wait_us);
-        if (expected >= 2.0 &&
-            expected >= 2.0 * static_cast<double>(pending_.size())) {
-          const size_t target = static_cast<size_t>(expected);
-          work_cv_.wait_for(guard, std::chrono::microseconds(wait_us),
-                            [&] {
-                              return pending_.size() >= target ||
-                                     stop_.load();
-                            });
-        }
-      }
-      // Take everything appended so far as one batch: commits arriving
-      // while we write join the next batch (group commit).
-      batch.swap(pending_);
-      batch_end = next_lsn_.load(std::memory_order_relaxed) - 1;
-      // Arrival-rate EWMA update (records/us between batch takes).
-      const auto now = std::chrono::steady_clock::now();
-      const uint64_t total =
-          appended_records_.load(std::memory_order_relaxed);
-      if (last_take_time_.time_since_epoch().count() != 0) {
-        const double us =
-            std::chrono::duration<double, std::micro>(now - last_take_time_)
-                .count();
-        if (us > 0) {
-          const double rate =
-              static_cast<double>(total - last_take_records_) / us;
-          arrival_rate_per_us_ = arrival_rate_per_us_ == 0.0
-                                     ? rate
-                                     : 0.75 * arrival_rate_per_us_ +
-                                           0.25 * rate;
-        }
-      }
-      last_take_time_ = now;
-      last_take_records_ = total;
-    }
-    Status io = Status::OK();
+void LogManager::DrainLocked(std::unique_lock<std::mutex>& guard) {
+  while (!pending_->empty()) {
+    // Take everything appended so far: frames appended while this drain
+    // writes (or syncs) join the next iteration — group commit.
+    std::swap(pending_, draining_);
+    const Lsn drain_end = next_lsn_.load(std::memory_order_relaxed) - 1;
+    guard.unlock();
+    Status io;
     const uint64_t t0 = obs::NowNanos();
     if (wal_ != nullptr) {
-      io = wal_->AppendBatch(batch);
-    } else if (options_.flush_latency_us > 0) {
+      io = wal_->AppendBatch(*draining_);
+    } else if (drain_blocks_) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(options_.flush_latency_us));
     }
     flush_batch_ns_.Record(obs::NowNanos() - t0);
-    if (!io.ok()) io_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<FlushSub> matured;
-    Status sticky;
-    IOErrorCallback fire_io_cb;
-    {
-      std::lock_guard<std::mutex> guard(mu_);
-      // Advance even on failure so waiters wake; the sticky io_status_
-      // tells them their commit did not reach the disk.
-      if (batch_end > flushed_lsn_) flushed_lsn_ = batch_end;
-      if (!io.ok() && io_status_.ok()) {
+    flush_batches_.fetch_add(1, std::memory_order_relaxed);
+    draining_->clear();
+    guard.lock();
+    if (!io.ok()) {
+      io_errors_.fetch_add(1, std::memory_order_relaxed);
+      if (io_status_.ok()) {
+        // First failure: the log just became permanently non-durable. The
+        // owner's callback (read-only mode) runs before mu_ is released,
+        // so no waiter or subscriber can see kIOError ahead of it.
         io_status_ = io;
-        // First failure: the log just became permanently non-durable.
-        // Fire the owner's transition callback below, outside mu_.
-        fire_io_cb = std::move(io_error_cb_);
+        if (io_error_cb_) io_error_cb_(io);
         io_error_cb_ = nullptr;
       }
-      flush_batches_.fetch_add(1, std::memory_order_relaxed);
-      // Pull out the flush subscriptions this batch covered; they fire
-      // below, after blocking waiters are notified and mu_ is released.
-      for (size_t i = 0; i < flush_subs_.size();) {
-        if (flush_subs_[i].lsn <= flushed_lsn_) {
-          matured.push_back(std::move(flush_subs_[i]));
-          flush_subs_[i] = std::move(flush_subs_.back());
-          flush_subs_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-      sticky = io_status_;
     }
+    // Advance even on failure so waiters wake; the sticky io_status_
+    // tells them their commit did not reach the disk.
+    if (drain_end > flushed_lsn_) flushed_lsn_ = drain_end;
+    // The covered subscriptions are a prefix of the LSN-ordered map.
+    const auto covered = flush_subs_.upper_bound(flushed_lsn_);
+    for (auto it = flush_subs_.begin(); it != covered; ++it) {
+      matured_.push_back(std::move(it->second));
+    }
+    flush_subs_.erase(flush_subs_.begin(), covered);
+    const Status sticky = io_status_;
+    guard.unlock();
     flushed_cv_.notify_all();
-    // Enter read-only *before* the covered commits learn their fate, so a
-    // subscriber observing kIOError can rely on the gate already being up.
-    if (fire_io_cb) fire_io_cb(io);
-    for (FlushSub& sub : matured) sub.cb(sticky);
+    // Fired while this thread still holds the role, so acknowledgments
+    // leave in LSN order across drains too.
+    for (FlushCallback& cb : matured_) cb(sticky);
+    matured_.clear();
+    guard.lock();
+  }
+  writing_ = false;
+}
+
+void LogManager::FlusherLoop() {
+  std::unique_lock<std::mutex> guard(mu_);
+  for (;;) {
+    work_cv_.wait(guard, [&] { return writing_ || stop_; });
+    // Stopped with the role free: every appended frame is written.
+    if (!writing_) return;
+    DrainLocked(guard);
   }
 }
 

@@ -35,7 +35,7 @@ TxnManager::TxnManager(const DBOptions& options, LockManager* lock_manager,
       page_shards_(new PageShard[page_shard_mask_ + 1]) {}
 
 TxnManager::~TxnManager() {
-  // Join the group-commit flusher before any member is torn down: a flush
+  // Quiesce the log before any member is torn down: a flush
   // subscription registered by FinalizeCovered runs FinalizeAcked (ring
   // drive, suspended cleanup) on the flusher thread, and that tail can
   // still be running after the client's `done` callback already fired.
@@ -394,7 +394,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
   }
 
   // Durability: append the redo record BEFORE publishing the ring slot,
-  // so it reaches the group-commit flusher at submit time and a deep
+  // so it reaches the log buffer at submit time and a deep
   // async pipeline coalesces into one fsync (admissibility argument in
   // the file header: dependency order is preserved because a dependent
   // reader begins only after this commit's coverage, hence appends at a
@@ -407,7 +407,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
   record.commit_ts = commit_ts;
   record.redo = std::move(redo);
   const uint64_t t_append = sampled ? obs::NowNanos() : 0;
-  acs.lsn = log_manager_->Append(std::move(record));
+  acs.lsn = log_manager_->Append(record);
   if (sampled) wal_append_ns_.Record(obs::NowNanos() - t_append);
 
   commits_inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -451,7 +451,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
 
 void TxnManager::FinalizeCovered(AsyncCommit* ac) {
   if (FinalizeCoveredStep(ac)) return;
-  // Must wait on the group-commit flusher: hand the record to the flush
+  // Must wait on the log drain: hand the record to the flush
   // subscription. The raw-pointer capture is trivially copyable, so the
   // std::function stays in its small buffer — no allocation on this edge.
   log_manager_->OnFlushed(ac->lsn, [ac](Status st) {
@@ -532,8 +532,8 @@ void TxnManager::FinalizeAcked(AsyncCommit* ac, Status flush_status) {
   ac = nullptr;
   done(flush_status);
   CleanupSuspended();
-  // Re-drive the pipeline after each acknowledgment: in the durable
-  // regime acks fire on the group-commit flusher thread, which thereby
+  // Re-drive the pipeline after each acknowledgment: in the fsync regime
+  // acks fire on the group-commit flusher thread, which thereby
   // becomes a periodic driver for completions whose covering advance went
   // stale — the pure-async analogue of the blocking waiters' 1ms re-drive
   // backstop. Guarded against unbounded recursion (a drive can run a

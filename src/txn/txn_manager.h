@@ -114,8 +114,8 @@
 // (FinalizeCovered), then a LogManager flush subscription whose firing
 // releases locks, records the ack histograms, runs the client callback
 // and re-drives the pipeline (FinalizeAcked). The WAL append deliberately
-// moves BEFORE ring publication: records reach the group-commit flusher at
-// submit, so a deep async pipeline batches into one fsync instead of one
+// moves BEFORE ring publication: records reach the log buffer at submit,
+// so a deep async pipeline batches into one fsync instead of one
 // per blocked thread. That ordering is admissible because WAL durability
 // order only needs to respect dependency order, and a reader of commit A's
 // writes began after A's coverage — hence after A's append — so its own
@@ -155,11 +155,11 @@ class TxnManager {
   TxnManager(const DBOptions& options, LockManager* lock_manager,
              LogManager* log_manager);
 
-  /// Quiesces the log's group-commit flusher before teardown: an
-  /// acknowledged async commit's pipeline tail (flush subscription ->
-  /// FinalizeAcked -> cleanup + ring re-drive) runs on the flusher thread
-  /// and may still be touching this object after the client saw its
-  /// `done` fire — the destructor must not race it.
+  /// Quiesces the log (joins its group-commit flusher, if one runs)
+  /// before teardown: an acknowledged async commit's pipeline tail (flush
+  /// subscription -> FinalizeAcked -> cleanup + ring re-drive) runs on
+  /// the flusher thread and may still be touching this object after the
+  /// client saw its `done` fire — the destructor must not race it.
   ~TxnManager();
 
   /// Start a transaction. S2PL transactions get their begin timestamp
@@ -190,10 +190,12 @@ class TxnManager {
   /// abort mark) killed the transaction during submit; kIOError if the
   /// commit stands in memory but its log flush failed (visible, not
   /// durable). Runs on an internal thread: whichever commit thread drives
-  /// the covering watermark advance, or the group-commit flusher when the
-  /// commit waits on a flush (or inline in CommitAsync for commits
-  /// acknowledged at submit). It runs with no engine locks held, but on a
-  /// shared pipeline thread — keep it short, and do not submit new
+  /// the covering watermark advance, or the thread whose log drain covers
+  /// the commit when it waits on a flush — the group-commit flusher with
+  /// fsync, a committing thread without — or inline in CommitAsync for
+  /// commits acknowledged at submit. It runs with no engine mutex held (a
+  /// draining committer still holds its own transaction's row locks), but
+  /// on a shared pipeline thread — keep it short, and do not submit new
   /// transactions from inside it (signal the owning worker instead).
   using CommitCallback = std::function<void(Status)>;
 
@@ -214,7 +216,9 @@ class TxnManager {
   /// commit is ordered; only watermark coverage and the group-commit
   /// flush complete off-thread (the finalize half, driven by the
   /// CommitRing completion registry and the LogManager flush
-  /// subscriptions). A certification failure aborts and fires `done` with
+  /// subscriptions). It never waits on an fsync: without wal_fsync the
+  /// WAL append may write() the log buffer on this thread, with it the
+  /// flusher syncs. A certification failure aborts and fires `done` with
   /// the cause before returning. Ring-full backpressure may briefly park
   /// the submitting thread: commit_ring_slots bounds the in-flight
   /// window, so an async client can keep at most that many unacknowledged
@@ -522,7 +526,9 @@ class TxnManager {
   obs::Histogram certify_ns_;        // Begin of submit -> timestamp final.
   obs::Histogram stamp_publish_ns_;  // Version stamping -> ring publish.
   obs::Histogram watermark_ns_;      // Ring publish -> watermark coverage.
-  obs::Histogram wal_append_ns_;     // Encoding + flusher hand-off.
+  obs::Histogram wal_append_ns_;     // Encoding into the log buffer, plus
+                                     // the inline drain (write(), acks it
+                                     // covers) when there is no fsync.
   obs::Histogram fsync_wait_ns_;     // Group-commit flush wait.
   obs::Histogram total_ns_;          // Submit entry -> acknowledgment.
   obs::Histogram ack_lag_ns_;        // Ring publication (submit complete)

@@ -4,7 +4,9 @@
 //   * a WAL fsync/write failure is handled fsyncgate-correctly — the log
 //     never retries the fsync, the failure is sticky, and the DB degrades
 //     to read-only mode: reads and read-only commits keep serving, writing
-//     commits fail fast with kIOError, checkpoints refuse to run;
+//     commits fail fast with kIOError, checkpoints refuse to run — also
+//     when the failed write() ran on the committing thread itself (no
+//     fsync), where the gate is up before that commit's kIOError ack;
 //   * a failed buffer-pool writeback never marks the frame clean or loses
 //     the page content — retries are bounded, the dirty bit survives, and
 //     clearing the fault lets the next flush land the original bytes;
@@ -25,9 +27,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/db/db.h"
+#include "src/db/session.h"
 #include "src/io/env.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/storage_tier.h"
@@ -435,6 +439,104 @@ TEST(FaultInjectionTest, ScheduledMultiFaultRunRecoversAckedCommits) {
   }
   EXPECT_TRUE(CommitPut(db.get(), t, "post", "heal").ok());
 }
+
+// Without fsync the committing thread writes the WAL itself, so a failed
+// write() surfaces in the middle of its own commit rather than on a
+// background thread. Both shapes of write failure: nothing written
+// (kWriteError) and half a frame written before the EIO (kTornWrite).
+class WalWriteFaultTest : public ::testing::TestWithParam<FaultKind> {};
+
+TEST_P(WalWriteFaultTest, SurfacesOnTheCommittingThread) {
+  ScratchDir dir;
+  FaultInjectingEnv env;
+  DBOptions opts = FaultOptions(dir.path, &env);
+  opts.log.wal_fsync = false;
+  std::map<std::string, Timestamp> acked;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto session = db->CreateSession();
+    struct Ack {
+      bool fired = false;
+      Status status;
+      bool read_only = false;
+      std::thread::id thread;
+    };
+    const auto commit_async = [&](const std::string& key, Ack* ack) {
+      const TxnHandle h = session->Begin({IsolationLevel::kSnapshot});
+      ASSERT_TRUE(session->Put(h, t, key, "v-" + key).ok());
+      session->CommitAsync(h, [&db, ack](Status st) {
+        ack->fired = true;
+        ack->status = st;
+        ack->read_only = db->read_only();
+        ack->thread = std::this_thread::get_id();
+      });
+    };
+    for (int i = 0; i < 3; ++i) {
+      const std::string key = "pre" + std::to_string(i);
+      Ack ack;
+      commit_async(key, &ack);
+      // One thread, no fsync: the append drains inline and the
+      // acknowledgment fires before CommitAsync returns.
+      ASSERT_TRUE(ack.fired);
+      ASSERT_TRUE(ack.status.ok()) << ack.status.ToString();
+      Timestamp cts = 0;
+      bool tomb = true;
+      ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&cts, &tomb));
+      acked[key] = cts;
+    }
+    EXPECT_FALSE(db->read_only());
+
+    env.InjectFault(GetParam(), "wal-", /*skip=*/0, /*count=*/1);
+    Ack poison;
+    commit_async("poison", &poison);
+    ASSERT_TRUE(poison.fired);
+    EXPECT_TRUE(poison.status.IsIOError()) << poison.status.ToString();
+    EXPECT_TRUE(poison.read_only) << "read-only gate must be up at the ack";
+    EXPECT_EQ(poison.thread, std::this_thread::get_id());
+    EXPECT_TRUE(db->read_only());
+    EXPECT_GE(Metric(db.get(), "io.errors.wal"), 1u);
+    // The failure is sticky: later writers fail fast at the gate.
+    EXPECT_TRUE(CommitPut(db.get(), t, "late", "x").IsIOError());
+  }
+
+  // Heal and reopen: exactly the acknowledged commits come back, with
+  // their commit timestamps; a half-written frame is cut off as a torn
+  // tail.
+  env.ClearFaults();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  EXPECT_EQ(db->recovery_stats().torn_tail,
+            GetParam() == FaultKind::kTornWrite);
+  EXPECT_EQ(db->recovery_stats().commit_records_applied, acked.size());
+  TableId t = 0;
+  ASSERT_TRUE(db->FindTable("t", &t).ok());
+  for (const auto& [key, cts] : acked) {
+    Timestamp got = 0;
+    bool tomb = true;
+    ASSERT_NE(db->table(t)->Find(key), nullptr) << key;
+    ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, &tomb));
+    EXPECT_EQ(got, cts) << key;
+  }
+  for (const char* gone : {"poison", "late"}) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    EXPECT_TRUE(txn->Get(t, gone, &v).IsNotFound()) << gone;
+    txn->Commit();
+  }
+  EXPECT_TRUE(CommitPut(db.get(), t, "after", "y").ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(WriteFaults, WalWriteFaultTest,
+                         ::testing::Values(FaultKind::kWriteError,
+                                           FaultKind::kTornWrite),
+                         [](const auto& info) {
+                           return info.param == FaultKind::kWriteError
+                                      ? std::string("WriteError")
+                                      : std::string("TornWrite");
+                         });
 
 }  // namespace
 }  // namespace ssidb

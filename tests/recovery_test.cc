@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "src/common/encoding.h"
 #include "src/db/db.h"
 #include "src/db/session.h"
+#include "src/io/env.h"
 #include "src/recovery/checkpoint.h"
 #include "src/recovery/recovery.h"
 #include "src/recovery/wal.h"
@@ -199,16 +201,20 @@ LogRecord MakeCommitRecord(uint64_t seq) {
   return r;
 }
 
+recovery::WalBatch BatchOf(std::initializer_list<LogRecord> records) {
+  recovery::WalBatch batch;
+  for (const LogRecord& r : records) batch.Add(r);
+  return batch;
+}
+
 TEST(WalTest, WriterReaderRoundTripWithRotation) {
   TempDir dir;
   const std::string wal = dir.path + "/wal";
   {
     recovery::WalWriter writer(wal, /*segment_bytes=*/128, /*fsync=*/false);
-    std::vector<recovery::WalFrame> frames;
-    for (uint64_t i = 1; i <= 20; ++i) {
-      frames.push_back(recovery::MakeWalFrame(MakeCommitRecord(i)));
-    }
-    ASSERT_TRUE(writer.AppendBatch(frames).ok());
+    recovery::WalBatch batch;
+    for (uint64_t i = 1; i <= 20; ++i) batch.Add(MakeCommitRecord(i));
+    ASSERT_TRUE(writer.AppendBatch(batch).ok());
     EXPECT_GT(writer.segments_created(), 1u);  // 128-byte segments rotate.
   }
   std::vector<std::string> segments;
@@ -228,20 +234,49 @@ TEST(WalTest, WriterReaderRoundTripWithRotation) {
   EXPECT_EQ(next, 21u);  // All 20 records, in order, across segments.
 }
 
+/// Counts the write() calls that reach the filesystem.
+class CountingWritesEnv : public io::Env {
+ public:
+  ssize_t Write(int fd, const void* buf, size_t count) override {
+    ++writes;
+    return io::Env::Write(fd, buf, count);
+  }
+  int writes = 0;
+};
+
+TEST(WalTest, OneWritePerSegmentRun) {
+  TempDir dir;
+  recovery::WalBatch batch;
+  for (uint64_t i = 1; i <= 20; ++i) batch.Add(MakeCommitRecord(i));
+  {
+    // Everything fits one segment: the whole batch is one write.
+    CountingWritesEnv env;
+    recovery::WalWriter writer(dir.path + "/big", 1 << 20, false, &env);
+    ASSERT_TRUE(writer.AppendBatch(batch).ok());
+    EXPECT_EQ(env.writes, 1);
+  }
+  {
+    // Rotation splits the batch at frame boundaries, one write per
+    // segment it touches.
+    CountingWritesEnv env;
+    recovery::WalWriter writer(dir.path + "/small", 128, false, &env);
+    ASSERT_TRUE(writer.AppendBatch(batch).ok());
+    EXPECT_GT(writer.segments_created(), 1u);
+    EXPECT_EQ(static_cast<uint64_t>(env.writes), writer.segments_created());
+    EXPECT_EQ(writer.bytes_written(), batch.bytes.size());
+  }
+}
+
 TEST(WalTest, NewWriterNeverAppendsToExistingSegments) {
   TempDir dir;
   const std::string wal = dir.path + "/wal";
   {
     recovery::WalWriter writer(wal, 1 << 20, false);
-    ASSERT_TRUE(
-        writer.AppendBatch({recovery::MakeWalFrame(MakeCommitRecord(1))})
-            .ok());
+    ASSERT_TRUE(writer.AppendBatch(BatchOf({MakeCommitRecord(1)})).ok());
   }
   {
     recovery::WalWriter writer(wal, 1 << 20, false);
-    ASSERT_TRUE(
-        writer.AppendBatch({recovery::MakeWalFrame(MakeCommitRecord(2))})
-            .ok());
+    ASSERT_TRUE(writer.AppendBatch(BatchOf({MakeCommitRecord(2)})).ok());
   }
   std::vector<std::string> segments;
   ASSERT_TRUE(recovery::ListWalSegments(wal, &segments).ok());
@@ -256,9 +291,7 @@ TEST(WalTest, TornTailStopsScanCleanly) {
   {
     recovery::WalWriter writer(wal, 1 << 20, false);
     ASSERT_TRUE(
-        writer
-            .AppendBatch({recovery::MakeWalFrame(MakeCommitRecord(1)),
-                          recovery::MakeWalFrame(MakeCommitRecord(2))})
+        writer.AppendBatch(BatchOf({MakeCommitRecord(1), MakeCommitRecord(2)}))
             .ok());
   }
   std::vector<std::string> segments;
@@ -576,11 +609,10 @@ TEST(WalTest, SegmentMetadataTracksCommitsAndCreates) {
   LogRecord create;
   create.type = LogRecordType::kTableCreate;
   create.redo.push_back(RedoEntry{3, "orders", "", false});
-  std::vector<recovery::WalFrame> frames{recovery::MakeWalFrame(create)};
-  for (uint64_t i = 1; i <= 10; ++i) {
-    frames.push_back(recovery::MakeWalFrame(MakeCommitRecord(i)));
-  }
-  ASSERT_TRUE(writer.AppendBatch(frames).ok());
+  recovery::WalBatch batch;
+  batch.Add(create);
+  for (uint64_t i = 1; i <= 10; ++i) batch.Add(MakeCommitRecord(i));
+  ASSERT_TRUE(writer.AppendBatch(batch).ok());
   const auto meta = writer.SegmentMetadata();
   ASSERT_GT(meta.size(), 1u);  // 128-byte segments rotate.
   uint64_t records = 0;
