@@ -65,10 +65,17 @@ void PutLengthPrefixed(std::string* dst, Slice v) {
 }
 
 bool GetLengthPrefixed(Slice s, size_t* offset, std::string* v) {
+  Slice view;
+  if (!GetLengthPrefixed(s, offset, &view)) return false;
+  v->assign(view.data(), view.size());
+  return true;
+}
+
+bool GetLengthPrefixed(Slice s, size_t* offset, Slice* v) {
   uint32_t len;
   if (!GetBig32(s, offset, &len)) return false;
   if (*offset + len > s.size()) return false;
-  v->assign(s.data() + *offset, len);
+  *v = Slice(s.data() + *offset, len);
   *offset += len;
   return true;
 }

@@ -33,6 +33,8 @@ bool GetI64(Slice s, size_t* offset, int64_t* v);
 /// Append a length-prefixed string (32-bit length).
 void PutLengthPrefixed(std::string* dst, Slice v);
 bool GetLengthPrefixed(Slice s, size_t* offset, std::string* v);
+/// As above, but *v views the bytes inside `s` instead of copying them.
+bool GetLengthPrefixed(Slice s, size_t* offset, Slice* v);
 
 /// Convenience: one-shot big-endian u64 key.
 std::string EncodeU64Key(uint64_t v);

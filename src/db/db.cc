@@ -225,6 +225,8 @@ void DB::RegisterAllMetrics() {
                        [tier] { return tier->spilled_chains(); });
     r->RegisterCounter("tier.faulted_chains",
                        [tier] { return tier->faulted_chains(); });
+    r->RegisterCounter("tier.pages_probed",
+                       [tier] { return tier->pages_probed(); });
     r->RegisterCounter("io.retries", [pool] { return pool->io_retries(); });
     r->RegisterCounter("io.errors.pool",
                        [pool] { return pool->io_errors(); });

@@ -1,6 +1,7 @@
 #include "src/storage/storage_tier.h"
 
 #include <algorithm>
+#include <cassert>
 #include <filesystem>
 #include <map>
 
@@ -54,37 +55,53 @@ Status StorageTier::NoteIOError(const Status& st, uint32_t table_id) {
   return st;
 }
 
-Status StorageTier::WriteRun(uint32_t table_id,
+std::shared_ptr<const StorageTier::RunList> StorageTier::Runs(
+    uint32_t table_id) const {
+  std::shared_lock<std::shared_mutex> guard(runs_mu_);
+  auto it = runs_.find(table_id);
+  return it == runs_.end() ? nullptr : it->second;
+}
+
+void StorageTier::Publish(uint32_t table_id,
+                          std::shared_ptr<const RunList> runs) {
+  std::unique_lock<std::shared_mutex> guard(runs_mu_);
+  runs_[table_id] = std::move(runs);
+}
+
+Status StorageTier::WriteRun([[maybe_unused]] const ProducerLock& producer,
+                             uint32_t table_id,
                              const std::vector<RunEntry>& entries) {
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t file_id =
-      next_file_id_.fetch_add(1, std::memory_order_relaxed);
+  assert(producer.mutex() == &producer_mu_ && producer.owns_lock());
+  const uint64_t seq = next_seq_++;
+  const uint64_t file_id = next_file_id_++;
   std::shared_ptr<RunFile> run;
   Status st = RunFile::Create(RunPath(table_id, seq), table_id, seq, file_id,
                               options_.run_page_bytes, entries, &pool_,
                               /*fsync=*/true, &run, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
-  std::unique_lock<std::shared_mutex> guard(runs_mu_);
-  auto& list = runs_[table_id];
-  list.insert(list.begin(), std::move(run));  // Newest first.
+  // Only producers change the lists, and they hold producer_mu_: the list
+  // read here is still current when the new one is published.
+  auto list = std::make_shared<RunList>();
+  list->push_back(std::move(run));  // Newest first.
+  if (const auto old = Runs(table_id)) {
+    list->insert(list->end(), old->begin(), old->end());
+  }
+  Publish(table_id, std::move(list));
   return Status::OK();
 }
 
 Status StorageTier::Lookup(uint32_t table_id, Slice key, RunEntry* out,
                            bool* found) {
   *found = false;
-  // Copy the shared_ptrs out before any I/O so a concurrent compaction's
-  // replace cannot free a run under us (deleted files stay readable
+  // Holding the list keeps its runs alive through the I/O, even if a
+  // compaction replaces them meanwhile (deleted files stay readable
   // through their open descriptors).
-  std::vector<std::shared_ptr<RunFile>> snapshot;
-  {
-    std::shared_lock<std::shared_mutex> guard(runs_mu_);
-    auto it = runs_.find(table_id);
-    if (it == runs_.end()) return Status::OK();
-    snapshot = it->second;
-  }
-  for (const std::shared_ptr<RunFile>& run : snapshot) {
-    Status st = run->Lookup(&pool_, key, out, found);
+  const std::shared_ptr<const RunList> runs = Runs(table_id);
+  if (runs == nullptr) return Status::OK();
+  for (const std::shared_ptr<RunFile>& run : *runs) {
+    bool pinned = false;
+    Status st = run->Lookup(&pool_, key, out, found, &pinned);
+    if (pinned) pages_probed_.fetch_add(1, std::memory_order_relaxed);
     if (!st.ok()) return st;
     if (*found) return Status::OK();  // Newest-first: first hit wins.
   }
@@ -94,21 +111,15 @@ Status StorageTier::Lookup(uint32_t table_id, Slice key, RunEntry* out,
 Status StorageTier::MaybeCompact(uint32_t table_id) {
   const uint32_t min_runs = std::max<uint32_t>(
       2, options_.run_compaction_min_runs);
-  std::vector<std::shared_ptr<RunFile>> inputs;
-  {
-    std::shared_lock<std::shared_mutex> guard(runs_mu_);
-    auto it = runs_.find(table_id);
-    if (it == runs_.end() || it->second.size() < min_runs) {
-      return Status::OK();
-    }
-    inputs = it->second;
-  }
+  const ProducerLock producer = LockProducers();
+  const std::shared_ptr<const RunList> inputs = Runs(table_id);
+  if (inputs == nullptr || inputs->size() < min_runs) return Status::OK();
   // Merge: direct sequential preads (bypassing the pool so a full-table
   // pass cannot evict hot pages), newest commit_ts per key wins.
   // Tombstones are kept — an evicted chain whose anchor is a tombstone
   // still faults it back as the §3.5 delete marker.
   std::map<std::string, RunEntry> merged;
-  for (const std::shared_ptr<RunFile>& run : inputs) {
+  for (const std::shared_ptr<RunFile>& run : *inputs) {
     Status st = run->ForEachEntry([&](const RunEntry& e) {
       auto it = merged.find(e.key);
       if (it == merged.end()) {
@@ -124,9 +135,8 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
   entries.reserve(merged.size());
   for (auto& [key, e] : merged) entries.push_back(std::move(e));
 
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t file_id =
-      next_file_id_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t seq = next_seq_++;
+  const uint64_t file_id = next_file_id_++;
   std::shared_ptr<RunFile> replacement;
   Status st = RunFile::Create(RunPath(table_id, seq), table_id, seq, file_id,
                               options_.run_page_bytes, entries, &pool_,
@@ -135,26 +145,13 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
 
   // Publish the replacement and unlink the inputs. Only after the rename +
   // dir fsync above: a crash in between leaves both generations on disk,
-  // which recovery resolves by commit_ts (the merged run carries the
-  // newest per key). The sweeper thread is the only run producer per
-  // table, so `inputs` is still exactly the list's tail.
-  std::vector<std::shared_ptr<RunFile>> dead;
-  {
-    std::unique_lock<std::shared_mutex> guard(runs_mu_);
-    auto& list = runs_[table_id];
-    dead.assign(list.begin() + static_cast<ptrdiff_t>(list.size()) -
-                    static_cast<ptrdiff_t>(inputs.size()),
-                list.end());
-    list.resize(list.size() - inputs.size());
-    list.push_back(std::move(replacement));
-    // Keep newest-first: the replacement's seq exceeds every survivor's
-    // (runs that appeared since the snapshot sit at the front with lower
-    // seqs than the replacement only if written before it — sort settles
-    // it either way).
-    std::sort(list.begin(), list.end(),
-              [](const auto& a, const auto& b) { return a->seq() > b->seq(); });
-  }
-  for (const std::shared_ptr<RunFile>& run : dead) {
+  // which recovery resolves by seq (the merged run is the newest and
+  // carries the newest entry per key). No run was published since the
+  // snapshot (producers are serialized), so the replacement is the whole
+  // list.
+  Publish(table_id, std::make_shared<const RunList>(
+                        RunList{std::move(replacement)}));
+  for (const std::shared_ptr<RunFile>& run : *inputs) {
     env_->RemoveFile(run->path());  // In-flight faulters read the open fd.
   }
   return Status::OK();
@@ -171,10 +168,10 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
   }
   std::sort(paths.begin(), paths.end());
   Timestamp max_cts = 0;
-  std::unique_lock<std::shared_mutex> guard(runs_mu_);
+  const ProducerLock producer = LockProducers();
+  std::unordered_map<uint32_t, RunList> lists;
   for (const std::string& path : paths) {
-    const uint64_t file_id =
-        next_file_id_.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t file_id = next_file_id_++;
     std::shared_ptr<RunFile> run;
     Status st = RunFile::Open(path, file_id, &pool_, &run, env_);
     if (!st.ok()) return st;
@@ -190,23 +187,21 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
       max_cts = std::max(max_cts, e.commit_ts);
     });
     if (!st.ok()) return st;
-    if (run->seq() >= next_seq_.load(std::memory_order_relaxed)) {
-      next_seq_.store(run->seq() + 1, std::memory_order_relaxed);
-    }
-    runs_[run->table_id()].push_back(std::move(run));
+    next_seq_ = std::max(next_seq_, run->seq() + 1);
+    lists[run->table_id()].push_back(std::move(run));
   }
-  for (auto& [tid, list] : runs_) {
+  for (auto& [tid, list] : lists) {
     std::sort(list.begin(), list.end(),
               [](const auto& a, const auto& b) { return a->seq() > b->seq(); });
+    Publish(tid, std::make_shared<const RunList>(std::move(list)));
   }
   *max_commit_ts = max_cts;
   return Status::OK();
 }
 
 size_t StorageTier::run_count(uint32_t table_id) const {
-  std::shared_lock<std::shared_mutex> guard(runs_mu_);
-  auto it = runs_.find(table_id);
-  return it == runs_.end() ? 0 : it->second.size();
+  const std::shared_ptr<const RunList> runs = Runs(table_id);
+  return runs == nullptr ? 0 : runs->size();
 }
 
 }  // namespace ssidb

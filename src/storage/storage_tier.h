@@ -16,13 +16,27 @@
 //
 // Lookup order: a key may appear in several runs (respilled after new
 // commits); Lookup probes newest-first (descending seq) and stops at the
-// first hit, so the newest spilled version wins. Compaction merges a
-// table's runs into one, keeping the highest commit_ts per key.
+// first hit, so the newest spilled version wins. A run whose filter rules
+// the key out is skipped without a page read (run_file.h). Compaction
+// merges a table's runs into one, keeping the highest commit_ts per key.
 //
-// Locking: runs_mu_ (shared_mutex) guards the per-table run lists; held
-// shared for lookups (copying shared_ptrs out before any I/O), exclusive
-// for publish/replace. Never held while a chain latch or table shard latch
-// is held, and vice versa — see the lock-order rules in ARCHITECTURE.md.
+// Run order: two run producers exist — spills (Table::SpillShards, from
+// the sweeper and from DB::SpillChains) and compactions (MaybeCompact).
+// They run one at a time under producer_mu_: a spill holds it from its
+// first chain probe to its publish, a compaction from its input snapshot
+// to its publish. So seq order, publication order and probe order agree,
+// and every run holds anchors at least as new as those of any older run
+// for the same key — the newest-first rule is then exact in memory, and
+// recovery, which orders runs by seq, rebuilds the same order.
+//
+// Locking: producer_mu_ is taken with no latch held, before any shard or
+// chain latch (lock order producer_mu_ -> shard -> chain). runs_mu_
+// (shared_mutex) guards the table -> run-list map, whose lists are
+// immutable: a lookup takes one reference to the current list under a
+// shared hold and does its I/O after releasing it; a producer publishes a
+// new list under an exclusive hold. runs_mu_ is never held while a chain
+// latch or table shard latch is held, and vice versa — see the lock-order
+// rules in ARCHITECTURE.md.
 
 #ifndef SSIDB_STORAGE_STORAGE_TIER_H_
 #define SSIDB_STORAGE_STORAGE_TIER_H_
@@ -67,9 +81,15 @@ class StorageTier {
     return RunFile::MaxEntryBytes(options_.run_page_bytes);
   }
 
+  /// Held by a run producer from its first probe to its publish.
+  using ProducerLock = std::unique_lock<std::mutex>;
+  ProducerLock LockProducers() { return ProducerLock(producer_mu_); }
+
   /// Durably write `entries` (sorted by key, non-empty) as table `table`'s
-  /// newest run and publish it for lookups.
-  Status WriteRun(uint32_t table_id, const std::vector<RunEntry>& entries);
+  /// newest run and publish it for lookups. The caller holds `producer`
+  /// (from LockProducers) since before it probed the chains in `entries`.
+  Status WriteRun(const ProducerLock& producer, uint32_t table_id,
+                  const std::vector<RunEntry>& entries);
 
   /// Probe table `table_id`'s runs newest-first for `key`.
   Status Lookup(uint32_t table_id, Slice key, RunEntry* out, bool* found);
@@ -77,7 +97,8 @@ class StorageTier {
   /// Merge all of `table_id`'s runs into one when at least
   /// run_compaction_min_runs have accumulated (newest commit_ts per key
   /// wins); delete the inputs once the replacement is durable. Called from
-  /// the DB sweeper thread — the background merge daemon.
+  /// the DB sweeper thread — the background merge daemon. Takes the
+  /// producer lock, so spills wait for the merge.
   Status MaybeCompact(uint32_t table_id);
 
   /// Recovery: open every run file in the directory, publish each under
@@ -102,6 +123,11 @@ class StorageTier {
   void AddFaulted(uint64_t n) {
     faulted_chains_.fetch_add(n, std::memory_order_relaxed);
   }
+  /// Data pages Lookup pinned (tier.pages_probed): pages per fault is
+  /// pages_probed / faulted_chains.
+  uint64_t pages_probed() const {
+    return pages_probed_.load(std::memory_order_relaxed);
+  }
 
   /// Run creations/compactions that failed on I/O (io.errors.tier).
   uint64_t io_errors() const {
@@ -114,7 +140,14 @@ class StorageTier {
   }
 
  private:
+  /// Newest run first (descending seq); never modified once published.
+  using RunList = std::vector<std::shared_ptr<RunFile>>;
+
   std::string RunPath(uint32_t table_id, uint64_t seq) const;
+
+  /// The current run list of `table_id` (nullptr: none yet).
+  std::shared_ptr<const RunList> Runs(uint32_t table_id) const;
+  void Publish(uint32_t table_id, std::shared_ptr<const RunList> runs);
 
   /// Count + trace a failed durable-run operation; returns `st` through.
   Status NoteIOError(const Status& st, uint32_t table_id);
@@ -124,15 +157,17 @@ class StorageTier {
   io::Env* const env_;
   BufferPool pool_;
 
-  std::atomic<uint64_t> next_file_id_{1};
-  std::atomic<uint64_t> next_seq_{1};
+  /// Serializes run producers; guards the two counters below.
+  std::mutex producer_mu_;
+  uint64_t next_file_id_ = 1;
+  uint64_t next_seq_ = 1;
 
   mutable std::shared_mutex runs_mu_;
-  /// Newest run first (descending seq).
-  std::unordered_map<uint32_t, std::vector<std::shared_ptr<RunFile>>> runs_;
+  std::unordered_map<uint32_t, std::shared_ptr<const RunList>> runs_;
 
   std::atomic<uint64_t> spilled_chains_{0};
   std::atomic<uint64_t> faulted_chains_{0};
+  std::atomic<uint64_t> pages_probed_{0};
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<obs::TraceRing*> trace_{nullptr};
 };

@@ -212,6 +212,10 @@ Status Table::FaultChain(Slice key, VersionChain* chain) {
 size_t Table::SpillShards(Timestamp horizon) {
   if (tier_ == nullptr || horizon == 0) return 0;
   const uint64_t max_entry = tier_->max_entry_bytes();
+  // One run producer at a time, from the first probe to the publish: runs
+  // publish in probe order, so no run holds an older anchor for a key than
+  // a run published before it (see storage_tier.h).
+  const StorageTier::ProducerLock producer = tier_->LockProducers();
   // Phase A: probe under the shard latches (lock order shard -> chain, the
   // same as every reader). ForEachChain walks shards in range order, so
   // `entries` comes out sorted by key — ready for RunFile::Create.
@@ -242,7 +246,7 @@ size_t Table::SpillShards(Timestamp horizon) {
   // each chain; a chain touched since its probe stays resident and retries
   // as kDropNow on a later sweep (its anchor is durable now).
   if (!entries.empty()) {
-    if (tier_->WriteRun(id_, entries).ok()) {
+    if (tier_->WriteRun(producer, id_, entries).ok()) {
       for (size_t i = 0; i < entries.size(); ++i) {
         if (chains[i]->CommitSpill(entries[i].commit_ts)) ++evicted;
       }

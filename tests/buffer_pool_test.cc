@@ -1,6 +1,7 @@
 // Buffer pool + run file tests: the pin/victim discipline (hash lookup,
 // pin refcounts, clock second-chance eviction, dirty writeback), the run
-// file format (CRC-framed sorted pages, fence index, durability envelope),
+// file format (CRC-framed sorted pages, fence index, key filter,
+// durability envelope, the pre-filter footer layout),
 // and a concurrent pin/evict/read stress that the TSan CI job runs to
 // prove the frame state machine race-free.
 
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/crc32c.h"
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/storage/buffer_pool.h"
@@ -360,6 +362,190 @@ TEST(RunFileTest, TruncatedTrailerFailsOpen) {
   BufferPool pool(4 * kPage, kPage);
   std::shared_ptr<RunFile> run;
   EXPECT_FALSE(RunFile::Open(path, 1, &pool, &run).ok());
+}
+
+/// Flip one byte of `path` at `offset`.
+void FlipByte(const std::string& path, off_t offset) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  uint8_t b = 0;
+  ASSERT_EQ(pread(fd, &b, 1, offset), 1);
+  b ^= 0x40;
+  ASSERT_EQ(pwrite(fd, &b, 1, offset), 1);
+  close(fd);
+}
+
+TEST(RunFileTest, FilterPassesEveryKeyAfterCreateAndOpen) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/t.run";
+  const auto entries = MakeEntries(300, /*base_cts=*/1);
+  auto check_all = [&](const RunFile& run, BufferPool* pool) {
+    for (const RunEntry& want : entries) {
+      RunEntry got;
+      bool found = false;
+      bool pinned = false;
+      ASSERT_TRUE(run.Lookup(pool, want.key, &got, &found, &pinned).ok());
+      EXPECT_TRUE(found) << DecodeU64Key(want.key);
+      EXPECT_TRUE(pinned) << "the filter ruled out a key of the run";
+      EXPECT_EQ(got.value, want.value);
+    }
+  };
+  {
+    BufferPool pool(4 * kPage, kPage);
+    std::shared_ptr<RunFile> run;
+    ASSERT_TRUE(RunFile::Create(path, 3, 1, 1, kPage, entries, &pool, true,
+                                &run)
+                    .ok());
+    ASSERT_GT(run->page_count(), 4u);
+    check_all(*run, &pool);
+  }
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  ASSERT_TRUE(RunFile::Open(path, 1, &pool, &run).ok());
+  check_all(*run, &pool);
+}
+
+TEST(RunFileTest, FilterFalsePositiveRateIsLow) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/t.run";
+  constexpr uint64_t kKeys = 2000;
+  {
+    BufferPool pool(4 * kPage, kPage);
+    std::shared_ptr<RunFile> run;
+    ASSERT_TRUE(RunFile::Create(path, 3, 1, 1, kPage, MakeEntries(kKeys, 1),
+                                &pool, true, &run)
+                    .ok());
+  }
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  ASSERT_TRUE(RunFile::Open(path, 1, &pool, &run).ok());
+  // Absent keys inside the run's key range, so the fences put each on a
+  // page and only the filter can save the page read.
+  constexpr uint64_t kAbsent = 10000;
+  uint64_t false_positives = 0;
+  for (uint64_t i = 0; i < kAbsent; ++i) {
+    const std::string key = EncodeU64Key(i % kKeys) + "/" + std::to_string(i);
+    RunEntry got;
+    bool found = true;
+    bool pinned = false;
+    ASSERT_TRUE(run->Lookup(&pool, key, &got, &found, &pinned).ok());
+    EXPECT_FALSE(found);
+    if (pinned) ++false_positives;
+  }
+  EXPECT_LE(false_positives, kAbsent * 3 / 100)
+      << "false-positive rate above 3%";
+}
+
+TEST(RunFileTest, FlippedFilterByteFailsOpen) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/t.run";
+  {
+    BufferPool pool(4 * kPage, kPage);
+    std::shared_ptr<RunFile> run;
+    ASSERT_TRUE(RunFile::Create(path, 3, 1, 1, kPage, MakeEntries(50, 1),
+                                &pool, true, &run)
+                    .ok());
+  }
+  // The filter block ends right before the footer CRC (4 bytes) and the
+  // trailer (16 bytes): damage its last byte.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  ASSERT_FALSE(ec);
+  FlipByte(path, static_cast<off_t>(size - 16 - 4 - 1));
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  Status st = RunFile::Open(path, 1, &pool, &run);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+TEST(RunFileTest, FilterHashKnownAnswers) {
+  // The filter bits persist in run files: a changed hash or probe scheme
+  // would make old runs hide keys. These values must never change (they
+  // were cross-checked against an independent reference implementation of
+  // the hash and the double-hashing probes).
+  EXPECT_EQ(RunFilter::Hash(""), 0x9ca066f1a4ab2eeaull);
+  EXPECT_EQ(RunFilter::Hash("a"), 0x3f8805a87949ecb3ull);
+  EXPECT_EQ(RunFilter::Hash(EncodeU64Key(1)), 0x5c5866ce6e2940b5ull);
+  EXPECT_EQ(RunFilter::Hash("a key longer than one word"),
+            0x9e62f9b717e9ff3full);
+  RunFilter filter(/*keys=*/16);
+  for (uint64_t i = 0; i < 16; ++i) filter.Add(EncodeU64Key(i));
+  ASSERT_EQ(filter.bits().size(), 20u);  // 16 keys x 10 bits.
+  EXPECT_EQ(Crc32c(0, filter.bits().data(), filter.bits().size()),
+            0x02a36802u);
+}
+
+/// Write a run in the footer layout that predates the filter: index magic
+/// "SSIDBRIX" and no filter block. One data page.
+void WriteLegacyRun(const std::string& path,
+                    const std::vector<RunEntry>& entries) {
+  std::string file(std::string("SSIDBRUN", 8));
+  PutBig32(&file, /*table_id=*/3);
+  PutBig32(&file, kPage);
+  PutBig64(&file, /*seq=*/1);
+  file.resize(kPage, '\0');
+  std::string payload;
+  for (const RunEntry& e : entries) {
+    PutLengthPrefixed(&payload, e.key);
+    PutBig64(&payload, e.commit_ts);
+    payload.push_back(e.tombstone ? 1 : 0);
+    PutLengthPrefixed(&payload, e.value);
+  }
+  std::string body;
+  PutBig32(&body, static_cast<uint32_t>(payload.size()));
+  PutBig32(&body, static_cast<uint32_t>(entries.size()));
+  body += payload;
+  PutBig32(&file, Crc32c(0, body.data(), body.size()));
+  file += body;
+  ASSERT_LE(file.size(), 2u * kPage);
+  file.resize(2 * kPage, '\0');
+  std::string footer(std::string("SSIDBRIX", 8));
+  PutBig32(&footer, /*page_count=*/1);
+  PutBig32(&footer, static_cast<uint32_t>(entries.size()));
+  PutLengthPrefixed(&footer, entries.front().key);
+  PutBig32(&footer, Crc32c(0, footer.data(), footer.size()));
+  file += footer;
+  PutBig64(&file, 2 * kPage);
+  file.append("SSIDBEND", 8);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(write(fd, file.data(), file.size()),
+            static_cast<ssize_t>(file.size()));
+  close(fd);
+}
+
+TEST(RunFileTest, PreFilterFooterOpensWithoutFilter) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/legacy.run";
+  std::vector<RunEntry> entries;
+  for (uint64_t i = 0; i < 10; ++i) {
+    RunEntry e;
+    e.key = EncodeU64Key(2 * i);  // Even keys; odd ones are absent.
+    e.value = std::to_string(100 + i);
+    e.commit_ts = 10 + i;
+    entries.push_back(std::move(e));
+  }
+  WriteLegacyRun(path, entries);
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  ASSERT_TRUE(RunFile::Open(path, 1, &pool, &run).ok());
+  EXPECT_EQ(run->entry_count(), 10u);
+  for (const RunEntry& want : entries) {
+    RunEntry got;
+    bool found = false;
+    ASSERT_TRUE(run->Lookup(&pool, want.key, &got, &found).ok());
+    ASSERT_TRUE(found);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.commit_ts, want.commit_ts);
+  }
+  // No filter: an absent key in range costs a page read.
+  const std::string absent = EncodeU64Key(7);
+  RunEntry got;
+  bool found = true;
+  bool pinned = false;
+  ASSERT_TRUE(run->Lookup(&pool, absent, &got, &found, &pinned).ok());
+  EXPECT_FALSE(found);
+  EXPECT_TRUE(pinned);
 }
 
 }  // namespace

@@ -475,8 +475,9 @@ const char* const kEngineMetricNames[] = {
 };
 /// The disk-tier quantities, registered only when the tier is enabled.
 const char* const kTierMetricNames[] = {
-    "pool.hits",       "pool.misses",         "pool.evictions",
-    "pool.writebacks", "tier.spilled_chains", "tier.faulted_chains",
+    "pool.hits",           "pool.misses",         "pool.evictions",
+    "pool.writebacks",     "tier.spilled_chains", "tier.faulted_chains",
+    "tier.pages_probed",
 };
 
 /// Drive a little SSI write load (with a read in each transaction, so the

@@ -9,7 +9,9 @@
 //   * the second-chance clock bit keeps hot chains resident;
 //   * runs are the durable home of spilled keys across restarts (recovery
 //     opens runs instead of replaying everything into RAM);
-//   * compaction merges runs keeping the newest commit per key.
+//   * compaction merges runs keeping the newest commit per key;
+//   * a fault pins one page, whatever the number of newer runs (filters);
+//   * runs stay newest-first while spills and a compaction race.
 
 #include <gtest/gtest.h>
 
@@ -351,6 +353,84 @@ TEST(SpillTest, ConcurrentSpillFaultStress) {
     std::string v;
     EXPECT_TRUE(f.Get(EncodeU64Key(i), &v).ok()) << i;
   }
+}
+
+TEST(SpillTest, FaultProbesOnePageWhateverTheNewerRuns) {
+  TierFixture f;
+  StorageTier* tier = f.db->storage_tier();
+  // The oldest run holds the key; each newer run holds keys on both sides
+  // of it, so every newer run's fences put the key on a page and only its
+  // filter can rule the run out.
+  const std::string key = EncodeU64Key(1000);
+  f.Put(key, "oldest");
+  ASSERT_EQ(f.SpillAll(), 1u);
+  constexpr uint64_t kRuns = 8;
+  for (uint64_t r = 1; r < kRuns; ++r) {
+    f.Put(EncodeU64Key(r), "low");
+    f.Put(EncodeU64Key(2000 + r), "high");
+    ASSERT_EQ(f.SpillAll(), 2u);
+  }
+  ASSERT_EQ(tier->run_count(f.table), kRuns);
+
+  auto pins = [&] {
+    return Metric(f.db.get(), "pool.hits") + Metric(f.db.get(), "pool.misses");
+  };
+  const uint64_t probed = Metric(f.db.get(), "tier.pages_probed");
+  const uint64_t faulted = Metric(f.db.get(), "tier.faulted_chains");
+  const uint64_t pinned = pins();
+  std::string v;
+  ASSERT_TRUE(f.Get(key, &v).ok());
+  EXPECT_EQ(v, "oldest");
+  EXPECT_EQ(Metric(f.db.get(), "tier.faulted_chains") - faulted, 1u);
+  EXPECT_EQ(Metric(f.db.get(), "tier.pages_probed") - probed, 1u)
+      << "the newer runs' filters must skip them without a page read";
+  EXPECT_EQ(pins() - pinned, 1u) << "the pool saw other page pins";
+}
+
+/// Run producers racing: one thread spills and compacts, another spills,
+/// while the client rewrites each key and reads it back a full cycle of
+/// keys later, by which time it has usually been spilled. A run published
+/// out of order (a compaction's merged run ahead of a spill published
+/// during the merge, or a later-probed spill ahead of an earlier one)
+/// shadows the newest anchor, and the read returns an older value.
+TEST(SpillTest, RacingSpillsAndCompactionKeepRunsNewestFirst) {
+  TierFixture f;
+  constexpr uint64_t kKeys = 256;
+  std::vector<uint64_t> expected(kKeys, 0);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    f.Put(EncodeU64Key(i), "0");
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      f.db->SpillChains(f.table);
+      f.db->storage_tier()->MaybeCompact(f.table);
+    }
+  });
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      f.db->SpillChains(f.table);
+    }
+  });
+  uint64_t stale = 0;
+  uint64_t reads = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  for (uint64_t i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
+    const uint64_t k = i % kKeys;
+    std::string v;
+    Status st = f.Get(EncodeU64Key(k), &v);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ++reads;
+    if (v != std::to_string(expected[k])) ++stale;
+    f.Put(EncodeU64Key(k), std::to_string(++expected[k]));
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(stale, 0u) << "of " << reads << " reads";
+  EXPECT_GT(Metric(f.db.get(), "tier.faulted_chains"), 0u);
 }
 
 }  // namespace

@@ -347,7 +347,8 @@ TEST(StatsTest, DiskTierCountersTrackSpillAndFault) {
     const obs::MetricsSnapshot s = db->metrics()->Collect();
     for (const char* name :
          {"pool.hits", "pool.misses", "pool.evictions", "pool.writebacks",
-          "tier.spilled_chains", "tier.faulted_chains"}) {
+          "tier.spilled_chains", "tier.faulted_chains",
+          "tier.pages_probed"}) {
       EXPECT_FALSE(s.Find(name).has_value()) << name;
     }
   }
@@ -387,6 +388,8 @@ TEST(StatsTest, DiskTierCountersTrackSpillAndFault) {
   const obs::MetricsSnapshot s = db->metrics()->Collect();
   EXPECT_EQ(Metric(s, "tier.spilled_chains"), kKeys);
   EXPECT_EQ(Metric(s, "tier.faulted_chains"), kKeys);
+  // One run: each fault pins the one page its key sits on.
+  EXPECT_EQ(Metric(s, "tier.pages_probed"), kKeys);
   // The run writer warms its own pages, so faults hit; the page reads all
   // went through the pool either way.
   EXPECT_GT(Metric(s, "pool.hits") + Metric(s, "pool.misses"), 0u);
