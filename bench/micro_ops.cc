@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -227,38 +226,43 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(16384);
 
+/// Table::Find over 100k EncodeU64Key keys, inserted in random order into
+/// a table split at the default threshold: uniform picks over all keys
+/// (Arg 0, a working set well past L2) or over the first 128 (Arg 1, a
+/// hot set that stays cached). The index cost under every Get and write.
+void BM_TableFind(benchmark::State& state) {
+  constexpr uint64_t kKeys = 100000;
+  const uint64_t span = state.range(0) == 0 ? kKeys : 128;
+  Table table(1, "t");
+  std::vector<std::string> keys;
+  keys.reserve(kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) keys.push_back(EncodeU64Key(i));
+  std::vector<std::string> order = keys;
+  Random rng(5);
+  rng.Shuffle(&order);
+  for (const std::string& k : order) table.GetOrCreate(k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Find(keys[rng.Uniform(span)]));
+  }
+  state.SetLabel(state.range(0) == 0 ? "uniform-100k" : "hot-128");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableFind)->Arg(0)->Arg(1);
+
 // ---------------------------------------------------------------------------
 // Multi-threaded scaling: the sharded-storage / split-system-mutex payoff.
 // Each thread owns a disjoint contiguous key partition, so any remaining
 // slowdown is latch or cache-line contention, not logical conflicts. The
-// thread-0 epilogue reports the per-shard picture: how many range shards
-// the table split into and how evenly latch traffic landed on them
-// (shard_acq_max_share == 1/shards is perfect balance, 1.0 is a single hot
-// shard). These counters land in BENCH_*.json so the sharding win stays
-// measurable.
+// thread-0 epilogue reports how many range shards the table split into
+// and the engine's commit-pipeline counters, so both land in BENCH_*.json.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<DB> g_mt_db;        // NOLINT: benchmark-lifetime globals.
 TableId g_mt_table = 0;
 
-void ReportShardCounters(benchmark::State& state) {
-  Table* t = g_mt_db->table(g_mt_table);
-  const std::vector<TableShardStats> shards = t->ShardStats();
-  uint64_t total_acq = 0;
-  uint64_t max_acq = 0;
-  for (const TableShardStats& s : shards) {
-    const uint64_t acq = s.reads + s.writes;
-    total_acq += acq;
-    max_acq = std::max(max_acq, acq);
-  }
-  state.counters["shards"] =
-      benchmark::Counter(static_cast<double>(shards.size()));
-  state.counters["shard_acq_total"] =
-      benchmark::Counter(static_cast<double>(total_acq));
-  state.counters["shard_acq_max_share"] = benchmark::Counter(
-      total_acq == 0 ? 0.0
-                     : static_cast<double>(max_acq) /
-                           static_cast<double>(total_acq));
+void ReportRunCounters(benchmark::State& state) {
+  state.counters["shards"] = benchmark::Counter(
+      static_cast<double>(g_mt_db->table(g_mt_table)->ShardCount()));
   // Commit-pipeline behaviour over the whole run: how often commit
   // acknowledgment actually parked, how targeted the watermark wakeups
   // were, whether the ring ever backpressured, and the deepest in-flight
@@ -311,7 +315,7 @@ void ReportShardCounters(benchmark::State& state) {
 }
 
 /// Shared harness: thread-0 builds the DB, each thread draws keys from its
-/// own contiguous partition, thread-0 reports the shard counters.
+/// own contiguous partition, thread-0 reports the run counters.
 /// `txn_body(key_id)` runs one whole transaction.
 template <typename Body>
 void RunMTDisjoint(benchmark::State& state, uint64_t seed,
@@ -327,7 +331,7 @@ void RunMTDisjoint(benchmark::State& state, uint64_t seed,
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    ReportShardCounters(state);
+    ReportRunCounters(state);
     g_mt_db.reset();
   }
 }

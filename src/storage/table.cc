@@ -12,54 +12,74 @@ Table::Table(TableId id, std::string name, size_t split_threshold)
     : id_(id),
       name_(std::move(name)),
       split_threshold_(split_threshold < 2 ? 2 : split_threshold) {
-  shards_.push_back(std::make_unique<Shard>(""));
+  shards_.push_back(std::make_unique<Shard>());
+  bounds_.emplace_back();
 }
 
 Table::~Table() = default;
 
-size_t Table::RouteLocked(std::string_view key) const {
-  // Last shard with lower <= key. shards_[0].lower == "" so the search
-  // always succeeds.
-  size_t lo = 0;
-  size_t hi = shards_.size();
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (shards_[mid]->lower <= key) {
-      lo = mid;
-    } else {
-      hi = mid;
+uint64_t Table::HashKey(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
+void Table::LinkPoint(Entry* entry) {
+  const uint64_t hash = HashKey(entry->first);
+  Stripe& stripe = stripes_[hash % kNumStripes];
+  std::lock_guard<std::mutex> guard(stripe.mu);
+  if (stripe.count + 1 > stripe.buckets.size()) {
+    const size_t size =
+        stripe.buckets.empty() ? kInitialBuckets : stripe.buckets.size() * 2;
+    std::vector<Entry*> grown(size, nullptr);
+    for (Entry* head : stripe.buckets) {
+      while (head != nullptr) {
+        Entry* next = head->second.next;
+        Entry*& slot = grown[BucketOf(HashKey(head->first), size)];
+        head->second.next = slot;
+        slot = head;
+        head = next;
+      }
     }
+    stripe.buckets.swap(grown);
   }
-  return lo;
+  Entry*& slot = stripe.buckets[BucketOf(hash, stripe.buckets.size())];
+  entry->second.next = slot;
+  slot = entry;
+  ++stripe.count;
+}
+
+size_t Table::RouteLocked(std::string_view key) const {
+  // Last shard with lower <= key. bounds_[0] == "" so the search always
+  // succeeds.
+  const auto it = std::upper_bound(
+      bounds_.begin() + 1, bounds_.end(), key,
+      [](std::string_view k, const std::string& lower) { return k < lower; });
+  return static_cast<size_t>(it - bounds_.begin()) - 1;
 }
 
 VersionChain* Table::Find(Slice key) const {
-  std::shared_lock<std::shared_mutex> route(routing_mu_);
-  const Shard& shard = *shards_[RouteLocked(key.view())];
-  shard.reads.fetch_add(1, std::memory_order_relaxed);
-  std::shared_lock<std::shared_mutex> guard(shard.mu);
-  auto it = shard.index.find(key.view());
-  return it == shard.index.end() ? nullptr : it->second.get();
+  const uint64_t hash = HashKey(key.view());
+  const Stripe& stripe = stripes_[hash % kNumStripes];
+  std::lock_guard<std::mutex> guard(stripe.mu);
+  if (stripe.buckets.empty()) return nullptr;
+  for (Entry* e = stripe.buckets[BucketOf(hash, stripe.buckets.size())];
+       e != nullptr; e = e->second.next) {
+    if (e->first == key.view()) return &e->second.chain;
+  }
+  return nullptr;
 }
 
 VersionChain* Table::GetOrCreate(Slice key) {
+  if (VersionChain* chain = Find(key)) return chain;
   size_t shard_size = 0;
   VersionChain* chain = nullptr;
   {
     std::shared_lock<std::shared_mutex> route(routing_mu_);
     Shard& shard = *shards_[RouteLocked(key.view())];
-    {
-      shard.reads.fetch_add(1, std::memory_order_relaxed);
-      std::shared_lock<std::shared_mutex> guard(shard.mu);
-      auto it = shard.index.find(key.view());
-      if (it != shard.index.end()) return it->second.get();
-    }
-    shard.writes.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::shared_mutex> guard(shard.mu);
-    auto [it, inserted] = shard.index.try_emplace(
-        key.ToString(), std::make_unique<VersionChain>());
-    (void)inserted;
-    chain = it->second.get();
+    auto [it, inserted] = shard.index.try_emplace(key.ToString());
+    // A racing creator that won linked the entry under this same latch.
+    if (inserted) LinkPoint(&*it);
+    chain = &it->second.chain;
     shard_size = shard.index.size();
   }
   if (shard_size > split_threshold_) {
@@ -78,28 +98,30 @@ void Table::MaybeSplit(const std::string& hint_key) {
 
   auto mid = shard.index.begin();
   std::advance(mid, shard.index.size() / 2);
-  auto right = std::make_unique<Shard>(mid->first);
+  std::string lower = mid->first;
+  auto right = std::make_unique<Shard>();
   // Both halves inherit the parent's commit hint: an overstated hint only
   // costs a visit, an understated one would hide commits from delta sweeps.
   right->max_commit_ts.store(
       shard.max_commit_ts.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  // Move [median, end) into the new right shard; node handles keep the
-  // heap-allocated chains (and their addresses) intact.
+  // Move [median, end) into the new right shard. Node handles relink the
+  // tree nodes without moving them, so every entry (and the point index's
+  // links to it) stays where it is.
   while (mid != shard.index.end()) {
     auto next = std::next(mid);
     right->index.insert(shard.index.extract(mid));
     mid = next;
   }
-  shards_.insert(shards_.begin() + static_cast<ptrdiff_t>(idx) + 1,
-                 std::move(right));
+  const auto at = static_cast<ptrdiff_t>(idx) + 1;
+  shards_.insert(shards_.begin() + at, std::move(right));
+  bounds_.insert(bounds_.begin() + at, std::move(lower));
 }
 
 std::optional<std::string> Table::NextKey(Slice key) const {
   std::shared_lock<std::shared_mutex> route(routing_mu_);
   for (size_t idx = RouteLocked(key.view()); idx < shards_.size(); ++idx) {
     const Shard& shard = *shards_[idx];
-    shard.reads.fetch_add(1, std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> guard(shard.mu);
     auto it = shard.index.upper_bound(key.view());
     if (it != shard.index.end()) return it->first;
@@ -111,7 +133,6 @@ std::optional<std::string> Table::SeekCeil(Slice lo) const {
   std::shared_lock<std::shared_mutex> route(routing_mu_);
   for (size_t idx = RouteLocked(lo.view()); idx < shards_.size(); ++idx) {
     const Shard& shard = *shards_[idx];
-    shard.reads.fetch_add(1, std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> guard(shard.mu);
     auto it = shard.index.lower_bound(lo.view());
     if (it != shard.index.end()) return it->first;
@@ -130,7 +151,6 @@ void Table::CollectRange(Slice lo, Slice hi, std::vector<ScanEntry>* entries,
   const size_t start = RouteLocked(lo.view());
   for (size_t idx = start; idx < shards_.size(); ++idx) {
     const Shard& shard = *shards_[idx];
-    shard.reads.fetch_add(1, std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> guard(shard.mu);
     auto it = idx == start ? shard.index.lower_bound(lo.view())
                            : shard.index.begin();
@@ -139,7 +159,7 @@ void Table::CollectRange(Slice lo, Slice hi, std::vector<ScanEntry>* entries,
         *successor = it->first;
         return;
       }
-      entries->push_back(ScanEntry{it->first, it->second.get()});
+      entries->push_back(ScanEntry{it->first, &it->second.chain});
     }
   }
 }
@@ -149,10 +169,9 @@ void Table::ForEachChain(
   std::shared_lock<std::shared_mutex> route(routing_mu_);
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    shard.reads.fetch_add(1, std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> guard(shard.mu);
-    for (const auto& [key, chain] : shard.index) {
-      fn(key, chain.get());
+    for (const auto& [key, node] : shard.index) {
+      fn(key, &node.chain);
     }
   }
 }
@@ -166,10 +185,9 @@ void Table::ForEachChain(
     if (shard.max_commit_ts.load(std::memory_order_relaxed) <= since) {
       continue;  // Cold shard: skipped without touching its latch.
     }
-    shard.reads.fetch_add(1, std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> guard(shard.mu);
-    for (const auto& [key, chain] : shard.index) {
-      fn(key, chain.get());
+    for (const auto& [key, node] : shard.index) {
+      fn(key, &node.chain);
     }
   }
 }
@@ -282,24 +300,6 @@ size_t Table::EntryCount() const {
 size_t Table::ShardCount() const {
   std::shared_lock<std::shared_mutex> route(routing_mu_);
   return shards_.size();
-}
-
-std::vector<TableShardStats> Table::ShardStats() const {
-  std::shared_lock<std::shared_mutex> route(routing_mu_);
-  std::vector<TableShardStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard_ptr : shards_) {
-    TableShardStats s;
-    s.lower_bound = shard_ptr->lower;
-    {
-      std::shared_lock<std::shared_mutex> guard(shard_ptr->mu);
-      s.entries = shard_ptr->index.size();
-    }
-    s.reads = shard_ptr->reads.load(std::memory_order_relaxed);
-    s.writes = shard_ptr->writes.load(std::memory_order_relaxed);
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 uint64_t Table::PageOf(Slice key, uint32_t rows_per_page) {

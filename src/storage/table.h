@@ -1,31 +1,54 @@
-// Table: an ordered index from key to version chain, range-partitioned
-// into shards.
+// Table: one table's index from key to version chain. Two structures
+// index the same set of nodes:
+//
+//   * Ordered shards. The key space is partitioned into contiguous ranges,
+//     one shard per range, each with its own shared_mutex and std::map.
+//     Because ranges are contiguous and ordered, the concatenation of the
+//     shards *is* the ordered index: Scan, NextKey and gap locking observe
+//     exactly the total order of a single map. A table starts as one shard
+//     and splits a shard at its median key once it exceeds a threshold, so
+//     hot tables spread across latches without any a-priori knowledge of
+//     the key distribution (small tables pay nothing). The shards are the
+//     only structure behind NextKey, SeekCeil, CollectRange, ForEachChain,
+//     splits and spilling.
+//   * Point index. 64 key stripes, each a chained hash table under its own
+//     mutex (the stripe pattern of SIReadIndex). Find and GetOrCreate on an
+//     existing key are one hash probe: no routing, no shard latch, no tree
+//     walk.
 //
 // The index models a B+Tree leaf level: entries are never physically
 // removed during normal operation (deletes leave tombstone versions, §3.5),
-// so the key space seen by next-key/gap locking is stable.
+// so the key space seen by next-key/gap locking is stable, and a hash
+// entry never has to be unlinked.
 //
-// Sharding: the key space is partitioned into contiguous ranges, one shard
-// per range, each with its own shared_mutex and std::map. Because ranges
-// are contiguous and ordered, the concatenation of the shards *is* the
-// ordered index: Scan, NextKey and gap locking observe exactly the total
-// order of a single map. A table starts as one shard and splits a shard at
-// its median key once it exceeds a threshold, so hot tables spread across
-// latches without any a-priori knowledge of the key distribution (small
-// tables pay nothing).
+// Nodes. The map value (Node) holds the VersionChain itself plus its hash
+// link; the hash buckets point at map entries. A split moves map nodes
+// with extract/insert, which relinks tree nodes without moving them, so an
+// entry's address — and the chain inside it — never changes. Chain
+// pointers stay valid for the table's lifetime and the hash is never
+// touched by a split.
+//
+// Authoritative miss. GetOrCreate links a new key into its stripe inside
+// the same exclusive-shard-latch critical section that inserts it into the
+// shard, before it returns. So every chain that can hold a version is in
+// the hash, and Find answers from the hash alone: a miss means no
+// GetOrCreate of that key has returned yet.
 //
 // Latching protocol (never held across lock-manager calls — scans collect
 // (key, chain) batches first, avoiding latch/lock deadlocks):
-//   * routing_mu_ (shared_mutex): guards the shard directory. Every
-//     operation holds it SHARED for its whole duration; only a split takes
-//     it EXCLUSIVE. Splits are rare (amortized O(1/threshold) per insert),
-//     so the shared acquisition is effectively uncontended.
+//   * routing_mu_ (shared_mutex): guards the shard directory (shards_ and
+//     its contiguous lower-bound vector bounds_). Every shard operation
+//     holds it SHARED for its whole duration; only a split takes it
+//     EXCLUSIVE. Splits are rare (amortized O(1/threshold) per insert), so
+//     the shared acquisition is effectively uncontended.
 //   * Shard::mu (shared_mutex): guards one shard's map. Reads take it
 //     shared, inserts exclusive. Acquired only while routing_mu_ is held
 //     shared; at most one shard latch is held at a time (range scans lock
 //     shards strictly left to right, one by one).
-// Version chains are heap-allocated and never freed, so chain pointers
-// remain valid across splits (only the owning map node moves).
+//   * Stripe::mu (mutex): guards one stripe's buckets and the hash links of
+//     the nodes in it. Lock order: shard latch, then point stripe. Find
+//     takes the stripe alone; nothing takes a shard latch while holding a
+//     stripe.
 
 #ifndef SSIDB_STORAGE_TABLE_H_
 #define SSIDB_STORAGE_TABLE_H_
@@ -35,9 +58,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -55,16 +81,6 @@ struct ScanEntry {
   VersionChain* chain;
 };
 
-/// Per-shard counters surfaced to benchmarks: how balanced the partition
-/// is and where latch traffic lands. Counters are relaxed atomics — each
-/// individually exact, mutually unordered.
-struct TableShardStats {
-  std::string lower_bound;  ///< Inclusive lower key of the shard's range.
-  size_t entries = 0;
-  uint64_t reads = 0;   ///< Shared-latch acquisitions.
-  uint64_t writes = 0;  ///< Exclusive-latch acquisitions.
-};
-
 class Table {
  public:
   /// `split_threshold`: shard entry count that triggers a median split.
@@ -77,11 +93,13 @@ class Table {
   TableId id() const { return id_; }
   const std::string& name() const { return name_; }
 
-  /// Find the chain for a key, or nullptr. The pointer stays valid for the
-  /// table's lifetime (chains are heap-allocated and never freed).
+  /// Find the chain for a key, or nullptr: one point-index probe. The
+  /// pointer stays valid for the table's lifetime (nodes are never freed
+  /// or moved).
   VersionChain* Find(Slice key) const;
 
-  /// Find the chain for a key, creating an empty one if absent.
+  /// Find the chain for a key, creating an empty one if absent. Once this
+  /// returns, Find(key) never misses.
   VersionChain* GetOrCreate(Slice key);
 
   /// Smallest index key strictly greater than `key`, or nullopt if `key`
@@ -162,30 +180,56 @@ class Table {
   /// Number of shards the key space is currently partitioned into.
   size_t ShardCount() const;
 
-  /// Snapshot of the per-shard counters (benchmarks, balance diagnostics).
-  std::vector<TableShardStats> ShardStats() const;
-
   /// Page number of a key under kPage granularity. Keys produced by
   /// EncodeU64Key map contiguously (id / rows_per_page), modelling B+Tree
   /// leaf adjacency; other keys fall back to a coarse hash.
   static uint64_t PageOf(Slice key, uint32_t rows_per_page);
 
  private:
+  struct Node;
+  using Index = std::map<std::string, Node, std::less<>>;
+  /// A map entry: the key plus its Node. Its address is stable (see Nodes
+  /// above), so the point index links entries directly.
+  using Entry = std::pair<const std::string, Node>;
+
+  /// Map value: the key's point-index link and its version chain. The
+  /// chain is synchronized by its own latch, not by the index, hence
+  /// mutable: const lookups hand out writable chains.
+  struct Node {
+    /// Next entry in the same bucket. Guarded by the stripe's mutex.
+    Entry* next = nullptr;
+    mutable VersionChain chain;
+  };
+
   struct Shard {
-    explicit Shard(std::string lower_in) : lower(std::move(lower_in)) {}
-    /// Inclusive lower bound of this shard's key range. Immutable after
-    /// construction (a split creates a new shard; it never rewrites an
-    /// existing bound), so it is readable under the shared routing latch.
-    const std::string lower;
     mutable std::shared_mutex mu;
-    std::map<std::string, std::unique_ptr<VersionChain>, std::less<>> index;
-    mutable std::atomic<uint64_t> reads{0};
-    mutable std::atomic<uint64_t> writes{0};
+    Index index;
     /// Largest commit_ts ever stamped into this shard's range (0 = none).
     /// Conservative upper bound (splits copy it), consulted by the
     /// filtered ForEachChain to skip cold shards latch-free.
     std::atomic<Timestamp> max_commit_ts{0};
   };
+
+  /// One point-index stripe: a power-of-two chained hash table, lazily
+  /// sized on first insert and doubled when it holds as many entries as
+  /// buckets.
+  struct Stripe {
+    mutable std::mutex mu;
+    std::vector<Entry*> buckets;
+    size_t count = 0;
+  };
+
+  static constexpr size_t kNumStripes = 64;
+  static constexpr size_t kInitialBuckets = 16;
+
+  static uint64_t HashKey(std::string_view key);
+  static size_t BucketOf(uint64_t hash, size_t buckets) {
+    return (hash / kNumStripes) & (buckets - 1);
+  }
+  /// Link a freshly inserted entry into its stripe, doubling the stripe's
+  /// buckets (rehashing its keys) when full. Caller holds the owning
+  /// shard's latch exclusive.
+  void LinkPoint(Entry* entry);
 
   /// Index of the shard whose range contains `key`: the last shard whose
   /// lower bound is <= key. Caller holds routing_mu_ (any mode).
@@ -202,8 +246,14 @@ class Table {
   StorageTier* tier_ = nullptr;
 
   mutable std::shared_mutex routing_mu_;
-  /// Shards ordered by lower bound; shards_[0].lower is always "".
+  /// Shards ordered by lower bound, and those inclusive lower bounds in
+  /// one contiguous vector (bounds_[i] belongs to shards_[i]; bounds_[0]
+  /// is always ""), so routing binary-searches without a pointer hop per
+  /// probe. Both change only under routing_mu_ exclusive.
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::string> bounds_;
+
+  Stripe stripes_[kNumStripes];
 };
 
 }  // namespace ssidb

@@ -356,7 +356,10 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   if (key.empty()) return Status::InvalidArgument("empty key");
   TxnState* state = txn.state.get();
 
-  const bool new_index_entry = t->Find(key) == nullptr;
+  // One point-index probe: the chain found here is the one written below;
+  // a miss creates it once the locks are held.
+  VersionChain* chain = t->Find(key);
+  const bool new_index_entry = chain == nullptr;
   const LockKey& row_lk = RowLockKeyInto(txn, table, key);
 
   // §4.5: the exclusive lock is acquired *before* the snapshot is chosen,
@@ -377,7 +380,7 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
 
   EnsureSnapshot(txn);
 
-  VersionChain* chain = t->GetOrCreate(key);
+  if (chain == nullptr) chain = t->GetOrCreate(key);
 
   if (state->isolation != IsolationLevel::kSerializable2PL) {
     st = CheckFirstCommitterWins(txn, chain, row_lk);

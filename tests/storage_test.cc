@@ -1,13 +1,19 @@
 // Unit tests for src/storage: version-chain visibility, first-committer-wins
-// evidence, tombstones, pruning, and the ordered table index (next-key
-// queries that feed the gap-locking protocol).
+// evidence, tombstones, pruning, the ordered table index (next-key
+// queries that feed the gap-locking protocol) and the point index beside
+// it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/encoding.h"
+#include "src/common/random.h"
 #include "src/storage/table.h"
 #include "src/storage/version.h"
 
@@ -278,6 +284,138 @@ TEST(TableTest, ForEachChainVisitsInOrder) {
     keys.push_back(k);
   });
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "c"}));
+}
+
+/// The point index and the ordered shards index the same nodes: through
+/// thousands of splits (threshold 4), every lookup path returns the chain
+/// GetOrCreate returned, and a key never inserted is absent everywhere.
+TEST(TableTest, PointIndexAgreesWithShards) {
+  constexpr uint64_t kKeys = 10000;
+  Table t(1, "t", /*split_threshold=*/4);
+  // Even ids are inserted in random order; odd ids stay absent.
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < kKeys; ++i) ids.push_back(2 * i);
+  Random rng(42);
+  rng.Shuffle(&ids);
+  std::map<std::string, VersionChain*> model;
+  const auto check_all = [&]() {
+    for (const auto& [key, chain] : model) {
+      ASSERT_EQ(t.Find(key), chain) << "Find";
+      ASSERT_EQ(t.GetOrCreate(key), chain) << "GetOrCreate";
+    }
+    std::vector<ScanEntry> entries;
+    std::optional<std::string> successor;
+    t.CollectRange("", EncodeU64Key(UINT64_MAX), &entries, &successor);
+    ASSERT_EQ(entries.size(), model.size());
+    auto it = model.begin();
+    for (const ScanEntry& e : entries) {
+      ASSERT_EQ(e.key, it->first);
+      ASSERT_EQ(e.chain, it->second) << "CollectRange";
+      ++it;
+    }
+    it = model.begin();
+    t.ForEachChain([&](const std::string& key, VersionChain* chain) {
+      ASSERT_EQ(key, it->first);
+      ASSERT_EQ(chain, it->second) << "ForEachChain";
+      ++it;
+    });
+    for (uint64_t probe = 1; probe < 2 * kKeys; probe += 2 * 97) {
+      ASSERT_EQ(t.Find(EncodeU64Key(probe)), nullptr);
+    }
+  };
+  for (size_t n = 0; n < ids.size(); ++n) {
+    const std::string key = EncodeU64Key(ids[n]);
+    ASSERT_EQ(t.Find(key), nullptr);
+    VersionChain* chain = t.GetOrCreate(key);
+    ASSERT_NE(chain, nullptr);
+    model.emplace(key, chain);
+    // The new key, through every path, right after the insert (and any
+    // split it triggered).
+    ASSERT_EQ(t.Find(key), chain);
+    ASSERT_EQ(t.GetOrCreate(key), chain);
+    std::vector<ScanEntry> entries;
+    std::optional<std::string> successor;
+    t.CollectRange(key, key, &entries, &successor);
+    ASSERT_EQ(entries.size(), 1u);
+    ASSERT_EQ(entries[0].chain, chain);
+    // A random earlier key still resolves to its original chain.
+    const std::string old = EncodeU64Key(ids[rng.Uniform(n + 1)]);
+    ASSERT_EQ(t.Find(old), model.at(old));
+    ASSERT_EQ(t.Find(EncodeU64Key(ids[n] + 1)), nullptr);
+    if (n % 97 == 0) {
+      check_all();
+      if (HasFatalFailure()) return;
+    }
+  }
+  check_all();
+  EXPECT_EQ(t.EntryCount(), kKeys);
+  EXPECT_GT(t.ShardCount(), kKeys / 4);
+}
+
+/// Creators and finders race on overlapping keys while shards split: each
+/// key gets exactly one chain, Find never misses a key whose GetOrCreate
+/// has returned, and a pointer Find returned never changes.
+TEST(TableTest, ConcurrentGetOrCreateAndFind) {
+  constexpr size_t kKeys = 4000;
+  constexpr int kCreators = 4;
+  constexpr int kFinders = 4;
+  Table t(1, "t", /*split_threshold=*/8);
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < kKeys; ++i) keys.push_back(EncodeU64Key(i));
+  // published[i]: the chain of keys[i], stored after a GetOrCreate of it
+  // returned.
+  std::vector<std::atomic<VersionChain*>> published(kKeys);
+  std::atomic<int> creators_left{kCreators};
+  std::atomic<uint64_t> two_chains{0};
+  std::atomic<uint64_t> missed{0};
+  std::atomic<uint64_t> changed{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kCreators; ++c) {
+    threads.emplace_back([&, c]() {
+      std::vector<size_t> order(kKeys);
+      for (size_t i = 0; i < kKeys; ++i) order[i] = i;
+      Random rng(100 + static_cast<uint64_t>(c));
+      rng.Shuffle(&order);
+      for (size_t i : order) {
+        VersionChain* chain = t.GetOrCreate(keys[i]);
+        VersionChain* expected = nullptr;
+        if (!published[i].compare_exchange_strong(expected, chain) &&
+            expected != chain) {
+          two_chains.fetch_add(1);
+        }
+      }
+      creators_left.fetch_sub(1);
+    });
+  }
+  for (int f = 0; f < kFinders; ++f) {
+    threads.emplace_back([&, f]() {
+      std::vector<VersionChain*> seen(kKeys, nullptr);
+      Random rng(200 + static_cast<uint64_t>(f));
+      bool last_pass = false;
+      while (!last_pass) {
+        last_pass = creators_left.load() == 0;
+        for (size_t n = 0; n < kKeys; ++n) {
+          const size_t i = rng.Uniform(kKeys);
+          VersionChain* done = published[i].load();
+          VersionChain* got = t.Find(keys[i]);
+          if (done != nullptr && got != done) missed.fetch_add(1);
+          if (got != nullptr) {
+            if (seen[i] != nullptr && seen[i] != got) changed.fetch_add(1);
+            seen[i] = got;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(two_chains.load(), 0u);
+  EXPECT_EQ(missed.load(), 0u);
+  EXPECT_EQ(changed.load(), 0u);
+  EXPECT_EQ(t.EntryCount(), kKeys);
+  for (size_t i = 0; i < kKeys; ++i) {
+    ASSERT_NE(published[i].load(), nullptr);
+    ASSERT_EQ(t.Find(keys[i]), published[i].load());
+  }
 }
 
 TEST(TableTest, PageOfMapsU64KeysContiguously) {
