@@ -94,9 +94,10 @@ void BM_UpdateTxn(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateTxn)->Arg(0)->Arg(1)->Arg(2);
 
-/// Range scan of N rows per transaction. Under SSI this measures the gap
-/// SIREAD locking of Fig 3.6; under S2PL the shared next-key locks; under
-/// SI no locks at all — the paper's lock-manager-bound regime (§6.3.2).
+/// Range scan of N rows per transaction. Under SSI this measures one range
+/// SIREAD per scan plus a probe for writers on each row and gap; under
+/// S2PL the shared next-key locks of Fig 3.6; under SI no locks at all —
+/// the paper's lock-manager-bound regime (§6.3.2).
 void BM_ScanTxn(benchmark::State& state) {
   TableId table = 0;
   auto db = MakeLoadedDB(&table);

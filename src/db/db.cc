@@ -173,11 +173,15 @@ void DB::RegisterAllMetrics() {
   r->RegisterGauge("txn.page_fcw_entries", [txns] {
     return static_cast<uint64_t>(txns->page_write_entries());
   });
-  // SSI's retained state under long readers: live SIREAD entries, and
-  // how far the oldest live snapshot holds version GC behind the
-  // watermark.
+  // SSI's retained state under long readers: live SIREAD entries (point
+  // keys plus scan ranges; perfbench reads the same EntryCount), the
+  // ranges alone, and how far the oldest live snapshot holds version GC
+  // behind the watermark.
   r->RegisterGauge("siread.entries", [locks] {
     return static_cast<uint64_t>(locks->siread_index()->EntryCount());
+  });
+  r->RegisterGauge("siread.ranges", [locks] {
+    return static_cast<uint64_t>(locks->siread_index()->RangeCount());
   });
   r->RegisterGauge("gc.horizon_lag", [txns] {
     const Timestamp stable = txns->stable_ts();

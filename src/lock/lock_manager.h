@@ -39,6 +39,67 @@
 // case would need both probes to precede both publishes, which
 // publish-then-probe program order forbids.
 //
+// Range SIREADs (row-granularity SSI scans, §3.5). A Scan of [lo, hi] on
+// table T publishes one range SIREAD, not a SIREAD per entry and gap, and
+// writers stab the table's ranges with the row key
+// (SIReadIndex::CollectRangeHolders). The steps are
+//
+//   reader R: (R1) publish range [lo, hi]        [range stripe mutex]
+//             (R2) collect the chains in [lo, hi] [table shard latches]
+//             (R3) probe EXCLUSIVE holders of (kRow, k) and (kGap, k) for
+//                  each collected k, and of the successor gap or
+//                  supremum                        [lock-table shard mutex]
+//             (R4) re-collect; probe entries new since R2
+//             (R5) read each chain at the snapshot, marking ignored newer
+//                  committed versions (Fig 3.4 lines 8-9)
+//   writer W of k in [lo, hi]:
+//             (W1) grant EXCLUSIVE on (kRow, k)    [lock-table shard mutex]
+//             (W2) insert only: grant the insert-intention EXCLUSIVE on
+//                  the gap below next(k), then create k's chain
+//                                                  [shard mutex, latches]
+//             (W3) stab T's ranges with k         [range stripe mutex]
+//             then install the version; commit stamps it before the
+//             commit releases W1's lock.
+//
+// W3 runs after the statement's last exclusive grant and after k's chain
+// is in the table's index. Claim: if R and W are concurrent (W's write is
+// not in R's snapshot), R reports W or W reports R. Suppose R's steps
+// report nothing. Three cases:
+//
+//   * Update (or delete) of an existing key: k's chain was in the index
+//     before W1, so R2 collected k (or R2's latch critical section
+//     preceded the chain's insertion, and R1 happens-before W3 through
+//     that latch and W's index probe). R3 probed (kRow, k) and missed W1,
+//     so either R3's shard critical section preceded W1's — then R1
+//     →(sb) R3-unlock →(sync) W1-lock →(sb) W3, and W3 observes the range
+//     — or W had already committed and released; its commit stamped the
+//     version before that release, so R5 reads k, ignores the newer
+//     version and marks the edge (unless R's callback stopped the scan
+//     before k: then R never returned k, as with per-entry SIREADs).
+//   * Insert whose chain does not exist at R2: R2's latch critical
+//     section on k's shard precedes W2's chain insertion, so R1 →(sb)
+//     R2-unlock →(sync) W2's insert →(sb) W3: W3 observes the range.
+//   * Insert next to a concurrently committed neighbour k': a writer W'
+//     inserted k' between W's next(k) lookup and R2, so the gap R saw
+//     around k is bounded by k', not by the next(k) whose gap W2 locked,
+//     and R3's gap probes can miss W. This is why W3 follows the chain's
+//     creation rather than the gap grant: R2 either collects k itself
+//     (first case: R3 probes (kRow, k) and R5 reads k) or precedes its
+//     insertion (second case). Neighbours and gaps never enter the
+//     argument.
+//
+// Only R3's (kRow, k) probe is load-bearing. Its gap and successor probes
+// let a reader see an insert whose writer has not reached W3 yet, and R4
+// re-probes entries that appeared since R2; S2PL needs its re-collect,
+// SSI does not. A probe at W1 alone would lose a scan that publishes
+// between W1 and the chain's creation: R2 misses k, and R3 sees no lock
+// on any key R collected. R's range stays until R's cleanup (suspension,
+// §3.3), like its point SIREADs. A range covers exactly [lo, hi], so a
+// writer between hi and the scan's successor finds no reader there —
+// unless a later scan by the same transaction coalesced across that gap,
+// or the scan's successor-gap probe saw the writer's insert-intention
+// lock. Page granularity and S2PL keep their per-page and next-key locks.
+//
 // Keys carry a kind: row locks, gap locks (the InnoDB-style "gap before
 // this key" used for phantom detection, §2.5.2), a per-table supremum gap,
 // and page locks (Berkeley DB granularity). Locks of different kinds never
@@ -138,6 +199,13 @@ class LockManager {
   /// True if `txn` holds `mode` on `key` (tests).
   bool Holds(TxnId txn, const LockKey& key, LockMode mode) const;
 
+  /// Append the EXCLUSIVE holders of `key` other than `self` to `out`: the
+  /// probe half of AcquireSIRead, on its own for a scan whose range
+  /// SIREAD is already published (R3 above). Heterogeneous probe: no
+  /// owning key is materialized.
+  void CollectExclusiveHolders(TxnId self, const LockKeyView& key,
+                               RwConflicts* out) const;
+
   /// Total number of (txn, key, mode-bit) grants — blocking table plus
   /// SIREAD index. Maintained as relaxed atomic counters at grant/release
   /// time, so stats sampling never touches the shard mutexes.
@@ -209,11 +277,6 @@ class LockManager {
   static void CollectBlockers(const LockEntry& entry, TxnId txn,
                               LockMode mode, LockKind kind,
                               std::vector<TxnId>* blockers);
-
-  /// Append the EXCLUSIVE holders of `key` other than `self` to `out`.
-  /// Heterogeneous probe: no owning key is materialized.
-  void CollectExclusiveHolders(TxnId self, const LockKeyView& key,
-                               RwConflicts* out) const;
 
   /// Record/clear the waits-for edge set of a blocked transaction.
   void SetWaits(TxnId txn, const std::vector<TxnId>& blockers);

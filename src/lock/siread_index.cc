@@ -1,6 +1,7 @@
 #include "src/lock/siread_index.h"
 
 #include <cassert>
+#include <functional>
 
 namespace ssidb {
 
@@ -21,13 +22,20 @@ SIReadIndex::~SIReadIndex() {
     }
   }
   for (TxnStripe& stripe : txn_stripes_) {
-    for (auto& [txn, head] : stripe.chains) {
+    for (auto& [txn, held] : stripe.chains) {
       (void)txn;
-      OwnerLink* link = head;
+      OwnerLink* link = held.points;
       while (link != nullptr) {
         OwnerLink* next = link->next;
         delete link;
         link = next;
+      }
+      // Every live range is on exactly one owner chain.
+      Range* range = held.ranges;
+      while (range != nullptr) {
+        Range* next = range->next_owned;
+        delete range;
+        range = next;
       }
     }
     OwnerLink* free_link = stripe.free_links;
@@ -35,6 +43,14 @@ SIReadIndex::~SIReadIndex() {
       OwnerLink* next = free_link->next;
       delete free_link;
       free_link = next;
+    }
+  }
+  for (RangeStripe& stripe : range_stripes_) {
+    Range* free_range = stripe.free_ranges;
+    while (free_range != nullptr) {
+      Range* next = free_range->next_owned;
+      delete free_range;
+      free_range = next;
     }
   }
 }
@@ -132,7 +148,7 @@ void SIReadIndex::Publish(TxnId txn, const LockKeyView& key) {
     }
     link->entry = e;
     link->key_stripe = static_cast<uint32_t>(ks);
-    OwnerLink*& head = ts.chains[txn];
+    OwnerLink*& head = ts.chains[txn].points;
     link->next = head;
     head = link;
   }
@@ -177,7 +193,7 @@ void SIReadIndex::EraseOwn(TxnId txn, const LockKeyView& key) {
     std::lock_guard<std::mutex> tguard(ts.mu);
     auto it = ts.chains.find(txn);
     assert(it != ts.chains.end());
-    OwnerLink** plink = &it->second;
+    OwnerLink** plink = &it->second.points;
     while (*plink != nullptr && (*plink)->entry != target) {
       plink = &(*plink)->next;
     }
@@ -186,7 +202,9 @@ void SIReadIndex::EraseOwn(TxnId txn, const LockKeyView& key) {
     *plink = dead->next;
     dead->next = ts.free_links;
     ts.free_links = dead;
-    if (it->second == nullptr) ts.chains.erase(it);
+    if (it->second.points == nullptr && it->second.ranges == nullptr) {
+      ts.chains.erase(it);
+    }
 
     KeyStripe& stripe = key_stripes_[KeyStripeOf(key.hash)];
     std::lock_guard<std::mutex> kguard(stripe.mu);
@@ -208,8 +226,22 @@ void SIReadIndex::ReleaseAll(TxnId txn) {
     std::lock_guard<std::mutex> tguard(ts.mu);
     auto it = ts.chains.find(txn);
     if (it == ts.chains.end()) return;
-    OwnerLink* link = it->second;
+    OwnerLink* link = it->second.points;
+    Range* range = it->second.ranges;
     ts.chains.erase(it);
+    while (range != nullptr) {
+      Range* next = range->next_owned;
+      RangeStripe& rs = RangeStripeOf(range->table);
+      {
+        std::lock_guard<std::shared_mutex> rguard(rs.mu);
+        rs.root = Erase(rs.root, range);
+        rs.count.fetch_sub(1, std::memory_order_relaxed);
+        range->next_owned = rs.free_ranges;
+        rs.free_ranges = range;
+      }
+      ++released;
+      range = next;
+    }
     while (link != nullptr) {
       OwnerLink* next = link->next;
       KeyStripe& stripe = key_stripes_[link->key_stripe];
@@ -251,12 +283,194 @@ bool SIReadIndex::HoldsAny(TxnId txn) const {
 }
 
 size_t SIReadIndex::EntryCount() const {
-  size_t total = 0;
+  size_t total = RangeCount();
   for (const KeyStripe& stripe : key_stripes_) {
     std::lock_guard<std::mutex> guard(stripe.mu);
     total += stripe.entry_count;
   }
   return total;
+}
+
+size_t SIReadIndex::RangeCount() const {
+  size_t total = 0;
+  for (const RangeStripe& stripe : range_stripes_) {
+    total += stripe.count.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+// ---------------------------------------------------------------------------
+// Range SIREADs: an interval treap per range stripe.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Order of (table, key) points; keys of different tables never mix.
+int ComparePoint(TableId ta, Slice a, TableId tb, Slice b) {
+  if (ta != tb) return ta < tb ? -1 : 1;
+  return a.compare(b);
+}
+
+}  // namespace
+
+bool SIReadIndex::OrdersBefore(const Range* a, const Range* b) {
+  const int c = ComparePoint(a->table, a->lo, b->table, b->lo);
+  return c < 0 || (c == 0 && std::less<const Range*>()(a, b));
+}
+
+void SIReadIndex::Pull(Range* n) {
+  const Range* m = n;
+  for (const Range* child : {n->left, n->right}) {
+    if (child != nullptr && ComparePoint(m->table, m->hi, child->max_hi->table,
+                                         child->max_hi->hi) < 0) {
+      m = child->max_hi;
+    }
+  }
+  n->max_hi = m;
+}
+
+SIReadIndex::Range* SIReadIndex::Merge(Range* a, Range* b) {
+  // Every node of `a` orders before every node of `b`.
+  if (a == nullptr) return b;
+  if (b == nullptr) return a;
+  if (a->priority > b->priority) {
+    a->right = Merge(a->right, b);
+    Pull(a);
+    return a;
+  }
+  b->left = Merge(a, b->left);
+  Pull(b);
+  return b;
+}
+
+void SIReadIndex::Split(Range* t, const Range* at, Range** before,
+                        Range** rest) {
+  if (t == nullptr) {
+    *before = *rest = nullptr;
+    return;
+  }
+  if (OrdersBefore(t, at)) {
+    Split(t->right, at, &t->right, rest);
+    *before = t;
+  } else {
+    Split(t->left, at, before, &t->left);
+    *rest = t;
+  }
+  Pull(t);
+}
+
+void SIReadIndex::Insert(RangeStripe& stripe, Range* n) {
+  n->left = n->right = nullptr;
+  n->max_hi = n;
+  Range* before;
+  Range* rest;
+  Split(stripe.root, n, &before, &rest);
+  stripe.root = Merge(Merge(before, n), rest);
+}
+
+SIReadIndex::Range* SIReadIndex::Erase(Range* t, const Range* n) {
+  assert(t != nullptr);
+  if (t == n) return Merge(t->left, t->right);
+  if (OrdersBefore(n, t)) {
+    t->left = Erase(t->left, n);
+  } else {
+    t->right = Erase(t->right, n);
+  }
+  Pull(t);
+  return t;
+}
+
+void SIReadIndex::Stab(const Range* t, TableId table, Slice key, TxnId self,
+                       ConflictBuf* out) {
+  // Skip subtrees whose every range ends below the key; stop at nodes
+  // (and their right subtrees) that start above it.
+  while (t != nullptr &&
+         ComparePoint(t->max_hi->table, t->max_hi->hi, table, key) >= 0) {
+    Stab(t->left, table, key, self, out);
+    if (ComparePoint(t->table, t->lo, table, key) > 0) return;
+    if (ComparePoint(table, key, t->table, t->hi) <= 0 && t->owner != self) {
+      out->push_back(t->owner);
+    }
+    t = t->right;
+  }
+}
+
+void SIReadIndex::PublishRange(TxnId txn, TableId table, Slice lo, Slice hi) {
+  TxnStripe& ts = txn_stripes_[TxnStripeOf(txn)];
+  RangeStripe& rs = RangeStripeOf(table);
+  std::lock_guard<std::mutex> tguard(ts.mu);
+  Held& held = ts.chains[txn];
+  std::lock_guard<std::shared_mutex> rguard(rs.mu);
+  for (Range* r = held.ranges; r != nullptr; r = r->next_owned) {
+    if (r->table != table || hi.compare(r->lo) < 0 ||
+        (!r->unbounded && lo.compare(r->bound) > 0)) {
+      continue;
+    }
+    const bool lower = lo.compare(r->lo) < 0;
+    const bool higher = hi.compare(r->hi) > 0;
+    if (!lower && !higher) return;  // Already covered.
+    // Re-key the node: erase, widen, reinsert — one critical section, so
+    // no probe sees the range missing.
+    rs.root = Erase(rs.root, r);
+    if (lower) r->lo.assign(lo.data(), lo.size());
+    if (higher) {
+      r->hi.assign(hi.data(), hi.size());
+      r->bound = r->hi;
+      r->unbounded = false;
+    }
+    Insert(rs, r);
+    return;
+  }
+  Range* r = rs.free_ranges;
+  if (r != nullptr) {
+    rs.free_ranges = r->next_owned;
+  } else {
+    r = new Range();
+  }
+  r->table = table;
+  r->owner = txn;
+  r->lo.assign(lo.data(), lo.size());
+  r->hi.assign(hi.data(), hi.size());
+  r->bound = r->hi;
+  r->unbounded = false;
+  // splitmix64 of a per-stripe sequence: the treap's random priorities.
+  uint64_t z = ++rs.next_priority * 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  r->priority = z ^ (z >> 31);
+  Insert(rs, r);
+  rs.count.fetch_add(1, std::memory_order_relaxed);
+  r->next_owned = held.ranges;
+  held.ranges = r;
+  grants_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void SIReadIndex::NoteRangeSuccessor(
+    TxnId txn, TableId table, Slice hi,
+    const std::optional<std::string>& successor) {
+  TxnStripe& ts = txn_stripes_[TxnStripeOf(txn)];
+  RangeStripe& rs = RangeStripeOf(table);
+  std::lock_guard<std::mutex> tguard(ts.mu);
+  auto it = ts.chains.find(txn);
+  if (it == ts.chains.end()) return;
+  std::lock_guard<std::shared_mutex> rguard(rs.mu);
+  for (Range* r = it->second.ranges; r != nullptr; r = r->next_owned) {
+    if (r->table != table || Slice(r->hi) != hi) continue;
+    if (successor.has_value()) {
+      r->bound = *successor;
+    } else {
+      r->unbounded = true;
+    }
+    return;
+  }
+}
+
+void SIReadIndex::CollectRangeHolders(TxnId self, TableId table, Slice key,
+                                      ConflictBuf* out) const {
+  const RangeStripe& rs = RangeStripeOf(table);
+  if (rs.count.load(std::memory_order_relaxed) == 0) return;
+  std::shared_lock<std::shared_mutex> guard(rs.mu);
+  Stab(rs.root, table, key, self, out);
 }
 
 }  // namespace ssidb

@@ -26,6 +26,19 @@
 //     entry even reuses its key std::string's capacity).
 //   * Conflict reporting fills a caller-provided InlineVec; up to
 //     kInlineConflicts holders are reported without allocation.
+//   * Range SIREADs (the predicate locks of an SSI scan, §3.5) live in 64
+//     table stripes, each an interval treap keyed by (table, lo) whose
+//     nodes cache the largest (table, hi) of their subtree. A writer's
+//     stabbing probe (CollectRangeHolders) visits only subtrees that can
+//     cover its key — O(log ranges + holders), not O(ranges) — and a
+//     stripe with no ranges costs one relaxed load. Each range has one
+//     owner and sits on that owner's chain beside its point entries, so
+//     ReleaseAll, HoldsAny and the counts cover both kinds. A
+//     transaction's next scan on a table coalesces into its existing
+//     range when it overlaps it or starts at or below the successor key
+//     the range's last scan saw. The range then also covers the gap below
+//     that successor, as a next-key successor-gap lock would, and a scan
+//     marching through a table in chunks holds one range.
 //
 // Zero-allocation contract (the read hot path): Publish and CollectHolders
 // on keys whose entry already exists and whose owner list fits the current
@@ -33,18 +46,20 @@
 // a brand-new entry node (not available from the free list) must be
 // created. The allocations that remain are one-time pool growth.
 //
-// Threading contract: Publish and EraseOwn for a transaction are called
-// only by the thread executing that transaction; ReleaseAll(txn) may be
-// called from any thread but only once the transaction can no longer
-// publish (it aborted, or committed and is being cleaned up). Probes
-// (CollectHolders / Holds / HoldsAny) are safe from any thread at any
-// time. Lock order inside the index: a transaction stripe mutex may be
-// held while acquiring a key stripe mutex, never the reverse.
+// Threading contract: Publish, PublishRange, NoteRangeSuccessor and
+// EraseOwn for a transaction are called only by the thread executing that
+// transaction; ReleaseAll(txn) may be called from any thread but only
+// once the transaction can no longer publish (it aborted, or committed
+// and is being cleaned up). Probes (CollectHolders / CollectRangeHolders /
+// Holds / HoldsAny) are safe from any thread at any time. Lock order
+// inside the index: a transaction stripe mutex may be held while
+// acquiring a key or range stripe mutex, never the reverse.
 //
-// Cross-structure atomicity (the §3.2 race): see the ordering argument in
-// lock_manager.h — readers publish here *before* probing the lock table,
-// writers grant there *before* probing here; the mutex happens-before
-// chain guarantees at least one side observes the other.
+// Cross-structure atomicity (the §3.2 race): see the ordering arguments in
+// lock_manager.h — readers publish here *before* probing the lock table
+// (and, for ranges, before collecting the scan's entries); writers grant
+// there (and create the key's chain) *before* probing here; the mutex
+// happens-before chain guarantees at least one side observes the other.
 
 #ifndef SSIDB_LOCK_SIREAD_INDEX_H_
 #define SSIDB_LOCK_SIREAD_INDEX_H_
@@ -52,6 +67,8 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,16 +111,41 @@ class SIReadIndex {
 
   bool Holds(TxnId txn, const LockKeyView& key) const;
   /// Commit-time suspension test (Fig 3.2 line 11): one hash lookup.
+  /// Counts point entries and ranges alike.
   bool HoldsAny(TxnId txn) const;
 
-  /// Live (txn, key) SIREAD grants. Relaxed counter; never touches the
-  /// stripe mutexes.
+  /// Record that `txn` scanned [lo, hi] of `table`: one range SIREAD
+  /// covering every key a later insert, update or delete could place in
+  /// the scanned predicate. Coalesces into `txn`'s range on `table` that
+  /// the new range overlaps or that ends, through its recorded successor
+  /// (NoteRangeSuccessor), at or above `lo`. Never blocks.
+  void PublishRange(TxnId txn, TableId table, Slice lo, Slice hi);
+
+  /// Record the successor key the scan of [.., hi] saw above `hi`
+  /// (nullopt: the table's supremum), on `txn`'s range on `table` whose
+  /// upper end that scan set. Later scans starting at or below it
+  /// coalesce into the range.
+  void NoteRangeSuccessor(TxnId txn, TableId table, Slice hi,
+                          const std::optional<std::string>& successor);
+
+  /// Append the owner of every range SIREAD on `table` covering `key`,
+  /// other than `self`, to `out` (the writer's predicate probe). Does not
+  /// clear `out`.
+  void CollectRangeHolders(TxnId self, TableId table, Slice key,
+                           ConflictBuf* out) const;
+
+  /// Live SIREAD grants: (txn, key) pairs plus ranges. Relaxed counter;
+  /// never touches the stripe mutexes.
   size_t GrantCount() const {
     return static_cast<size_t>(grants_.load(std::memory_order_relaxed));
   }
 
-  /// Distinct keys currently indexed (tests, diagnostics).
+  /// Distinct keys plus ranges currently indexed — the retained predicate
+  /// state the `siread.entries` gauge reports.
   size_t EntryCount() const;
+
+  /// Ranges currently indexed (the `siread.ranges` gauge).
+  size_t RangeCount() const;
 
  private:
   struct Entry {
@@ -124,6 +166,26 @@ class SIReadIndex {
     OwnerLink* next = nullptr;
   };
 
+  /// One range SIREAD [lo, hi] on `table`, owned by one transaction: a
+  /// node of its table stripe's interval treap and of its owner's chain.
+  struct Range {
+    TableId table = 0;
+    TxnId owner = 0;
+    std::string lo;
+    std::string hi;
+    /// Later scans by the owner starting at or below `bound` coalesce
+    /// (unbounded: the last scan saw the supremum). `bound` is `hi` until
+    /// the scan that set `hi` records its successor.
+    std::string bound;
+    bool unbounded = false;
+    uint64_t priority = 0;
+    Range* left = nullptr;
+    Range* right = nullptr;
+    /// The node with the largest (table, hi) in this subtree.
+    const Range* max_hi = nullptr;
+    Range* next_owned = nullptr;  ///< Owner chain, or free-list link.
+  };
+
   struct KeyStripe {
     mutable std::mutex mu;
     /// Power-of-two chained hash table; lazily sized on first insert.
@@ -132,10 +194,28 @@ class SIReadIndex {
     Entry* free_entries = nullptr;
   };
 
+  /// A transaction's SIREAD holdings: point entries and ranges.
+  struct Held {
+    OwnerLink* points = nullptr;
+    Range* ranges = nullptr;
+  };
+
   struct TxnStripe {
     mutable std::mutex mu;
-    std::unordered_map<TxnId, OwnerLink*> chains;
+    std::unordered_map<TxnId, Held> chains;
     OwnerLink* free_links = nullptr;
+  };
+
+  /// The ranges of the tables that map to this stripe. Publishes and
+  /// releases take `mu` exclusive, writer probes shared. `count` is
+  /// written under `mu` and read without it by the empty check; the §3.2
+  /// argument orders a reader's publication before the writer's load.
+  struct RangeStripe {
+    mutable std::shared_mutex mu;
+    Range* root = nullptr;
+    std::atomic<size_t> count{0};
+    uint64_t next_priority = 0;
+    Range* free_ranges = nullptr;
   };
 
   static constexpr size_t kNumStripes = 64;
@@ -157,8 +237,28 @@ class SIReadIndex {
   /// Double the bucket array and relink every entry. Caller holds mu.
   void GrowLocked(KeyStripe& stripe);
 
+  RangeStripe& RangeStripeOf(TableId table) {
+    return range_stripes_[table % kNumStripes];
+  }
+  const RangeStripe& RangeStripeOf(TableId table) const {
+    return range_stripes_[table % kNumStripes];
+  }
+
+  // Interval treap over one RangeStripe (caller holds its mu). Nodes are
+  // ordered by (table, lo, address); see siread_index.cc.
+  static bool OrdersBefore(const Range* a, const Range* b);
+  static void Pull(Range* n);
+  static Range* Merge(Range* a, Range* b);
+  static void Split(Range* t, const Range* at, Range** before,
+                    Range** rest);
+  static void Insert(RangeStripe& stripe, Range* n);
+  static Range* Erase(Range* t, const Range* n);
+  static void Stab(const Range* t, TableId table, Slice key, TxnId self,
+                   ConflictBuf* out);
+
   KeyStripe key_stripes_[kNumStripes];
   TxnStripe txn_stripes_[kNumStripes];
+  RangeStripe range_stripes_[kNumStripes];
   std::atomic<uint64_t> grants_{0};
 };
 

@@ -95,40 +95,14 @@ const LockKey& Executor::GapLockKeyInto(
   return txn.scratch_gap_key;
 }
 
-Status Executor::AcquireAndMark(TxnCtx& txn, const LockKey& lk,
-                                LockMode mode) {
-  assert(mode != LockMode::kSIRead);  // SIREAD uses AcquireSIReadAndMark.
+Status Executor::MarkConflicts(TxnCtx& txn, const RwConflicts& others,
+                               bool reader_side) {
   TxnState* state = txn.state.get();
-  AcquireResult r = locks_->Acquire(state->id, lk, mode);
-  if (!r.status.ok()) {
-    return AbortWith(txn, r.status);
-  }
-  if (state->isolation == IsolationLevel::kSerializableSSI &&
-      mode == LockMode::kExclusive) {
-    for (TxnId other : r.rw_conflicts) {
-      // Fig 3.5 line 4: the writer found SIREAD holders.
-      Status st = tracker_->OnWriterSawSIReadHolder(state, other);
-      if (!st.ok()) {
-        return AbortWith(txn, st);
-      }
-    }
-  }
-  if (state->marked_for_abort.load(std::memory_order_acquire)) {
-    const Status reason = state->abort_reason;
-    return AbortWith(txn, reason.ok() ? Status::Unsafe("marked for abort")
-                                      : reason);
-  }
-  return Status::OK();
-}
-
-Status Executor::AcquireSIReadAndMark(TxnCtx& txn, TableId table,
-                                      LockKind kind, Slice key) {
-  TxnState* state = txn.state.get();
-  RwConflicts writers;
-  locks_->AcquireSIRead(state->id, table, kind, key, &writers);
-  for (TxnId other : writers) {
-    // Fig 3.4 line 3: the reader found an EXCLUSIVE holder.
-    Status st = tracker_->OnReaderSawExclusiveHolder(state, other);
+  for (TxnId other : others) {
+    // Fig 3.4 line 3 (the reader found an EXCLUSIVE holder) or Fig 3.5
+    // line 4 (the writer found a SIREAD holder).
+    Status st = reader_side ? tracker_->OnReaderSawExclusiveHolder(state, other)
+                            : tracker_->OnWriterSawSIReadHolder(state, other);
     if (!st.ok()) {
       return AbortWith(txn, st);
     }
@@ -139,6 +113,44 @@ Status Executor::AcquireSIReadAndMark(TxnCtx& txn, TableId table,
                                       : reason);
   }
   return Status::OK();
+}
+
+Status Executor::AcquireAndMark(TxnCtx& txn, const LockKey& lk,
+                                LockMode mode) {
+  assert(mode != LockMode::kSIRead);  // SIREAD uses AcquireSIReadAndMark.
+  TxnState* state = txn.state.get();
+  AcquireResult r = locks_->Acquire(state->id, lk, mode);
+  if (!r.status.ok()) {
+    return AbortWith(txn, r.status);
+  }
+  if (state->isolation != IsolationLevel::kSerializableSSI ||
+      mode != LockMode::kExclusive) {
+    r.rw_conflicts.clear();  // Only SSI writers act on SIREAD holders.
+  }
+  return MarkConflicts(txn, r.rw_conflicts, /*reader_side=*/false);
+}
+
+Status Executor::AcquireSIReadAndMark(TxnCtx& txn, TableId table,
+                                      LockKind kind, Slice key) {
+  RwConflicts writers;
+  locks_->AcquireSIRead(txn.state->id, table, kind, key, &writers);
+  return MarkConflicts(txn, writers, /*reader_side=*/true);
+}
+
+Status Executor::ProbeWritersAndMark(TxnCtx& txn, TableId table,
+                                     LockKind kind, Slice key) {
+  RwConflicts writers;
+  locks_->CollectExclusiveHolders(txn.state->id,
+                                  MakeLockKeyView(table, kind, key), &writers);
+  return MarkConflicts(txn, writers, /*reader_side=*/true);
+}
+
+Status Executor::ProbeRangeReadersAndMark(TxnCtx& txn, TableId table,
+                                          Slice key) {
+  RwConflicts readers;
+  locks_->siread_index()->CollectRangeHolders(txn.state->id, table, key,
+                                              &readers);
+  return MarkConflicts(txn, readers, /*reader_side=*/false);
 }
 
 Status Executor::ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
@@ -292,6 +304,12 @@ Status Executor::GetForUpdate(TxnCtx& txn, TableId table, Slice key,
   const LockKey* page_lk = page_mode ? &row_lk : nullptr;
 
   VersionChain* chain = t->Find(key);
+  if (chain != nullptr && UsesRangeSIReads(*state)) {
+    // W3 of the range SIREAD argument (lock_manager.h): the row grant is
+    // this statement's only exclusive grant and the chain exists.
+    st = ProbeRangeReadersAndMark(txn, table, key);
+    if (!st.ok()) return st;
+  }
   if (chain != nullptr &&
       state->isolation != IsolationLevel::kSerializable2PL) {
     st = CheckFirstCommitterWins(txn, chain, row_lk);
@@ -382,6 +400,14 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
 
   if (chain == nullptr) chain = t->GetOrCreate(key);
 
+  if (UsesRangeSIReads(*state)) {
+    // W3 of the range SIREAD argument (lock_manager.h): after the last
+    // exclusive grant (the insert-intention gap lock) and after the chain
+    // is in the index, so a scan this probe misses collects the key.
+    st = ProbeRangeReadersAndMark(txn, table, key);
+    if (!st.ok()) return st;
+  }
+
   if (state->isolation != IsolationLevel::kSerializable2PL) {
     st = CheckFirstCommitterWins(txn, chain, row_lk);
     if (!st.ok()) return AbortWith(txn, st);
@@ -462,22 +488,31 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   const IsolationLevel iso = state->isolation;
   EnsureSnapshot(txn);
 
-  std::vector<ScanEntry> entries;
-  std::optional<std::string> successor;
-  t->CollectRange(lo, hi, &entries, &successor);
-
   const bool take_locks = iso != IsolationLevel::kSnapshot;
   const bool ssi = iso == IsolationLevel::kSerializableSSI;
   const bool page_mode = options_.granularity == LockGranularity::kPage;
+  const bool range_siread = UsesRangeSIReads(*state);
 
-  // One visited entry: row (or page) lock plus the gap below it. SSI
-  // scans ride the allocation-free SIREAD lane; S2PL scans take blocking
+  // R1 of the range SIREAD argument (lock_manager.h): one predicate
+  // SIREAD on [lo, hi], published before the entries are collected.
+  SIReadIndex* sireads = locks_->siread_index();
+  if (range_siread) sireads->PublishRange(state->id, table, lo, hi);
+
+  std::vector<ScanEntry> entries;
+  std::optional<std::string> successor;
+  t->CollectRange(lo, hi, &entries, &successor);
+  if (range_siread) {
+    sireads->NoteRangeSuccessor(state->id, table, hi, successor);
+  }
+
+  // One visited entry. SSI probes for writers holding its row or the gap
+  // below it — the range SIREAD already covers both; S2PL takes blocking
   // shared locks through reused scratch keys.
   auto lock_entry = [&](Slice entry_key) {
     if (ssi) {
-      Status s = AcquireSIReadAndMark(txn, table, LockKind::kRow, entry_key);
+      Status s = ProbeWritersAndMark(txn, table, LockKind::kRow, entry_key);
       if (!s.ok()) return s;
-      return AcquireSIReadAndMark(txn, table, LockKind::kGap, entry_key);
+      return ProbeWritersAndMark(txn, table, LockKind::kGap, entry_key);
     }
     Status s = AcquireAndMark(txn, RowLockKeyInto(txn, table, entry_key),
                               LockMode::kShared);
@@ -488,9 +523,9 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   auto lock_successor_gap = [&](const std::optional<std::string>& next) {
     if (ssi) {
       return next.has_value()
-                 ? AcquireSIReadAndMark(txn, table, LockKind::kGap, *next)
-                 : AcquireSIReadAndMark(txn, table, LockKind::kSupremum,
-                                        Slice());
+                 ? ProbeWritersAndMark(txn, table, LockKind::kGap, *next)
+                 : ProbeWritersAndMark(txn, table, LockKind::kSupremum,
+                                       Slice());
     }
     return AcquireAndMark(txn, GapLockKeyInto(txn, table, next),
                           LockMode::kShared);
@@ -498,9 +533,11 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
 
   if (take_locks) {
     if (!page_mode) {
-      // Next-key locking (§2.5.2 / Fig 3.6): each visited entry gets a row
-      // lock plus the gap below it; the gap below the successor protects
-      // (last entry, successor), so inserts anywhere in [lo, hi] conflict.
+      // Next-key locking (§2.5.2 / Fig 3.6): under S2PL each visited entry
+      // gets a row lock plus the gap below it, and the gap below the
+      // successor protects (last entry, successor), so inserts anywhere in
+      // [lo, hi] conflict. Under SSI the same keys are only probed for
+      // writers already holding them; later writers find the range.
       for (const ScanEntry& e : entries) {
         st = lock_entry(e.key);
         if (!st.ok()) return st;
@@ -558,7 +595,7 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
     // to the lock table, but its version's commit timestamp postdates our
     // snapshot, so a second collection plus the modified read detects the
     // rw-conflict. Inserts *after* our gap locks are caught by the lock
-    // table (the writer's probe sees our SIREAD/S locks).
+    // table (the writer's probe sees our range SIREAD or S locks).
     std::vector<ScanEntry> recheck;
     std::optional<std::string> successor2;
     t->CollectRange(lo, hi, &recheck, &successor2);

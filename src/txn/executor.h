@@ -7,8 +7,10 @@
 //   write  - Fig 3.5: EXCLUSIVE lock, probe SIREAD holders, then the
 //            first-committer-wins check and version install.
 //   scan   - Fig 3.6: the modified read applied to every index entry in
-//            range plus gap locks (phantom detection).
-//   insert/delete - Fig 3.7: gap EXCLUSIVE on next(key) plus the write.
+//            range plus phantom detection — one range SIREAD under
+//            row-granularity SSI, next-key (gap) locks under S2PL.
+//   insert/delete - Fig 3.7: gap EXCLUSIVE on next(key) plus the write;
+//            SSI writers then probe the table's range SIREADs.
 //   commit - Fig 3.2/3.10 via the ConflictTracker hook.
 //
 // S2PL uses the same code paths with blocking kShared/kExclusive locks and
@@ -130,6 +132,20 @@ class Executor {
                                 const std::optional<std::string>& next_key)
       const;
 
+  /// True when `state`'s scans publish range SIREADs and its writes probe
+  /// them: SSI at row granularity (see lock_manager.h).
+  bool UsesRangeSIReads(const TxnState& state) const {
+    return state.isolation == IsolationLevel::kSerializableSSI &&
+           options_.granularity == LockGranularity::kRow;
+  }
+
+  /// Route rw-conflict evidence to the SSI tracker — `others` hold
+  /// EXCLUSIVE on what this transaction read (`reader_side`, Fig 3.4
+  /// line 3) or SIREAD on what it writes (Fig 3.5 line 4) — then honour an
+  /// asynchronous victim mark. Aborts this transaction on unsafe.
+  Status MarkConflicts(TxnCtx& txn, const RwConflicts& others,
+                       bool reader_side);
+
   /// Acquire a *blocking* mode (kShared/kExclusive) on `lk` and route any
   /// rw-conflict evidence to the SSI tracker (Fig 3.5 line 4). Aborts this
   /// transaction on deadlock/timeout/unsafe and returns the cause.
@@ -141,6 +157,16 @@ class Executor {
   /// the no-conflict path.
   Status AcquireSIReadAndMark(TxnCtx& txn, TableId table, LockKind kind,
                               Slice key);
+
+  /// A scan's per-entry check: mark rw-conflicts with the EXCLUSIVE
+  /// holders of (table, kind, key) without publishing a SIREAD (the
+  /// scan's range SIREAD covers the key).
+  Status ProbeWritersAndMark(TxnCtx& txn, TableId table, LockKind kind,
+                             Slice key);
+
+  /// A writer's predicate check: mark rw-conflicts with the owners of the
+  /// range SIREADs on `table` covering `key`.
+  Status ProbeRangeReadersAndMark(TxnCtx& txn, TableId table, Slice key);
 
   /// The paper's modified read applied to one chain: snapshot-read (or
   /// latest-committed for S2PL) and mark rw-conflicts with creators of

@@ -11,8 +11,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "src/db/db.h"
+#include "src/db/session.h"
 #include "src/sgt/mvsg.h"
 #include "tests/test_util.h"
 
@@ -317,7 +319,7 @@ TEST(ReadOnlyAnomalyTest, SerializableSSIPreventsIt) {
 
 /// §2.5.2/§3.5: phantom write skew. Two transactions each count the rows
 /// matching a predicate and insert a row that changes the other's count.
-/// Record-level SIREAD locks alone cannot see this; the gap extension must.
+/// Record-level SIREAD locks alone cannot see this; the range SIREAD must.
 TEST(PhantomTest, SSIDetectsInsertPhantomConflict) {
   Fixture f;
   f.Seed("a1", "1");  // One existing row in each range.
@@ -345,7 +347,7 @@ TEST(PhantomTest, SSIDetectsInsertPhantomConflict) {
   EXPECT_FALSE(c1.ok() && c2.ok())
       << "c1=" << c1.ToString() << " c2=" << c2.ToString();
   // A phantom casualty is still an SSI-structure abort in the taxonomy
-  // (the gap SIREAD lock just supplied the rw-edge).
+  // (the range SIREAD just supplied the rw-edge).
   if (!c1.ok()) {
     EXPECT_TRUE(IsSsiReason(t1->abort_cause()))
         << AbortReasonName(t1->abort_cause());
@@ -410,6 +412,160 @@ TEST(PhantomTest, DeletedRowStillConflictsViaTombstone) {
   EXPECT_TRUE(c.IsUnsafe()) << c.ToString();
   EXPECT_TRUE(IsSsiReason(scanner->abort_cause()))
       << AbortReasonName(scanner->abort_cause());
+}
+
+// ---------------------------------------------------------------------------
+// Range SIREAD phantoms (lock_manager.h): a row-granularity SSI scan
+// publishes one range SIREAD, and an insert stabs the ranges of its table
+// after its chain exists. Driven through one Session, so each interleaving
+// is exact.
+// ---------------------------------------------------------------------------
+
+/// Whether `id` has recorded an outgoing / incoming rw-antidependency, in
+/// either tracking representation.
+bool HasRwEdge(DB* db, TxnId id, bool outgoing) {
+  std::shared_ptr<TxnState> state = db->txn_manager()->Find(id);
+  if (state == nullptr) return false;
+  std::lock_guard<std::mutex> latch(state->ssi_mu);
+  return outgoing ? state->out_conflict_flag || state->out_ref.IsSet()
+                  : state->in_conflict_flag || state->in_ref.IsSet();
+}
+
+/// (scan before insert, scanner commits first, tracking mode).
+class RangePhantomTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool, ConflictTracking>> {
+};
+
+TEST_P(RangePhantomTest, PhantomEdgeAbortsThePivot) {
+  const auto [scan_first, scanner_commits_first, tracking] = GetParam();
+  DBOptions opts;
+  opts.conflict_tracking = tracking;
+  Fixture f(opts);
+  f.Seed("a1", "1");
+  f.Seed("a5", "1");
+  f.Seed("y", "0");
+  std::unique_ptr<Session> session = f.db->CreateSession();
+  const TxnHandle scanner = session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnHandle inserter =
+      session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnId scanner_id = session->id(scanner);
+  const TxnId inserter_id = session->id(inserter);
+  // The inserter reads y, which the scanner later writes: inserter ->
+  // scanner. The phantom supplies scanner -> inserter, closing the cycle.
+  std::string v;
+  ASSERT_TRUE(session->Get(inserter, f.table, "y", &v).ok());
+  ASSERT_TRUE(session->Get(scanner, f.table, "y", &v).ok());
+
+  int rows = 0;
+  auto scan = [&] {
+    return session->Scan(scanner, f.table, "a", "a~", [&rows](Slice, Slice) {
+      ++rows;
+      return true;
+    });
+  };
+  // "a3" falls between the two rows the scan sees: no row or gap SIREAD
+  // of the scanner names it.
+  if (scan_first) {
+    ASSERT_TRUE(scan().ok());
+    ASSERT_TRUE(session->Insert(inserter, f.table, "a3", "1").ok());
+  } else {
+    ASSERT_TRUE(session->Insert(inserter, f.table, "a3", "1").ok());
+    ASSERT_TRUE(scan().ok());
+  }
+  EXPECT_EQ(rows, 2);  // The uncommitted insert is not in the snapshot.
+  EXPECT_TRUE(HasRwEdge(f.db.get(), scanner_id, /*outgoing=*/true));
+  EXPECT_TRUE(HasRwEdge(f.db.get(), inserter_id, /*outgoing=*/false));
+
+  Status scanner_st = session->Put(scanner, f.table, "y", "1");
+  Status inserter_st;
+  const TxnHandle first = scanner_commits_first ? scanner : inserter;
+  const TxnHandle second = scanner_commits_first ? inserter : scanner;
+  Status& first_st = scanner_commits_first ? scanner_st : inserter_st;
+  Status& second_st = scanner_commits_first ? inserter_st : scanner_st;
+  if (first_st.ok()) first_st = session->Commit(first);
+  if (second_st.ok()) second_st = session->Commit(second);
+  session->Abort(scanner);
+  session->Abort(inserter);
+
+  // Both transactions are pivots of the cycle; exactly one survives, and
+  // the other went down as an SSI structure abort.
+  EXPECT_NE(scanner_st.ok(), inserter_st.ok())
+      << "scanner=" << scanner_st.ToString()
+      << " inserter=" << inserter_st.ToString();
+  const Status& failed = scanner_st.ok() ? inserter_st : scanner_st;
+  EXPECT_TRUE(failed.IsUnsafe()) << failed.ToString();
+  EXPECT_TRUE(f.HistorySerializable());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdersAndModes, RangePhantomTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(ConflictTracking::kFlags,
+                                         ConflictTracking::kReferences)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "ScanFirst"
+                                                 : "InsertFirst") +
+             (std::get<1>(info.param) ? "ScannerCommitsFirst"
+                                      : "InserterCommitsFirst") +
+             (std::get<2>(info.param) == ConflictTracking::kFlags
+                  ? "Flags"
+                  : "References");
+    });
+
+TEST(RangeSIReadEdgeTest, InsertAboveHiBelowSuccessorMakesNoEdge) {
+  // The scan of [a, a~] sees a1 and, above hi, the successor c1. Next-key
+  // locking held the gap below c1, so inserting b used to make an edge;
+  // the range covers exactly [a, a~] and does not.
+  Fixture f;
+  f.Seed("a1", "1");
+  f.Seed("c1", "1");
+  std::unique_ptr<Session> session = f.db->CreateSession();
+  const TxnHandle scanner = session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnHandle inserter =
+      session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnId scanner_id = session->id(scanner);
+  const TxnId inserter_id = session->id(inserter);
+  std::string v;
+  ASSERT_TRUE(session->Get(inserter, f.table, "c1", &v).ok());
+  ASSERT_TRUE(
+      session->Scan(scanner, f.table, "a", "a~", [](Slice, Slice) {
+        return true;
+      }).ok());
+  ASSERT_TRUE(session->Insert(inserter, f.table, "b", "1").ok());
+  EXPECT_FALSE(HasRwEdge(f.db.get(), scanner_id, /*outgoing=*/true));
+  EXPECT_FALSE(HasRwEdge(f.db.get(), inserter_id, /*outgoing=*/false));
+  // Inside [lo, hi] it still does.
+  ASSERT_TRUE(session->Insert(inserter, f.table, "a2", "1").ok());
+  EXPECT_TRUE(HasRwEdge(f.db.get(), scanner_id, /*outgoing=*/true));
+  EXPECT_TRUE(HasRwEdge(f.db.get(), inserter_id, /*outgoing=*/false));
+  EXPECT_TRUE(session->Commit(scanner).ok());
+  EXPECT_TRUE(session->Commit(inserter).ok());
+  EXPECT_TRUE(f.HistorySerializable());
+}
+
+TEST(RangeSIReadEdgeTest, GetForUpdateInsideTheRangeMakesTheEdge) {
+  // A locking read is treated like an update (§2.6.2): its identity
+  // version is a write into the scanned predicate, so it stabs the range.
+  Fixture f;
+  f.Seed("a1", "1");
+  f.Seed("a5", "1");
+  std::unique_ptr<Session> session = f.db->CreateSession();
+  const TxnHandle scanner = session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnHandle locker = session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnId scanner_id = session->id(scanner);
+  const TxnId locker_id = session->id(locker);
+  std::string v;
+  ASSERT_TRUE(session->Get(locker, f.table, "zz", &v).IsNotFound());
+  ASSERT_TRUE(
+      session->Scan(scanner, f.table, "a", "a~", [](Slice, Slice) {
+        return true;
+      }).ok());
+  ASSERT_TRUE(session->GetForUpdate(locker, f.table, "a5", &v).ok());
+  EXPECT_TRUE(HasRwEdge(f.db.get(), scanner_id, /*outgoing=*/true));
+  EXPECT_TRUE(HasRwEdge(f.db.get(), locker_id, /*outgoing=*/false));
+  EXPECT_TRUE(session->Commit(scanner).ok());
+  EXPECT_TRUE(session->Commit(locker).ok());
+  EXPECT_TRUE(f.HistorySerializable());
 }
 
 /// §3.8: queries at plain SI mixed with updates at Serializable SI. The

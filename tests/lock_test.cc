@@ -1,7 +1,8 @@
 // Unit tests for the lock manager: mode compatibility, the non-blocking
 // SIREAD mode and its rw-conflict evidence (both acquisition orders, §3.2),
-// deadlock detection (immediate and periodic), timeouts, and the SIREAD
-// retention/cleanup lifecycle hooks.
+// deadlock detection (immediate and periodic), timeouts, the SIREAD
+// retention/cleanup lifecycle hooks, and the publish-then-probe race of
+// range SIREADs against a writer's grant.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,9 @@
 #include <chrono>
 #include <future>
 #include <thread>
+#include <vector>
 
+#include "src/common/encoding.h"
 #include "src/lock/lock_manager.h"
 
 namespace ssidb {
@@ -216,9 +219,10 @@ TEST(LockManagerTest, SharedGapLockBlocksInsertIntention) {
 }
 
 TEST(LockManagerTest, SIReadGapLockDetectsInsertWithoutBlocking) {
-  // The SSI scanner's gap SIREAD neither blocks nor is blocked by an
-  // insert's gap EXCLUSIVE — but the coexistence is reported both ways
-  // (Figs 3.6/3.7).
+  // A gap SIREAD neither blocks nor is blocked by an insert's gap
+  // EXCLUSIVE — but the coexistence is reported both ways (Figs 3.6/3.7).
+  // (Row-granularity SSI scans now publish one range SIREAD instead; the
+  // lock-table API keeps kSIRead for every key kind.)
   LockManager lm(FastConfig());
   ASSERT_TRUE(lm.Acquire(1, Gap("m"), LockMode::kSIRead).status.ok());
   AcquireResult insert = lm.Acquire(2, Gap("m"), LockMode::kExclusive);
@@ -333,6 +337,61 @@ TEST(LockManagerTest, ManyTransactionsStress) {
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(lm.GrantCount(), 0u);
+}
+
+TEST(LockManagerTest, RangeSIReadAndExclusiveGrantNeverMissEachOther) {
+  // The §3.2 argument for ranges (lock_manager.h): a scanner publishes its
+  // range and then probes the row's EXCLUSIVE holders; a writer grants
+  // EXCLUSIVE on the row and then stabs the ranges. Run both at once many
+  // times: in every round at least one side must report the other.
+  LockManager lm(FastConfig());
+  constexpr int kRounds = 2000;
+  const std::string lo = EncodeU64Key(10);
+  const std::string hi = EncodeU64Key(20);
+  const std::string key = EncodeU64Key(15);
+  std::atomic<int> ready{0};
+  std::atomic<int> round{-1};
+  std::vector<char> reader_saw(kRounds), writer_saw(kRounds);
+  auto wait_round = [&round](int r) {
+    while (round.load(std::memory_order_acquire) != r) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread reader([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      wait_round(r);
+      const TxnId id = static_cast<TxnId>(2 * r + 1);
+      lm.siread_index()->PublishRange(id, 1, lo, hi);
+      RwConflicts writers;
+      lm.CollectExclusiveHolders(id, MakeLockKeyView(1, LockKind::kRow, key),
+                                 &writers);
+      reader_saw[r] = !writers.empty();
+      ready.fetch_add(1);
+    }
+  });
+  std::thread writer([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      wait_round(r);
+      const TxnId id = static_cast<TxnId>(2 * r + 2);
+      EXPECT_TRUE(lm.Acquire(id, Row(key), LockMode::kExclusive).status.ok());
+      RwConflicts readers;
+      lm.siread_index()->CollectRangeHolders(id, 1, key, &readers);
+      writer_saw[r] = !readers.empty();
+      ready.fetch_add(1);
+    }
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    while (ready.load() != 2 * (r + 1)) std::this_thread::yield();
+    lm.ReleaseAll(static_cast<TxnId>(2 * r + 1));
+    lm.ReleaseAll(static_cast<TxnId>(2 * r + 2));
+  }
+  reader.join();
+  writer.join();
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_TRUE(reader_saw[r] || writer_saw[r]) << "round " << r;
+  }
   EXPECT_EQ(lm.GrantCount(), 0u);
 }
 

@@ -471,7 +471,8 @@ const char* const kEngineMetricNames[] = {
     "wal.segments_deleted", "gc.versions_pruned", "txn.page_fcw_entries",
     "commit.waits", "commit.wakeups", "commit.ring_full_stalls",
     "commit.max_window_depth", "commit.combine_batches", "commit.combined_txns",
-    "commit.max_batch", "commit.fastpath", "siread.entries", "gc.horizon_lag",
+    "commit.max_batch", "commit.fastpath", "siread.entries", "siread.ranges",
+    "gc.horizon_lag",
 };
 /// The disk-tier quantities, registered only when the tier is enabled.
 const char* const kTierMetricNames[] = {

@@ -4,18 +4,23 @@
 // commit (suspension, Fig 3.2 line 9) and are dropped by suspended-
 // transaction cleanup (§3.3) — and the cross-structure conflict evidence:
 // OnWriterSawSIReadHolder's overlap filter must still see post-commit
-// readers. The concurrency tests run under the TSan CI job.
+// readers — and the range SIREADs of SSI scans: stabbing probes,
+// coalescing, release and retention. The concurrency tests run under the
+// TSan CI job.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/encoding.h"
 #include "src/common/inline_vec.h"
+#include "src/common/random.h"
 #include "src/db/db.h"
 #include "src/lock/lock_manager.h"
 #include "src/lock/siread_index.h"
@@ -217,6 +222,199 @@ TEST(SIReadIndexTest, ConcurrentPublishProbeRelease) {
 }
 
 // ---------------------------------------------------------------------------
+// Range SIREADs (the predicate locks of SSI scans).
+// ---------------------------------------------------------------------------
+
+/// Range holders covering `key` on `table`, as a set.
+std::set<TxnId> RangeHolders(const SIReadIndex& idx, TableId table,
+                             const std::string& key, TxnId self = 0) {
+  SIReadIndex::ConflictBuf buf;
+  idx.CollectRangeHolders(self, table, key, &buf);
+  return std::set<TxnId>(buf.begin(), buf.end());
+}
+
+TEST(SIReadRangeTest, StabbingProbeFindsOnlyCoveringRanges) {
+  SIReadIndex idx;
+  idx.PublishRange(1, 1, "b", "d");
+  // Both bounds are inclusive.
+  for (const char* key : {"b", "c", "d", "bzz", "c\xff"}) {
+    EXPECT_EQ(RangeHolders(idx, 1, key), std::set<TxnId>{1}) << key;
+  }
+  for (const char* key : {"a", "azz", "d\x01", "e", ""}) {
+    EXPECT_TRUE(RangeHolders(idx, 1, key).empty()) << key;
+  }
+  // Same bytes on another table: not covered.
+  EXPECT_TRUE(RangeHolders(idx, 2, "c").empty());
+  // No point entry was created, and a point probe sees nothing.
+  EXPECT_FALSE(idx.Holds(1, RowView("c")));
+  SIReadIndex::ConflictBuf buf;
+  idx.CollectHolders(0, RowView("c"), &buf);
+  EXPECT_TRUE(buf.empty());
+}
+
+TEST(SIReadRangeTest, WritersOwnRangeIsExcluded) {
+  SIReadIndex idx;
+  idx.PublishRange(1, 1, "a", "m");
+  idx.PublishRange(2, 1, "f", "z");
+  EXPECT_EQ(RangeHolders(idx, 1, "g", /*self=*/1), std::set<TxnId>{2});
+  EXPECT_EQ(RangeHolders(idx, 1, "g", /*self=*/2), std::set<TxnId>{1});
+  EXPECT_TRUE(RangeHolders(idx, 1, "b", /*self=*/1).empty());
+  EXPECT_EQ(RangeHolders(idx, 1, "g", /*self=*/3), (std::set<TxnId>{1, 2}));
+}
+
+TEST(SIReadRangeTest, AdjacentScansOfOneTransactionCoalesce) {
+  SIReadIndex idx;
+  // A chunked scan: each chunk starts at the successor the last one saw.
+  idx.PublishRange(1, 1, EncodeU64Key(0), EncodeU64Key(255));
+  idx.NoteRangeSuccessor(1, 1, EncodeU64Key(255), EncodeU64Key(256));
+  idx.PublishRange(1, 1, EncodeU64Key(256), EncodeU64Key(511));
+  idx.NoteRangeSuccessor(1, 1, EncodeU64Key(511), EncodeU64Key(600));
+  EXPECT_EQ(idx.RangeCount(), 1u);
+  EXPECT_EQ(idx.GrantCount(), 1u);
+  // The previous successor gap (511, 600) was covered: a chunk starting
+  // inside it coalesces and the range now spans it.
+  idx.PublishRange(1, 1, EncodeU64Key(550), EncodeU64Key(700));
+  EXPECT_EQ(idx.RangeCount(), 1u);
+  for (uint64_t k : {0, 255, 256, 530, 700}) {
+    EXPECT_EQ(RangeHolders(idx, 1, EncodeU64Key(k)), std::set<TxnId>{1}) << k;
+  }
+  // A scan inside the range, or overlapping its lower end, coalesces too.
+  idx.PublishRange(1, 1, EncodeU64Key(10), EncodeU64Key(20));
+  idx.PublishRange(1, 1, "", EncodeU64Key(5));
+  EXPECT_EQ(idx.RangeCount(), 1u);
+  EXPECT_EQ(RangeHolders(idx, 1, ""), std::set<TxnId>{1});
+  // A scan starting above the recorded successor does not: the gap
+  // between was never read.
+  idx.NoteRangeSuccessor(1, 1, EncodeU64Key(700), EncodeU64Key(701));
+  idx.PublishRange(1, 1, EncodeU64Key(800), EncodeU64Key(900));
+  EXPECT_EQ(idx.RangeCount(), 2u);
+  EXPECT_TRUE(RangeHolders(idx, 1, EncodeU64Key(750)).empty());
+  // Past the supremum every later scan coalesces.
+  idx.NoteRangeSuccessor(1, 1, EncodeU64Key(900), std::nullopt);
+  idx.PublishRange(1, 1, EncodeU64Key(5000), EncodeU64Key(6000));
+  EXPECT_EQ(idx.RangeCount(), 2u);
+  EXPECT_EQ(RangeHolders(idx, 1, EncodeU64Key(3000)), std::set<TxnId>{1});
+  idx.ReleaseAll(1);
+  EXPECT_EQ(idx.RangeCount(), 0u);
+  EXPECT_EQ(idx.GrantCount(), 0u);
+}
+
+TEST(SIReadRangeTest, OtherTransactionsAndTablesDoNotCoalesce) {
+  SIReadIndex idx;
+  idx.PublishRange(1, 1, "a", "c");
+  idx.NoteRangeSuccessor(1, 1, "c", std::string("d"));
+  idx.PublishRange(2, 1, "d", "f");  // Another transaction.
+  idx.PublishRange(1, 2, "d", "f");  // Another table.
+  EXPECT_EQ(idx.RangeCount(), 3u);
+  EXPECT_EQ(RangeHolders(idx, 1, "e"), std::set<TxnId>{2});
+  EXPECT_EQ(RangeHolders(idx, 2, "e"), std::set<TxnId>{1});
+  EXPECT_EQ(RangeHolders(idx, 1, "b"), std::set<TxnId>{1});
+  idx.ReleaseAll(2);
+  EXPECT_EQ(idx.RangeCount(), 2u);
+  EXPECT_TRUE(RangeHolders(idx, 1, "e").empty());
+}
+
+TEST(SIReadRangeTest, ReleaseHoldsAnyAndCountsIncludeRanges) {
+  SIReadIndex idx;
+  idx.PublishRange(1, 1, "a", "c");
+  EXPECT_TRUE(idx.HoldsAny(1));
+  EXPECT_EQ(idx.GrantCount(), 1u);
+  EXPECT_EQ(idx.EntryCount(), 1u);
+  idx.Publish(1, RowView("x"));
+  idx.PublishRange(1, 2, "a", "c");
+  EXPECT_EQ(idx.GrantCount(), 3u);
+  EXPECT_EQ(idx.EntryCount(), 3u);
+  EXPECT_EQ(idx.RangeCount(), 2u);
+  // Erasing the only point entry keeps the transaction's ranges.
+  idx.EraseOwn(1, RowView("x"));
+  EXPECT_TRUE(idx.HoldsAny(1));
+  EXPECT_EQ(idx.GrantCount(), 2u);
+  idx.ReleaseAll(1);
+  EXPECT_FALSE(idx.HoldsAny(1));
+  EXPECT_EQ(idx.GrantCount(), 0u);
+  EXPECT_EQ(idx.EntryCount(), 0u);
+  EXPECT_EQ(idx.RangeCount(), 0u);
+  EXPECT_TRUE(RangeHolders(idx, 1, "b").empty());
+  // Recycled range nodes serve new ranges.
+  idx.PublishRange(2, 1, "m", "n");
+  EXPECT_EQ(RangeHolders(idx, 1, "m"), std::set<TxnId>{2});
+}
+
+TEST(SIReadRangeTest, StabsAgreeWithBruteForceAcrossManyRanges) {
+  // The interval treap against a linear scan: many owners, overlapping
+  // ranges on a few tables that share stripes, stabs before and after
+  // half the owners release.
+  SIReadIndex idx;
+  struct Published {
+    TxnId owner;
+    TableId table;
+    uint64_t lo, hi;
+  };
+  std::vector<Published> ranges;
+  Random rng(7);
+  for (TxnId owner = 1; owner <= 400; ++owner) {
+    const TableId table = 1 + static_cast<TableId>(rng.Uniform(2)) * 64;
+    const uint64_t lo = rng.Uniform(10000);
+    const uint64_t hi = lo + rng.Uniform(500);
+    idx.PublishRange(owner, table, EncodeU64Key(lo), EncodeU64Key(hi));
+    ranges.push_back({owner, table, lo, hi});
+  }
+  auto check = [&](const char* phase) {
+    for (int i = 0; i < 500; ++i) {
+      const TableId table = 1 + static_cast<TableId>(rng.Uniform(2)) * 64;
+      const uint64_t key = rng.Uniform(10600);
+      std::multiset<TxnId> want;
+      for (const Published& p : ranges) {
+        if (p.table == table && p.lo <= key && key <= p.hi) {
+          want.insert(p.owner);
+        }
+      }
+      SIReadIndex::ConflictBuf buf;
+      idx.CollectRangeHolders(0, table, EncodeU64Key(key), &buf);
+      EXPECT_EQ(std::multiset<TxnId>(buf.begin(), buf.end()), want)
+          << phase << " key " << key;
+    }
+  };
+  check("all published");
+  for (TxnId owner = 1; owner <= 400; owner += 2) idx.ReleaseAll(owner);
+  ranges.erase(std::remove_if(ranges.begin(), ranges.end(),
+                              [](const Published& p) {
+                                return p.owner % 2 == 1;
+                              }),
+               ranges.end());
+  EXPECT_EQ(idx.RangeCount(), ranges.size());
+  check("half released");
+}
+
+TEST(SIReadRangeTest, ConcurrentPublishStabRelease) {
+  // TSan target: scanners publish (and coalesce) ranges while writers
+  // stab the same table and owners release. The index drains to empty.
+  SIReadIndex idx;
+  constexpr int kThreads = 6;
+  constexpr int kIters = 300;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&idx, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const TxnId id = static_cast<TxnId>(t * kIters + i + 1);
+        const uint64_t lo = static_cast<uint64_t>((i * 7) % 50);
+        idx.PublishRange(id, 1, EncodeU64Key(lo), EncodeU64Key(lo + 9));
+        idx.NoteRangeSuccessor(id, 1, EncodeU64Key(lo + 9),
+                               EncodeU64Key(lo + 10));
+        idx.PublishRange(id, 1, EncodeU64Key(lo + 10), EncodeU64Key(lo + 19));
+        SIReadIndex::ConflictBuf buf;
+        idx.CollectRangeHolders(id, 1, EncodeU64Key(lo + 5), &buf);
+        idx.ReleaseAll(id);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(idx.GrantCount(), 0u);
+  EXPECT_EQ(idx.RangeCount(), 0u);
+  EXPECT_EQ(idx.EntryCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // SIREAD lifetime through the engine (suspension and cleanup, §3.3).
 // ---------------------------------------------------------------------------
 
@@ -260,6 +458,63 @@ TEST(SIReadLifetimeTest, EntriesSurviveCommitWhileOverlapped) {
   ASSERT_TRUE(pulse->Commit().ok());
   EXPECT_FALSE(db->lock_manager()->HoldsAnySIRead(reader_id));
   EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
+}
+
+TEST(SIReadLifetimeTest, RangesSurviveCommitWhileOverlapped) {
+  // The scan's range SIREAD is retained like a point entry: a writer that
+  // overlaps the committed scanner still finds it and records the edge,
+  // and cleanup drops it once the overlap ends.
+  DBOptions opts;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  {
+    auto setup = db->Begin({IsolationLevel::kSnapshot});
+    ASSERT_TRUE(setup->Insert(table, "k1", "v").ok());
+    ASSERT_TRUE(setup->Insert(table, "k5", "v").ok());
+    ASSERT_TRUE(setup->Commit().ok());
+  }
+
+  auto keeper = db->Begin({IsolationLevel::kSerializableSSI});
+  std::string v;
+  keeper->Get(table, "other", &v);  // Keeps the scanner suspended later.
+  auto writer = db->Begin({IsolationLevel::kSerializableSSI});
+  writer->Get(table, "other", &v);  // Snapshot before the scanner commits.
+  BumpWatermark(db.get(), table);
+
+  auto scanner = db->Begin({IsolationLevel::kSerializableSSI});
+  ASSERT_TRUE(scanner->Scan(table, "k", "k9", [](Slice, Slice) {
+    return true;
+  }).ok());
+  const TxnId scanner_id = scanner->id();
+  const SIReadIndex* idx = db->lock_manager()->siread_index();
+  EXPECT_EQ(idx->RangeCount(), 1u);
+  EXPECT_EQ(Metric(db.get(), "siread.ranges"), 1u);
+  ASSERT_TRUE(scanner->Commit().ok());
+
+  // Retained past commit: the keeper and the writer overlap the scanner.
+  EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(scanner_id));
+  EXPECT_EQ(idx->RangeCount(), 1u);
+
+  // An insert into the scanned range, between the rows the scan saw,
+  // stabs the retained range: scanner -> writer.
+  ASSERT_TRUE(writer->Insert(table, "k3", "w").ok());
+  auto writer_state = db->txn_manager()->Find(writer->id());
+  ASSERT_NE(writer_state, nullptr);
+  {
+    std::lock_guard<std::mutex> latch(writer_state->ssi_mu);
+    EXPECT_TRUE(writer_state->in_ref.IsSet());
+  }
+  writer->Abort();
+
+  ASSERT_TRUE(keeper->Commit().ok());
+  auto pulse = db->Begin({IsolationLevel::kSnapshot});
+  pulse->Get(table, "k1", &v);
+  ASSERT_TRUE(pulse->Commit().ok());
+  EXPECT_FALSE(db->lock_manager()->HoldsAnySIRead(scanner_id));
+  EXPECT_EQ(idx->RangeCount(), 0u);
+  EXPECT_EQ(Metric(db.get(), "siread.ranges"), 0u);
 }
 
 TEST(SIReadLifetimeTest, AbortDropsEntriesImmediately) {

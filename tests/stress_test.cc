@@ -335,6 +335,95 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == IsolationLevel::kSerializableSSI ? "SSI" : "S2PL";
     });
 
+/// Phantom-heavy oracle stress: sparse seeded keys, and SSI transactions
+/// that count a window of keys and then insert into the gaps of windows
+/// other threads are scanning — the predicate write skew of §2.5.2. Each
+/// insert races some scan's range SIREAD publication (R1 against W3 in
+/// lock_manager.h) in either order, and the MVSG oracle checks every
+/// predicate rw edge of the committed history.
+class PhantomOracleStressTest
+    : public ::testing::TestWithParam<ConflictTracking> {};
+
+TEST_P(PhantomOracleStressTest, CommittedHistoryIsSerializable) {
+  DBOptions opts;
+  opts.record_history = true;
+  opts.conflict_tracking = GetParam();
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  // Keys in [0, kSpace); one seeded every kStride, so a kWindow-wide scan
+  // sees two rows and 126 empty gap keys.
+  constexpr uint64_t kSpace = 2048;
+  constexpr uint64_t kStride = 64;
+  constexpr uint64_t kWindow = 128;
+  {
+    auto seed = db->Begin({IsolationLevel::kSnapshot});
+    for (uint64_t k = 0; k < kSpace; k += kStride) {
+      ASSERT_TRUE(seed->Insert(table, EncodeU64Key(k), EncodeI64(0)).ok());
+    }
+    ASSERT_TRUE(seed->Commit().ok());
+  }
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 400;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(101 + t);
+      auto gap_key = [&rng](uint64_t lo) {
+        uint64_t k;
+        do {
+          k = lo + rng.Uniform(kWindow);
+        } while (k % kStride == 0);
+        return EncodeU64Key(k);
+      };
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        auto txn = db->Begin({IsolationLevel::kSerializableSSI});
+        const uint64_t scanned = rng.Uniform(kSpace / kWindow) * kWindow;
+        int64_t count = 0;
+        Status s = txn->Scan(table, EncodeU64Key(scanned),
+                             EncodeU64Key(scanned + kWindow - 1),
+                             [&count](Slice, Slice) {
+                               ++count;
+                               return true;
+                             });
+        // Insert into a gap of the next window (two times in three) or of
+        // our own, so one thread's inserts land in windows others count.
+        const uint64_t target =
+            (scanned + (rng.Uniform(3) == 0 ? 0 : kWindow)) % kSpace;
+        if (s.ok()) {
+          s = txn->Insert(table, gap_key(target), EncodeI64(count));
+          if (s.IsDuplicateKey()) s = Status::OK();
+        }
+        if (s.ok() && rng.Uniform(4) == 0) {
+          // Now and then update or delete a row of the target window.
+          const std::string row = EncodeU64Key(target);
+          s = rng.Uniform(2) == 0 ? txn->Put(table, row, EncodeI64(count))
+                                  : txn->Delete(table, gap_key(target));
+          if (s.IsNotFound()) s = Status::OK();
+        }
+        if (s.ok()) {
+          txn->Commit();
+        } else if (txn->active()) {
+          txn->Abort();
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  auto result = sgt::AnalyzeHistory(db->history()->Snapshot());
+  EXPECT_TRUE(result.serializable) << sgt::DescribeResult(result);
+  EXPECT_GT(result.committed_txns, 800u);  // The stress did real work.
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrackingModes, PhantomOracleStressTest,
+    ::testing::Values(ConflictTracking::kFlags, ConflictTracking::kReferences),
+    [](const ::testing::TestParamInfo<ConflictTracking>& info) {
+      return info.param == ConflictTracking::kFlags ? "Flags" : "References";
+    });
+
 /// Mixed-isolation stress (§3.8): SSI updates + SI read-only queries. The
 /// update sub-history must stay serializable.
 TEST(MixedIsolationStressTest, UpdateSubHistorySerializable) {
