@@ -3,8 +3,9 @@
 //
 // Crc32c() picks its implementation once per process: on x86-64 CPUs with
 // SSE4.2 it feeds 8-byte little-endian words to the `crc32` instruction
-// (compiled per function, so the build needs no -m flag); elsewhere it
-// runs a portable slicing-by-8 table loop. Both compute the same reflected
+// (compiled per function, so the build needs no -m flag), in three
+// independent lanes from 768 bytes up; elsewhere it runs a portable
+// slicing-by-8 table loop. Both compute the same reflected
 // Castagnoli polynomial over the same byte order, so a file written by
 // either path, or by an older byte-at-a-time build, verifies under any
 // other.

@@ -46,11 +46,9 @@
 //
 //   reader R: (R1) publish range [lo, hi]        [range stripe mutex]
 //             (R2) collect the chains in [lo, hi] [table shard latches]
-//             (R3) probe EXCLUSIVE holders of (kRow, k) and (kGap, k) for
-//                  each collected k, and of the successor gap or
-//                  supremum                        [lock-table shard mutex]
-//             (R4) re-collect; probe entries new since R2
-//             (R5) read each chain at the snapshot, marking ignored newer
+//             (R3) probe EXCLUSIVE holders of (kRow, k) for each
+//                  collected k                     [lock-table shard mutex]
+//             (R4) read each chain at the snapshot, marking ignored newer
 //                  committed versions (Fig 3.4 lines 8-9)
 //   writer W of k in [lo, hi]:
 //             (W1) grant EXCLUSIVE on (kRow, k)    [lock-table shard mutex]
@@ -73,7 +71,7 @@
 //     so either R3's shard critical section preceded W1's — then R1
 //     →(sb) R3-unlock →(sync) W1-lock →(sb) W3, and W3 observes the range
 //     — or W had already committed and released; its commit stamped the
-//     version before that release, so R5 reads k, ignores the newer
+//     version before that release, so R4 reads k, ignores the newer
 //     version and marks the edge (unless R's callback stopped the scan
 //     before k: then R never returned k, as with per-entry SIREADs).
 //   * Insert whose chain does not exist at R2: R2's latch critical
@@ -82,23 +80,21 @@
 //   * Insert next to a concurrently committed neighbour k': a writer W'
 //     inserted k' between W's next(k) lookup and R2, so the gap R saw
 //     around k is bounded by k', not by the next(k) whose gap W2 locked,
-//     and R3's gap probes can miss W. This is why W3 follows the chain's
-//     creation rather than the gap grant: R2 either collects k itself
-//     (first case: R3 probes (kRow, k) and R5 reads k) or precedes its
-//     insertion (second case). Neighbours and gaps never enter the
+//     and a gap lock taken by R could miss W. This is why W3 follows the
+//     chain's creation rather than the gap grant: R2 either collects k
+//     itself (first case: R3 probes (kRow, k) and R4 reads k) or precedes
+//     its insertion (second case). Neighbours and gaps never enter the
 //     argument.
 //
-// Only R3's (kRow, k) probe is load-bearing. Its gap and successor probes
-// let a reader see an insert whose writer has not reached W3 yet, and R4
-// re-probes entries that appeared since R2; S2PL needs its re-collect,
-// SSI does not. A probe at W1 alone would lose a scan that publishes
-// between W1 and the chain's creation: R2 misses k, and R3 sees no lock
-// on any key R collected. R's range stays until R's cleanup (suspension,
-// §3.3), like its point SIREADs. A range covers exactly [lo, hi], so a
-// writer between hi and the scan's successor finds no reader there —
-// unless a later scan by the same transaction coalesced across that gap,
-// or the scan's successor-gap probe saw the writer's insert-intention
-// lock. Page granularity and S2PL keep their per-page and next-key locks.
+// So R probes no gap, no successor and does not re-collect; S2PL needs
+// its next-key locks and re-collect, SSI does not. A probe at W1 alone
+// would lose a scan that publishes between W1 and the chain's creation:
+// R2 misses k, and R3 sees no lock on any key R collected. R's range
+// stays until R's cleanup (suspension, §3.3), like its point SIREADs. A
+// range covers exactly [lo, hi], so a writer between hi and the scan's
+// successor finds no reader there, whichever runs first — unless a later
+// scan by the same transaction coalesced across that gap. Page
+// granularity and S2PL keep their per-page and next-key locks.
 //
 // Keys carry a kind: row locks, gap locks (the InnoDB-style "gap before
 // this key" used for phantom detection, §2.5.2), a per-table supremum gap,

@@ -503,46 +503,34 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   t->CollectRange(lo, hi, &entries, &successor);
   if (range_siread) {
     sireads->NoteRangeSuccessor(state->id, table, hi, successor);
-  }
-
-  // One visited entry. SSI probes for writers holding its row or the gap
-  // below it — the range SIREAD already covers both; S2PL takes blocking
-  // shared locks through reused scratch keys.
-  auto lock_entry = [&](Slice entry_key) {
-    if (ssi) {
-      Status s = ProbeWritersAndMark(txn, table, LockKind::kRow, entry_key);
+    // R3: probe each collected row for a writer already holding it. Later
+    // writers stab the range (W3), and an insert the collection missed
+    // created its chain after R2, so its W3 observes the range: no gap
+    // probes and no re-collect.
+    for (const ScanEntry& e : entries) {
+      st = ProbeWritersAndMark(txn, table, LockKind::kRow, e.key);
+      if (!st.ok()) return st;
+    }
+  } else if (take_locks) {
+    // S2PL's next-key locks on one entry: its row and the gap below it.
+    auto lock_entry = [&](Slice entry_key) {
+      Status s = AcquireAndMark(txn, RowLockKeyInto(txn, table, entry_key),
+                                LockMode::kShared);
       if (!s.ok()) return s;
-      return ProbeWritersAndMark(txn, table, LockKind::kGap, entry_key);
-    }
-    Status s = AcquireAndMark(txn, RowLockKeyInto(txn, table, entry_key),
-                              LockMode::kShared);
-    if (!s.ok()) return s;
-    txn.scratch_gap_key.Assign(table, LockKind::kGap, entry_key);
-    return AcquireAndMark(txn, txn.scratch_gap_key, LockMode::kShared);
-  };
-  auto lock_successor_gap = [&](const std::optional<std::string>& next) {
-    if (ssi) {
-      return next.has_value()
-                 ? ProbeWritersAndMark(txn, table, LockKind::kGap, *next)
-                 : ProbeWritersAndMark(txn, table, LockKind::kSupremum,
-                                       Slice());
-    }
-    return AcquireAndMark(txn, GapLockKeyInto(txn, table, next),
-                          LockMode::kShared);
-  };
-
-  if (take_locks) {
+      txn.scratch_gap_key.Assign(table, LockKind::kGap, entry_key);
+      return AcquireAndMark(txn, txn.scratch_gap_key, LockMode::kShared);
+    };
     if (!page_mode) {
-      // Next-key locking (§2.5.2 / Fig 3.6): under S2PL each visited entry
-      // gets a row lock plus the gap below it, and the gap below the
-      // successor protects (last entry, successor), so inserts anywhere in
-      // [lo, hi] conflict. Under SSI the same keys are only probed for
-      // writers already holding them; later writers find the range.
+      // Next-key locking (§2.5.2 / Fig 3.6): each visited entry gets a row
+      // lock plus the gap below it, and the gap below the successor
+      // protects (last entry, successor), so inserts anywhere in [lo, hi]
+      // conflict.
       for (const ScanEntry& e : entries) {
         st = lock_entry(e.key);
         if (!st.ok()) return st;
       }
-      st = lock_successor_gap(successor);
+      st = AcquireAndMark(txn, GapLockKeyInto(txn, table, successor),
+                          LockMode::kShared);
       if (!st.ok()) return st;
     } else {
       // Page granularity: every page overlapping [lo, hi] must be read-
@@ -594,8 +582,7 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
     // its gap lock between CollectRange and our acquisitions is invisible
     // to the lock table, but its version's commit timestamp postdates our
     // snapshot, so a second collection plus the modified read detects the
-    // rw-conflict. Inserts *after* our gap locks are caught by the lock
-    // table (the writer's probe sees our range SIREAD or S locks).
+    // rw-conflict. Inserts *after* our locks are caught by the lock table.
     std::vector<ScanEntry> recheck;
     std::optional<std::string> successor2;
     t->CollectRange(lo, hi, &recheck, &successor2);

@@ -146,9 +146,18 @@ struct TxnState {
   /// Basic algorithm (Fig 3.1): booleans.
   bool in_conflict_flag = false;
   bool out_conflict_flag = false;
-  /// Precise algorithm (Fig 3.9): references.
+  /// Precise algorithm (Fig 3.9): references. An edge's two refs point at
+  /// each other (reader.out_ref and writer.in_ref), a shared_ptr cycle;
+  /// TidyRefLocked collapses refs to finished partners, and the
+  /// transaction manager drops a transaction's own refs once no later
+  /// conflict can reach them (abort, suspended cleanup, teardown).
   ConflictRef in_ref;
   ConflictRef out_ref;
+
+  void DropConflictRefs() {
+    in_ref.Clear();
+    out_ref.Clear();
+  }
 
   /// True once the transaction was retired to the suspended-state epoch
   /// reclaimer (§3.3). Written by the committing thread just before

@@ -40,6 +40,14 @@ TxnManager::~TxnManager() {
   // drive, suspended cleanup) on the flusher thread, and that tail can
   // still be running after the client's `done` callback already fired.
   if (log_manager_ != nullptr) log_manager_->Quiesce();
+  // Transactions still registered (suspended, or active past the engine)
+  // may hold refs to each other: unlink them so they are freed.
+  for (uint64_t i = 0; i <= shard_mask_; ++i) {
+    for (auto& [id, txn] : shards_[i].txns) {
+      std::lock_guard<std::mutex> latch(txn->ssi_mu);
+      txn->DropConflictRefs();
+    }
+  }
 }
 
 void TxnManager::RegisterMetrics(obs::MetricsRegistry* registry,
@@ -569,6 +577,11 @@ void TxnManager::AbortInternal(const std::shared_ptr<TxnState>& txn) {
       return;
     }
     txn->status.store(TxnStatus::kAborted, std::memory_order_release);
+    // An aborted transaction's edges are gone (partners tidy their refs to
+    // it), so drop its own refs too: a suspended reader's out-ref to this
+    // writer and this writer's in-ref to the reader would otherwise keep
+    // each other alive after both leave the registry.
+    txn->DropConflictRefs();
   }
   // Forensics: the kActive->kAborted transition above happens exactly once
   // per transaction, so this is the single counting point for the abort
@@ -618,6 +631,13 @@ void TxnManager::CleanupSuspended() {
       RegistryShard& shard = ShardFor(t->id);
       std::lock_guard<std::mutex> guard(shard.mu);
       shard.txns.erase(t->id);
+    }
+    {
+      // No transaction overlaps it any more, so no new edge can reach it.
+      // Two partners that certified together each saw the other active
+      // and kept its ref: drop ours to break that cycle.
+      std::lock_guard<std::mutex> latch(t->ssi_mu);
+      t->DropConflictRefs();
     }
     // A suspended transaction's blocking locks were released at its own
     // commit; only the retained SIREAD entries remain (§3.3). Drop them

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "src/db/db.h"
 #include "src/db/session.h"
@@ -539,6 +540,49 @@ TEST(RangeSIReadEdgeTest, InsertAboveHiBelowSuccessorMakesNoEdge) {
   EXPECT_TRUE(HasRwEdge(f.db.get(), scanner_id, /*outgoing=*/true));
   EXPECT_TRUE(HasRwEdge(f.db.get(), inserter_id, /*outgoing=*/false));
   EXPECT_TRUE(session->Commit(scanner).ok());
+  EXPECT_TRUE(session->Commit(inserter).ok());
+  EXPECT_TRUE(f.HistorySerializable());
+}
+
+TEST(RangeSIReadEdgeTest, InsertFirstAboveHiBelowSuccessorMakesNoEdge) {
+  // The same gap with the insert first. b's insert-intention lock sits on
+  // the gap below c1. Three scans outside b: [a, a~] (whose successor is
+  // now b), the empty [b5, b9] (whose successor is c1) and [c, c~] (whose
+  // first entry is c1). Scans probe rows only, so none of them makes an
+  // edge; a gap probe would flag the last two.
+  Fixture f;
+  f.Seed("a1", "1");
+  f.Seed("c1", "1");
+  std::unique_ptr<Session> session = f.db->CreateSession();
+  const TxnHandle inserter =
+      session->Begin({IsolationLevel::kSerializableSSI});
+  const TxnId inserter_id = session->id(inserter);
+  std::string v;
+  ASSERT_TRUE(session->Get(inserter, f.table, "c1", &v).ok());
+  ASSERT_TRUE(session->Insert(inserter, f.table, "b", "1").ok());
+  std::vector<TxnHandle> scanners;
+  for (const auto& [lo, hi, want] :
+       {std::tuple<const char*, const char*, int>{"a", "a~", 1},
+        {"b5", "b9", 0},
+        {"c", "c~", 1}}) {
+    const TxnHandle scanner =
+        session->Begin({IsolationLevel::kSerializableSSI});
+    scanners.push_back(scanner);
+    int rows = 0;
+    ASSERT_TRUE(
+        session->Scan(scanner, f.table, lo, hi, [&rows](Slice, Slice) {
+          ++rows;
+          return true;
+        }).ok());
+    EXPECT_EQ(rows, want) << lo;
+    EXPECT_FALSE(HasRwEdge(f.db.get(), session->id(scanner),
+                           /*outgoing=*/true))
+        << lo;
+  }
+  EXPECT_FALSE(HasRwEdge(f.db.get(), inserter_id, /*outgoing=*/false));
+  for (const TxnHandle scanner : scanners) {
+    EXPECT_TRUE(session->Commit(scanner).ok());
+  }
   EXPECT_TRUE(session->Commit(inserter).ok());
   EXPECT_TRUE(f.HistorySerializable());
 }

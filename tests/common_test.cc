@@ -344,11 +344,20 @@ TEST_P(Crc32cTest, KnownAnswers) {
 }
 
 TEST_P(Crc32cTest, MatchesByteAtATimeReference) {
-  constexpr size_t kPage = 16384;
-  const std::vector<uint8_t> bytes = RandomBytes(kPage + 8, 42);
+  // The SSE4.2 kernel runs three lanes of 2048 bytes, then three lanes of
+  // 256, then one chain: probe each side of both lane thresholds, a mix of
+  // all three stages, a run page and a multi-page buffer.
+  constexpr size_t kShort = 3 * 256;
+  constexpr size_t kLong = 3 * 2048;
+  constexpr size_t kLargest = 40000;
+  const std::vector<uint8_t> bytes = RandomBytes(kLargest + 8, 42);
   std::vector<size_t> lengths;
   for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
-  lengths.push_back(kPage);
+  for (size_t n : {kShort - 1, kShort, kShort + 1, kLong - 1, kLong,
+                   kLong + 1, kLong + kShort + 7, size_t{16380}, size_t{16384},
+                   kLargest}) {
+    lengths.push_back(n);
+  }
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t n : lengths) {
       const uint8_t* p = bytes.data() + offset;
@@ -362,14 +371,26 @@ TEST_P(Crc32cTest, MatchesByteAtATimeReference) {
 
 TEST_P(Crc32cTest, StreamingSplitsCompose) {
   const std::vector<uint8_t> bytes = RandomBytes(20000, 7);
-  Random rng(11);
-  for (int i = 0; i < 500; ++i) {
-    const size_t n = rng.Uniform(bytes.size() + 1);
-    const size_t split = rng.Uniform(n + 1);
-    const uint8_t* p = bytes.data();
+  const uint8_t* p = bytes.data();
+  auto check = [&](size_t n, size_t split) {
     EXPECT_EQ(Extend(Extend(0, p, split), p + split, n - split),
               Extend(0, p, n))
         << "length " << n << " split " << split;
+  };
+  Random rng(11);
+  for (int i = 0; i < 500; ++i) {
+    const size_t n = rng.Uniform(bytes.size() + 1);
+    check(n, rng.Uniform(n + 1));
+  }
+  // Splits inside a lane: the whole buffer runs lanes the split parts
+  // divide differently, or not at all.
+  for (size_t split : {size_t{1}, size_t{100}, size_t{255}, size_t{257},
+                       size_t{700}, size_t{1000}, size_t{2047}, size_t{2049},
+                       size_t{3000}, size_t{5000}, size_t{6143}, size_t{9001},
+                       size_t{16383}}) {
+    check(16384, split);
+    check(6144, std::min<size_t>(split, 6144));
+    check(768, std::min<size_t>(split, 768));
   }
 }
 

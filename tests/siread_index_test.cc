@@ -564,18 +564,33 @@ TEST(SIReadLifetimeTest, WriterSeesPostCommitReaderThroughIndex) {
   const TxnId reader_id = reader->id();
   ASSERT_TRUE(reader->Commit().ok());
   EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(reader_id));
+  const std::weak_ptr<TxnState> reader_state =
+      db->txn_manager()->Find(reader_id);
+  ASSERT_FALSE(reader_state.expired());
 
   // The writer's EXCLUSIVE acquisition probes the index, finds the
   // suspended reader, and the tracker records reader -> writer.
   ASSERT_TRUE(writer->Put(table, "k", "w").ok());
-  auto writer_state = db->txn_manager()->Find(writer->id());
+  std::shared_ptr<TxnState> writer_state =
+      db->txn_manager()->Find(writer->id());
   ASSERT_NE(writer_state, nullptr);
   {
     std::lock_guard<std::mutex> latch(writer_state->ssi_mu);
     EXPECT_TRUE(writer_state->in_ref.IsSet());
   }
+  const std::weak_ptr<TxnState> writer_weak = writer_state;
+  writer_state.reset();
   writer->Abort();
   keeper->Abort();
+
+  // The edge made the two states point at each other. The writer's abort
+  // and the reader's cleanup (nothing overlaps it now) unlink them, so
+  // both are freed once the handles go.
+  writer.reset();
+  reader.reset();
+  keeper.reset();
+  EXPECT_TRUE(reader_state.expired());
+  EXPECT_TRUE(writer_weak.expired());
 }
 
 TEST(SIReadLifetimeTest, NonOverlappingCommittedReaderIsFiltered) {
