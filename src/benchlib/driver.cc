@@ -54,9 +54,9 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
       // thread inline) and concurrently with other acks of this worker,
       // so counting happens under the worker's sync mutex — and the
       // notify stays under it too, or the callback could race the
-      // worker's teardown of the condition variable. The 1ms re-drive in
-      // both waits is the liveness backstop for a completion whose
-      // covering watermark advance went stale (commit_ring.h).
+      // worker's teardown of the condition variable. The engine's
+      // publishers cover and acknowledge every commit on their own (the
+      // publish rule, commit_ring.h), so the worker only waits.
       const int depth = config.pipeline_depth;
       auto session = db->CreateSession();
       struct Sync {
@@ -64,18 +64,14 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
         std::condition_variable cv;
         int inflight = 0;
       } sync;
-      const auto wait_with_redrive = [&](auto pred) {
+      const auto wait = [&](auto pred) {
         std::unique_lock<std::mutex> guard(sync.mu);
-        while (!sync.cv.wait_for(guard, std::chrono::milliseconds(1), pred)) {
-          guard.unlock();
-          db->txn_manager()->DriveCommitPipeline();
-          guard.lock();
-        }
+        sync.cv.wait(guard, pred);
       };
       for (;;) {
         const int p = phase.load(std::memory_order_acquire);
         if (p == 2) break;
-        wait_with_redrive([&] { return sync.inflight < depth; });
+        wait([&] { return sync.inflight < depth; });
         {
           std::lock_guard<std::mutex> guard(sync.mu);
           ++sync.inflight;
@@ -90,7 +86,7 @@ RunResult RunWorkload(DB* db, Workload* workload, const SeriesConfig& series,
       }
       // Drain: every submitted transaction must acknowledge before the
       // session (and this stack frame the callbacks point into) dies.
-      wait_with_redrive([&] { return sync.inflight == 0; });
+      wait([&] { return sync.inflight == 0; });
     });
   }
 

@@ -179,10 +179,10 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
         return result;
       }
     }
-    // Bounded waits so periodic kills and external abort marks are seen
-    // promptly even if no lock in this shard is released.
-    shard.cv.wait_for(guard, std::chrono::milliseconds(2));
-    if (std::chrono::steady_clock::now() > deadline) {
+    // Woken by a release in this shard or by the detector's kill, which
+    // notifies under this shard's mutex (DetectorLoop); we hold the mutex
+    // from the killed_ check above into the wait, so no kill is missed.
+    if (shard.cv.wait_until(guard, deadline) == std::cv_status::timeout) {
       ClearWaits(txn);
       result.status = Status::TimedOut("lock wait timeout");
       return result;
@@ -327,7 +327,14 @@ void LockManager::DetectorLoop() {
       found = killed_.size() > before;
     }
     if (found) {
-      for (Shard& shard : shards_) shard.cv.notify_all();
+      // Notify each shard under its mutex (graph_mu_ released: the lock
+      // order is shard -> graph). A victim holds its shard mutex from its
+      // killed_ check into its wait, so taking the mutex here orders the
+      // notify after the victim parks or the kill before its check.
+      for (Shard& shard : shards_) {
+        std::lock_guard<std::mutex> guard(shard.mu);
+        shard.cv.notify_all();
+      }
     }
   }
 }

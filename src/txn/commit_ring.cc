@@ -1,7 +1,6 @@
 #include "src/txn/commit_ring.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace ssidb {
 
@@ -34,21 +33,23 @@ void CommitRing::Publish(Timestamp ts) {
     // its slot value may be destroyed, or the watermark scan could no
     // longer prove that older commit stamped. The oldest in-flight commit
     // always passes this test (see header), so the pipeline cannot wedge.
+    // seq_cst: case (3) of the publish rule orders this read before our
+    // slot store.
     const Timestamp reuse_floor = ts - n;
-    if (stable_.load(std::memory_order_acquire) < reuse_floor) {
+    if (stable_.load(std::memory_order_seq_cst) < reuse_floor) {
       full_stalls_.fetch_add(1, std::memory_order_relaxed);
       if (trace_ != nullptr) {
         trace_->Emit(obs::TraceEvent::kRingStall, /*txn=*/0, /*arg16=*/0,
                      /*arg32=*/static_cast<uint32_t>(n), reuse_floor);
       }
-      // Backpressure parks are counted by full_stalls_ alone — never as
-      // commit-ack waits, so the registry keeps the two distinguishable.
-      WaitUntilCovered(reuse_floor, nullptr);
+      WaitUntilCovered(reuse_floor);
     }
   }
-  // Release: a scanner that reads this slot value acquires every version
-  // stamp (and shard max-commit-ts hint) performed before Publish.
-  slots_[ts & mask_].store(ts, std::memory_order_release);
+  // The publish rule (header): a seq_cst store, then our own Drive, whose
+  // seq_cst loads follow the store in the total order. A scanner that
+  // reads this value also acquires every version stamp (and shard
+  // max-commit-ts hint) performed before Publish.
+  slots_[ts & mask_].store(ts, std::memory_order_seq_cst);
   Drive();
 }
 
@@ -56,29 +57,25 @@ void CommitRing::Drive() {
   // Completions drain into a local list and run only after the CAS loop
   // exhausts: callbacks see the watermark as far forward as this drive
   // could push it, and they run with no ring mutex held, so a completion
-  // may itself re-enter Drive (the acknowledgment backstop does).
+  // may itself re-enter Drive (a callback that commits again publishes).
   std::vector<Completion> ready;
   for (;;) {
-    Timestamp s = stable_.load(std::memory_order_acquire);
+    Timestamp s = stable_.load(std::memory_order_seq_cst);
     // Collect the run of consecutively stamped slots, then advance the
     // watermark over the whole run with one CAS. Bounded by the in-flight
     // window (<= ring size).
     Timestamp end = s;
-    while (slots_[(end + 1) & mask_].load(std::memory_order_acquire) ==
+    while (slots_[(end + 1) & mask_].load(std::memory_order_seq_cst) ==
            end + 1) {
       ++end;
     }
     if (end == s) break;
-    if (stable_.compare_exchange_strong(s, end, std::memory_order_seq_cst,
-                                        std::memory_order_acquire)) {
+    // Success or failure, rescan: after a successful CAS the rescan is
+    // what carries the duty to finish the scan (publish rule, cases 2
+    // and 3); after a failed one the watermark moved under us.
+    if (stable_.compare_exchange_strong(s, end, std::memory_order_seq_cst)) {
       WakeCovered(s, end, &ready);
-      // A slot just past `end` may have been stamped while we scanned;
-      // loop to pick it up (otherwise its owner — who saw our CAS in
-      // flight — could be left waiting with no later driver).
-      continue;
     }
-    // Lost the CAS to a concurrent driver that advanced past s; rescan
-    // from the new watermark.
   }
   for (Completion& fn : ready) fn();
 }
@@ -165,48 +162,17 @@ void CommitRing::OnCovered(Timestamp ts, Completion fn) {
   }
 }
 
-void CommitRing::WaitCovered(Timestamp ts) {
-  WaitUntilCovered(ts, &waits_parked_);
-}
-
-void CommitRing::WaitUntilCovered(Timestamp ts,
-                                  std::atomic<uint64_t>* park_counter) {
+void CommitRing::WaitUntilCovered(Timestamp ts) {
   if (stable_.load(std::memory_order_seq_cst) >= ts) return;
   WaiterShard& w = waiters_[ts & waiter_mask_];
-  // Count first (seq_cst), then re-check: see the missed-wakeup argument
-  // in the header.
+  // Count first (seq_cst), then re-check under the mutex: see the
+  // missed-wakeup argument in the header.
   w.count.fetch_add(1, std::memory_order_seq_cst);
-  // Self-drive before parking. Release/acquire alone does not force a
-  // concurrent driver's scan to observe our just-published slot store; if
-  // that driver was the last one (we are the newest commit), no later
-  // Publish would ever rescan and we would park forever. Our own store is
-  // visible to our own scan by program order, so driving here closes the
-  // last-publisher case outright.
-  Drive();
-  if (stable_.load(std::memory_order_seq_cst) >= ts) {
-    w.count.fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  if (park_counter != nullptr) {
-    park_counter->fetch_add(1, std::memory_order_relaxed);
-  }
   {
     std::unique_lock<std::mutex> guard(w.mu);
-    for (;;) {
-      const bool covered =
-          w.cv.wait_for(guard, std::chrono::milliseconds(1), [&] {
-            return stable_.load(std::memory_order_seq_cst) >= ts;
-          });
-      if (covered) break;
-      // Timed out: re-drive as a visibility backstop (the abstract
-      // machine only promises stores become visible in *finite* time, so
-      // a bounded re-scan guarantees liveness no matter which driver's
-      // scan went stale). Never taken on the wakeup fast path.
-      guard.unlock();
-      Drive();
-      guard.lock();
-      if (stable_.load(std::memory_order_seq_cst) >= ts) break;
-    }
+    w.cv.wait(guard, [&] {
+      return stable_.load(std::memory_order_seq_cst) >= ts;
+    });
   }
   w.count.fetch_sub(1, std::memory_order_release);
 }

@@ -1,6 +1,6 @@
 // CommitRing: the lock-free commit pipeline — timestamp allocation, the
 // commit-slot ring that orders version stamping against snapshot
-// publication, and sharded parking for commit-acknowledgment waits.
+// publication, and coverage completions for commit acknowledgment.
 //
 // The problem it solves: a commit stamps its versions *after* allocating
 // its timestamp, so a snapshot taken from the raw clock could observe a
@@ -18,32 +18,62 @@
 //   * Slots: `slot[ts % N]` is an atomic that the owner of `ts` stores
 //     `ts` into once its versions are fully stamped. The stable watermark
 //     advances by scanning consecutive stamped slots from the current
-//     watermark and CAS-maxing it forward — any retiring committer can
-//     drive the scan; no lock, no notify-all.
+//     watermark and CAS-maxing it forward — every publisher drives the
+//     scan; no lock, no notify-all.
 //   * Slot reuse (the ring-full case): the owner of `ts` may overwrite
 //     `slot[ts % N]` only once the watermark has covered the previous
 //     occupant `ts - N` — i.e. `stable() >= ts - N`. Until then it parks
-//     (bounded backpressure, counted in full_stalls). Progress is
-//     guaranteed: the oldest in-flight commit is `stable()+1` and its
-//     reuse condition `stable() >= stable()+1-N` holds for any N >= 1, so
-//     it always publishes, which advances the watermark and unblocks the
-//     rest in timestamp order.
-//   * Waiting (commit acknowledgment, `stable() >= ts`) parks on one of
-//     kWaiterShards {mutex, condvar} pairs keyed by `ts`; a successful
+//     (bounded backpressure, counted in full_stalls) on one of the
+//     waiter shards {mutex, condvar} keyed by `ts - N`; a successful
 //     watermark advance from `s` to `e` wakes only the shards owning
-//     timestamps in (s, e] — waiters for uncovered timestamps stay asleep.
+//     timestamps in (s, e].
 //
 // Memory-ordering contract:
-//   * The slot store is a release; the scan loads acquire; the watermark
-//     CAS is seq_cst. A snapshot reader that observes `stable() >= ts`
-//     therefore observes every version stamp (and every storage-shard
-//     max-commit-ts hint) the owner of `ts` performed before Publish.
+//   * The slot store, the scan's loads of the slots and of stable_, and
+//     the watermark CAS are all seq_cst. A snapshot reader that observes
+//     `stable() >= ts` therefore observes every version stamp (and every
+//     storage-shard max-commit-ts hint) the owner of `ts` performed before
+//     Publish, and the publish rule below has one total order to argue
+//     in. On x86 the seq_cst slot store is one xchg; the loads stay movs.
 //   * stable() loads are seq_cst: the checkpoint prune-floor protocol
 //     (TxnManager::BeginCheckpointSweep) depends on a single total order
 //     over watermark advances, floor publication and min-active
 //     publication — see the proof sketch there. seq_cst loads cost the
 //     same as acquire loads on x86 and the extra fence elsewhere is paid
 //     on begin/commit paths, never per read.
+//
+// Liveness by construction (the publish rule): Publish stores its slot
+// and then runs Drive on its own thread. Nothing else drives the scan and
+// no timer re-drives it. Claim: once every timestamp <= T has published,
+// those publishers' own drives leave stable() >= T. Let S be the single
+// total order of seq_cst operations; a seq_cst load returns the last
+// store to its location that precedes it in S. Call a Drive iteration
+// *fresh* when all its loads follow, in S, every slot store of 1..T.
+//   (1) The last publisher. The owner of the store that comes last in S
+//       among those of 1..T runs Drive after it, so its iterations are
+//       fresh. A fresh iteration that reads stable_ = s < T finds slots
+//       s+1..T stamped (unless one was reused: case 3), scans to >= T
+//       and CASes s -> end.
+//   (2) A stale stable_ read makes the CAS fail. It fails only because
+//       another driver's CAS raised stable_ after our load; we loop, and
+//       the next iteration is fresh again. A driver whose CAS succeeds
+//       always rescans, and that rescan follows its CAS in S. So the duty
+//       to finish the scan stays with a fresh iteration until stable_ >=
+//       T; every hand-off is a successful CAS that raises stable_, so
+//       there are at most T of them.
+//   (3) Ring-full reuse. A fresh scan can stop short at slot x <= T only
+//       if x + kN already overwrote it. That owner's reuse check read
+//       stable_ >= x (seq_cst) before its store, while the fresh
+//       iteration read stable_ < x before its slot load; so the CAS that
+//       raised stable_ to >= x follows the fresh stable_ read in S, the
+//       rescan that CAS's driver runs is fresh, and it takes over the
+//       duty as in (2). Reuse cannot wedge the ring either: the oldest
+//       unpublished commit u has every predecessor published, so by
+//       (1)-(2) stable_ reaches u - 1 >= u - N; u's reuse check passes,
+//       or its park is woken by that advance (below), and u publishes.
+// Hence every allocated timestamp is covered in finite time by drives
+// Publish itself runs, and the two protocols below turn coverage into
+// wakeups and callbacks.
 //
 // Missed-wakeup freedom (waiter vs driver): the waiter increments its
 // shard's count (seq_cst) and only then checks the watermark; the driver
@@ -64,13 +94,7 @@
 // drain ran before the insert was visible, the registrant's re-check is
 // ordered after the CAS in the seq_cst total order, sees coverage, and
 // drains its own shard. Removal happens under the shard mutex, so every
-// completion runs exactly once no matter how many drains race. Liveness
-// matches the blocking path's caveat: coverage itself may require a
-// re-drive if every committer goes idle with a stale scan (the abstract
-// machine only promises finite-time visibility) — blocking waiters
-// re-drive on a 1ms tick; pure-async hosts get the same backstop from
-// Drive() being public (TxnManager::DriveCommitPipeline) plus a re-drive
-// after every acknowledgment.
+// completion runs exactly once no matter how many drains race.
 
 #ifndef SSIDB_TXN_COMMIT_RING_H_
 #define SSIDB_TXN_COMMIT_RING_H_
@@ -107,13 +131,9 @@ class CommitRing {
   Timestamp Allocate();
 
   /// Declare `ts`'s versions fully stamped. May park briefly when the
-  /// ring is full (see header comment); drives the watermark forward.
+  /// ring is full (see header comment); then drives the watermark forward
+  /// on this thread (the publish rule).
   void Publish(Timestamp ts);
-
-  /// Block until the watermark covers `ts`. Fast path is one load; the
-  /// slow path self-drives before parking (see WaitUntilCovered) and
-  /// counts the park in waits_parked().
-  void WaitCovered(Timestamp ts);
 
   /// Coverage completion: runs exactly once, after `stable() >= ts`. Fires
   /// on whichever thread drives the covering watermark advance (usually a
@@ -125,14 +145,6 @@ class CommitRing {
   /// Register `fn` against `ts` (see the completion protocol in the file
   /// header for the exactly-once + missed-drain argument).
   void OnCovered(Timestamp ts, Completion fn);
-
-  /// Advance the watermark over consecutive stamped slots, wake newly
-  /// covered waiter shards and drain newly covered completions. Lock-free
-  /// scan; any thread may call. Public as the visibility backstop for
-  /// hosts with no blocking waiter left to re-drive (an async client
-  /// draining its last in-flight acknowledgments calls this on a timeout
-  /// tick, exactly as WaitUntilCovered does internally).
-  void Drive();
 
   /// The snapshot watermark: every commit with commit_ts <= stable() has
   /// fully stamped its versions.
@@ -151,15 +163,11 @@ class CommitRing {
 
   /// Number of waiter shards (power of two). Sized from the runtime core
   /// topology (TopologyShards, floored at the previous fixed 16): on big
-  /// machines more commit-ack waiters park and wake without sharing a
-  /// mutex/condvar line; small machines keep the old footprint.
+  /// machines more completions and ring-full waiters park and wake without
+  /// sharing a mutex/condvar line; small machines keep the old footprint.
   uint64_t waiter_shards() const { return waiter_mask_ + 1; }
 
   // --- Commit-pipeline counters (relaxed; registry contract). ---
-  /// Acknowledgment waits that actually parked on a condvar.
-  uint64_t waits_parked() const {
-    return waits_parked_.load(std::memory_order_relaxed);
-  }
   /// Waiter-shard notifications issued by watermark advances.
   uint64_t wakeups_issued() const {
     return wakeups_issued_.load(std::memory_order_relaxed);
@@ -182,6 +190,10 @@ class CommitRing {
  private:
   struct WaiterShard;
 
+  /// Advance the watermark over consecutive stamped slots, wake newly
+  /// covered waiter shards and drain newly covered completions. Lock-free
+  /// scan, run by Publish after its slot store (the publish rule).
+  void Drive();
   /// Wake waiter shards owning timestamps in (from, to] and move that
   /// span's covered completions into `ready` (the caller runs them once
   /// every shard is notified, outside all ring mutexes).
@@ -194,14 +206,8 @@ class CommitRing {
   /// Drain one shard against the current watermark and run what matured
   /// (the registrant's self-drain in OnCovered's re-check path).
   void DrainShard(WaiterShard* w);
-  /// WaitCovered body. `park_counter` (may be null) is bumped once if the
-  /// wait actually parks — commit-ack waits and ring-full backpressure
-  /// keep separate books. Self-drives before parking and re-drives on a
-  /// 1ms backstop tick while parked: release/acquire does not force a
-  /// concurrent driver's scan to observe the newest slot store, so the
-  /// newest committer must be able to finish the scan itself rather than
-  /// depend on a later Publish that may never come.
-  void WaitUntilCovered(Timestamp ts, std::atomic<uint64_t>* park_counter);
+  /// Block until the watermark covers `ts` (ring-full backpressure).
+  void WaitUntilCovered(Timestamp ts);
 
   /// One registered completion, homed on the shard keyed by its ts.
   struct PendingCompletion {
@@ -236,7 +242,6 @@ class CommitRing {
   const uint64_t waiter_mask_;
   const std::unique_ptr<WaiterShard[]> waiters_;
 
-  std::atomic<uint64_t> waits_parked_{0};
   std::atomic<uint64_t> wakeups_issued_{0};
   std::atomic<uint64_t> full_stalls_{0};
   std::atomic<uint64_t> max_depth_{0};

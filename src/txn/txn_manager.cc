@@ -247,31 +247,13 @@ Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
     w.cv.notify_one();
   });
   if (w.done_inline) return w.status;
-  // Not acknowledged inline: self-drive once before parking, exactly as
-  // the ring's own WaitUntilCovered does — our slot store is visible to
-  // our own scan by program order, which closes the last-publisher case,
-  // and when this Drive drains our completion the whole finalize chain
-  // (including the ack callback's same-thread branch) runs right here,
-  // lock free. Completions drain exactly once, so the inline and
-  // cross-thread branches are mutually exclusive per commit.
-  ring_.Drive();
-  if (w.done_inline) return w.status;
+  // Not acknowledged inline: park until the ack fires on another thread.
+  // The covering advance is a later publisher's own Drive (the publish
+  // rule, commit_ring.h), which drains our registration exactly once.
   std::unique_lock<std::mutex> guard(w.mu);
   if (!w.done) {
     ack_parks_.fetch_add(1, std::memory_order_relaxed);
-    while (!w.cv.wait_for(guard, std::chrono::milliseconds(1),
-                          [&] { return w.done; })) {
-      // Timed out: re-drive as a visibility backstop, exactly as the
-      // ring's blocking waiters do (WaitUntilCovered) — with this thread
-      // parked here instead of inside the ring, it must not depend on a
-      // later Publish rescanning on its behalf. That drive may run our
-      // own completion on THIS thread, which acknowledges through
-      // done_inline rather than done, so check both flags.
-      guard.unlock();
-      ring_.Drive();
-      if (w.done_inline) return w.status;
-      guard.lock();
-    }
+    w.cv.wait(guard, [&] { return w.done; });
   }
   return w.status;
 }
@@ -436,13 +418,9 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
     stamp_publish_ns_.Record(now - t_stage);
     acs.t_publish = now;
   }
+  // Publish ran our own Drive, so in steady state the watermark already
+  // covers us and the inline finalize below is the common case.
   if (!options_.log.flush_on_commit) {
-    // Self-drive once after publishing: in steady state our own Drive
-    // advances stable past our ts (our slot store is visible to our own
-    // scan by program order), making the inline finalize below the common
-    // case. Other commits' completions drained by this Drive run their
-    // finalize chains here, exactly as on any driver thread.
-    if (ring_.stable() < commit_ts) ring_.Drive();
     if (ring_.stable() >= commit_ts) {
       // Covered, and the flush ack is unconditional in this regime: the
       // whole finalize chain runs inline on this stack frame — no
@@ -540,18 +518,6 @@ void TxnManager::FinalizeAcked(AsyncCommit* ac, Status flush_status) {
   ac = nullptr;
   done(flush_status);
   CleanupSuspended();
-  // Re-drive the pipeline after each acknowledgment: in the fsync regime
-  // acks fire on the group-commit flusher thread, which thereby
-  // becomes a periodic driver for completions whose covering advance went
-  // stale — the pure-async analogue of the blocking waiters' 1ms re-drive
-  // backstop. Guarded against unbounded recursion (a drive can run a
-  // completion whose inline-satisfied flush subscription re-enters here).
-  static thread_local bool driving = false;
-  if (!driving) {
-    driving = true;
-    ring_.Drive();
-    driving = false;
-  }
 }
 
 void TxnManager::ReleaseCommitLocks(TxnState* txn) {

@@ -112,8 +112,8 @@
 // CommitRing coverage completion: registry departure, SSI suspension and
 // min-active publication once the watermark covers the commit
 // (FinalizeCovered), then a LogManager flush subscription whose firing
-// releases locks, records the ack histograms, runs the client callback
-// and re-drives the pipeline (FinalizeAcked). The WAL append deliberately
+// releases locks, records the ack histograms and runs the client callback
+// (FinalizeAcked). The WAL append deliberately
 // moves BEFORE ring publication: records reach the log buffer at submit,
 // so a deep async pipeline batches into one fsync instead of one
 // per blocked thread. That ordering is admissible because WAL durability
@@ -124,8 +124,10 @@
 // (below) because it stays strictly after coverage in FinalizeAcked; the
 // early_lock_release knob moves it to FinalizeCovered (after coverage,
 // before the flush — InnoDB's original §4.4 ordering). Blocking Commit()
-// is a thin wrapper: submit + park until `done`, with a 1ms re-drive
-// backstop mirroring the ring's blocking waiters.
+// is a thin wrapper: submit + park until `done`. Nothing re-drives the
+// pipeline on a timer: every publisher drives the watermark itself, and
+// the publish rule in commit_ring.h proves that this alone covers every
+// commit, so every completion and every parked Commit() is reached.
 
 #ifndef SSIDB_TXN_TXN_MANAGER_H_
 #define SSIDB_TXN_TXN_MANAGER_H_
@@ -157,7 +159,7 @@ class TxnManager {
 
   /// Quiesces the log (joins its group-commit flusher, if one runs)
   /// before teardown: an acknowledged async commit's pipeline tail (flush
-  /// subscription -> FinalizeAcked -> cleanup + ring re-drive) runs on
+  /// subscription -> FinalizeAcked -> cleanup) runs on
   /// the flusher thread and may still be touching this object after the
   /// client saw its `done` fire — the destructor must not race it.
   ~TxnManager();
@@ -319,12 +321,10 @@ class TxnManager {
   uint64_t page_entries_pruned() const;
 
   // --- Commit-pipeline counters (registry commit.*). ---
-  /// Commit-acknowledgment waits that parked on a condvar: blocking
-  /// Commit() calls that parked on their completion (the wrapper's sync
-  /// waiter) plus ring-internal coverage parks.
+  /// Blocking Commit() calls that parked on their completion (the
+  /// wrapper's sync waiter). Ring-full parks count in ring_full_stalls().
   uint64_t commit_waits() const {
-    return ring_.waits_parked() +
-           ack_parks_.load(std::memory_order_relaxed);
+    return ack_parks_.load(std::memory_order_relaxed);
   }
   /// Waiter-shard notifications issued by watermark advances.
   uint64_t commit_wakeups() const { return ring_.wakeups_issued(); }
@@ -351,14 +351,6 @@ class TxnManager {
   uint64_t commits_inflight() const {
     return commits_inflight_.load(std::memory_order_relaxed);
   }
-
-  /// One watermark-drive + completion-drain pass. The acknowledgment
-  /// backstop for purely asynchronous clients: a host whose commit
-  /// threads all went idle after submitting (nobody left inside Publish
-  /// or a blocking wait to rescan the ring) calls this on its timeout
-  /// tick while draining, exactly as the ring's blocking waiters re-drive
-  /// internally. Cheap when there is nothing to do.
-  void DriveCommitPipeline() { ring_.Drive(); }
 
   /// Aborts whose TxnState carried this taxonomy class (abort_reason.h).
   /// Counted exactly once per abort, in AbortInternal; an unclassified
@@ -481,8 +473,7 @@ class TxnManager {
   /// commits arriving from the ring's completion registry.
   void FinalizeCovered(AsyncCommit* ac);
   /// Finalize, second half — the acknowledgment: stage/ack histograms,
-  /// the client callback, cleanup, and a pipeline re-drive. Frees heap
-  /// instances.
+  /// the client callback and cleanup. Frees heap instances.
   void FinalizeAcked(AsyncCommit* ac, Status flush_status);
   /// Post-commit lock release: SSI keeps SIREAD locks (Fig 3.2 line 9).
   void ReleaseCommitLocks(TxnState* txn);

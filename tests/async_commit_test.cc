@@ -25,6 +25,12 @@
 namespace ssidb {
 namespace {
 
+// Nothing re-drives the commit pipeline (the publish rule, commit_ring.h),
+// so every acknowledgment wait below is one wait with a hard deadline: a
+// lost wakeup fails the test instead of hanging it or hiding behind a
+// re-drive.
+constexpr auto kAckDeadline = std::chrono::seconds(30);
+
 // ---------------------------------------------------------------------------
 // CommitRing completions.
 // ---------------------------------------------------------------------------
@@ -90,12 +96,10 @@ TEST(CommitRingCompletionTest, ConcurrentRegistrationNeverLosesACompletion) {
     });
   }
   for (auto& t : workers) t.join();
-  // A registration whose covering advance raced it drains itself; anything
-  // left would need a later driver, and there is none — so all must have
-  // fired by quiescence... except completions parked for a timestamp whose
-  // covering Drive already took its shard snapshot. Those are exactly what
-  // the re-check protocol exists for; assert it worked.
-  ring.Drive();
+  // No driver runs after the joins: the publishers' own drives (the
+  // publish rule) plus the registration re-check must already have fired
+  // every completion, including those whose covering drive took its
+  // shard snapshot before the insert was visible.
   EXPECT_EQ(fired.load(), uint64_t{kThreads} * kPerThread);
   EXPECT_EQ(ring.stable(), ring.clock());
 }
@@ -184,8 +188,8 @@ class AsyncCommitTest : public ::testing::Test {
     chains_.push_back(std::move(chain));
   }
 
-  /// Parked acknowledgment: Wait() re-drives the pipeline on a 1ms tick,
-  /// exactly as the blocking wrapper does.
+  /// Parked acknowledgment: Wait() parks once, as the blocking wrapper
+  /// does, and fails the test if the ack misses the deadline.
   struct Ack {
     std::mutex mu;
     std::condition_variable cv;
@@ -201,15 +205,10 @@ class AsyncCommitTest : public ::testing::Test {
         cv.notify_all();
       };
     }
-    Status Wait(TxnManager* mgr) {
+    void Wait() {
       std::unique_lock<std::mutex> guard(mu);
-      while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                          [&] { return done; })) {
-        guard.unlock();
-        mgr->DriveCommitPipeline();
-        guard.lock();
-      }
-      return status;
+      ASSERT_TRUE(cv.wait_for(guard, kAckDeadline, [&] { return done; }))
+          << "acknowledgment lost";
     }
   };
 
@@ -226,7 +225,8 @@ TEST_F(AsyncCommitTest, WritingCommitAcknowledgesCoveredAndStamped) {
   AttachWrite(t);
   Ack ack;
   mgr_.CommitAsync(t, nullptr, {}, ack.Cb());
-  ASSERT_TRUE(ack.Wait(&mgr_).ok());
+  ASSERT_NO_FATAL_FAILURE(ack.Wait());
+  ASSERT_TRUE(ack.status.ok());
   EXPECT_EQ(t->status.load(), TxnStatus::kCommitted);
   EXPECT_GT(t->commit_ts.load(), 0u);
   // The acknowledgment ordering guarantee: done fired only after the
@@ -385,12 +385,9 @@ TEST_F(AsyncCommitTest, ManyInFlightDrainThroughTheFlusher) {
   EXPECT_GT(peak_inflight, 0u);  // Genuinely pipelined.
   {
     std::unique_lock<std::mutex> guard(mu);
-    while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                        [&] { return acked.load() == kBurst; })) {
-      guard.unlock();
-      mgr.DriveCommitPipeline();
-      guard.lock();
-    }
+    ASSERT_TRUE(cv.wait_for(guard, kAckDeadline,
+                            [&] { return acked.load() == kBurst; }))
+        << acked.load() << " of " << kBurst << " acknowledged";
   }
   EXPECT_EQ(mgr.commits_inflight(), 0u);
   EXPECT_EQ(mgr.stable_ts(), mgr.clock_now());
@@ -429,12 +426,9 @@ TEST(SessionAsyncCommitTest, AckedWriteIsVisibleAndDurablyOrdered) {
   }
   {
     std::unique_lock<std::mutex> guard(mu);
-    while (!cv.wait_for(guard, std::chrono::milliseconds(1),
-                        [&] { return acked.load() == kN; })) {
-      guard.unlock();
-      db->txn_manager()->DriveCommitPipeline();
-      guard.lock();
-    }
+    ASSERT_TRUE(cv.wait_for(guard, kAckDeadline,
+                            [&] { return acked.load() == kN; }))
+        << acked.load() << " of " << kN << " acknowledged";
   }
   EXPECT_EQ(session->open_transactions(), 0u);
   // Every acknowledged write is visible to a fresh snapshot.

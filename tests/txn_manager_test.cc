@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -18,6 +23,29 @@
 
 namespace ssidb {
 namespace {
+
+// Nothing re-drives the commit ring (the publish rule, commit_ring.h), so
+// a lost wakeup would hang a waiter for good. Waits in these tests carry a
+// hard deadline instead, so such a bug fails the test.
+constexpr auto kDeadline = std::chrono::seconds(30);
+
+// One-shot flag that a completion sets from whichever thread drives the
+// covering advance. Set() notifies under the mutex, so the waiter cannot
+// return (and destroy the latch) while the setter is still inside it.
+struct Latch {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool set = false;
+  void Set() {
+    std::lock_guard<std::mutex> guard(mu);
+    set = true;
+    cv.notify_all();
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> guard(mu);
+    return cv.wait_for(guard, kDeadline, [&] { return set; });
+  }
+};
 
 class TxnManagerTest : public ::testing::Test {
  protected:
@@ -436,7 +464,9 @@ TEST(CommitRingTest, WraparoundPastManyLaps) {
       ring.Publish(b);
     }
     EXPECT_EQ(ring.stable(), b);
-    ring.WaitCovered(b);  // Fast path; must not block.
+    bool fired = false;
+    ring.OnCovered(b, [&] { fired = true; });
+    EXPECT_TRUE(fired);  // Already covered: fires inline, never parks.
   }
   EXPECT_EQ(ring.full_stalls(), 0u);  // Window (2) never exceeded 4 slots.
 }
@@ -470,10 +500,12 @@ TEST(CommitRingTest, RingFullBackpressureBlocksUntilCovered) {
 }
 
 TEST(CommitRingTest, ConcurrentPublishersConvergeAndWake) {
-  // Hammer a small ring from several threads; every allocation must end
-  // up covered, the watermark must equal the clock at quiescence, and no
+  // Hammer a 2-slot ring from several threads, so publishers park on
+  // ring-full backpressure; each thread then parks on a latch until its
+  // own commit's coverage completion fires. Every allocation must end up
+  // covered, the watermark must equal the clock at quiescence, and no
   // waiter may be left behind.
-  CommitRing ring(8);
+  CommitRing ring(2);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
   std::vector<std::thread> workers;
@@ -482,7 +514,10 @@ TEST(CommitRingTest, ConcurrentPublishersConvergeAndWake) {
       for (int i = 0; i < kPerThread; ++i) {
         const Timestamp ts = ring.Allocate();
         ring.Publish(ts);
-        ring.WaitCovered(ts);
+        Latch covered;
+        ring.OnCovered(ts, [&] { covered.Set(); });
+        ASSERT_TRUE(covered.Wait()) << "completion lost for ts " << ts;
+        ASSERT_GE(ring.stable(), ts);
       }
     });
   }
@@ -564,6 +599,98 @@ TEST_F(TinyRingTxnManagerTest, ConcurrentWritersSurviveBackpressure) {
   EXPECT_EQ(mgr_.active_count(), 0u);
   // Watermark caught up with every allocated commit timestamp.
   EXPECT_EQ(mgr_.stable_ts(), mgr_.clock_now());
+}
+
+TEST_F(TinyRingTxnManagerTest, PublishRuleCoversEveryCommitWithoutATick) {
+  // Stress for the publish rule (commit_ring.h): no thread ever re-drives
+  // a ring, so every acknowledgment must come from the publishers' own
+  // drives. Four threads mix three kinds of commit:
+  //   * on a bare 2-slot ring: Allocate, yield, Publish, yield, then an
+  //     OnCovered completion (the yields widen the windows in which a
+  //     driver's scan can miss a concurrent slot store);
+  //   * on the 2-slot TxnManager: CommitAsync, acknowledged inline or by
+  //     another publisher's drive;
+  //   * on the same TxnManager: blocking Commit, which parks until then.
+  // A lost wakeup would hang a worker for good, so a watchdog aborts the
+  // run (failing the test) when the acknowledgments miss the deadline.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 3000;
+  CommitRing ring(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  // Iteration i % 3 picks the kind: 0 ring, 1 async, 2 blocking.
+  constexpr uint64_t kRingOps = kThreads * ((kPerThread + 2) / 3);
+  constexpr uint64_t kAsyncOps = kThreads * ((kPerThread + 1) / 3);
+  uint64_t ring_acks = 0;   // Guarded by mu.
+  uint64_t async_acks = 0;  // Guarded by mu.
+  bool finished = false;    // Guarded by mu.
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> guard(mu);
+    if (!cv.wait_for(guard, kDeadline, [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "publish-rule stress: acknowledgments missing after the "
+                   "deadline (ring %llu/%llu, async %llu/%llu)\n",
+                   static_cast<unsigned long long>(ring_acks),
+                   static_cast<unsigned long long>(kRingOps),
+                   static_cast<unsigned long long>(async_acks),
+                   static_cast<unsigned long long>(kAsyncOps));
+      std::abort();
+    }
+  });
+  const auto ack = [&](uint64_t* counter) {
+    std::lock_guard<std::mutex> guard(mu);
+    ++*counter;
+    cv.notify_all();
+  };
+  // Chains outlive the workers: a deferred finalize may run on another
+  // thread after its submitter moved on.
+  std::vector<std::vector<std::unique_ptr<VersionChain>>> chains(kThreads);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; i < kPerThread; ++i) {
+        if (i % 3 == 0) {
+          const Timestamp ts = ring.Allocate();
+          std::this_thread::yield();
+          ring.Publish(ts);
+          std::this_thread::yield();
+          ring.OnCovered(ts, [&] { ack(&ring_acks); });
+          continue;
+        }
+        auto t = mgr_.Begin(IsolationLevel::kSnapshot);
+        mgr_.EnsureSnapshot(t.get());
+        auto chain = std::make_unique<VersionChain>();
+        bool replaced = false;
+        Version* v = chain->InstallUncommitted(t->id, "v", false, &replaced);
+        t->write_set.push_back(
+            TxnState::WriteRecord{0, "k", chain.get(), v, nullptr});
+        chains[w].push_back(std::move(chain));
+        if (i % 3 == 1) {
+          mgr_.CommitAsync(t, nullptr, {}, [&](Status st) {
+            EXPECT_TRUE(st.ok());
+            ack(&async_acks);
+          });
+        } else {
+          EXPECT_TRUE(mgr_.Commit(t, nullptr, {}).ok());
+        }
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  {
+    // Every publisher has returned, and completions run on the drivers
+    // inside Publish (or inline at registration), so all have fired.
+    std::lock_guard<std::mutex> guard(mu);
+    EXPECT_EQ(ring_acks, kRingOps);
+    EXPECT_EQ(async_acks, kAsyncOps);
+    finished = true;
+  }
+  cv.notify_all();
+  watchdog.join();
+  EXPECT_EQ(ring.stable(), ring.clock());
+  EXPECT_EQ(mgr_.stable_ts(), mgr_.clock_now());
+  EXPECT_EQ(mgr_.commits_inflight(), 0u);
+  EXPECT_EQ(mgr_.active_count(), 0u);
 }
 
 }  // namespace
