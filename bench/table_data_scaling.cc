@@ -134,7 +134,6 @@ void PastRamReport() {
   DBOptions opts;
   opts.buffer_pool_bytes = pool_mb << 20;
   opts.data_dir = run_dir;
-  opts.version_gc_interval_ms = 0;  // The bench drives spilling itself.
 
   // Large-ish values: the index and chain skeletons stay in memory by
   // design (the tier spills versions, not keys), so the value payload must

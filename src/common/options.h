@@ -167,12 +167,10 @@ struct DBOptions {
   /// locks are granted, so single-statement updates never abort under FCW.
   bool late_snapshot = true;
 
-  /// If nonzero, DB runs a background sweep every this-many milliseconds
-  /// that prunes committed versions unreachable by any active snapshot
-  /// (Table::PruneShards at min_active_read_ts). Inline pruning only fires
-  /// when the *same key* is written again, so without the sweep a
-  /// read-mostly key's chain grows forever once versions pile up behind a
-  /// long snapshot. Works in both in-memory and durable modes.
+  /// Ignored: the commit pipeline prunes the chains each commit wrote once
+  /// the prune horizon passes it (txn_manager.h), and spilling runs only
+  /// when the caller asks (DB::SpillChains). Kept only because
+  /// perfbench/src/workloads.cc assigns it; delete the two together.
   uint32_t version_gc_interval_ms = 100;
 
   /// Record every operation into an in-memory history for the §3.1.1
@@ -195,10 +193,10 @@ struct DBOptions {
   uint32_t txn_registry_shards = 0;
 
   /// Disk-backed storage tier (buffer_pool.h / storage_tier.h). Nonzero
-  /// enables it: cold version chains (newest commit at or below the prune
-  /// horizon, not accessed since the previous sweep) are evicted to
-  /// immutable sorted run files under data_dir, and a read that misses in
-  /// memory faults the chain suffix back through a buffer pool of this
+  /// enables it: DB::SpillChains evicts cold version chains (newest commit
+  /// at or below the prune horizon, not accessed since the previous call)
+  /// to immutable sorted run files under data_dir, and a read that misses
+  /// in memory faults the chain suffix back through a buffer pool of this
   /// many bytes (fixed frame array, clock second-chance eviction). 0 (the
   /// default) keeps every chain memory-resident — the pre-tier engine,
   /// bit-for-bit.
@@ -216,9 +214,9 @@ struct DBOptions {
   /// never spilled (they stay memory-resident).
   uint32_t run_page_bytes = 16384;
 
-  /// Background compaction trigger: when a table accumulates at least this
-  /// many run files, the sweeper merges them into one (newest commit
-  /// timestamp per key wins). Minimum 2.
+  /// Compaction trigger: when a spill (DB::SpillChains) leaves a table
+  /// with at least this many run files, the same call merges them into
+  /// one (newest commit timestamp per key wins). Minimum 2.
   uint32_t run_compaction_min_runs = 4;
 
   /// Flat-combining SSI commit certification (commit_combiner.h): when a

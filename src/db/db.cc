@@ -111,7 +111,6 @@ void DB::EnterReadOnlyMode(const Status& cause) {
 DB::~DB() {
   StopMetricsDumper();
   StopCheckpointer();
-  StopVersionSweeper();
 }
 
 void DB::RegisterAllMetrics() {
@@ -197,11 +196,8 @@ void DB::RegisterAllMetrics() {
   r->RegisterCounter("wal.segments_deleted", [this] {
     return wal_segments_deleted_.load(std::memory_order_relaxed);
   });
-  Executor* exec = executor_.get();
-  r->RegisterCounter("gc.versions_pruned", [this, exec] {
-    return versions_pruned_.load(std::memory_order_relaxed) +
-           exec->versions_pruned();
-  });
+  r->RegisterCounter("gc.versions_pruned",
+                     [txns] { return txns->versions_pruned(); });
   // Fault model / degraded mode (ARCHITECTURE.md "Fault model &
   // degradation"): the read-only gate plus per-subsystem I/O failure
   // counters, one per failure domain so forensics can tell which artifact
@@ -317,7 +313,6 @@ Status DB::Open(const DBOptions& options, std::unique_ptr<DB>* db) {
     }
     (*db)->StartCheckpointer();
   }
-  (*db)->StartVersionSweeper();
   (*db)->StartMetricsDumper();
   return Status::OK();
 }
@@ -377,67 +372,6 @@ void DB::StopCheckpointer() {
   }
   checkpointer_cv_.notify_all();
   if (checkpointer_.joinable()) checkpointer_.join();
-}
-
-void DB::StartVersionSweeper() {
-  if (options_.version_gc_interval_ms == 0) return;
-  sweeper_ = std::thread([this] {
-    const auto interval =
-        std::chrono::milliseconds(options_.version_gc_interval_ms);
-    std::unique_lock<std::mutex> guard(sweeper_mu_);
-    while (!sweeper_stop_) {
-      if (sweeper_cv_.wait_for(guard, interval,
-                               [this] { return sweeper_stop_; })) {
-        return;
-      }
-      guard.unlock();
-      SweepVersions();
-      guard.lock();
-    }
-  });
-}
-
-void DB::StopVersionSweeper() {
-  {
-    std::lock_guard<std::mutex> guard(sweeper_mu_);
-    sweeper_stop_ = true;
-  }
-  sweeper_cv_.notify_all();
-  if (sweeper_.joinable()) sweeper_.join();
-}
-
-void DB::SweepVersions() {
-  // Inline pruning only fires when the same key is written again, so a
-  // chain that stops being written keeps every version that piled up
-  // behind a since-finished snapshot. This sweep is the backstop: one
-  // shard latch at a time, per chain O(dropped). The horizon is capped by
-  // any in-progress checkpoint sweep (prune_horizon), so the sweep can
-  // never delete a version a concurrent image still has to serialize.
-  const Timestamp horizon = txn_manager_->prune_horizon();
-  const size_t tables = catalog_.table_count();
-  size_t freed = 0;
-  for (TableId id = 0; id < tables; ++id) {
-    Table* t = catalog_.table(id);
-    if (t != nullptr) freed += t->PruneShards(horizon);
-  }
-  if (freed > 0) {
-    versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
-  }
-  if (tier_ != nullptr && !read_only()) {
-    // Spill the cold tail the prune left behind: chains whose anchor is at
-    // or below the horizon and that stayed untouched for two sweeps move
-    // to a run file; the merge daemon then keeps each table's run count
-    // bounded. Best effort — a failed run write just retries next sweep.
-    // Skipped entirely in degraded mode: spills and compactions write new
-    // durable artifacts, and the chains they would evict are safer
-    // resident (pruning above still runs — it only frees memory).
-    for (TableId id = 0; id < tables; ++id) {
-      Table* t = catalog_.table(id);
-      if (t == nullptr) continue;
-      t->SpillShards(horizon);
-      tier_->MaybeCompact(id);
-    }
-  }
 }
 
 Status DB::Checkpoint() {
@@ -585,17 +519,11 @@ size_t DB::SpillChains(TableId id) {
   if (tier_ == nullptr || read_only()) return 0;
   Table* t = catalog_.table(id);
   if (t == nullptr) return 0;
-  return t->SpillShards(txn_manager_->prune_horizon());
-}
-
-size_t DB::PruneVersions(TableId id) {
-  Table* t = catalog_.table(id);
-  if (t == nullptr) return 0;
-  const size_t freed = t->PruneShards(txn_manager_->prune_horizon());
-  if (freed > 0) {
-    versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
-  }
-  return freed;
+  const size_t evicted = t->SpillShards(txn_manager_->prune_horizon());
+  // The caller that adds runs keeps their count bounded. Best effort: a
+  // failed merge leaves the inputs in place and retries on the next call.
+  tier_->MaybeCompact(id);
+  return evicted;
 }
 
 }  // namespace ssidb

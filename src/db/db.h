@@ -224,16 +224,13 @@ class DB {
   /// DBOptions::record_history was set.
   sgt::HistoryRecorder* history() { return history_.get(); }
 
-  /// Reclaim versions unreachable by any active snapshot in `table`
-  /// (inline pruning is driven by writes; this is the full per-shard
-  /// sweep). Returns the number of versions freed.
-  size_t PruneVersions(TableId table);
-
-  /// One spill sweep over `table` at the current prune horizon (tests):
-  /// cold committed chains move to a run file. Chains touched since the
-  /// previous probe only have their clock bit cleared — call twice to
-  /// spill a chain that was just written. Returns chains evicted; 0 when
-  /// the tier is disabled.
+  /// One spill sweep over `table` at the current prune horizon: cold
+  /// committed chains move to a run file, then the table's runs are
+  /// merged once run_compaction_min_runs have accumulated. Chains touched
+  /// since the previous probe only have their clock bit cleared — call
+  /// twice to spill a chain that was just written. Nothing spills on its
+  /// own: the caller decides when. Returns chains evicted; 0 when the tier
+  /// is disabled or the DB is read-only.
   size_t SpillChains(TableId table);
 
   // Internal subsystem access (tests, benchmarks).
@@ -255,13 +252,6 @@ class DB {
   /// Start/stop the background checkpointer (checkpoint_interval_ms).
   void StartCheckpointer();
   void StopCheckpointer();
-  /// Start/stop the background version sweep (version_gc_interval_ms):
-  /// prunes versions unreachable by any active snapshot so cold (never
-  /// rewritten) chains stop leaking. Runs in durable and in-memory modes.
-  void StartVersionSweeper();
-  void StopVersionSweeper();
-  /// One sweep over every table; adds to versions_pruned_.
-  void SweepVersions();
   /// Hook every subsystem's histograms into metrics_ and register callback
   /// readers over the existing flat counters (recording cost unchanged:
   /// the registry only adds names at collection time).
@@ -299,11 +289,10 @@ class DB {
   /// destruction.
   std::atomic<size_t> sessions_open_{0};
   /// Read only through the registry: ckpt.taken (base + delta images),
-  /// ckpt.bytes_written, wal.segments_deleted and gc.versions_pruned.
+  /// ckpt.bytes_written and wal.segments_deleted.
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::atomic<uint64_t> checkpoint_bytes_written_{0};
   std::atomic<uint64_t> wal_segments_deleted_{0};
-  std::atomic<uint64_t> versions_pruned_{0};
   /// Degraded-mode gate — see read_only().
   std::atomic<bool> read_only_{false};
   /// Checkpoint images that failed on I/O (io.errors.checkpoint).
@@ -325,11 +314,6 @@ class DB {
   std::condition_variable checkpointer_cv_;
   bool checkpointer_stop_ = false;
   std::thread checkpointer_;
-
-  std::mutex sweeper_mu_;
-  std::condition_variable sweeper_cv_;
-  bool sweeper_stop_ = false;
-  std::thread sweeper_;
 
   std::mutex dumper_mu_;
   std::condition_variable dumper_cv_;

@@ -20,8 +20,10 @@
 // the key out is skipped without a page read (run_file.h). Compaction
 // merges a table's runs into one, keeping the highest commit_ts per key.
 //
-// Run order: two run producers exist — spills (Table::SpillShards, from
-// the sweeper and from DB::SpillChains) and compactions (MaybeCompact).
+// Run order: two run producers exist — spills (Table::SpillShards) and
+// compactions (MaybeCompact); DB::SpillChains runs one, then the other.
+// Nothing spills or compacts on a timer: the caller that adds runs is the
+// caller that keeps their count bounded.
 // They run one at a time under producer_mu_: a spill holds it from its
 // first chain probe to its publish, a compaction from its input snapshot
 // to its publish. So seq order, publication order and probe order agree,
@@ -96,9 +98,9 @@ class StorageTier {
 
   /// Merge all of `table_id`'s runs into one when at least
   /// run_compaction_min_runs have accumulated (newest commit_ts per key
-  /// wins); delete the inputs once the replacement is durable. Called from
-  /// the DB sweeper thread — the background merge daemon. Takes the
-  /// producer lock, so spills wait for the merge.
+  /// wins); delete the inputs once the replacement is durable. Called by
+  /// DB::SpillChains right after its spill. Takes the producer lock, so
+  /// concurrent spills wait for the merge.
   Status MaybeCompact(uint32_t table_id);
 
   /// Recovery: open every run file in the directory, publish each under

@@ -279,14 +279,6 @@ void Table::RecoverEvicted(Slice key, Timestamp commit_ts) {
   NoteCommit(key, commit_ts);
 }
 
-size_t Table::PruneShards(Timestamp min_read_ts) {
-  size_t freed = 0;
-  ForEachChain([&](const std::string&, VersionChain* chain) {
-    freed += chain->Prune(min_read_ts);
-  });
-  return freed;
-}
-
 size_t Table::EntryCount() const {
   std::shared_lock<std::shared_mutex> route(routing_mu_);
   size_t n = 0;

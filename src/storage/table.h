@@ -120,7 +120,7 @@ class Table {
   /// Number of index entries (including tombstoned keys).
   size_t EntryCount() const;
 
-  /// Visit every index entry in key order (GC sweeps, consistency checks).
+  /// Visit every index entry in key order (checkpoints, consistency checks).
   /// The callback must not re-enter the table.
   void ForEachChain(
       const std::function<void(const std::string&, VersionChain*)>& fn) const;
@@ -144,11 +144,6 @@ class Table {
   /// guaranteed to see the raised hint.
   void NoteCommit(Slice key, Timestamp commit_ts);
 
-  /// Per-shard version-prune sweep: for each shard in turn (one latch at a
-  /// time), drop versions unreachable by any snapshot >= min_read_ts.
-  /// Returns the number of versions freed.
-  size_t PruneShards(Timestamp min_read_ts);
-
   /// Recovery bulk reload: install a committed version with its original
   /// commit timestamp (checkpoint load / WAL replay). Idempotent — see
   /// VersionChain::InstallRecovered.
@@ -166,10 +161,10 @@ class Table {
   /// must). Racing faulters are fine: FaultInstall keeps the first winner.
   Status FaultChain(Slice key, VersionChain* chain);
 
-  /// Two-phase spill sweep (DB sweeper thread, after PruneShards): probe
-  /// every chain under the shard latch (phase A, collecting cold anchors
-  /// below `horizon` in key order), durably write them as one run, then
-  /// re-verify and evict each chain (phase B). Returns chains evicted.
+  /// Two-phase spill sweep (DB::SpillChains): probe every chain under the
+  /// shard latch (phase A, collecting cold anchors below `horizon` in key
+  /// order), durably write them as one run, then re-verify and evict each
+  /// chain (phase B). Returns chains evicted.
   size_t SpillShards(Timestamp horizon);
 
   /// Recovery: a run file durably holds `key` at `commit_ts`. Marks the

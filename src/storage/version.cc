@@ -85,11 +85,14 @@ void VersionChain::InstallRecovered(Timestamp commit_ts, Slice value,
       newest_->commit_ts.load(std::memory_order_relaxed) >= commit_ts) {
     return;  // Already present (repeat replay) — keep the chain as is.
   }
+  // Recovery is quiescent and DB::Open advances the clock past every
+  // recovered commit, so no snapshot can reach the superseded versions:
+  // the chain keeps only this one.
+  FreeAllLocked();
   Version* v = new Version(/*creator=*/0);
   v->value = value.ToString();
   v->tombstone = tombstone;
   v->commit_ts.store(commit_ts, std::memory_order_release);
-  v->older = newest_;
   newest_ = v;
 }
 

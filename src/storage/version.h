@@ -112,7 +112,9 @@ class VersionChain {
   void RemoveUncommitted(TxnId writer);
 
   /// Recovery bulk load: install an already-committed version (creator 0,
-  /// the reserved "recovered" id) carrying its original commit timestamp.
+  /// the reserved "recovered" id) carrying its original commit timestamp,
+  /// freeing the versions it supersedes — after Open every snapshot is at
+  /// or past the recovered maximum, so the chain keeps one version.
   /// Idempotent when replay proceeds in commit-timestamp order: a chain
   /// whose newest committed version is at or past `commit_ts` is left
   /// untouched, so replaying the same WAL twice cannot duplicate or
@@ -130,7 +132,8 @@ class VersionChain {
 
   /// Drop versions that no active snapshot can reach: everything strictly
   /// older than the newest committed version with commit_ts <= min_read_ts.
-  /// Returns the number of versions freed.
+  /// Returns the number of versions freed. Called by the commit pipeline
+  /// once the prune horizon passes a commit that wrote this chain.
   size_t Prune(Timestamp min_read_ts);
 
   /// Number of versions currently in the chain (test/introspection).
@@ -149,7 +152,7 @@ class VersionChain {
   // installs commit past the horizon), so FaultInstall's tail append is
   // always order-correct.
 
-  /// What the spill sweeper should do with this chain.
+  /// What a spill sweep (Table::SpillShards) should do with this chain.
   enum class SpillAction {
     kSkip,     ///< Hot, uncommitted, too new, or empty — leave resident.
     kDropNow,  ///< Anchor already durable in a run: versions freed inline.

@@ -209,9 +209,9 @@ Status Executor::ReadChainFaulting(TxnCtx& txn, Table* t, Slice key,
   const bool sampled = obs::SampleTick(sample_mask_);
   uint64_t t0 = sampled ? obs::NowNanos() : 0;
   int attempt = 0;
-  // A faulted chain can in principle be re-evicted by the sweeper between
-  // our install and the re-read; the bound turns a pathological loop into
-  // an abort the application can retry.
+  // A faulted chain can in principle be re-evicted by a concurrent
+  // DB::SpillChains between our install and the re-read; the bound turns a
+  // pathological loop into an abort the application can retry.
   for (;; ++attempt) {
     Status st = ReadChainAndMark(txn, page_lk, chain, value, out);
     if (!st.ok()) return st;
@@ -447,12 +447,6 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   if (!replaced_own) {
     state->write_set.push_back(
         TxnState::WriteRecord{table, key.ToString(), chain, v, t});
-    // Inline GC: drop versions no active snapshot (nor any in-progress
-    // checkpoint sweep) can reach.
-    const size_t freed = chain->Prune(txns_->prune_horizon());
-    if (freed > 0) {
-      versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
-    }
   }
   if (options_.granularity == LockGranularity::kPage && !replaced_own) {
     state->page_writes.push_back(row_lk);

@@ -25,7 +25,6 @@
 #ifndef SSIDB_TXN_EXECUTOR_H_
 #define SSIDB_TXN_EXECUTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -95,12 +94,6 @@ class Executor {
   void CommitAsync(TxnCtx& txn, TxnManager::CommitCallback done);
 
   Status Abort(TxnCtx& txn);
-
-  /// Versions reclaimed by the inline write-path prune (one slice of
-  /// the gc.versions_pruned counter; the background sweep is the other).
-  uint64_t versions_pruned() const {
-    return versions_pruned_.load(std::memory_order_relaxed);
-  }
 
   /// Register the read-latency split (hit vs storage-tier fault) and hook
   /// the trace ring for kFault events. Called once by the DB façade.
@@ -205,8 +198,6 @@ class Executor {
   LockManager* const locks_;
   ConflictTracker* const tracker_;
   sgt::HistoryRecorder* const history_;
-
-  std::atomic<uint64_t> versions_pruned_{0};
 
   /// Read-path latency, split by whether the chain had to be faulted back
   /// from the storage tier. Hits are sampled (metrics_sample_period);

@@ -28,6 +28,7 @@ TxnManager::TxnManager(const DBOptions& options, LockManager* lock_manager,
                   1),
       shards_(new RegistryShard[shard_mask_ + 1]),
       suspended_(/*slots=*/0),
+      written_chains_(/*slots=*/0),
       // kRow engines never touch the page-FCW map; one token shard.
       page_shard_mask_(options.granularity == LockGranularity::kPage
                            ? TopologyShards(/*floor=*/4) - 1
@@ -474,6 +475,11 @@ bool TxnManager::FinalizeCoveredStep(AsyncCommit* ac) {
     txn->suspended = true;  // Published by the Retire slot release.
     suspended_.Retire(ac->commit_ts, txn);
   }
+  // The versions this commit superseded become prunable once the horizon
+  // reaches commit_ts (file header, "Version reclamation").
+  for (const TxnState::WriteRecord& w : txn->write_set) {
+    written_chains_.Retire(ac->commit_ts, w.chain);
+  }
   PublishMinActive();
 
   if (ac->lsn == 0) {
@@ -611,6 +617,15 @@ void TxnManager::CleanupSuspended() {
     // lock-table sweep.
     sireads->ReleaseAll(t->id);
   });
+
+  // Superseded versions: prune every chain whose commit the horizon has
+  // passed, at that horizon (which is capped by a checkpoint sweep's
+  // floor, so an image never loses the version it must serialize).
+  const Timestamp horizon = prune_horizon();
+  size_t freed = 0;
+  written_chains_.Collect(
+      horizon, [&](VersionChain* chain) { freed += chain->Prune(horizon); });
+  if (freed != 0) versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
 
   // Page-granularity FCW bookkeeping (§4.2) would otherwise grow without
   // bound: entries are inserted at commit and were never erased. An entry

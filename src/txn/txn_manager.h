@@ -97,6 +97,33 @@
 // ever resolves them after commit), so they are deregistered at commit
 // and skip suspension entirely.
 //
+// Version reclamation rides the same trigger. A writing commit at
+// commit_ts supersedes the previous version of each key it wrote, and
+// that version becomes garbage once the prune horizon reaches commit_ts
+// (from then on every snapshot sees this commit's version or a newer
+// one). So FinalizeCoveredStep retires the write set's chain pointers
+// into a second epoch reclaimer at commit_ts, next to the suspended
+// state, and CleanupSuspended collects it at prune_horizon() and prunes
+// each collected chain at that horizon. Cost is O(chains written), not
+// O(table), and no thread wakes on a timer. Why this is correct:
+//
+//   * Pruning at any horizon is safe. VersionChain::Prune(h) keeps the
+//     newest committed version at or below h and everything newer, and
+//     prune_horizon() never exceeds an active snapshot or an in-progress
+//     checkpoint sweep's watermark (the floor below). The epoch only says
+//     when a prune pays; it guards nothing.
+//   * Liveness follows from the reclaimer's rule: every retire is
+//     followed by a collect (CleanupSuspended ends every commit — read-only
+//     ones included — and every abort), and a collect may lag a retire by
+//     a beat but never leads it (epoch.h). When the last transaction ends,
+//     its collect runs at a horizon past every covered commit, unless a
+//     checkpoint sweep holds the floor; the next transaction end after
+//     EndCheckpointSweep then collects the rest. So once every
+//     transaction has ended, no chain keeps a superseded version.
+//   * Raw chain pointers are safe: a table never erases a key, so a
+//     chain lives as long as its table, and DB destroys its catalog after
+//     this manager, whose reclaimer may still hold uncollected pointers.
+//
 // Read-only commits (nothing to stamp) bypass the ring: their commit
 // timestamp is the current stable watermark — they are "committed at" the
 // snapshot boundary they already read at. Timestamps of distinct read-only
@@ -313,6 +340,12 @@ class TxnManager {
   size_t active_count() const;
   size_t suspended_count() const;
 
+  /// Versions freed by the commit-driven prune (the gc.versions_pruned
+  /// counter; see "Version reclamation" in the file header).
+  uint64_t versions_pruned() const {
+    return versions_pruned_.load(std::memory_order_relaxed);
+  }
+
   /// Live entries in the page first-committer-wins map (kPage mode; 0
   /// otherwise). Bounded: CleanupSuspended periodically erases entries at
   /// or below min_active_read_ts.
@@ -478,10 +511,10 @@ class TxnManager {
   /// Post-commit lock release: SSI keeps SIREAD locks (Fig 3.2 line 9).
   void ReleaseCommitLocks(TxnState* txn);
 
-  /// Release suspended transactions no longer overlapping anything active.
-  /// Fast path: one atomic compare inside the epoch reclaimer (oldest
-  /// retired commit_ts vs the maintained min_active_read_ts) — no lock
-  /// when nothing can be released.
+  /// Release suspended transactions no longer overlapping anything active,
+  /// and prune the chains of commits the prune horizon has passed. Fast
+  /// path: one atomic compare inside each epoch reclaimer (oldest retired
+  /// commit_ts vs the horizon) — no lock when nothing can be released.
   void CleanupSuspended();
 
   const DBOptions options_;
@@ -547,6 +580,12 @@ class TxnManager {
   /// (duplicates allowed: read-only commit timestamps may collide).
   /// Collected by CleanupSuspended once min_active_read_ts passes them.
   EpochReclaimer<std::shared_ptr<TxnState>> suspended_;
+
+  /// Each chain a writing commit wrote, keyed by its commit timestamp
+  /// (one 16-byte entry per chain). Collected by CleanupSuspended once
+  /// prune_horizon() passes it, and pruned at that horizon (file header).
+  EpochReclaimer<VersionChain*> written_chains_;
+  std::atomic<uint64_t> versions_pruned_{0};
 
   /// Page-level FCW bookkeeping (kPage granularity only), sharded by lock
   /// key hash: page commits from disjoint pages touch disjoint mutexes.

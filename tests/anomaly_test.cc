@@ -795,7 +795,6 @@ DBOptions TinyPoolOptions(const std::string& dir) {
   opts.buffer_pool_bytes = 1 << 14;  // 4 frames of 4 KiB.
   opts.run_page_bytes = 4096;
   opts.data_dir = dir;
-  opts.version_gc_interval_ms = 0;  // Spills are driven explicitly below.
   return opts;
 }
 

@@ -212,11 +212,13 @@ class AsyncCommitTest : public ::testing::Test {
     }
   };
 
+  // Declared first: the manager prunes the chains its commits wrote, so
+  // they must outlive it.
+  std::vector<std::unique_ptr<VersionChain>> chains_;
   DBOptions options_;
   LogManager log_;
   LockManager locks_;
   TxnManager mgr_;
-  std::vector<std::unique_ptr<VersionChain>> chains_;
 };
 
 TEST_F(AsyncCommitTest, WritingCommitAcknowledgesCoveredAndStamped) {
@@ -291,8 +293,8 @@ TEST_F(AsyncCommitTest, BlockingAndAsyncAreTheSamePath) {
     DBOptions opts;
     LogManager log(opts.log);
     LockManager locks{LockManager::Config{}};
+    std::vector<std::unique_ptr<VersionChain>> chains;  // Outlives mgr.
     TxnManager mgr(opts, &locks, &log);
-    std::vector<std::unique_ptr<VersionChain>> chains;
     auto commit = [&](const std::shared_ptr<TxnState>& t,
                       const TxnManager::CommitCheck& check) {
       if (!async) return mgr.Commit(t, check, {});
@@ -358,8 +360,8 @@ TEST_F(AsyncCommitTest, ManyInFlightDrainThroughTheFlusher) {
   opts.log.flush_latency_us = 200;
   LogManager log(opts.log);
   LockManager locks{LockManager::Config{}};
+  std::vector<std::unique_ptr<VersionChain>> chains;  // Outlives mgr.
   TxnManager mgr(opts, &locks, &log);
-  std::vector<std::unique_ptr<VersionChain>> chains;
   constexpr int kBurst = 256;
   std::atomic<int> acked{0};
   std::mutex mu;

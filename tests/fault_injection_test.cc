@@ -50,9 +50,6 @@ DBOptions FaultOptions(const std::string& dir, io::Env* env,
   opts.log.wal_dir = dir + "/wal";
   opts.log.flush_on_commit = true;
   opts.env = env;
-  // Background sweeps off: the tests drive spills and checkpoints
-  // explicitly so the scripted fault windows hit deterministic ops.
-  opts.version_gc_interval_ms = 0;
   if (with_tier) {
     opts.buffer_pool_bytes = 1 << 16;
     opts.run_page_bytes = 4096;

@@ -8,23 +8,27 @@
 //     rw-conflict (every current and future snapshot is at or past them,
 //     and a missing entry already means "never written").
 //
-//   * Cold version chains leaked: inline pruning fires only when the
-//     *same key* is written again, so versions that piled up on a
+//   * Cold version chains leaked: pruning on the write path fires only
+//     when the *same key* is written again, so versions that piled up on a
 //     read-mostly key behind a long snapshot were never reclaimed once the
-//     writes stopped. The DB's background sweep
-//     (DBOptions::version_gc_interval_ms) is the backstop.
+//     writes stopped. Now each writing commit retires its chains at its
+//     commit timestamp and the commit pipeline prunes them once the prune
+//     horizon passes it (txn_manager.h): the transaction end that releases
+//     the horizon reclaims the chain, whether or not it is written again.
 //
 // Plus the per-shard max-commit-ts hint that lets incremental checkpoints
 // skip cold shards latch-free, and the registry's durability counters.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "src/common/random.h"
 #include "src/db/db.h"
 #include "src/storage/table.h"
 #include "tests/test_util.h"
@@ -45,17 +49,6 @@ struct TempDir {
   }
   std::string path;
 };
-
-/// Spin until `pred` holds or ~5s elapse (background threads are on their
-/// own schedule).
-template <typename Pred>
-bool WaitFor(const Pred& pred) {
-  for (int i = 0; i < 500; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return pred();
-}
 
 TEST(PageFcwMapTest, EntriesPrunedOnceBelowSnapshotWatermark) {
   DBOptions opts;
@@ -102,16 +95,14 @@ TEST(PageFcwMapTest, EntriesPrunedOnceBelowSnapshotWatermark) {
   ASSERT_TRUE(txn->Commit().ok());
 }
 
-TEST(VersionGcTest, BackgroundSweepReclaimsColdChainWithoutManualPrune) {
-  DBOptions opts;
-  opts.version_gc_interval_ms = 5;
+TEST(VersionGcTest, PinCommitReclaimsColdChain) {
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  ASSERT_TRUE(DB::Open(DBOptions{}, &db).ok());
   TableId t = 0;
   ASSERT_TRUE(db->CreateTable("t", &t).ok());
 
   // A long-running snapshot pins the prune horizon while "hot" is
-  // rewritten: inline pruning (write path) cannot reclaim anything.
+  // rewritten: no commit can reclaim anything yet.
   auto pin = db->Begin({IsolationLevel::kSnapshot});
   std::string v;
   EXPECT_TRUE(pin->Get(t, "hot", &v).IsNotFound());
@@ -123,15 +114,14 @@ TEST(VersionGcTest, BackgroundSweepReclaimsColdChainWithoutManualPrune) {
   }
   VersionChain* chain = db->table(t)->Find("hot");
   ASSERT_NE(chain, nullptr);
-  EXPECT_GE(chain->size(), static_cast<size_t>(kWrites) / 2);
+  EXPECT_EQ(chain->size(), static_cast<size_t>(kWrites));
+  EXPECT_EQ(Metric(db.get(), "gc.versions_pruned"), 0u);
 
-  // Release the pin and never write "hot" again: this is the read-mostly
-  // key the inline path can never reach. Only the background sweep can
-  // bring the chain back to one version.
+  // Release the pin and never write "hot" again: the pin's own commit
+  // moves the horizon past every retired write and prunes the chain.
   ASSERT_TRUE(pin->Commit().ok());
-  EXPECT_TRUE(WaitFor([&] { return chain->size() == 1; }))
-      << "chain still holds " << chain->size() << " versions";
-  EXPECT_GT(Metric(db.get(), "gc.versions_pruned"), 0u);
+  EXPECT_EQ(chain->size(), 1u);
+  EXPECT_EQ(Metric(db.get(), "gc.versions_pruned"), uint64_t{kWrites - 1});
 
   auto reader = db->Begin({IsolationLevel::kSnapshot});
   ASSERT_TRUE(reader->Get(t, "hot", &v).ok());
@@ -171,10 +161,8 @@ TEST(PruneHorizonTest, CheckpointSweepFloorsPruning) {
   // A checkpoint sweep at watermark W must not lose a key whose newest
   // version <= W gets superseded mid-sweep: while the sweep is active the
   // prune horizon is capped at W even as min_active_read_ts runs past it.
-  DBOptions opts;
-  opts.version_gc_interval_ms = 0;  // Drive pruning by hand.
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  ASSERT_TRUE(DB::Open(DBOptions{}, &db).ok());
   TableId t = 0;
   ASSERT_TRUE(db->CreateTable("t", &t).ok());
   const auto commit_one = [&](const std::string& v) {
@@ -186,17 +174,23 @@ TEST(PruneHorizonTest, CheckpointSweepFloorsPruning) {
   TxnManager* tm = db->txn_manager();
   const Timestamp wm = tm->BeginCheckpointSweep();
   // The key is overwritten after the sweep began: its pre-overwrite
-  // version is the one a sweep at `wm` still has to serialize.
+  // version is the one a sweep at `wm` still has to serialize. The
+  // overwrite's own commit collects at the floored horizon and keeps it.
   commit_one("new");
   EXPECT_GT(tm->min_active_read_ts(), wm);
   EXPECT_EQ(tm->prune_horizon(), wm);
-  // A prune during the sweep keeps the watermark-visible version.
-  db->PruneVersions(t);
-  EXPECT_GE(db->table(t)->Find("k")->size(), 2u);
+  VersionChain* chain = db->table(t)->Find("k");
+  EXPECT_EQ(chain->size(), 2u);
   tm->EndCheckpointSweep();
   EXPECT_GT(tm->prune_horizon(), wm);
-  db->PruneVersions(t);
-  EXPECT_EQ(db->table(t)->Find("k")->size(), 1u);
+  EXPECT_EQ(chain->size(), 2u);  // Nothing collects until a txn ends.
+  // One more transaction end (read-only) collects the overwrite.
+  auto reader = db->Begin({IsolationLevel::kSnapshot});
+  std::string v;
+  ASSERT_TRUE(reader->Get(t, "k", &v).ok());
+  EXPECT_EQ(v, "new");
+  ASSERT_TRUE(reader->Commit().ok());
+  EXPECT_EQ(chain->size(), 1u);
 }
 
 TEST(GcMetricsTest, DurabilityCountersShareOneSnapshot) {
@@ -221,11 +215,82 @@ TEST(GcMetricsTest, DurabilityCountersShareOneSnapshot) {
   EXPECT_EQ(Metric(stats, "wal.segments_deleted"), 0u);
   EXPECT_EQ(Metric(stats, "txn.page_fcw_entries"), 0u);  // kRow granularity.
 
-  // Manual pruning is folded into the same counter the background sweep
-  // and the inline write path feed.
-  const uint64_t before = Metric(stats, "gc.versions_pruned");
-  db->PruneVersions(t);
-  EXPECT_GE(Metric(db.get(), "gc.versions_pruned"), before);
+  // Ten first writes superseded nothing. Rewriting a key frees exactly
+  // the version it superseded, counted by the same registry.
+  EXPECT_EQ(Metric(stats, "gc.versions_pruned"), 0u);
+  {
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn->Put(t, "k0", "v2").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  EXPECT_EQ(Metric(db.get(), "gc.versions_pruned"), 1u);
+  EXPECT_EQ(db->table(t)->Find("k0")->size(), 1u);
+}
+
+/// Writers (SSI, so suspended state is retained too) upsert a small hot
+/// set while a fifth thread keeps opening, holding and closing SI
+/// snapshots, so the horizon lags and chains grow between collects. Once
+/// every transaction has ended, every superseded version must be gone:
+/// each chain holds one version, every committed write but the surviving
+/// one per key was pruned exactly once, and no suspended state is left.
+TEST(VersionGcTest, ConcurrentWritersAndSnapshotsLeaveOneVersionPerKey) {
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(DBOptions{}, &db).ok());
+  TableId t = 0;
+  ASSERT_TRUE(db->CreateTable("t", &t).ok());
+  constexpr int kKeys = 16;
+  constexpr int kWriters = 4;
+  constexpr int kTxnsPerWriter = 400;
+  const auto key = [](uint64_t i) { return "hot" + std::to_string(i); };
+
+  std::atomic<uint64_t> committed_writes{0};
+  {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(txn->Put(t, key(k), "0").ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+    committed_writes.fetch_add(kKeys);
+  }
+
+  std::atomic<bool> writers_done{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Random rng(static_cast<uint64_t>(w) * 7919 + 1);
+      for (int i = 0; i < kTxnsPerWriter; ++i) {
+        const uint64_t a = rng.Uniform(kKeys);
+        const uint64_t b = (a + 1 + rng.Uniform(kKeys - 1)) % kKeys;
+        auto txn = db->Begin({IsolationLevel::kSerializableSSI});
+        std::string v;
+        if (!txn->Get(t, key(rng.Uniform(kKeys)), &v).ok()) continue;
+        if (!txn->Put(t, key(a), std::to_string(i)).ok()) continue;
+        if (!txn->Put(t, key(b), std::to_string(i)).ok()) continue;
+        if (txn->Commit().ok()) committed_writes.fetch_add(2);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    Random rng(42);
+    while (!writers_done.load(std::memory_order_relaxed)) {
+      auto snap = db->Begin({IsolationLevel::kSnapshot});
+      std::string v;
+      EXPECT_TRUE(snap->Get(t, key(rng.Uniform(kKeys)), &v).ok());
+      for (int spin = 0; spin < 50; ++spin) std::this_thread::yield();
+      EXPECT_TRUE(snap->Commit().ok());
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  writers_done.store(true);
+  threads.back().join();
+
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(db->table(t)->Find(key(k))->size(), 1u) << key(k);
+  }
+  EXPECT_EQ(Metric(db.get(), "gc.versions_pruned"),
+            committed_writes.load() - kKeys);
+  EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
+  EXPECT_EQ(Metric(db.get(), "engine.active_txns"), 0u);
 }
 
 }  // namespace

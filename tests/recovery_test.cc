@@ -428,6 +428,43 @@ TEST(RecoveryTest, CleanCloseReopenRestoresEverything) {
   EXPECT_GT(cts, cts_alice);
 }
 
+/// WAL replay installs each replayed update of a key in commit order, but
+/// after Open every snapshot is at or past the recovered maximum, so none
+/// but the newest is reachable: recovery keeps one version per key by
+/// itself, with no prune to wait for.
+TEST(RecoveryTest, ReplayKeepsOneVersionPerKey) {
+  TempDir dir;
+  constexpr int kUpdates = 8;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    auto first = db->Begin();
+    ASSERT_TRUE(first->Put(t, "k", "base").ok());
+    ASSERT_TRUE(first->Commit().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    for (int i = 0; i < kUpdates; ++i) {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn->Put(t, "k", std::to_string(i)).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+  }
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(DurableOptions(dir.path, false), &db).ok());
+  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+  EXPECT_EQ(db->recovery_stats().commit_records_applied,
+            static_cast<uint64_t>(kUpdates));
+  TableId t = 0;
+  ASSERT_TRUE(db->FindTable("t", &t).ok());
+  EXPECT_EQ(db->table(t)->Find("k")->size(), 1u);
+  auto txn = db->Begin();
+  std::string v;
+  ASSERT_TRUE(txn->Get(t, "k", &v).ok());
+  EXPECT_EQ(v, std::to_string(kUpdates - 1));
+  EXPECT_TRUE(txn->Commit().ok());
+}
+
 TEST(RecoveryTest, KillAfterFlushedCommitsRecoversAcknowledgedExactly) {
   TempDir dir;
   constexpr uint64_t kTxns = 25;

@@ -9,7 +9,8 @@
 //   * the second-chance clock bit keeps hot chains resident;
 //   * runs are the durable home of spilled keys across restarts (recovery
 //     opens runs instead of replaying everything into RAM);
-//   * compaction merges runs keeping the newest commit per key;
+//   * SpillChains compacts once a table's runs reach the trigger, keeping
+//     the newest commit per key, so repeated spills keep the count bounded;
 //   * a fault pins one page, whatever the number of newer runs (filters);
 //   * runs stay newest-first while spills and a compaction race.
 
@@ -36,9 +37,6 @@ DBOptions TierOptions(const std::string& dir) {
   opts.buffer_pool_bytes = 1 << 16;  // 16 frames of 4 KiB.
   opts.run_page_bytes = 4096;
   opts.data_dir = dir;
-  // The tests drive spilling explicitly; the background sweeper would race
-  // the exact counts.
-  opts.version_gc_interval_ms = 0;
   return opts;
 }
 
@@ -47,8 +45,11 @@ struct TierFixture {
   std::unique_ptr<DB> db;
   TableId table = 0;
 
-  TierFixture() {
-    EXPECT_TRUE(DB::Open(TierOptions(dir.path), &db).ok());
+  explicit TierFixture(uint32_t compaction_min_runs =
+                           DBOptions{}.run_compaction_min_runs) {
+    DBOptions opts = TierOptions(dir.path);
+    opts.run_compaction_min_runs = compaction_min_runs;
+    EXPECT_TRUE(DB::Open(opts, &db).ok());
     EXPECT_TRUE(db->CreateTable("t", &table).ok());
   }
 
@@ -228,24 +229,53 @@ TEST(SpillTest, CompactionMergesRunsKeepingNewestCommit) {
   StorageTier* tier = f.db->storage_tier();
   ASSERT_NE(tier, nullptr);
   constexpr uint64_t kKeys = 8;
-  // Four waves of updates, each followed by a full spill: four runs, every
-  // key present in each with increasing commit timestamps.
+  ASSERT_EQ(f.db->options().run_compaction_min_runs, 4u);
+  // Four waves of updates, each followed by a full spill, every key
+  // present in each run with increasing commit timestamps. The first three
+  // stay separate runs; the fourth spill reaches the trigger, and the same
+  // SpillChains call merges all four into one.
   for (int wave = 0; wave < 4; ++wave) {
     for (uint64_t i = 0; i < kKeys; ++i) {
       f.Put(EncodeU64Key(i), "w" + std::to_string(wave));
     }
     ASSERT_EQ(f.SpillAll(), kKeys);
+    EXPECT_EQ(tier->run_count(f.table), wave < 3 ? wave + 1u : 1u);
   }
-  ASSERT_EQ(tier->run_count(f.table), 4u);
-
-  ASSERT_TRUE(tier->MaybeCompact(f.table).ok());
-  EXPECT_EQ(tier->run_count(f.table), 1u);
 
   // Faults after compaction see the newest wave.
   for (uint64_t i = 0; i < kKeys; ++i) {
     std::string v;
     ASSERT_TRUE(f.Get(EncodeU64Key(i), &v).ok());
     EXPECT_EQ(v, "w3");
+  }
+}
+
+/// Spilling is caller-driven, so the caller that adds runs must also keep
+/// their count bounded: round after round of updates and spills never
+/// reaches the compaction trigger, and every key reads its last value.
+TEST(SpillTest, RepeatedSpillsKeepRunCountBelowCompactionTrigger) {
+  TierFixture f;
+  StorageTier* tier = f.db->storage_tier();
+  const uint32_t trigger = f.db->options().run_compaction_min_runs;
+  constexpr uint64_t kKeys = 16;
+  constexpr int kRounds = 12;
+  std::vector<std::string> expected(kKeys);
+  for (int round = 0; round < kRounds; ++round) {
+    // Every key in the first round, then a rotating half: each run holds
+    // a mix of fresh anchors and keys whose newest copy is in an older run.
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      if (round > 0 && (i + round) % 2 != 0) continue;
+      expected[i] = "r" + std::to_string(round) + "k" + std::to_string(i);
+      f.Put(EncodeU64Key(i), expected[i]);
+    }
+    f.SpillAll();
+    EXPECT_GE(tier->run_count(f.table), 1u) << "round " << round;
+    EXPECT_LT(tier->run_count(f.table), trigger) << "round " << round;
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      std::string v;
+      ASSERT_TRUE(f.Get(EncodeU64Key(i), &v).ok()) << round << "/" << i;
+      EXPECT_EQ(v, expected[i]) << "round " << round << " key " << i;
+    }
   }
 }
 
@@ -317,11 +347,10 @@ TEST(SpillTest, ConcurrentSpillFaultStress) {
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
-  // Spiller: plays the background sweeper, continuously.
+  // Spiller: spills and compacts, continuously.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       f.db->SpillChains(f.table);
-      f.db->storage_tier()->MaybeCompact(f.table);
     }
   });
   for (int t = 0; t < 3; ++t) {
@@ -356,7 +385,10 @@ TEST(SpillTest, ConcurrentSpillFaultStress) {
 }
 
 TEST(SpillTest, FaultProbesOnePageWhateverTheNewerRuns) {
-  TierFixture f;
+  constexpr uint64_t kRuns = 8;
+  // The test is about filters across many runs: keep compaction from
+  // merging them.
+  TierFixture f(/*compaction_min_runs=*/kRuns + 1);
   StorageTier* tier = f.db->storage_tier();
   // The oldest run holds the key; each newer run holds keys on both sides
   // of it, so every newer run's fences put the key on a page and only its
@@ -364,7 +396,6 @@ TEST(SpillTest, FaultProbesOnePageWhateverTheNewerRuns) {
   const std::string key = EncodeU64Key(1000);
   f.Put(key, "oldest");
   ASSERT_EQ(f.SpillAll(), 1u);
-  constexpr uint64_t kRuns = 8;
   for (uint64_t r = 1; r < kRuns; ++r) {
     f.Put(EncodeU64Key(r), "low");
     f.Put(EncodeU64Key(2000 + r), "high");
@@ -387,12 +418,13 @@ TEST(SpillTest, FaultProbesOnePageWhateverTheNewerRuns) {
   EXPECT_EQ(pins() - pinned, 1u) << "the pool saw other page pins";
 }
 
-/// Run producers racing: one thread spills and compacts, another spills,
-/// while the client rewrites each key and reads it back a full cycle of
-/// keys later, by which time it has usually been spilled. A run published
-/// out of order (a compaction's merged run ahead of a spill published
-/// during the merge, or a later-probed spill ahead of an earlier one)
-/// shadows the newest anchor, and the read returns an older value.
+/// Run producers racing: two threads spill (each SpillChains also
+/// compacts once the runs reach the trigger), while the client rewrites
+/// each key and reads it back a full cycle of keys later, by which time it
+/// has usually been spilled. A run published out of order (a compaction's
+/// merged run ahead of a spill published during the merge, or a
+/// later-probed spill ahead of an earlier one) shadows the newest anchor,
+/// and the read returns an older value.
 TEST(SpillTest, RacingSpillsAndCompactionKeepRunsNewestFirst) {
   TierFixture f;
   constexpr uint64_t kKeys = 256;
@@ -403,17 +435,13 @@ TEST(SpillTest, RacingSpillsAndCompactionKeepRunsNewestFirst) {
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      f.db->SpillChains(f.table);
-      f.db->storage_tier()->MaybeCompact(f.table);
-    }
-  });
-  threads.emplace_back([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      f.db->SpillChains(f.table);
-    }
-  });
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        f.db->SpillChains(f.table);
+      }
+    });
+  }
   uint64_t stale = 0;
   uint64_t reads = 0;
   const auto deadline =

@@ -358,9 +358,6 @@ TEST(StatsTest, DiskTierCountersTrackSpillAndFault) {
   opts.buffer_pool_bytes = 1 << 16;
   opts.run_page_bytes = 4096;
   opts.data_dir = dir.path;
-  // Background sweeps would race the explicit SpillChains calls below and
-  // blur the exact counter expectations.
-  opts.version_gc_interval_ms = 0;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
   TableId table = 0;

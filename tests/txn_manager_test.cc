@@ -79,11 +79,13 @@ class TxnManagerTest : public ::testing::Test {
     ASSERT_TRUE(CommitWithWrite(t).ok());
   }
 
+  // Declared first: the manager prunes the chains its commits wrote, so
+  // they must outlive it.
+  std::vector<std::unique_ptr<VersionChain>> chains_;
   DBOptions options_;
   LogManager log_;
   LockManager locks_;
   TxnManager mgr_;
-  std::vector<std::unique_ptr<VersionChain>> chains_;
 };
 
 TEST_F(TxnManagerTest, BeginAssignsUniqueIds) {
@@ -575,10 +577,13 @@ TEST_F(TinyRingTxnManagerTest, ConcurrentWritersSurviveBackpressure) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
   std::atomic<uint64_t> committed{0};
+  // One chain list per worker, kept past the join: a later commit by any
+  // thread may prune a chain another worker wrote.
+  std::vector<std::vector<std::unique_ptr<VersionChain>>> chains(kThreads);
   std::vector<std::thread> workers;
   for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&] {
-      std::vector<std::unique_ptr<VersionChain>> local_chains;
+    workers.emplace_back([&, w] {
+      std::vector<std::unique_ptr<VersionChain>>& local_chains = chains[w];
       for (int i = 0; i < kPerThread; ++i) {
         auto t = mgr_.Begin(IsolationLevel::kSnapshot);
         mgr_.EnsureSnapshot(t.get());
