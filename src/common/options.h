@@ -77,8 +77,8 @@ enum class DeadlockPolicy {
 ///     I/O-bound regime without touching the filesystem.
 ///   * Durable (wal_dir set): records are appended to segmented WAL files
 ///     in wal_dir with one write (plus an fsync with wal_fsync) per drain;
-///     DB::Open replays them (plus the latest checkpoint) to recover
-///     committed state after a crash. flush_latency_us is ignored — the
+///     DB::Open replays them (past the latest checkpoint's runs) to
+///     recover committed state after a crash. flush_latency_us is ignored — the
 ///     disk provides the latency.
 /// A drain that waits (an fsync or a simulated latency) runs on the
 /// group-commit flusher thread; otherwise committing threads drain the
@@ -103,29 +103,24 @@ struct LogOptions {
   /// original behaviour as an ablation.
   bool early_lock_release = false;
 
-  /// Directory for WAL segments and checkpoints. Empty (default) keeps the
-  /// engine fully in-memory with the simulated flush above. Created on
-  /// first use if missing.
+  /// Directory for WAL segments and the checkpoint manifest (checkpoint
+  /// runs go to DBOptions::data_dir, "<wal_dir>/runs" by default). Empty
+  /// (default) keeps the engine fully in-memory with the simulated flush
+  /// above. Created on first use if missing.
   std::string wal_dir;
 
   /// Size at which the WAL rotates to a new segment file (durable mode).
   uint64_t wal_segment_bytes = 4u << 20;
 
-  /// fsync each group-commit batch (durable mode). Disabling leaves
-  /// durability to the OS page cache — useful only for tests that exercise
-  /// the file format without paying for fsync.
+  /// fsync each group-commit batch (durable mode), and each run file and
+  /// manifest. Disabling leaves durability to the OS page cache — useful
+  /// only for tests that exercise the file format without paying for
+  /// fsync.
   bool wal_fsync = true;
 
   /// If nonzero, DB runs a background thread that calls DB::Checkpoint()
   /// every this-many milliseconds (durable mode only).
   uint32_t checkpoint_interval_ms = 0;
-
-  /// Incremental checkpoints: after a full base image, up to this many
-  /// delta images (each sweeping only versions committed since the
-  /// previous checkpoint) are chained off it before the next checkpoint
-  /// compacts the chain into a fresh full base. 0 = every checkpoint is a
-  /// full sweep (the pre-delta behaviour).
-  uint32_t checkpoint_max_deltas = 4;
 
   /// Ignored: whatever is appended during one sync joins the next, so a
   /// straggler wait has nothing left to coalesce. Kept only because
@@ -192,31 +187,35 @@ struct DBOptions {
   /// (tests use tiny values to force collisions).
   uint32_t txn_registry_shards = 0;
 
-  /// Disk-backed storage tier (buffer_pool.h / storage_tier.h). Nonzero
-  /// enables it: DB::SpillChains evicts cold version chains (newest commit
+  /// Buffer pool of the storage tier (buffer_pool.h / storage_tier.h).
+  /// Nonzero lets DB::SpillChains evict cold version chains (newest commit
   /// at or below the prune horizon, not accessed since the previous call)
   /// to immutable sorted run files under data_dir, and a read that misses
-  /// in memory faults the chain suffix back through a buffer pool of this
-  /// many bytes (fixed frame array, clock second-chance eviction). 0 (the
-  /// default) keeps every chain memory-resident — the pre-tier engine,
-  /// bit-for-bit.
+  /// in memory faults the chain suffix back through a pool of this many
+  /// bytes (fixed frame array, clock second-chance eviction); recovery
+  /// then leaves the runs' keys on disk. 0 (the default) spills nothing
+  /// and recovery loads every run into memory, so every chain stays
+  /// resident. A durable engine has a tier either way — its checkpoints
+  /// are runs — and the pool keeps a 4-frame floor for writing them.
   uint64_t buffer_pool_bytes = 0;
 
   /// Directory for run files. Empty defaults to "<wal_dir>/runs" when
-  /// LogOptions::wal_dir is set; with both empty the storage tier stays
-  /// disabled regardless of buffer_pool_bytes (there is nowhere to spill).
+  /// LogOptions::wal_dir is set; with both empty there is no tier
+  /// regardless of buffer_pool_bytes (there is nowhere to spill).
   /// In-memory engines (wal_dir unset) wipe stale runs at Open — runs are
   /// part of the durable state only when the WAL is.
   std::string data_dir;
 
   /// Size of one run-file page: the buffer pool's frame size and the CRC
   /// framing unit of run files. Entries larger than a page's payload are
-  /// never spilled (they stay memory-resident).
+  /// never spilled (they stay memory-resident); checkpoints write them as
+  /// multi-page extents.
   uint32_t run_page_bytes = 16384;
 
-  /// Compaction trigger: when a spill (DB::SpillChains) leaves a table
-  /// with at least this many run files, the same call merges them into
-  /// one (newest commit timestamp per key wins). Minimum 2.
+  /// Compaction trigger: when a spill (DB::SpillChains) or a checkpoint
+  /// leaves a table with at least this many run files, the same call
+  /// merges them into one (newest commit timestamp per key wins).
+  /// Minimum 2.
   uint32_t run_compaction_min_runs = 4;
 
   /// Flat-combining SSI commit certification (commit_combiner.h): when a
@@ -244,7 +243,7 @@ struct DBOptions {
   /// Target file of the background metrics dumper (appended, JSON lines).
   std::string metrics_dump_path;
 
-  /// I/O environment every durable artifact (WAL, checkpoints, run files,
+  /// I/O environment every durable artifact (WAL, manifest, run files,
   /// buffer-pool page I/O) routes through. nullptr (default) means the
   /// real filesystem (io::Env::Default()); tests install an
   /// io::FaultInjectingEnv to script disk failures. Borrowed — the caller

@@ -9,7 +9,7 @@
 
 #include "src/db/session.h"
 #include "src/io/env.h"
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/wal.h"
 
 namespace ssidb {
@@ -72,11 +72,11 @@ DB::DB(const DBOptions& options)
       txn_manager_(std::make_unique<TxnManager>(options, lock_manager_.get(),
                                                 log_manager_.get())),
       tracker_(std::make_unique<ConflictTracker>(options, txn_manager_.get())) {
-  if (options.buffer_pool_bytes > 0 &&
-      (!options.data_dir.empty() || !options.log.wal_dir.empty())) {
-    // Tier enabled: runs live in data_dir, defaulting to a subdirectory of
-    // the WAL directory. A pool size with nowhere to put runs (both dirs
-    // empty) leaves the tier off — the engine stays memory-only.
+  if (!options.log.wal_dir.empty() ||
+      (options.buffer_pool_bytes > 0 && !options.data_dir.empty())) {
+    // Every durable engine has a tier (its checkpoints are runs), and so
+    // does a memory-only one that spills. Runs live in data_dir,
+    // defaulting to a subdirectory of the WAL directory.
     const std::string dir = options.data_dir.empty()
                                 ? options.log.wal_dir + "/runs"
                                 : options.data_dir;
@@ -318,32 +318,17 @@ Status DB::Open(const DBOptions& options, std::unique_ptr<DB>* db) {
 }
 
 Status DB::RecoverOnOpen() {
-  Status st = recovery::Recover(options_.log.wal_dir, &catalog_,
+  Status st = recovery::Recover(options_.log.wal_dir, &catalog_, tier_.get(),
                                 &recovery_stats_, options_.env);
   if (!st.ok()) return st;
   // New transactions must draw ids/snapshots above every recovered commit.
   txn_manager_->AdvanceClockTo(recovery_stats_.max_commit_ts);
-  if (tier_ != nullptr) {
-    // Open the run files and re-mark their chains evicted: spilled state
-    // stays on disk across restarts instead of being replayed into RAM.
-    // A run may hold commits newer than anything in the WAL/checkpoint
-    // cut only if that cut was damaged; the clock still must clear them.
-    Timestamp max_run_cts = 0;
-    st = tier_->RecoverRuns(&catalog_, &max_run_cts);
-    if (!st.ok()) return st;
-    txn_manager_->AdvanceClockTo(max_run_cts);
-  }
   // Seed the WAL writer's per-segment metadata from recovery's scan, so
   // checkpoint GC can judge pre-crash segments without re-reading them.
   log_manager_->SeedWalSegmentMeta(recovery_stats_.wal_segments);
-  // Resume the checkpoint chain where the recovered one ends: the next
-  // delta hangs off the chain tip, and WAL GC keeps using the recovered
-  // base as its coverage cut. No lock needed — no checkpointer runs yet.
-  last_base_watermark_ = recovery_stats_.base_watermark;
-  last_base_table_count_ = recovery_stats_.base_table_count;
-  last_checkpoint_watermark_ = recovery_stats_.checkpoint_ts;
-  deltas_since_base_ =
-      static_cast<uint32_t>(recovery_stats_.delta_links_applied);
+  // The next checkpoint sweeps what committed past the recovered
+  // manifest. No lock needed — no checkpointer runs yet.
+  checkpoint_watermark_ = recovery_stats_.checkpoint_ts;
   return Status::OK();
 }
 
@@ -380,73 +365,73 @@ Status DB::Checkpoint() {
   }
   if (read_only()) {
     // Degraded mode: the WAL can no longer extend the durable history, so
-    // a new image would cover commits whose log records may be lost.
+    // a new checkpoint would cover commits whose log records may be lost.
     return Status::IOError("database is read-only: WAL I/O failure");
   }
   // One checkpoint at a time: a manual call racing the background tick
-  // would interleave writes into the same image file.
+  // would sweep the same window twice.
   std::lock_guard<std::mutex> guard(checkpoint_write_mu_);
   // Every commit at or below the stable watermark has fully stamped its
   // versions (txn_manager.h), so the sweep observes a consistent cut.
   // BeginCheckpointSweep also floors version pruning at the watermark for
   // the duration of the sweep, so no pruner can delete a key's newest
-  // version <= watermark out from under the image.
+  // version <= watermark out from under it.
   const Timestamp watermark = txn_manager_->BeginCheckpointSweep();
-  if (watermark == last_checkpoint_watermark_) {
+  if (watermark == checkpoint_watermark_) {
     txn_manager_->EndCheckpointSweep();
-    return Status::OK();  // Nothing committed since the previous image.
+    return Status::OK();  // Nothing committed since the previous checkpoint.
   }
-  // Delta when a base exists and the chain has room; otherwise a full
-  // base that compacts the chain (and the very first image is a base).
-  const bool full = options_.log.checkpoint_max_deltas == 0 ||
-                    last_base_watermark_ == 0 ||
-                    deltas_since_base_ >= options_.log.checkpoint_max_deltas;
-  const Timestamp prev = full ? 0 : last_checkpoint_watermark_;
-  recovery::CheckpointWriteResult written;
-  Status st = recovery::WriteCheckpoint(catalog_, watermark, prev,
-                                        options_.log.wal_dir,
-                                        options_.log.wal_fsync, &written,
-                                        options_.env);
+  // Counted after the watermark: a commit at or below it wrote only
+  // tables created before it, so every such table is in the manifest.
+  recovery::Manifest manifest{watermark, {}};
+  const auto table_count = static_cast<TableId>(catalog_.table_count());
+  uint64_t bytes = 0;
+  std::vector<TableId> grown;
+  Status st;
+  for (TableId id = 0; id < table_count && st.ok(); ++id) {
+    Table* table = catalog_.table(id);
+    manifest.tables.push_back(table->name());
+    const uint64_t before = bytes;
+    st = table->WriteCheckpointRun(checkpoint_watermark_, watermark,
+                                   &bytes);
+    if (bytes != before) grown.push_back(id);
+  }
   txn_manager_->EndCheckpointSweep();
+  // Runs before the manifest: a crash in between leaves runs of committed
+  // versions that the previous manifest plus the WAL still account for.
+  uint64_t manifest_bytes = 0;
+  if (st.ok()) {
+    st = recovery::WriteManifest(options_.log.wal_dir, manifest,
+                                 options_.log.wal_fsync, options_.env,
+                                 &manifest_bytes);
+  }
   if (!st.ok()) {
-    // WriteCheckpoint removed its tmp file; the previous chain on disk is
-    // untouched and stays loadable. The next call (or background tick)
-    // simply retries the same image.
+    // The failed writer removed its tmp file and the previous manifest is
+    // untouched, so the next call (or background tick) sweeps the same
+    // window again.
     checkpoint_io_errors_.fetch_add(1, std::memory_order_relaxed);
     trace_.Emit(obs::TraceEvent::kIOError, /*txn=*/0, /*arg16=*/2,
                 /*arg32=*/0, /*payload=*/watermark);
     return st;
   }
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_bytes_written_.fetch_add(written.bytes,
+  checkpoint_bytes_written_.fetch_add(bytes + manifest_bytes,
                                       std::memory_order_relaxed);
-  trace_.Emit(obs::TraceEvent::kCheckpoint, /*txn=*/0,
-              /*arg16=*/full ? 1 : 0, /*arg32=*/written.table_count,
-              /*payload=*/watermark);
-  if (full) {
-    last_base_watermark_ = watermark;
-    last_base_table_count_ = written.table_count;
-    deltas_since_base_ = 0;
-  } else {
-    ++deltas_since_base_;
-  }
-  last_checkpoint_watermark_ = watermark;
+  trace_.Emit(obs::TraceEvent::kCheckpoint, /*txn=*/0, /*arg16=*/0,
+              /*arg32=*/table_count, /*payload=*/watermark);
+  checkpoint_watermark_ = watermark;
 
   // WAL GC, decided from per-segment metadata counters — zero segment
-  // re-reads. The coverage cut is the newest *base* image: recovery may
-  // discard any damaged delta link and fall back to the base plus WAL
-  // replay, so segments past the base watermark must survive even when a
-  // delta covers them. A segment goes when every commit it holds is at or
-  // below the base watermark AND any table-create it holds binds an id the
-  // base image captured (ids are dense: id < base table count — the
-  // create-watermark rule). The highest-sequence segment always stays (it
-  // may be the writer's live file), as does any segment the registry does
-  // not know (never the case in practice: this session's segments are
-  // registered at append time, pre-crash ones by recovery's scan). Best
-  // effort: a kept segment just replays idempotently.
+  // re-reads. A segment goes when every commit it holds is at or below the
+  // manifest's watermark AND any table-create it holds binds an id the
+  // manifest lists (ids are dense: id < table count — the create-watermark
+  // rule). The highest-sequence segment always stays (it may be the
+  // writer's live file), as does any segment the registry does not know
+  // (never the case in practice: this session's segments are registered
+  // at append time, pre-crash ones by recovery's scan). Best effort: a
+  // kept segment just replays idempotently.
   std::vector<std::string> segments;
-  if (last_base_watermark_ > 0 &&
-      recovery::ListWalSegments(options_.log.wal_dir, &segments).ok()) {
+  if (recovery::ListWalSegments(options_.log.wal_dir, &segments).ok()) {
     const std::map<uint64_t, recovery::WalSegmentMeta> meta =
         log_manager_->WalSegmentMetadata();
     for (size_t i = 0; i + 1 < segments.size(); ++i) {
@@ -455,9 +440,8 @@ Status DB::Checkpoint() {
       auto it = meta.find(seq);
       if (it == meta.end()) continue;  // Unknown provenance: keep.
       const recovery::WalSegmentMeta& m = it->second;
-      if (m.max_commit_ts > last_base_watermark_) continue;
-      if (m.has_table_create &&
-          m.max_table_id_created >= last_base_table_count_) {
+      if (m.max_commit_ts > watermark) continue;
+      if (m.has_table_create && m.max_table_id_created >= table_count) {
         continue;
       }
       if (io::ResolveEnv(options_.env)->RemoveFile(segments[i]).ok()) {
@@ -466,6 +450,9 @@ Status DB::Checkpoint() {
       }
     }
   }
+  // The caller that adds runs keeps their count bounded. Best effort: a
+  // failed merge leaves the inputs in place and retries next time.
+  for (const TableId id : grown) tier_->MaybeCompact(id);
   return Status::OK();
 }
 
@@ -516,7 +503,9 @@ size_t DB::SpillChains(TableId id) {
   // degraded mode that run could durably capture in-memory commits whose
   // WAL records never reached the disk — recovery would then resurrect
   // unacknowledged writes. No new durable artifacts past the failure.
-  if (tier_ == nullptr || read_only()) return 0;
+  if (tier_ == nullptr || options_.buffer_pool_bytes == 0 || read_only()) {
+    return 0;
+  }
   Table* t = catalog_.table(id);
   if (t == nullptr) return 0;
   const size_t evicted = t->SpillShards(txn_manager_->prune_horizon());

@@ -140,11 +140,14 @@ class DB {
  public:
   /// Open the engine. With LogOptions::wal_dir unset this is a fresh
   /// in-memory database and never fails. With wal_dir set, Open first runs
-  /// crash recovery against the directory — loads the newest complete
-  /// checkpoint and replays the WAL segments past it (tolerating a torn
-  /// tail record) — so every previously flushed commit is visible again
-  /// with its original commit timestamp. Fails with kCorruption/kIOError
-  /// when the directory's durable state is damaged beyond a torn tail.
+  /// crash recovery against the directory — reads the checkpoint manifest,
+  /// replays the WAL segments past its watermark (tolerating a torn tail
+  /// record) and opens the runs — so every previously flushed commit is
+  /// visible again with its original commit timestamp. Fails with
+  /// kCorruption/kIOError when the directory's durable state is damaged
+  /// beyond a torn tail (a damaged run included), and with
+  /// kInvalidArgument when it holds checkpoint images of the older
+  /// base/delta format and no manifest.
   static Status Open(const DBOptions& options, std::unique_ptr<DB>* db);
 
   ~DB();
@@ -172,19 +175,18 @@ class DB {
     return sessions_open_.load(std::memory_order_relaxed);
   }
 
-  /// Write a checkpoint of committed state at the current stable watermark
-  /// into wal_dir (durable mode only; kInvalidArgument otherwise). With
-  /// LogOptions::checkpoint_max_deltas > 0 and a base image already on
-  /// disk, this writes a *delta* image sweeping only versions committed
-  /// since the previous checkpoint (cold storage shards are skipped via
-  /// their max-commit-ts hints); every checkpoint_max_deltas-th image —
-  /// and the first one — is a full base that compacts the chain. Runs
+  /// Checkpoint committed state at the current stable watermark (durable
+  /// mode only; kInvalidArgument otherwise): per table, one storage-tier
+  /// run holding what committed since the previous checkpoint (cold
+  /// storage shards are skipped via their max-commit-ts hints), then the
+  /// manifest (manifest.h) naming the watermark and the tables. Runs
   /// concurrently with transactions — the sweep holds one storage-shard
   /// latch at a time and never blocks the commit path. A call that finds
-  /// nothing committed since the previous image returns OK without
-  /// writing. After a base image, sealed WAL segments it covers are
+  /// nothing committed since the previous checkpoint returns OK without
+  /// writing. Afterwards the sealed WAL segments the manifest covers are
   /// garbage-collected from per-segment metadata counters alone — no
-  /// segment is ever re-read from disk.
+  /// segment is ever re-read from disk — and each table that gained a run
+  /// is compacted once it has run_compaction_min_runs of them.
   Status Checkpoint();
 
   /// What recovery found at Open (zeroed for in-memory engines).
@@ -229,8 +231,8 @@ class DB {
   /// merged once run_compaction_min_runs have accumulated. Chains touched
   /// since the previous probe only have their clock bit cleared — call
   /// twice to spill a chain that was just written. Nothing spills on its
-  /// own: the caller decides when. Returns chains evicted; 0 when the tier
-  /// is disabled or the DB is read-only.
+  /// own: the caller decides when. Returns chains evicted; 0 when the DB
+  /// has no tier, a zero-byte pool ("spill nothing") or is read-only.
   size_t SpillChains(TableId table);
 
   // Internal subsystem access (tests, benchmarks).
@@ -239,15 +241,17 @@ class DB {
   ConflictTracker* conflict_tracker() { return tracker_.get(); }
   Catalog* catalog() { return &catalog_; }
   Table* table(TableId id) { return catalog_.table(id); }
-  /// Disk tier, or nullptr when disabled.
+  /// Disk tier: present in every durable engine, and in a memory-only one
+  /// that sets data_dir and a pool; nullptr otherwise.
   StorageTier* storage_tier() { return tier_.get(); }
 
  private:
   friend class Session;  // Sessions wire directly to executor_/txn_manager_.
   explicit DB(const DBOptions& options);
 
-  /// Rebuild state from wal_dir (Open calls this before the first Begin)
-  /// and advance the clock past every recovered commit timestamp.
+  /// Rebuild state from wal_dir and the runs (Open calls this before the
+  /// first Begin) and advance the clock past every recovered commit
+  /// timestamp.
   Status RecoverOnOpen();
   /// Start/stop the background checkpointer (checkpoint_interval_ms).
   void StartCheckpointer();
@@ -274,7 +278,7 @@ class DB {
   obs::TraceRing trace_;
   /// Declared before catalog_ (destroyed after it): tables hold raw tier
   /// pointers, and the tier's run files purge their buffer-pool pages on
-  /// destruction. Null when the tier is disabled.
+  /// destruction. Null for a memory-only engine that does not spill.
   std::unique_ptr<StorageTier> tier_;
   Catalog catalog_;
   std::unique_ptr<LogManager> log_manager_;
@@ -288,27 +292,21 @@ class DB {
   /// Live Session count (the session.open gauge); sessions decrement on
   /// destruction.
   std::atomic<size_t> sessions_open_{0};
-  /// Read only through the registry: ckpt.taken (base + delta images),
-  /// ckpt.bytes_written and wal.segments_deleted.
+  /// Read only through the registry: ckpt.taken, ckpt.bytes_written (runs
+  /// plus manifest) and wal.segments_deleted.
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::atomic<uint64_t> checkpoint_bytes_written_{0};
   std::atomic<uint64_t> wal_segments_deleted_{0};
   /// Degraded-mode gate — see read_only().
   std::atomic<bool> read_only_{false};
-  /// Checkpoint images that failed on I/O (io.errors.checkpoint).
+  /// Checkpoints that failed on I/O (io.errors.checkpoint).
   std::atomic<uint64_t> checkpoint_io_errors_{0};
   /// Serializes Checkpoint() calls (manual vs background interval) and
-  /// guards the chain bookkeeping below.
+  /// guards the field below.
   std::mutex checkpoint_write_mu_;
-  /// Watermark + captured table count of the newest base image: the
-  /// coverage cut for metadata-driven WAL GC (seeded from recovery).
-  Timestamp last_base_watermark_ = 0;
-  uint32_t last_base_table_count_ = 0;
-  /// Watermark of the newest image of any kind (the next delta's prev).
-  Timestamp last_checkpoint_watermark_ = 0;
-  /// Delta links written since the last base; at checkpoint_max_deltas the
-  /// next image compacts the chain into a fresh base.
-  uint32_t deltas_since_base_ = 0;
+  /// Watermark of the newest manifest (seeded from recovery): the next
+  /// checkpoint sweeps what committed past it.
+  Timestamp checkpoint_watermark_ = 0;
 
   std::mutex checkpointer_mu_;
   std::condition_variable checkpointer_cv_;

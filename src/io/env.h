@@ -1,6 +1,6 @@
 // Env: the pluggable I/O seam under every durable artifact — WAL segments,
-// checkpoint images, run files and buffer-pool page I/O all route their
-// filesystem calls through an Env so tests can make the disk lie.
+// the checkpoint manifest, run files and buffer-pool page I/O all route
+// their filesystem calls through an Env so tests can make the disk lie.
 //
 // Two implementations:
 //   * Env::Default() — thin passthrough to the POSIX calls the engine used

@@ -1,7 +1,7 @@
-// Filesystem helpers shared by the WAL and checkpoint writers, so the two
-// durable artifact types keep identical error handling, fsync discipline
-// and file naming. All I/O routes through an io::Env (nullptr = the real
-// filesystem) so fault-injection tests can script failures.
+// Filesystem helpers shared by the WAL, manifest and run-file writers, so
+// the durable artifact types keep identical error handling, fsync
+// discipline and file naming. All I/O routes through an io::Env (nullptr =
+// the real filesystem) so fault-injection tests can script failures.
 
 #ifndef SSIDB_RECOVERY_FS_UTIL_H_
 #define SSIDB_RECOVERY_FS_UTIL_H_
@@ -29,7 +29,7 @@ Status WriteFileDurably(const std::string& path, const std::string& contents,
                         bool do_fsync, io::Env* env = nullptr);
 
 /// "<prefix><num, 20 digits><suffix>" — the durable-artifact name shape
-/// ("wal-….log", "checkpoint-….ckpt").
+/// ("wal-….log").
 std::string NumberedFileName(const char* prefix, uint64_t num,
                              const char* suffix);
 

@@ -1,9 +1,10 @@
 #include "src/recovery/recovery.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <vector>
 
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/wal.h"
 
 namespace ssidb::recovery {
@@ -21,7 +22,7 @@ Status ApplyRecord(const LogRecord& record, Timestamp checkpoint_ts,
     const RedoEntry& e = record.redo[0];
     TableId existing = 0;
     if (catalog->FindTable(e.key, &existing).ok()) {
-      return Status::OK();  // Already present (checkpoint or repeat replay).
+      return Status::OK();  // Already present (manifest or repeat replay).
     }
     TableId assigned = 0;
     Status st = catalog->CreateTable(e.key, &assigned);
@@ -38,7 +39,7 @@ Status ApplyRecord(const LogRecord& record, Timestamp checkpoint_ts,
     return Status::Corruption("commit record without timestamp");
   }
   if (record.commit_ts <= checkpoint_ts) {
-    return Status::OK();  // Effects already captured by the checkpoint.
+    return Status::OK();  // Already in the checkpoint runs.
   }
   for (const RedoEntry& e : record.redo) {
     Table* table = catalog->table(e.table);
@@ -58,66 +59,50 @@ Status ApplyRecord(const LogRecord& record, Timestamp checkpoint_ts,
   return Status::OK();
 }
 
-/// Install one checkpoint image (base or delta link) into the catalog.
-/// Tables are created idempotently; ids must come out dense and matching.
-Status ApplyCheckpointData(const CheckpointData& data, Catalog* catalog) {
-  for (const CheckpointTable& t : data.tables) {
-    TableId assigned = 0;
-    if (catalog->FindTable(t.name, &assigned).ok()) {
-      if (assigned != t.id) {
-        return Status::Corruption("checkpoint table id diverged");
-      }
-    } else {
-      Status st = catalog->CreateTable(t.name, &assigned);
-      if (!st.ok()) return st;
-      if (assigned != t.id) {
-        return Status::Corruption("checkpoint table ids not dense");
-      }
-    }
-    Table* table = catalog->table(assigned);
-    for (const CheckpointEntry& e : t.entries) {
-      table->RecoverVersion(e.key, e.value, e.tombstone, e.commit_ts);
+/// A base or delta image of the checkpoint format that runs replaced, or
+/// "" when `dir` holds none.
+std::string OlderFormatCheckpoint(const std::string& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if ((name.rfind("checkpoint-", 0) == 0 || name.rfind("delta-", 0) == 0) &&
+        entry.path().extension() == ".ckpt") {
+      return name;
     }
   }
-  return Status::OK();
+  return "";
 }
 
 }  // namespace
 
-Status Recover(const std::string& dir, Catalog* catalog,
+Status Recover(const std::string& dir, Catalog* catalog, StorageTier* tier,
                RecoveryStats* stats, io::Env* env) {
   env = io::ResolveEnv(env);
   *stats = RecoveryStats{};
-  std::error_code ec;
-  if (!std::filesystem::exists(dir, ec)) return Status::OK();
 
-  // 1. Checkpoint chain: the newest complete base plus every delta link
-  // that parses. A damaged link cuts the chain — the surviving prefix is
-  // still a consistent cut, and WAL replay (which starts after the cut)
-  // reinstalls everything the lost links held: segment GC only reclaims
-  // up to the *base* watermark, so the WAL past the base is always there.
-  LoadedCheckpointChain chain;
-  bool have_checkpoint = false;
-  Status st = LoadCheckpointChain(dir, &chain, &have_checkpoint);
+  // 1. The manifest: the watermark the runs cover and the tables to
+  // recreate, in id order, before anything refers to them.
+  Manifest manifest;
+  Status st = ReadManifest(dir, &manifest, &stats->used_checkpoint, env);
   if (!st.ok()) return st;
-  if (have_checkpoint) {
-    st = ApplyCheckpointData(chain.base, catalog);
-    if (!st.ok()) return st;
-    for (const CheckpointData& delta : chain.deltas) {
-      st = ApplyCheckpointData(delta, catalog);
+  if (stats->used_checkpoint) {
+    // Ids are dense and assigned in creation order, so list order
+    // reproduces them on the empty catalog.
+    for (const std::string& name : manifest.tables) {
+      st = catalog->CreateTable(name, nullptr);
       if (!st.ok()) return st;
-      ++stats->delta_links_applied;
     }
-    stats->used_checkpoint = true;
-    stats->checkpoint_ts = chain.tip;
-    stats->base_watermark = chain.base.watermark;
-    stats->base_table_count =
-        static_cast<uint32_t>(chain.base.tables.size());
-    stats->chain_truncated = chain.truncated;
-    stats->max_commit_ts = chain.tip;
+    stats->checkpoint_ts = manifest.watermark;
+    stats->max_commit_ts = manifest.watermark;
+  } else if (const std::string older = OlderFormatCheckpoint(dir);
+             !older.empty()) {
+    return Status::InvalidArgument(
+        dir + " holds checkpoint image " + older +
+        " of the older base/delta format and no " + kManifestFileName +
+        ": the WAL alone may miss commits only that image covered");
   }
 
-  // 2. WAL replay past the checkpoint.
+  // 2. WAL replay past the watermark.
   std::vector<std::string> segments;
   st = ListWalSegments(dir, &segments);
   if (!st.ok()) return st;
@@ -158,6 +143,12 @@ Status Recover(const std::string& dir, Catalog* catalog,
                                 ": " + scan.tail.ToString());
     }
   }
+
+  // 4. The runs: checkpoint runs up to the watermark, plus any spill runs.
+  Timestamp max_run_cts = 0;
+  st = tier->RecoverRuns(catalog, &max_run_cts);
+  if (!st.ok()) return st;
+  stats->max_commit_ts = std::max(stats->max_commit_ts, max_run_cts);
   return Status::OK();
 }
 

@@ -59,14 +59,14 @@ struct WalSegmentMeta {
   uint64_t seq = 0;
   uint64_t record_count = 0;
   /// Min/max commit_ts over kCommit records (0 when the segment holds no
-  /// commit record). A segment with max_commit_ts <= a base-image
-  /// watermark has every commit captured by that image.
+  /// commit record). A segment with max_commit_ts <= a manifest's
+  /// watermark has every commit captured by that checkpoint's runs.
   Timestamp min_commit_ts = 0;
   Timestamp max_commit_ts = 0;
   /// Create-watermark rule: a segment holding kTableCreate records is
   /// reclaimable only once every created table's id/name binding is
-  /// captured in the surviving base image — i.e. max_table_id_created is
-  /// below the base image's table count (ids are dense).
+  /// captured in the manifest — i.e. max_table_id_created is below the
+  /// manifest's table count (ids are dense).
   bool has_table_create = false;
   uint32_t max_table_id_created = 0;
 };

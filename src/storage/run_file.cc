@@ -19,8 +19,6 @@ namespace {
 
 constexpr char kRunMagic[] = "SSIDBRUN";
 constexpr char kIndexMagic[] = "SSIDBRIF";
-/// Footer magic of runs written before the filter: no filter block.
-constexpr char kLegacyIndexMagic[] = "SSIDBRIX";
 constexpr char kEndMagic[] = "SSIDBEND";
 constexpr size_t kMagicLen = 8;
 constexpr size_t kTrailerLen = 8 + kMagicLen;  // u64 footer_offset + magic.
@@ -94,17 +92,18 @@ bool DecodeEntry(Slice page, size_t* offset, EntryView* e) {
   return GetLengthPrefixed(page, offset, &e->value);
 }
 
-/// Check one data page's header and CRC, then call `fn` on its entries in
-/// key order until it returns false.
+/// Check one data frame's header and CRC (`bytes` long: a page, or a
+/// whole extent), then call `fn` on its entries in key order until it
+/// returns false.
 template <typename Fn>
-Status ParsePage(const uint8_t* page, uint32_t page_bytes, Fn&& fn) {
-  const Slice raw(reinterpret_cast<const char*>(page), page_bytes);
+Status ParsePage(const uint8_t* page, size_t bytes, Fn&& fn) {
+  const Slice raw(reinterpret_cast<const char*>(page), bytes);
   size_t off = 0;
   uint32_t stored_crc = 0, payload_bytes = 0, entry_count = 0;
   if (!GetBig32(raw, &off, &stored_crc) ||
       !GetBig32(raw, &off, &payload_bytes) ||
       !GetBig32(raw, &off, &entry_count) ||
-      payload_bytes > page_bytes - kPageHeaderLen) {
+      payload_bytes > bytes - kPageHeaderLen) {
     return Status::Corruption("run page header damaged");
   }
   if (Crc32c(0, raw.data() + 4, 8 + payload_bytes) != stored_crc) {
@@ -176,8 +175,8 @@ RunFilter::RunFilter(uint64_t keys)
                                  kMaxFilterBytes),
             '\0') {}
 
-void RunFilter::Add(Slice key) {
-  FilterProbes probes(Hash(key), bits_.size() * 8);
+void RunFilter::AddHash(uint64_t hash) {
+  FilterProbes probes(hash, bits_.size() * 8);
   for (uint32_t i = 0; i < kProbes; ++i) {
     const uint64_t pos = probes.Next();
     bits_[pos / 8] = static_cast<char>(bits_[pos / 8] | (1 << (pos % 8)));
@@ -185,7 +184,6 @@ void RunFilter::Add(Slice key) {
 }
 
 bool RunFilter::MayContain(Slice key) const {
-  if (bits_.empty()) return true;
   FilterProbes probes(Hash(key), bits_.size() * 8);
   for (uint32_t i = 0; i < kProbes; ++i) {
     const uint64_t pos = probes.Next();
@@ -219,11 +217,9 @@ RunFile::~RunFile() { pool_->Purge(file_->id()); }
 
 Status RunFile::Create(const std::string& path, uint32_t table_id,
                        uint64_t seq, uint64_t file_id, uint32_t page_bytes,
-                       const std::vector<RunEntry>& entries, BufferPool* pool,
-                       bool fsync, std::shared_ptr<RunFile>* out,
-                       io::Env* env) {
+                       const Source& source, BufferPool* pool, bool fsync,
+                       std::shared_ptr<RunFile>* out, io::Env* env) {
   env = io::ResolveEnv(env);
-  assert(!entries.empty());
   assert(pool->page_bytes() == page_bytes);
   const std::string tmp = path + ".tmp";
   const int fd = env->Open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -241,12 +237,13 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
   Status st = PwriteFull(env, fd, header.data(), header.size(), 0);
 
   // Data pages, through the pool: build each page's payload, frame it with
-  // its CRC, and hand the bytes to a dirty frame. FlushFile below performs
-  // the actual pwrites (the pool's writeback path — also exercised early
-  // by clock evictions when the pool is smaller than the run). The filter
-  // takes each key as it is encoded.
+  // its CRC, and hand the bytes to dirty frames, one page at a time (an
+  // extent spans several). FlushFile below performs the actual pwrites
+  // (the pool's writeback path — also exercised early by clock evictions
+  // when the pool is smaller than the run). The filter, sized by the key
+  // count, is built from each key's hash at the end.
   std::vector<std::string> fences;
-  RunFilter filter(entries.size());
+  std::vector<uint64_t> hashes;
   std::string payload;
   uint32_t entry_count_in_page = 0;
   uint32_t page_no = 0;  // Data page index; file page is page_no + 1.
@@ -264,38 +261,43 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     std::string crc_be;
     PutBig32(&crc_be, crc);
     framed.replace(0, 4, crc_be);
-    BufferPool::WritePin pin;
-    Status s = pool->PinForWrite(file_id, page_no + 1, &pin);
-    if (!s.ok()) return s;
-    memcpy(pin.data, framed.data(), framed.size());
-    pool->Unpin(pin.frame);
-    fences.push_back(std::move(first_key_in_page));
-    ++page_no;
+    for (size_t at = 0; at < framed.size(); at += page_bytes) {
+      BufferPool::WritePin pin;
+      Status s = pool->PinForWrite(file_id, page_no + 1, &pin);
+      if (!s.ok()) return s;
+      memcpy(pin.data, framed.data() + at,
+             std::min<size_t>(page_bytes, framed.size() - at));
+      pool->Unpin(pin.frame);
+      fences.push_back(first_key_in_page);  // Every extent page: its key.
+      ++page_no;
+    }
     payload.clear();
     entry_count_in_page = 0;
     return Status::OK();
   };
   const uint64_t max_payload = page_bytes - kPageHeaderLen;
-  for (const RunEntry& e : entries) {
-    if (!st.ok()) break;
-    const uint64_t need = EntryEncodedBytes(e);
-    assert(need <= max_payload);  // StorageTier filters oversized entries.
+  const RunEntry* e = nullptr;
+  while (st.ok() && (st = source(&e)).ok() && e != nullptr) {
+    const uint64_t need = EntryEncodedBytes(*e);
     if (payload.size() + need > max_payload) st = emit_page();
     if (!st.ok()) break;
-    if (entry_count_in_page == 0) first_key_in_page = e.key;
-    EncodeEntry(&payload, e);
-    filter.Add(e.key);
+    if (entry_count_in_page == 0) first_key_in_page = e->key;
+    EncodeEntry(&payload, *e);
+    hashes.push_back(RunFilter::Hash(e->key));
     ++entry_count_in_page;
+    if (need > max_payload) st = emit_page();  // An extent holds it alone.
   }
   if (st.ok()) st = emit_page();
   if (st.ok()) st = pool->FlushFile(file_id);
 
   // Footer + trailer.
+  RunFilter filter(hashes.size());
+  for (const uint64_t hash : hashes) filter.AddHash(hash);
   if (st.ok()) {
     std::string footer;
     footer.append(kIndexMagic, kMagicLen);
     PutBig32(&footer, page_no);
-    PutBig32(&footer, static_cast<uint32_t>(entries.size()));
+    PutBig32(&footer, static_cast<uint32_t>(hashes.size()));
     for (const std::string& f : fences) PutLengthPrefixed(&footer, f);
     PutLengthPrefixed(&footer, filter.bits());
     PutBig32(&footer, Crc32c(0, footer.data(), footer.size()));
@@ -317,7 +319,7 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     if (st.ok()) {
       out->reset(new RunFile(path, std::move(file), table_id, seq,
                              page_bytes, page_no,
-                             static_cast<uint64_t>(entries.size()),
+                             static_cast<uint64_t>(hashes.size()),
                              std::move(fences), std::move(filter), pool,
                              env));
       return Status::OK();
@@ -359,12 +361,8 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
   std::string footer(size - kTrailerLen - footer_offset, '\0');
   st = PreadFull(env, fd, footer.data(), footer.size(), footer_offset);
   if (!st.ok()) return st;
-  const bool has_filter =
-      footer.size() >= kMagicLen &&
-      memcmp(footer.data(), kIndexMagic, kMagicLen) == 0;
   if (footer.size() < kMagicLen + 12 ||
-      (!has_filter &&
-       memcmp(footer.data(), kLegacyIndexMagic, kMagicLen) != 0)) {
+      memcmp(footer.data(), kIndexMagic, kMagicLen) != 0) {
     return Status::Corruption("bad run index magic: " + path);
   }
   const uint32_t stored_crc_off = static_cast<uint32_t>(footer.size() - 4);
@@ -389,14 +387,10 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
     }
     fences.push_back(std::move(fence));
   }
-  RunFilter filter;
-  if (has_filter) {
-    std::string bits;
-    if (!GetLengthPrefixed(Slice(footer.data(), stored_crc_off), &off,
-                           &bits)) {
-      return Status::Corruption("run filter truncated: " + path);
-    }
-    filter = RunFilter(std::move(bits));
+  std::string bits;
+  if (!GetLengthPrefixed(Slice(footer.data(), stored_crc_off), &off, &bits) ||
+      bits.empty()) {
+    return Status::Corruption("run filter truncated: " + path);
   }
 
   // Header.
@@ -422,13 +416,13 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
   pool->RegisterFile(file);
   out->reset(new RunFile(path, std::move(file), table_id, seq, page_bytes,
                          page_count, entry_count, std::move(fences),
-                         std::move(filter), pool, env));
+                         RunFilter(std::move(bits)), pool, env));
   return Status::OK();
 }
 
-Status RunFile::SearchPage(const uint8_t* page, uint32_t page_bytes,
-                           Slice key, RunEntry* out, bool* found) {
-  return ParsePage(page, page_bytes, [&](const EntryView& e) {
+Status RunFile::SearchPage(const uint8_t* page, size_t bytes, Slice key,
+                           RunEntry* out, bool* found) {
+  return ParsePage(page, bytes, [&](const EntryView& e) {
     const int cmp = e.key.compare(key);
     if (cmp == 0) {
       e.CopyTo(out);
@@ -454,6 +448,18 @@ Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
       hi = mid;
     }
   }
+  // Equal neighbouring fences mark an extent (an entry larger than a
+  // page): it holds only its own key and is read directly, not pinned.
+  size_t first = lo;
+  while (first > 0 && fences_[first - 1] == fences_[lo]) --first;
+  if (first != lo) {
+    if (Slice(fences_[lo]).compare(key) != 0) return Status::OK();
+    std::string extent;
+    Status st = ReadFrame(static_cast<uint32_t>(first), &extent);
+    if (!st.ok()) return st;
+    return SearchPage(reinterpret_cast<const uint8_t*>(extent.data()),
+                      extent.size(), key, out, found);
+  }
   BufferPool::Pin pin;
   Status st = pool->PinPage(file_->id(), static_cast<uint32_t>(lo) + 1, &pin);
   if (!st.ok()) return st;
@@ -463,23 +469,59 @@ Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
   return st;
 }
 
-Status RunFile::ForEachEntry(
-    const std::function<void(const RunEntry&)>& fn) const {
-  std::string page(page_bytes_, '\0');
-  RunEntry entry;
-  for (uint32_t p = 0; p < page_count_; ++p) {
-    Status st = PreadFull(env_, file_->fd(), page.data(), page.size(),
-                          static_cast<uint64_t>(p + 1) * page_bytes_);
+Status RunFile::ReadFrame(uint32_t first, std::string* frame) const {
+  const auto offset = [&](uint32_t page) {
+    return static_cast<uint64_t>(page + 1) * page_bytes_;
+  };
+  frame->resize(page_bytes_);
+  Status st =
+      PreadFull(env_, file_->fd(), frame->data(), page_bytes_, offset(first));
+  if (!st.ok()) return st;
+  size_t off = 4;
+  uint32_t payload_bytes = 0;
+  GetBig32(*frame, &off, &payload_bytes);
+  const uint64_t pages =
+      (uint64_t{kPageHeaderLen} + payload_bytes + page_bytes_ - 1) /
+      page_bytes_;
+  if (pages == 1) return Status::OK();
+  if (pages > page_count_ - first) {
+    return Status::Corruption("run extent out of bounds: " + path_);
+  }
+  frame->resize(pages * page_bytes_);
+  return PreadFull(env_, file_->fd(), frame->data() + page_bytes_,
+                   frame->size() - page_bytes_, offset(first + 1));
+}
+
+Status RunFile::Cursor::Next() {
+  if (++i_ < frame_entries_.size()) return Status::OK();
+  frame_entries_.clear();
+  i_ = 0;
+  while (frame_entries_.empty() && next_page_ < run_->page_count_) {
+    Status st = run_->ReadFrame(next_page_, &frame_);
+    if (st.ok()) {
+      st = ParsePage(reinterpret_cast<const uint8_t*>(frame_.data()),
+                     frame_.size(), [&](const EntryView& e) {
+                       e.CopyTo(&frame_entries_.emplace_back());
+                       return true;
+                     });
+    }
+    if (st.IsCorruption()) {
+      return Status::Corruption(st.message() + ": " + run_->path_);
+    }
     if (!st.ok()) return st;
-    st = ParsePage(reinterpret_cast<const uint8_t*>(page.data()),
-                   page_bytes_, [&](const EntryView& e) {
-                     e.CopyTo(&entry);
-                     fn(entry);
-                     return true;
-                   });
-    if (!st.ok()) return st;
+    next_page_ += static_cast<uint32_t>(frame_.size() / run_->page_bytes_);
   }
   return Status::OK();
+}
+
+Status RunFile::ForEachEntry(
+    const std::function<void(const RunEntry&)>& fn) const {
+  Cursor cursor(this);
+  for (;;) {
+    Status st = cursor.Next();
+    if (!st.ok() || !cursor.valid()) return st;
+    fn(cursor.entry());
+  }
 }
 
 }  // namespace ssidb

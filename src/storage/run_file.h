@@ -1,13 +1,14 @@
 // RunFile: an immutable sorted run — the on-disk home of spilled version
-// chains.
+// chains and of checkpoints.
 //
-// A run holds one committed version per key (the chain's anchor at spill
-// time: key, commit_ts, tombstone flag, value), sorted by key, packed into
-// fixed-size CRC-framed pages, with a fence-key sparse index and a Bloom
-// filter over its keys in the footer. A key may appear in several runs of
-// a table (respilled after new commits); lookups probe runs newest-first
-// and stop at the first hit, and compaction merges a table's runs keeping
-// the newest commit_ts per key.
+// A run holds one committed version per key (a spilled chain's anchor, or
+// the version a checkpoint swept: key, commit_ts, tombstone flag, value),
+// sorted by key, packed into fixed-size CRC-framed pages, with a fence-key
+// sparse index and a Bloom filter over its keys in the footer. A key may
+// appear in several runs of a table (respilled or checkpointed again after
+// new commits); lookups probe runs newest-first and stop at the first hit,
+// and compaction merges a table's runs keeping the newest commit_ts per
+// key.
 //
 // Probe rule: Lookup asks the filter first. A filter miss proves the key
 // absent (a Bloom filter has no false negatives), so the run is skipped
@@ -26,25 +27,28 @@
 //                                 lp filter (RunFilter bits),
 //                                 u32 crc of the footer bytes above
 //   trailer (last 16 bytes)       u64 footer_offset, magic8 "SSIDBEND"
-// Runs written before the filter existed carry the index magic "SSIDBRIX"
-// and no filter block; they open with an empty filter, which passes every
-// key, so each lookup probes them by fences alone.
 //
 // Data page (page_bytes long, zero-padded):
 //   u32 crc          CRC32C of bytes [4, 12 + payload_bytes)
 //   u32 payload_bytes
 //   u32 entry_count
 //   entry_count x { lp key, u64 commit_ts, u8 tombstone, lp value }
+// An entry larger than one page's payload gets an extent: a frame of the
+// same layout, holding that entry alone, over as many consecutive pages as
+// 12 + payload_bytes needs. Each extent page carries the entry's key as its
+// fence, so equal neighbouring fences mark an extent; Lookup and Cursor
+// read an extent directly rather than through the pool.
+// Only checkpoints and compaction write extents: spills skip such chains.
 //
 // Durability: the writer serializes into "<name>.tmp", writes data pages
 // through the buffer pool (dirty frames, flushed back before the fsync so
 // the pool's writeback path is the real write path), fsyncs, renames and
-// fsyncs the directory — the checkpoint writers' protocol. A run is only
+// fsyncs the directory — the manifest's protocol too. A run is only
 // opened if its header, trailer and footer CRC validate; the filter sits
 // under the footer CRC, so a damaged filter fails Open instead of hiding
 // keys. A data page's CRC is checked every time it is read: on every
 // Lookup that pins it (even when the page is already resident in the pool)
-// and for every page a ForEachEntry visits.
+// and for every frame a Cursor or an extent read visits.
 
 #ifndef SSIDB_STORAGE_RUN_FILE_H_
 #define SSIDB_STORAGE_RUN_FILE_H_
@@ -74,14 +78,14 @@ class RunFilter {
   /// never change; a known-answer test pins it.
   static uint64_t Hash(Slice key);
 
-  /// An empty filter: MayContain is always true (runs without a filter).
-  RunFilter() = default;
   /// A filter sized for `keys` keys, none added yet.
   explicit RunFilter(uint64_t keys);
-  /// A filter over bits loaded from a run footer.
+  /// A filter over bits loaded from a run footer (non-empty).
   explicit RunFilter(std::string bits) : bits_(std::move(bits)) {}
 
-  void Add(Slice key);
+  void Add(Slice key) { AddHash(Hash(key)); }
+  /// Add a key by its Hash.
+  void AddHash(uint64_t hash);
   /// False only if `key` was never added: no false negatives.
   bool MayContain(Slice key) const;
 
@@ -101,22 +105,37 @@ struct RunEntry {
 
 class RunFile {
  public:
-  /// Largest entry a page can hold; larger entries are never spilled.
+  /// Largest entry a page can hold; larger entries are never spilled
+  /// (checkpoints write them as extents).
   static uint64_t MaxEntryBytes(uint32_t page_bytes);
 
-  /// Write a run of `entries` (sorted by key, non-empty) for table `table`
-  /// into `path` and open it: the data pages flow through `pool` (written
-  /// back by FlushFile before the fsync) under the pool file id `file_id`,
-  /// so the new run's pages are warm. On success *out holds the opened,
-  /// pool-registered run. On any failure (ENOSPC, EIO, writeback) the
-  /// partial "<path>.tmp" is removed and the pool purged of the file id —
-  /// the directory never accumulates garbage and the caller may retry.
-  /// `env` (nullptr = real filesystem) carries every byte.
+  /// Pulls a new run's entries in ascending key order: sets *next to the
+  /// next entry (valid until the following call), or to null at the end.
+  using Source = std::function<Status(const RunEntry** next)>;
+
+  /// Write a run of the entries `source` yields for table `table` into
+  /// `path` and open it: the data pages flow through `pool` (written back
+  /// by FlushFile before the fsync) under the pool file id `file_id`, so
+  /// the new run's pages are warm, and only the current page's payload
+  /// (plus 8 bytes of filter hash per key) is buffered. On success *out
+  /// holds the opened, pool-registered run. On any failure (ENOSPC, EIO,
+  /// writeback, a source error) the partial "<path>.tmp" is removed and
+  /// the pool purged of the file id — the directory never accumulates
+  /// garbage and the caller may retry. `env` (nullptr = real filesystem)
+  /// carries every byte.
   static Status Create(const std::string& path, uint32_t table_id,
                        uint64_t seq, uint64_t file_id, uint32_t page_bytes,
-                       const std::vector<RunEntry>& entries, BufferPool* pool,
-                       bool fsync, std::shared_ptr<RunFile>* out,
-                       io::Env* env = nullptr);
+                       const Source& source, BufferPool* pool, bool fsync,
+                       std::shared_ptr<RunFile>* out, io::Env* env = nullptr);
+
+  /// A Source over `entries` (sorted by key), which must outlive it.
+  template <typename Entries>
+  static Source Over(const Entries& entries) {
+    return [&entries, it = entries.begin()](const RunEntry** next) mutable {
+      *next = it == entries.end() ? nullptr : &*it++;
+      return Status::OK();
+    };
+  }
 
   /// Open an existing run (recovery): validate header/footer, load the
   /// fence index and the filter (no pass over the data pages), register
@@ -145,8 +164,27 @@ class RunFile {
   Status Lookup(BufferPool* pool, Slice key, RunEntry* out, bool* found,
                 bool* pinned = nullptr) const;
 
-  /// Sequential scan with direct pread — compaction and recovery bypass
-  /// the pool so a full-file pass cannot thrash resident hot pages.
+  /// Sequential reader over the run's entries in key order, with direct
+  /// preads — compaction and recovery bypass the pool so a full-file pass
+  /// cannot thrash resident hot pages. Holds one decoded frame at a time.
+  class Cursor {
+   public:
+    explicit Cursor(const RunFile* run) : run_(run) {}
+    /// Step to the next entry (the first, on the first call); valid()
+    /// turns false past the last one.
+    Status Next();
+    bool valid() const { return i_ < frame_entries_.size(); }
+    const RunEntry& entry() const { return frame_entries_[i_]; }
+
+   private:
+    const RunFile* run_;
+    uint32_t next_page_ = 0;  ///< First data page not yet decoded.
+    std::string frame_;
+    std::vector<RunEntry> frame_entries_;
+    size_t i_ = 0;
+  };
+
+  /// Every entry in key order, through a Cursor.
   Status ForEachEntry(
       const std::function<void(const RunEntry&)>& fn) const;
 
@@ -156,10 +194,16 @@ class RunFile {
           uint64_t entry_count, std::vector<std::string> fences,
           RunFilter filter, BufferPool* pool, io::Env* env);
 
-  /// Search one CRC-checked data page for `key`, comparing keys in place
-  /// and copying out only the hit.
-  static Status SearchPage(const uint8_t* page, uint32_t page_bytes,
-                           Slice key, RunEntry* out, bool* found);
+  /// Search one CRC-checked data frame (`bytes` long: a page or an
+  /// extent) for `key`, comparing keys in place and copying out only the
+  /// hit.
+  static Status SearchPage(const uint8_t* page, size_t bytes, Slice key,
+                           RunEntry* out, bool* found);
+
+  /// pread the data frame starting at data page `first` (file page
+  /// first + 1) into *frame, bypassing the pool: one page, or a whole
+  /// extent when its header announces one.
+  Status ReadFrame(uint32_t first, std::string* frame) const;
 
   const std::string path_;
   const std::shared_ptr<PoolFile> file_;
@@ -173,7 +217,7 @@ class RunFile {
   const RunFilter filter_;
   /// The pool this run is registered with (for unregistration on destroy).
   BufferPool* const pool_;
-  /// Carries ForEachEntry's direct preads.
+  /// Carries the direct preads (cursors, extents).
   io::Env* const env_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <filesystem>
-#include <map>
 
 #include "src/obs/trace_ring.h"
 #include "src/recovery/fs_util.h"
@@ -70,15 +69,20 @@ void StorageTier::Publish(uint32_t table_id,
 
 Status StorageTier::WriteRun([[maybe_unused]] const ProducerLock& producer,
                              uint32_t table_id,
-                             const std::vector<RunEntry>& entries) {
+                             const RunFile::Source& source,
+                             uint64_t* bytes) {
   assert(producer.mutex() == &producer_mu_ && producer.owns_lock());
   const uint64_t seq = next_seq_++;
   const uint64_t file_id = next_file_id_++;
   std::shared_ptr<RunFile> run;
   Status st = RunFile::Create(RunPath(table_id, seq), table_id, seq, file_id,
-                              options_.run_page_bytes, entries, &pool_,
-                              /*fsync=*/true, &run, env_);
+                              options_.run_page_bytes, source, &pool_,
+                              options_.log.wal_fsync, &run, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
+  if (bytes != nullptr) {
+    std::error_code ec;
+    *bytes = fs::file_size(run->path(), ec);
+  }
   // Only producers change the lists, and they hold producer_mu_: the list
   // read here is still current when the new one is published.
   auto list = std::make_shared<RunList>();
@@ -114,33 +118,48 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
   const ProducerLock producer = LockProducers();
   const std::shared_ptr<const RunList> inputs = Runs(table_id);
   if (inputs == nullptr || inputs->size() < min_runs) return Status::OK();
-  // Merge: direct sequential preads (bypassing the pool so a full-table
-  // pass cannot evict hot pages), newest commit_ts per key wins.
-  // Tombstones are kept — an evicted chain whose anchor is a tombstone
-  // still faults it back as the §3.5 delete marker.
-  std::map<std::string, RunEntry> merged;
+  // Merge: a k-way merge over the sorted inputs, holding one decoded frame
+  // per input, with direct preads (bypassing the pool so a full-table pass
+  // cannot evict hot pages); newest commit_ts per key wins. Tombstones are
+  // kept — an evicted chain whose anchor is a tombstone still faults it
+  // back as the §3.5 delete marker.
+  std::vector<RunFile::Cursor> cursors;
   for (const std::shared_ptr<RunFile>& run : *inputs) {
-    Status st = run->ForEachEntry([&](const RunEntry& e) {
-      auto it = merged.find(e.key);
-      if (it == merged.end()) {
-        merged.emplace(e.key, e);
-      } else if (e.commit_ts > it->second.commit_ts) {
-        it->second = e;
-      }
-    });
+    Status st = cursors.emplace_back(run.get()).Next();
     if (!st.ok()) return st;
   }
-  if (merged.empty()) return Status::OK();
-  std::vector<RunEntry> entries;
-  entries.reserve(merged.size());
-  for (auto& [key, e] : merged) entries.push_back(std::move(e));
+  RunEntry merged;
+  const RunFile::Source source = [&](const RunEntry** next) {
+    RunFile::Cursor* pick = nullptr;
+    for (RunFile::Cursor& c : cursors) {
+      if (!c.valid()) continue;
+      const int cmp = pick == nullptr
+                          ? -1
+                          : Slice(c.entry().key).compare(pick->entry().key);
+      if (cmp < 0 ||
+          (cmp == 0 && c.entry().commit_ts > pick->entry().commit_ts)) {
+        pick = &c;
+      }
+    }
+    *next = nullptr;
+    if (pick == nullptr) return Status::OK();
+    merged = pick->entry();
+    for (RunFile::Cursor& c : cursors) {  // Keys are unique within a run.
+      if (c.valid() && c.entry().key == merged.key) {
+        Status st = c.Next();
+        if (!st.ok()) return st;
+      }
+    }
+    *next = &merged;
+    return Status::OK();
+  };
 
   const uint64_t seq = next_seq_++;
   const uint64_t file_id = next_file_id_++;
   std::shared_ptr<RunFile> replacement;
   Status st = RunFile::Create(RunPath(table_id, seq), table_id, seq, file_id,
-                              options_.run_page_bytes, entries, &pool_,
-                              /*fsync=*/true, &replacement, env_);
+                              options_.run_page_bytes, source, &pool_,
+                              options_.log.wal_fsync, &replacement, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
 
   // Publish the replacement and unlink the inputs. Only after the rename +
@@ -168,6 +187,7 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
   }
   std::sort(paths.begin(), paths.end());
   Timestamp max_cts = 0;
+  const bool evict = options_.buffer_pool_bytes > 0;
   const ProducerLock producer = LockProducers();
   std::unordered_map<uint32_t, RunList> lists;
   for (const std::string& path : paths) {
@@ -177,13 +197,17 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
     if (!st.ok()) return st;
     Table* table = catalog->table(run->table_id());
     if (table == nullptr) {
-      // A run for a table the checkpoint/WAL never saw cannot happen: the
-      // table-create record is durable before any commit (hence any
-      // spill) against the table. Treat it as corruption.
+      // A run for a table the manifest/WAL never saw cannot happen: the
+      // table-create record is durable before any commit (hence any run)
+      // against the table. Treat it as corruption.
       return Status::Corruption("run for unknown table: " + path);
     }
     st = run->ForEachEntry([&](const RunEntry& e) {
-      table->RecoverEvicted(e.key, e.commit_ts);
+      if (evict) {
+        table->RecoverEvicted(e.key, e.commit_ts);
+      } else {
+        table->RecoverVersion(e.key, e.value, e.tombstone, e.commit_ts);
+      }
       max_cts = std::max(max_cts, e.commit_ts);
     });
     if (!st.ok()) return st;

@@ -1,18 +1,25 @@
 // StorageTier: the disk-backed half of the storage layer — owns the buffer
 // pool, the run-file directory and each table's run list, and implements
-// the spill / fault / compaction protocols Table delegates to.
+// the spill / fault / checkpoint / compaction protocols Table delegates to.
 //
-// Enablement: DB::Open constructs a tier only when
-// DBOptions::buffer_pool_bytes > 0 and a run directory is resolvable
-// (DBOptions::data_dir, defaulting to "<wal_dir>/runs"). With no tier,
-// Table's hot paths are bit-for-bit the memory-only engine.
+// Enablement: every durable engine (LogOptions::wal_dir set) has a tier,
+// with runs in DBOptions::data_dir, defaulting to "<wal_dir>/runs": its
+// checkpoints are runs. A memory-only engine has one only when it sets
+// both data_dir and DBOptions::buffer_pool_bytes > 0, to spill. A zero
+// pool means "spill nothing", not "no tier": the pool keeps its 4-frame
+// floor for writing runs, and Table's hot paths reach the tier only for
+// evicted chains, which a zero-pool engine never has.
 //
 // Durability contract: a version chain is marked evicted only after the
 // run holding its anchor version is durably on disk (tmp + fsync + rename
-// + directory fsync). Checkpoint base images skip evicted chains (their
-// sweep read observes nothing), so the run files ARE the durable home of
-// spilled keys: they are deleted only when a merged replacement run is
-// durable (compaction), never by checkpoint GC.
+// + directory fsync; the fsyncs follow LogOptions::wal_fsync, like the
+// WAL's). A checkpoint (Table::WriteCheckpointRun) writes, as
+// one run per table, the newest version at or below its watermark of
+// every chain committed since the previous checkpoint; evicted chains
+// need no entry, since their anchor is already durable in a run. So the
+// runs ARE the durable home of every key below the manifest's watermark:
+// they are deleted only when a merged replacement run is durable
+// (compaction), never by WAL GC.
 //
 // Lookup order: a key may appear in several runs (respilled after new
 // commits); Lookup probes newest-first (descending seq) and stops at the
@@ -20,16 +27,25 @@
 // the key out is skipped without a page read (run_file.h). Compaction
 // merges a table's runs into one, keeping the highest commit_ts per key.
 //
-// Run order: two run producers exist — spills (Table::SpillShards) and
-// compactions (MaybeCompact); DB::SpillChains runs one, then the other.
-// Nothing spills or compacts on a timer: the caller that adds runs is the
-// caller that keeps their count bounded.
+// Run order: three run producers exist — spills (Table::SpillShards),
+// checkpoints (Table::WriteCheckpointRun) and compactions (MaybeCompact);
+// DB::SpillChains and DB::Checkpoint each add runs, then compact. Nothing
+// spills or compacts on a timer: the caller that adds runs is the caller
+// that keeps their count bounded.
 // They run one at a time under producer_mu_: a spill holds it from its
-// first chain probe to its publish, a compaction from its input snapshot
-// to its publish. So seq order, publication order and probe order agree,
-// and every run holds anchors at least as new as those of any older run
+// first chain probe to its publish, a checkpoint from a table's sweep to
+// that table's publish, a compaction from its input snapshot to its
+// publish. So seq order, publication order and probe order agree,
+// and every run holds versions at least as new as those of any older run
 // for the same key — the newest-first rule is then exact in memory, and
 // recovery, which orders runs by seq, rebuilds the same order.
+// A checkpoint's versions need not lie below the prune horizon, so a
+// snapshot may still need an older version than the one a checkpoint run
+// holds for a key. Only an evicted chain ever probes the runs, so the
+// checkpoint first faults back every evicted chain it writes an entry for
+// (an upsert over an evicted chain leaves it evicted with resident
+// versions): once its run is published, no evicted chain's anchor is older
+// than that run's entry for the key.
 //
 // Locking: producer_mu_ is taken with no latch held, before any shard or
 // chain latch (lock order producer_mu_ -> shard -> chain). runs_mu_
@@ -78,7 +94,8 @@ class StorageTier {
 
   BufferPool* pool() { return &pool_; }
 
-  /// Largest value the spill path accepts (bigger chains stay resident).
+  /// Largest entry the spill path accepts (bigger chains stay resident;
+  /// checkpoints write them as extents, run_file.h).
   uint64_t max_entry_bytes() const {
     return RunFile::MaxEntryBytes(options_.run_page_bytes);
   }
@@ -87,11 +104,12 @@ class StorageTier {
   using ProducerLock = std::unique_lock<std::mutex>;
   ProducerLock LockProducers() { return ProducerLock(producer_mu_); }
 
-  /// Durably write `entries` (sorted by key, non-empty) as table `table`'s
-  /// newest run and publish it for lookups. The caller holds `producer`
-  /// (from LockProducers) since before it probed the chains in `entries`.
+  /// Durably write the entries `source` yields as table `table`'s newest
+  /// run and publish it for lookups. The caller holds `producer` (from
+  /// LockProducers) since before it probed the chains in the entries.
+  /// `bytes` (if non-null) receives the run file's size.
   Status WriteRun(const ProducerLock& producer, uint32_t table_id,
-                  const std::vector<RunEntry>& entries);
+                  const RunFile::Source& source, uint64_t* bytes = nullptr);
 
   /// Probe table `table_id`'s runs newest-first for `key`.
   Status Lookup(uint32_t table_id, Slice key, RunEntry* out, bool* found);
@@ -99,14 +117,15 @@ class StorageTier {
   /// Merge all of `table_id`'s runs into one when at least
   /// run_compaction_min_runs have accumulated (newest commit_ts per key
   /// wins); delete the inputs once the replacement is durable. Called by
-  /// DB::SpillChains right after its spill. Takes the producer lock, so
-  /// concurrent spills wait for the merge.
+  /// DB::SpillChains and DB::Checkpoint right after they add runs. Takes
+  /// the producer lock, so concurrent spills wait for the merge.
   Status MaybeCompact(uint32_t table_id);
 
-  /// Recovery: open every run file in the directory, publish each under
-  /// its table, and re-mark the covered chains evicted (Table::
-  /// RecoverEvicted) so spilled values stay on disk instead of being
-  /// replayed into RAM. Returns the highest commit_ts seen in any run.
+  /// Recovery: open every run file in the directory and publish each under
+  /// its table. With a buffer pool the covered chains are re-marked
+  /// evicted (Table::RecoverEvicted), so the values stay on disk instead of
+  /// being loaded into RAM; with a zero pool the values are installed
+  /// (Table::RecoverVersion). Returns the highest commit_ts seen in any run.
   Status RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts);
 
   size_t run_count(uint32_t table_id) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 #include "src/common/encoding.h"
 #include "src/storage/storage_tier.h"
@@ -101,7 +102,7 @@ void Table::MaybeSplit(const std::string& hint_key) {
   std::string lower = mid->first;
   auto right = std::make_unique<Shard>();
   // Both halves inherit the parent's commit hint: an overstated hint only
-  // costs a visit, an understated one would hide commits from delta sweeps.
+  // costs a visit, an understated one would hide commits from checkpoints.
   right->max_commit_ts.store(
       shard.max_commit_ts.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -264,7 +265,7 @@ size_t Table::SpillShards(Timestamp horizon) {
   // each chain; a chain touched since its probe stays resident and retries
   // as kDropNow on a later sweep (its anchor is durable now).
   if (!entries.empty()) {
-    if (tier_->WriteRun(producer, id_, entries).ok()) {
+    if (tier_->WriteRun(producer, id_, RunFile::Over(entries)).ok()) {
       for (size_t i = 0; i < entries.size(); ++i) {
         if (chains[i]->CommitSpill(entries[i].commit_ts)) ++evicted;
       }
@@ -272,6 +273,39 @@ size_t Table::SpillShards(Timestamp horizon) {
   }
   if (evicted != 0) tier_->AddSpilled(evicted);
   return evicted;
+}
+
+Status Table::WriteCheckpointRun(Timestamp since, Timestamp watermark,
+                                 uint64_t* bytes) {
+  // The sweep's reader id matches no version creator (real ids come from
+  // the clock, recovered versions use 0), so Read never takes the
+  // own-write path.
+  constexpr TxnId kSweepReader = UINT64_MAX;
+  const StorageTier::ProducerLock producer = tier_->LockProducers();
+  std::deque<RunEntry> entries;  // Grows without moving what it holds.
+  std::vector<std::pair<size_t, VersionChain*>> evicted;
+  std::string value;
+  ForEachChain(since, [&](const std::string& key, VersionChain* chain) {
+    // version_cts: the newest version visible at the watermark, tombstones
+    // included; 0 when nothing is (resident).
+    const ReadResult rr = chain->Read(kSweepReader, watermark, &value);
+    if (rr.version_cts <= since) return;  // Already in an earlier run.
+    if (chain->evicted()) evicted.emplace_back(entries.size(), chain);
+    entries.push_back(RunEntry{key, rr.found ? value : std::string(),
+                               rr.version_cts, !rr.found});
+  });
+  if (entries.empty()) return Status::OK();
+  // No latch held: fault the older anchors back (the producer lock keeps
+  // spills from evicting them again before the run is published).
+  for (const auto& [i, chain] : evicted) {
+    Status st = FaultChain(entries[i].key, chain);
+    if (!st.ok()) return st;
+  }
+  uint64_t run_bytes = 0;
+  Status st =
+      tier_->WriteRun(producer, id_, RunFile::Over(entries), &run_bytes);
+  *bytes += run_bytes;
+  return st;
 }
 
 void Table::RecoverEvicted(Slice key, Timestamp commit_ts) {

@@ -120,7 +120,7 @@ class Table {
   /// Number of index entries (including tombstoned keys).
   size_t EntryCount() const;
 
-  /// Visit every index entry in key order (checkpoints, consistency checks).
+  /// Visit every index entry in key order (spills, consistency checks).
   /// The callback must not re-enter the table.
   void ForEachChain(
       const std::function<void(const std::string&, VersionChain*)>& fn) const;
@@ -128,7 +128,7 @@ class Table {
   /// Filtered overload for incremental sweeps: visit only entries of
   /// shards whose per-shard max-commit-ts hint is > `since` — a shard no
   /// commit has touched past `since` is skipped without taking its latch,
-  /// so a delta checkpoint over a cold table costs one routing-latch
+  /// so a checkpoint over a cold table costs one routing-latch
   /// acquisition. The hint is maintained by NoteCommit/RecoverVersion and
   /// is conservative (splits copy it to both halves), so a skipped shard
   /// provably holds no version with commit_ts > since; a visited shard may
@@ -145,7 +145,7 @@ class Table {
   void NoteCommit(Slice key, Timestamp commit_ts);
 
   /// Recovery bulk reload: install a committed version with its original
-  /// commit timestamp (checkpoint load / WAL replay). Idempotent — see
+  /// commit timestamp (WAL replay / run load). Idempotent — see
   /// VersionChain::InstallRecovered.
   void RecoverVersion(Slice key, Slice value, bool tombstone,
                       Timestamp commit_ts);
@@ -167,8 +167,18 @@ class Table {
   /// chain (phase B). Returns chains evicted.
   size_t SpillShards(Timestamp horizon);
 
+  /// Checkpoint sweep (DB::Checkpoint): durably write, as one run, the
+  /// newest version at or below `watermark` of every chain whose such
+  /// version committed after `since`, tombstones included. Shards no commit
+  /// touched past `since` are skipped, so the cost is O(touched), not
+  /// O(table). Evicted chains that get an entry are faulted back first
+  /// (storage_tier.h, run order). Writes no run when nothing qualifies;
+  /// `bytes` accumulates the run's size.
+  Status WriteCheckpointRun(Timestamp since, Timestamp watermark,
+                            uint64_t* bytes);
+
   /// Recovery: a run file durably holds `key` at `commit_ts`. Marks the
-  /// chain evicted unless WAL/checkpoint replay installed something newer
+  /// chain evicted unless WAL replay installed something at least as new
   /// (see VersionChain::SetEvictedRecovered).
   void RecoverEvicted(Slice key, Timestamp commit_ts);
 

@@ -367,7 +367,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
     // slot is published: once the stable watermark covers commit_ts, an
     // incremental checkpoint sweeping at that watermark must find the
     // hint raised, or it would skip the shard and lose the write from
-    // the delta image. The slot store is a release and the watermark
+    // the checkpoint run. The slot store is a release and the watermark
     // scan acquires it, so coverage implies hint visibility.
     if (w.table_ref != nullptr) {
       w.table_ref->NoteCommit(w.key, commit_ts);
@@ -620,7 +620,7 @@ void TxnManager::CleanupSuspended() {
 
   // Superseded versions: prune every chain whose commit the horizon has
   // passed, at that horizon (which is capped by a checkpoint sweep's
-  // floor, so an image never loses the version it must serialize).
+  // floor, so a checkpoint never loses the version it must write).
   const Timestamp horizon = prune_horizon();
   size_t freed = 0;
   written_chains_.Collect(

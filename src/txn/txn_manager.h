@@ -293,8 +293,8 @@ class TxnManager {
   /// in-progress checkpoint sweep's watermark. Without the cap, a pruner
   /// whose horizon ran past the sweep watermark W could delete a key's
   /// newest version <= W (because a newer one exists) before the sweep
-  /// reads that chain — silently dropping a committed key from the image
-  /// whose cut claims to cover it. Why the cap is race-free: every
+  /// reads that chain — silently dropping a committed key from the
+  /// checkpoint whose cut claims to cover it. Why the cap is race-free: every
   /// watermark advance, floor store, and min-active store/load involved is
   /// seq_cst, so they have one total order S. BeginCheckpointSweep returns
   /// W only after a floor(W) store F followed by a watermark load that

@@ -11,9 +11,10 @@
 //     the page content — retries are bounded, the dirty bit survives, and
 //     clearing the fault lets the next flush land the original bytes;
 //   * EIO mid-spill leaves every chain resident and readable;
-//   * ENOSPC mid-checkpoint or mid-run-creation removes the partial .tmp,
-//     leaves the previous durable chain loadable, and the next attempt
-//     (after the disk heals) resumes cleanly;
+//   * ENOSPC mid-checkpoint (in a run or in the manifest) or
+//     mid-run-creation removes the partial .tmp, leaves the previous
+//     checkpoint loadable, and the next attempt (after the disk heals)
+//     resumes cleanly;
 //   * after a seeded multi-fault schedule, clearing the faults and
 //     reopening recovers every acknowledged-OK commit with its original
 //     commit timestamp.
@@ -202,7 +203,10 @@ TEST(FaultInjectionTest, EIOMidSpillKeepsChainsResident) {
   }
 }
 
-TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
+/// ENOSPC in each file a checkpoint writes: its run, then its manifest.
+class CheckpointNoSpaceTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CheckpointNoSpaceTest, LeavesPriorCheckpointLoadable) {
   ScratchDir dir;
   FaultInjectingEnv env;
   const std::string wal_dir = dir.path + "/wal";
@@ -218,20 +222,22 @@ TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
   };
   put("a");
   put("b");
-  ASSERT_TRUE(db->Checkpoint().ok());  // Healthy base image.
+  ASSERT_TRUE(db->Checkpoint().ok());  // A healthy checkpoint.
   put("c");
 
-  // ENOSPC mid-image: skip=1 lets the O_CREAT open of the .tmp through,
+  // ENOSPC mid-file: skip=1 lets the O_CREAT open of the .tmp through,
   // so the failure lands mid-write with a partial file on disk — which
-  // the checkpoint writer must remove.
-  env.InjectFault(FaultKind::kNoSpace, ".ckpt", /*skip=*/1, /*count=*/1);
+  // the writer must remove.
+  env.InjectFault(FaultKind::kNoSpace, GetParam(), /*skip=*/1, /*count=*/1);
   Status st = db->Checkpoint();
   ASSERT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_FALSE(DirHasTmpFile(wal_dir)) << "partial .tmp must be removed";
+  EXPECT_FALSE(DirHasTmpFile(wal_dir + "/runs"))
+      << "partial .tmp must be removed";
   EXPECT_GE(Metric(db.get(), "io.errors.checkpoint"), 1u);
 
-  // The previous chain is untouched: reopening right now loads the base
-  // image plus WAL replay and recovers everything acked.
+  // The previous checkpoint is untouched: reopening right now loads its
+  // runs plus WAL replay and recovers everything acked.
   db.reset();
   env.ClearFaults();
   ASSERT_TRUE(DB::Open(FaultOptions(dir.path, &env), &db).ok());
@@ -247,11 +253,19 @@ TEST(FaultInjectionTest, ENOSPCMidCheckpointLeavesPriorChainLoadable) {
     ASSERT_TRUE(db->table(t)->Find(key)->LatestCommitted(&got, &tomb));
     EXPECT_EQ(got, c) << key;
   }
-  // The next checkpoint resumes the chain where the failed one left off.
+  // The next checkpoint resumes where the failed one left off.
   put("d");
   EXPECT_TRUE(db->Checkpoint().ok());
   EXPECT_GE(Metric(db.get(), "ckpt.taken"), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Files, CheckpointNoSpaceTest,
+                         ::testing::Values("run-", "MANIFEST"),
+                         [](const auto& info) {
+                           return std::string(info.param[0] == 'r'
+                                                  ? "Run"
+                                                  : "Manifest");
+                         });
 
 TEST(FaultInjectionTest, ENOSPCRunCreationCleansUpTmp) {
   ScratchDir dir;
@@ -351,7 +365,8 @@ TEST(FaultInjectionTest, BufferPoolWritebackEIOKeepsPageContent) {
 }
 
 // The capstone: a seeded schedule injects an EIO mid-spill, an ENOSPC
-// mid-checkpoint and a WAL fsync failure mid-run, in one process life.
+// mid-checkpoint (in its manifest, after its run landed) and a WAL fsync
+// failure mid-run, in one process life.
 // Every commit acknowledged OK must survive the subsequent heal + reopen
 // with its original commit timestamp; the fsync failure must flip the DB
 // read-only for the remainder of the run.
@@ -362,7 +377,7 @@ TEST(FaultInjectionTest, ScheduledMultiFaultRunRecoversAckedCommits) {
   // commits 1..11, #13 (commit 12) fails and poisons the log.
   env.InjectFault(FaultKind::kFsyncError, "wal-", /*skip=*/12, /*count=*/1);
   env.InjectFault(FaultKind::kWriteError, "run-", /*skip=*/2, /*count=*/1);
-  env.InjectFault(FaultKind::kNoSpace, ".ckpt", /*skip=*/1, /*count=*/1);
+  env.InjectFault(FaultKind::kNoSpace, "MANIFEST", /*skip=*/1, /*count=*/1);
 
   std::map<std::string, Timestamp> acked;
   {

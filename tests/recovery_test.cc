@@ -1,5 +1,5 @@
-// Durability subsystem tests: WAL segment format, checkpoint images, and
-// the crash-recovery kill-point matrix.
+// Durability subsystem tests: WAL segment format, the checkpoint manifest
+// and runs, and the crash-recovery kill-point matrix.
 //
 // The kill-point tests fork a child process that opens a DB on a WAL
 // directory, commits transactions, reports each *acknowledged* commit to
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <initializer_list>
@@ -36,9 +37,11 @@
 #include "src/db/db.h"
 #include "src/db/session.h"
 #include "src/io/env.h"
-#include "src/recovery/checkpoint.h"
+#include "src/recovery/manifest.h"
 #include "src/recovery/recovery.h"
 #include "src/recovery/wal.h"
+#include "src/storage/buffer_pool.h"
+#include "src/storage/run_file.h"
 #include "src/workloads/sibench.h"
 #include "src/workloads/tpcc_workload.h"
 #include "tests/test_util.h"
@@ -177,12 +180,14 @@ std::vector<uint64_t> PresentTxns(DB* db, TableId t, uint64_t max_seq) {
   return present;
 }
 
-/// (name, size) of every file in `dir` — for asserting recovery writes
-/// nothing.
+/// (path, size) of every file under `dir`, runs included — for asserting
+/// recovery writes nothing.
 std::map<std::string, uintmax_t> DirContents(const std::string& dir) {
   std::map<std::string, uintmax_t> out;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    out[entry.path().filename().string()] = fs::file_size(entry.path());
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      out[entry.path().string()] = fs::file_size(entry.path());
+    }
   }
   return out;
 }
@@ -308,82 +313,59 @@ TEST(WalTest, TornTailStopsScanCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint images.
+// Checkpoint manifest.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointTest, WriteLoadRoundTrip) {
-  TempDir dir;
-  Catalog catalog;
-  TableId accounts = 0, audit = 0;
-  ASSERT_TRUE(catalog.CreateTable("accounts", &accounts).ok());
-  ASSERT_TRUE(catalog.CreateTable("audit", &audit).ok());
-  catalog.table(accounts)->RecoverVersion("alice", "100", false, 5);
-  catalog.table(accounts)->RecoverVersion("bob", "200", false, 7);
-  // A tombstone at the watermark: the key is omitted from the image.
-  catalog.table(accounts)->RecoverVersion("carol", "", true, 8);
-  // Committed after the watermark: invisible to the sweep.
-  catalog.table(audit)->RecoverVersion("evt1", "late", false, 50);
+TEST(ManifestTest, RoundTripIgnoresStrandedTmp) {
+  TempDir tmp;
+  // Not created yet: the WAL writer makes it lazily, on its first append,
+  // which may still be in flight when a checkpoint runs.
+  const std::string dir = tmp.path + "/wal";
+  recovery::Manifest none;
+  bool found = true;
+  ASSERT_TRUE(recovery::ReadManifest(dir, &none, &found).ok());
+  EXPECT_FALSE(found);
 
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, /*watermark=*/10,
-                                        /*prev_watermark=*/0, dir.path, false)
+  const recovery::Manifest written{/*watermark=*/10, {"accounts", "audit"}};
+  uint64_t bytes = 0;
+  ASSERT_TRUE(recovery::WriteManifest(dir, written, /*fsync=*/false,
+                                      nullptr, &bytes)
                   .ok());
-
-  recovery::CheckpointData data;
-  bool found = false;
-  ASSERT_TRUE(
-      recovery::LoadLatestCheckpoint(dir.path, &data, &found).ok());
+  EXPECT_EQ(bytes, fs::file_size(dir + "/MANIFEST"));
+  // A crash mid-write of a newer manifest leaves only a torn .tmp, which
+  // is never consulted.
+  {
+    FILE* f = fopen((dir + "/MANIFEST.tmp").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fputs("SSIDBMF1 torn", f);
+    fclose(f);
+  }
+  recovery::Manifest read;
+  ASSERT_TRUE(recovery::ReadManifest(dir, &read, &found).ok());
   ASSERT_TRUE(found);
-  EXPECT_EQ(data.watermark, 10u);
-  ASSERT_EQ(data.tables.size(), 2u);
-  EXPECT_EQ(data.tables[0].name, "accounts");
-  ASSERT_EQ(data.tables[0].entries.size(), 2u);  // carol's tombstone omitted
-  EXPECT_EQ(data.tables[0].entries[0].key, "alice");
-  EXPECT_EQ(data.tables[0].entries[0].value, "100");
-  EXPECT_EQ(data.tables[0].entries[0].commit_ts, 5u);
-  EXPECT_EQ(data.tables[1].name, "audit");
-  EXPECT_TRUE(data.tables[1].entries.empty());  // ts 50 > watermark 10
+  EXPECT_EQ(read.watermark, 10u);
+  EXPECT_EQ(read.tables, written.tables);
 }
 
-TEST(CheckpointTest, DamagedNewerImageFallsBackToOlderValid) {
+TEST(ManifestTest, DamagedManifestIsNamedCorruption) {
   TempDir dir;
-  Catalog catalog;
-  TableId t = 0;
-  ASSERT_TRUE(catalog.CreateTable("t", &t).ok());
-  catalog.table(t)->RecoverVersion("k", "v", false, 3);
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, 5, 0, dir.path, false).ok());
-
-  // A "newer" checkpoint that a crash cut short: a valid prefix with no
-  // footer, plus an abandoned .tmp. Neither may be trusted.
-  const std::string valid =
-      dir.path + "/" + recovery::CheckpointFileName(5);
-  std::string prefix;
-  {
-    FILE* f = fopen(valid.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[4096];
-    const size_t n = fread(buf, 1, sizeof(buf), f);
-    fclose(f);
-    prefix.assign(buf, n / 2);
-  }
-  const std::string torn =
-      dir.path + "/" + recovery::CheckpointFileName(99);
-  {
-    FILE* f = fopen(torn.c_str(), "wb");
-    fwrite(prefix.data(), 1, prefix.size(), f);
-    fclose(f);
-  }
-  {
-    FILE* f = fopen((torn + ".tmp").c_str(), "wb");
-    fwrite(prefix.data(), 1, prefix.size(), f);
-    fclose(f);
-  }
-
-  recovery::CheckpointData data;
-  bool found = false;
   ASSERT_TRUE(
-      recovery::LoadLatestCheckpoint(dir.path, &data, &found).ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(data.watermark, 5u);  // The torn watermark-99 image was skipped.
+      recovery::WriteManifest(dir.path, {7, {"t"}}, false, nullptr).ok());
+  const std::string path = dir.path + "/MANIFEST";
+  {
+    FILE* f = fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    fseek(f, 9, SEEK_SET);  // Inside the watermark.
+    const int original = fgetc(f);
+    fseek(f, 9, SEEK_SET);
+    fputc(original ^ 0x5a, f);
+    fclose(f);
+  }
+  recovery::Manifest read;
+  bool found = false;
+  const Status st = recovery::ReadManifest(dir.path, &read, &found);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -614,8 +596,8 @@ TEST(RecoveryTest, CheckpointGarbageCollectsCoveredSegments) {
   EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
   std::vector<std::string> after;
   ASSERT_TRUE(recovery::ListWalSegments(dir.path, &after).ok());
-  // Every sealed segment is covered by the base image — including the
-  // first one, whose table-create record binds an id the image captured
+  // Every sealed segment is covered by the manifest — including the
+  // first one, whose table-create record binds an id the manifest lists
   // (the create-watermark rule). Only the flusher's live (highest)
   // segment survives.
   EXPECT_LT(after.size(), before.size());
@@ -678,52 +660,39 @@ TEST(WalTest, SegmentMetadataTracksCommitsAndCreates) {
   EXPECT_EQ(max_created_id, 3u);
 }
 
-TEST(CheckpointTest, DeltaRoundTripChainsOffBaseWithTombstones) {
-  TempDir dir;
-  Catalog catalog;
-  TableId t = 0;
-  ASSERT_TRUE(catalog.CreateTable("t", &t).ok());
-  catalog.table(t)->RecoverVersion("a", "1", false, 5);
-  catalog.table(t)->RecoverVersion("c", "x", false, 4);
-  // Base at watermark 10 captures a@5 and c@4.
-  ASSERT_TRUE(recovery::WriteCheckpoint(catalog, 10, 0, dir.path, false).ok());
-  // Window (10, 20]: b inserted, c deleted; a untouched.
-  catalog.table(t)->RecoverVersion("b", "2", false, 12);
-  catalog.table(t)->RecoverVersion("c", "", true, 13);
-  recovery::CheckpointWriteResult res;
-  ASSERT_TRUE(
-      recovery::WriteCheckpoint(catalog, 20, /*prev=*/10, dir.path, false,
-                                &res)
-          .ok());
-  EXPECT_EQ(res.entries, 2u);  // b + c's tombstone; a is in the base cut.
-
-  recovery::LoadedCheckpointChain chain;
-  bool found = false;
-  ASSERT_TRUE(recovery::LoadCheckpointChain(dir.path, &chain, &found).ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(chain.base.watermark, 10u);
-  ASSERT_EQ(chain.deltas.size(), 1u);
-  EXPECT_EQ(chain.tip, 20u);
-  EXPECT_FALSE(chain.truncated);
-  const recovery::CheckpointData& delta = chain.deltas[0];
-  EXPECT_EQ(delta.prev_watermark, 10u);
-  ASSERT_EQ(delta.tables.size(), 1u);
-  ASSERT_EQ(delta.tables[0].entries.size(), 2u);
-  EXPECT_EQ(delta.tables[0].entries[0].key, "b");
-  EXPECT_EQ(delta.tables[0].entries[0].value, "2");
-  EXPECT_FALSE(delta.tables[0].entries[0].tombstone);
-  EXPECT_EQ(delta.tables[0].entries[1].key, "c");
-  EXPECT_TRUE(delta.tables[0].entries[1].tombstone);
-  EXPECT_EQ(delta.tables[0].entries[1].commit_ts, 13u);
+/// The run files of `dir` (a run directory), oldest first.
+std::vector<std::string> RunPaths(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".run") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
-TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
+/// Every entry of the run file at `path`, opened outside any engine.
+std::vector<RunEntry> ReadRun(const std::string& path) {
+  const uint32_t page_bytes = DBOptions{}.run_page_bytes;
+  BufferPool pool(4 * page_bytes, page_bytes);
+  std::shared_ptr<RunFile> run;
+  std::vector<RunEntry> entries;
+  const Status st = RunFile::Open(path, /*file_id=*/1, &pool, &run);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  if (st.ok()) {
+    EXPECT_TRUE(run->ForEachEntry([&](const RunEntry& e) {
+                     entries.push_back(e);
+                   }).ok());
+  }
+  return entries;
+}
+
+TEST(RecoveryTest, CheckpointRunIsIncrementalAndGcScanFree) {
   TempDir dir;
   constexpr int kKeys = 1200;
-  constexpr int kTouched = 9;
+  constexpr int kTouched = 9;  // kTouched - 1 updates plus one delete.
   DBOptions opts = DurableOptions(dir.path, /*flush=*/false);
-  opts.log.checkpoint_max_deltas = 8;
-  uint64_t base_bytes = 0, delta_bytes = 0;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
@@ -738,116 +707,94 @@ TEST(RecoveryTest, DeltaCheckpointIsIncrementalAndGcScanFree) {
       ASSERT_TRUE(txn->Commit().ok());
     }
     const uint64_t scans_before = recovery::ScanWalSegmentCalls();
-    ASSERT_TRUE(db->Checkpoint().ok());  // First image: a full base, O(N).
-    base_bytes = Metric(db.get(), "ckpt.bytes_written");
+    ASSERT_TRUE(db->Checkpoint().ok());  // Everything is new: O(N).
     auto touch = db->Begin();
-    for (int j = 0; j < kTouched; ++j) {
-      ASSERT_TRUE(
-          touch->Put(t, "key" + std::to_string(j), "updated").ok());
+    for (int j = 0; j + 1 < kTouched; ++j) {
+      ASSERT_TRUE(touch->Put(t, "key" + std::to_string(j), "updated").ok());
     }
+    ASSERT_TRUE(touch->Delete(t, "key" + std::to_string(kTouched - 1)).ok());
     ASSERT_TRUE(touch->Commit().ok());
-    ASSERT_TRUE(db->Checkpoint().ok());  // Second image: a delta, O(k).
-    delta_bytes = Metric(db.get(), "ckpt.bytes_written") - base_bytes;
-    // Incrementality, demonstrated: the delta after touching k of N keys
-    // is a small fraction of the base sweep.
-    EXPECT_GT(delta_bytes, 0u);
-    EXPECT_LT(delta_bytes * 20, base_bytes);
+    ASSERT_TRUE(db->Checkpoint().ok());  // Only the window: O(k).
     // O(1) GC: no ScanWalSegment re-read happened in either checkpoint.
     EXPECT_EQ(recovery::ScanWalSegmentCalls(), scans_before);
     EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 2u);
-    EXPECT_EQ(Metric(db.get(), "ckpt.bytes_written"),
-              base_bytes + delta_bytes);
-    // A checkpoint with nothing new is a no-op, not an empty delta.
+    // A checkpoint with nothing new is a no-op, not an empty run.
     ASSERT_TRUE(db->Checkpoint().ok());
     EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 2u);
+    EXPECT_EQ(db->storage_tier()->run_count(t), 2u);
   }
-  // The delta file exists on disk alongside the base.
-  bool saw_delta = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      saw_delta = true;
-      EXPECT_GT(prev, 0u);
-      EXPECT_GT(wm, prev);
-    }
+  // One run per checkpoint: the first holds all N keys, the second only
+  // the k touched ones — the delete as a tombstone, since an older run
+  // still holds the key.
+  const std::vector<std::string> runs = RunPaths(dir.path + "/runs");
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(ReadRun(runs[0]).size(), static_cast<size_t>(kKeys));
+  const std::vector<RunEntry> window = ReadRun(runs[1]);
+  ASSERT_EQ(window.size(), static_cast<size_t>(kTouched));
+  for (const RunEntry& e : window) {
+    const bool deleted = e.key == "key" + std::to_string(kTouched - 1);
+    EXPECT_EQ(e.tombstone, deleted) << e.key;
+    EXPECT_EQ(e.value, deleted ? "" : "updated") << e.key;
   }
-  EXPECT_TRUE(saw_delta);
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
   EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 1u);
-  EXPECT_GT(db->recovery_stats().base_watermark, 0u);
-  EXPECT_GT(db->recovery_stats().checkpoint_ts,
-            db->recovery_stats().base_watermark);
+  EXPECT_GT(db->recovery_stats().checkpoint_ts, 0u);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("t", &t).ok());
   auto txn = db->Begin({IsolationLevel::kSnapshot});
   std::string v;
   for (int j = 0; j < kKeys; ++j) {
-    ASSERT_TRUE(txn->Get(t, "key" + std::to_string(j), &v).ok()) << j;
+    const Status st = txn->Get(t, "key" + std::to_string(j), &v);
+    if (j == kTouched - 1) {
+      EXPECT_TRUE(st.IsNotFound()) << j;
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << j;
     EXPECT_EQ(v, j < kTouched ? "updated" : std::string(48, 'v')) << j;
   }
   EXPECT_TRUE(txn->Commit().ok());
 }
 
-TEST(RecoveryTest, DeltaChainCompactsIntoFreshBase) {
+TEST(RecoveryTest, CheckpointRunsCompactAtTheTrigger) {
   TempDir dir;
   DBOptions opts = DurableOptions(dir.path, false);
-  opts.log.checkpoint_max_deltas = 2;
+  const uint32_t trigger = opts.run_compaction_min_runs;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
   TableId t = 0;
   ASSERT_TRUE(db->CreateTable("t", &t).ok());
-  const auto commit_one = [&](const std::string& key) {
+  for (uint32_t i = 0; i < trigger; ++i) {
     auto txn = db->Begin();
-    ASSERT_TRUE(txn->Put(t, key, "v").ok());
+    ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "v").ok());
     ASSERT_TRUE(txn->Commit().ok());
-  };
-  // base, delta, delta, then the chain is full: the 4th image compacts.
-  for (int i = 0; i < 4; ++i) {
-    commit_one("k" + std::to_string(i));
     ASSERT_TRUE(db->Checkpoint().ok());
+    // The checkpoint that brings the table to the trigger merges its runs.
+    EXPECT_EQ(db->storage_tier()->run_count(t), i + 1 < trigger ? i + 1 : 1)
+        << i;
   }
-  EXPECT_EQ(Metric(db.get(), "ckpt.taken"), 4u);
-  size_t bases = 0, deltas = 0;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    const std::string name = entry.path().filename().string();
-    Timestamp a = 0, b = 0;
-    if (recovery::ParseDeltaCheckpointFileName(name, &a, &b)) {
-      ++deltas;
-    } else if (name.rfind("checkpoint-", 0) == 0 &&
-               name.find(".ckpt") != std::string::npos &&
-               name.find(".tmp") == std::string::npos) {
-      ++bases;
-    }
-  }
-  // Compaction superseded the old base and its whole delta chain.
-  EXPECT_EQ(bases, 1u);
-  EXPECT_EQ(deltas, 0u);
+  EXPECT_EQ(Metric(db.get(), "ckpt.taken"), trigger);
+  EXPECT_EQ(RunPaths(dir.path + "/runs").size(), 1u);
   db.reset();
   std::unique_ptr<DB> reopened;
   ASSERT_TRUE(DB::Open(opts, &reopened).ok());
   EXPECT_TRUE(reopened->recovery_stats().used_checkpoint);
-  EXPECT_EQ(reopened->recovery_stats().delta_links_applied, 0u);
   ASSERT_TRUE(reopened->FindTable("t", &t).ok());
   auto txn = reopened->Begin({IsolationLevel::kSnapshot});
   std::string v;
-  for (int i = 0; i < 4; ++i) {
+  for (uint32_t i = 0; i < trigger; ++i) {
     EXPECT_TRUE(txn->Get(t, "k" + std::to_string(i), &v).ok()) << i;
   }
   EXPECT_TRUE(txn->Commit().ok());
 }
 
-TEST(RecoveryTest, CrashBetweenBaseAndDeltaRecoversBasePlusWal) {
+TEST(RecoveryTest, CrashAfterCheckpointRecoversRunsPlusWal) {
   TempDir dir;
   constexpr uint64_t kTxns = 12;
   ChildRun run = RunCrashingChild([&](int ack_fd) {
     std::unique_ptr<DB> db;
-    DBOptions opts = DurableOptions(dir.path, true);
-    opts.log.checkpoint_max_deltas = 8;
-    if (!DB::Open(opts, &db).ok()) _exit(2);
+    if (!DB::Open(DurableOptions(dir.path, true), &db).ok()) _exit(2);
     TableId t = 0;
     if (!db->CreateTable("kill", &t).ok()) _exit(2);
     for (uint64_t i = 1; i <= kTxns; ++i) {
@@ -858,35 +805,46 @@ TEST(RecoveryTest, CrashBetweenBaseAndDeltaRecoversBasePlusWal) {
       if (!txn->Commit().ok()) _exit(2);
       SendAck(ack_fd, i, txn->commit_ts());
       if (i == kTxns / 2) {
-        if (!db->Checkpoint().ok()) _exit(2);  // The base image.
+        if (!db->Checkpoint().ok()) _exit(2);
       }
     }
-    db.release();  // Crash before any delta is written.
+    db.release();  // Crash before a second checkpoint.
     _exit(0);
   });
   ASSERT_EQ(run.exit_code, 0);
 
-  DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
   EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 0u);
-  EXPECT_EQ(db->recovery_stats().checkpoint_ts,
-            db->recovery_stats().base_watermark);
+  EXPECT_GE(db->recovery_stats().checkpoint_ts,
+            run.acks[kTxns / 2 - 1].commit_ts);
+  EXPECT_LT(db->recovery_stats().checkpoint_ts, run.acks[kTxns / 2].commit_ts);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("kill", &t).ok());
-  // Base covers the first half; WAL replay past it restores the rest.
+  // The runs cover the first half; WAL replay past the watermark the rest.
   ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
 }
 
-TEST(RecoveryTest, KillMidDeltaWriteFallsBackToBasePlusWal) {
+/// Dies (as a crash: _exit, no destructors) when the engine opens the
+/// manifest's tmp file once armed — a kill point between a checkpoint's
+/// runs, which are durable by then, and its manifest.
+class KillAtManifestEnv : public io::Env {
+ public:
+  int Open(const char* path, int flags, int mode) override {
+    if (armed && std::strstr(path, "MANIFEST") != nullptr) _exit(0);
+    return io::Env::Open(path, flags, mode);
+  }
+  bool armed = false;
+};
+
+TEST(RecoveryTest, KillBetweenRunsAndManifestRecovers) {
   TempDir dir;
   constexpr uint64_t kTxns = 16;
   ChildRun run = RunCrashingChild([&](int ack_fd) {
-    std::unique_ptr<DB> db;
+    KillAtManifestEnv env;
     DBOptions opts = DurableOptions(dir.path, true);
-    opts.log.checkpoint_max_deltas = 8;
+    opts.env = &env;
+    std::unique_ptr<DB> db;
     if (!DB::Open(opts, &db).ok()) _exit(2);
     TableId t = 0;
     if (!db->CreateTable("kill", &t).ok()) _exit(2);
@@ -898,129 +856,151 @@ TEST(RecoveryTest, KillMidDeltaWriteFallsBackToBasePlusWal) {
       if (!txn->Commit().ok()) _exit(2);
       SendAck(ack_fd, i, txn->commit_ts());
       if (i == kTxns / 4) {
-        if (!db->Checkpoint().ok()) _exit(2);  // Base.
-      } else if (i == kTxns / 2) {
-        if (!db->Checkpoint().ok()) _exit(2);  // Delta.
+        if (!db->Checkpoint().ok()) _exit(2);  // Runs plus a manifest.
       }
     }
-    db.release();
-    _exit(0);
+    env.armed = true;
+    db->Checkpoint();  // Writes its run, then dies at the manifest.
+    _exit(2);
   });
   ASSERT_EQ(run.exit_code, 0);
+  ASSERT_EQ(run.acks.size(), kTxns);
+  // Both checkpoints' runs are on disk; only the first one's manifest.
+  ASSERT_EQ(RunPaths(dir.path + "/runs").size(), 2u);
 
-  // Simulate the checkpointer dying mid-delta-write: truncate the delta so
-  // its footer is gone, and strand a .tmp from a younger attempt.
-  bool damaged = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      const size_t half = static_cast<size_t>(fs::file_size(entry.path()) / 2);
-      std::string partial;
-      {
-        FILE* f = fopen(entry.path().string().c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        partial.resize(half);
-        ASSERT_EQ(fread(partial.data(), 1, half, f), half);
-        fclose(f);
-      }
-      {
-        FILE* f = fopen((entry.path().string() + ".tmp").c_str(), "wb");
-        fwrite(partial.data(), 1, partial.size(), f);
-        fclose(f);
-      }
-      fs::resize_file(entry.path(), half);
-      damaged = true;
-    }
-  }
-  ASSERT_TRUE(damaged);
-
-  DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
   std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  // The chain was cut before the torn delta; the base plus WAL replay
-  // (segment GC never reclaims past the base watermark) restores all.
+  ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
   EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  EXPECT_TRUE(db->recovery_stats().chain_truncated);
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 0u);
+  EXPECT_GE(db->recovery_stats().checkpoint_ts,
+            run.acks[kTxns / 4 - 1].commit_ts);
+  EXPECT_LT(db->recovery_stats().checkpoint_ts, run.acks[kTxns / 4].commit_ts);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("kill", &t).ok());
+  // The orphan run repeats commits the WAL past the first manifest still
+  // holds, so the newest version per key is the same either way.
   ASSERT_EQ(PresentTxns(db.get(), t, kTxns + 1).size(), kTxns);
+  for (const Ack& a : run.acks) {
+    Timestamp cts = 0;
+    ASSERT_TRUE(
+        db->table(t)->Find(TxnKey(a.seq, 0))->LatestCommitted(&cts, nullptr));
+    EXPECT_EQ(cts, a.commit_ts) << "txn " << a.seq;
+  }
 }
 
-TEST(RecoveryTest, DamagedMiddleDeltaLinkFallsBackToOlderCutPlusWal) {
+TEST(RecoveryTest, DamagedCheckpointRunFailsOpen) {
+  TempDir dir;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+    for (int i = 0; i < 20; ++i) {
+      auto txn = db->Begin();
+      ASSERT_TRUE(txn->Put(t, "k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  // Flip a byte inside the run's first data page (file page 1). No base
+  // image is left to fall back to, and the WAL the run covers may be gone:
+  // recovery must refuse rather than resurrect a hole-y state.
+  const std::vector<std::string> runs = RunPaths(dir.path + "/runs");
+  ASSERT_EQ(runs.size(), 1u);
+  {
+    FILE* f = fopen(runs[0].c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long pos = static_cast<long>(DBOptions{}.run_page_bytes) + 20;
+    fseek(f, pos, SEEK_SET);
+    const int original = fgetc(f);
+    fseek(f, pos, SEEK_SET);
+    fputc(original ^ 0x5a, f);
+    fclose(f);
+  }
+  std::unique_ptr<DB> db;
+  const Status st = DB::Open(DurableOptions(dir.path, true), &db);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find(runs[0]), std::string::npos) << st.ToString();
+}
+
+TEST(RecoveryTest, OlderFormatCheckpointImageFailsOpen) {
+  TempDir dir;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->CreateTable("t", &t).ok());
+  }
+  // A base image of the format runs replaced, and no manifest: the WAL
+  // segments it covered may already be gone, so replaying the WAL alone
+  // could silently lose commits.
+  const std::string image = "checkpoint-00000000000000000005.ckpt";
+  {
+    FILE* f = fopen((dir.path + "/" + image).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fputs("SSIDBCK1", f);
+    fclose(f);
+  }
+  const auto before = DirContents(dir.path);
+  std::unique_ptr<DB> db;
+  const Status st = DB::Open(DurableOptions(dir.path, true), &db);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find(image), std::string::npos) << st.ToString();
+  EXPECT_EQ(DirContents(dir.path), before);
+}
+
+/// A value larger than one run page's payload (40 KiB against 16 KiB
+/// pages) is checkpointed as a multi-page extent, survives WAL GC, its
+/// table's compaction and a reopen — loaded with a zero pool, left on disk
+/// and faulted back through the extent with a 4 MiB one.
+class LargeValueTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LargeValueTest, SurvivesCheckpointGcCompactionAndReopen) {
   TempDir dir;
   DBOptions opts = DurableOptions(dir.path, true);
-  opts.log.checkpoint_max_deltas = 8;
-  constexpr int kBatches = 5;  // base + 3 deltas, batch 5 only in the WAL.
+  opts.buffer_pool_bytes = GetParam();
+  opts.log.wal_segment_bytes = 4096;  // Every large commit seals a segment.
+  const auto big = [](int round) {
+    return std::string(40 << 10, static_cast<char>('a' + round));
+  };
+  const uint32_t rounds = opts.run_compaction_min_runs;
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(opts, &db).ok());
     TableId t = 0;
     ASSERT_TRUE(db->CreateTable("t", &t).ok());
-    for (int b = 0; b < kBatches; ++b) {
+    for (uint32_t r = 0; r < rounds; ++r) {
       auto txn = db->Begin();
-      for (int j = 0; j < 4; ++j) {
-        ASSERT_TRUE(txn->Put(t,
-                             "b" + std::to_string(b) + ":" +
-                                 std::to_string(j),
-                             "v" + std::to_string(b))
-                        .ok());
-      }
+      ASSERT_TRUE(txn->Put(t, "big", big(static_cast<int>(r))).ok());
+      ASSERT_TRUE(txn->Put(t, "small" + std::to_string(r), "s").ok());
       ASSERT_TRUE(txn->Commit().ok());
-      if (b < kBatches - 1) {
-        ASSERT_TRUE(db->Checkpoint().ok());
-      }
+      ASSERT_TRUE(db->Checkpoint().ok());
     }
-    ASSERT_EQ(Metric(db.get(), "ckpt.taken"), 4u);
+    EXPECT_GT(Metric(db.get(), "wal.segments_deleted"), 0u);
+    EXPECT_EQ(db->storage_tier()->run_count(t), 1u);  // Compacted.
   }
-  // Damage the *middle* delta link (the second of three by watermark).
-  std::vector<std::pair<Timestamp, std::string>> deltas;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    Timestamp prev = 0, wm = 0;
-    if (recovery::ParseDeltaCheckpointFileName(
-            entry.path().filename().string(), &prev, &wm)) {
-      deltas.emplace_back(wm, entry.path().string());
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId t = 0;
+    ASSERT_TRUE(db->FindTable("t", &t).ok());
+    EXPECT_EQ(db->table(t)->Find("big")->evicted(), GetParam() > 0);
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(t, "big", &v).ok());
+    EXPECT_EQ(v, big(static_cast<int>(rounds) - 1));
+    for (uint32_t r = 0; r < rounds; ++r) {
+      EXPECT_TRUE(txn->Get(t, "small" + std::to_string(r), &v).ok()) << r;
     }
+    EXPECT_TRUE(txn->Commit().ok());
   }
-  ASSERT_EQ(deltas.size(), 3u);
-  std::sort(deltas.begin(), deltas.end());
-  {
-    const std::string& middle = deltas[1].second;
-    FILE* f = fopen(middle.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    const long mid = static_cast<long>(fs::file_size(middle) / 2);
-    fseek(f, mid, SEEK_SET);
-    const int original = fgetc(f);
-    fseek(f, mid, SEEK_SET);
-    fputc(original ^ 0x5a, f);
-    fclose(f);
-  }
-
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(opts, &db).ok());
-  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
-  // Chain cut at the damaged middle link: only the first delta applied...
-  EXPECT_EQ(db->recovery_stats().delta_links_applied, 1u);
-  EXPECT_TRUE(db->recovery_stats().chain_truncated);
-  EXPECT_EQ(db->recovery_stats().checkpoint_ts, deltas[0].first);
-  // ...and WAL replay past the older cut still restores every batch.
-  TableId t = 0;
-  ASSERT_TRUE(db->FindTable("t", &t).ok());
-  auto txn = db->Begin({IsolationLevel::kSnapshot});
-  std::string v;
-  for (int b = 0; b < kBatches; ++b) {
-    for (int j = 0; j < 4; ++j) {
-      ASSERT_TRUE(
-          txn->Get(t, "b" + std::to_string(b) + ":" + std::to_string(j), &v)
-              .ok())
-          << b << ":" << j;
-      EXPECT_EQ(v, "v" + std::to_string(b));
-    }
-  }
-  EXPECT_TRUE(txn->Commit().ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Pools, LargeValueTest,
+                         ::testing::Values(uint64_t{0}, uint64_t{4} << 20),
+                         [](const auto& info) {
+                           return info.param == 0 ? std::string("ZeroPool")
+                                                  : std::string("Pool4MiB");
+                         });
 
 TEST(RecoveryTest, CorruptFinalRecordIsAlsoATornWrite) {
   // A torn write need not be short: the crash can leave a full-length
@@ -1094,7 +1074,7 @@ TEST(RecoveryTest, MidLogCorruptionFailsOpen) {
   EXPECT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).IsCorruption());
 }
 
-TEST(RecoveryTest, KillMidCheckpointFallsBackToWal) {
+TEST(RecoveryTest, TornCheckpointTmpFilesAreIgnored) {
   TempDir dir;
   constexpr uint64_t kTxns = 12;
   ChildRun run = RunCrashingChild([&](int ack_fd) {
@@ -1118,23 +1098,22 @@ TEST(RecoveryTest, KillMidCheckpointFallsBackToWal) {
   });
   ASSERT_EQ(run.exit_code, 0);
 
-  // Simulate the checkpointer dying mid-write: truncate the image so its
-  // footer is gone, and strand a .tmp from a second, younger attempt.
-  bool damaged = false;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("checkpoint-", 0) == 0 &&
-        name.find(".ckpt") != std::string::npos) {
-      fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2);
-      damaged = true;
-    }
+  // Simulate the checkpointer dying mid-write of a second checkpoint: a
+  // crash can only leave torn .tmp files, as every artifact is renamed into
+  // place once complete. Neither is consulted.
+  for (const std::string& tmp :
+       {dir.path + "/MANIFEST.tmp",
+        dir.path + "/runs/run-000000-00000000000000000099.run.tmp"}) {
+    FILE* f = fopen(tmp.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    fputs("torn", f);
+    fclose(f);
   }
-  ASSERT_TRUE(damaged);
 
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
-  // The WAL alone reconstructs everything the damaged image covered.
-  EXPECT_FALSE(db->recovery_stats().used_checkpoint);
+  // The first checkpoint's runs plus WAL replay reconstruct everything.
+  EXPECT_TRUE(db->recovery_stats().used_checkpoint);
   TableId t = 0;
   ASSERT_TRUE(db->FindTable("kill", &t).ok());
   const std::vector<uint64_t> present =
@@ -1165,7 +1144,7 @@ TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
     ASSERT_EQ(Metric(db.get(), "ckpt.taken"), 1u);
   }
   // First reopen: checkpoint covers the first half, WAL replay the rest
-  // (records below the watermark replay idempotently over the image).
+  // (records below the watermark replay idempotently over the runs).
   {
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(DurableOptions(dir.path, true), &db).ok());
@@ -1202,7 +1181,7 @@ TEST(RecoveryTest, CheckpointPlusTailReplayAndIdempotentReopen) {
   }
 }
 
-TEST(RecoveryTest, BackgroundCheckpointerProducesUsableImages) {
+TEST(RecoveryTest, BackgroundCheckpointerProducesUsableCheckpoints) {
   TempDir dir;
   {
     DBOptions opts = DurableOptions(dir.path, false);

@@ -8,7 +8,10 @@
 //     evicted chains back in;
 //   * the second-chance clock bit keeps hot chains resident;
 //   * runs are the durable home of spilled keys across restarts (recovery
-//     opens runs instead of replaying everything into RAM);
+//     opens runs instead of replaying everything into RAM), and a spill run
+//     newer than the checkpoint manifest wins over older replayed versions;
+//   * a checkpoint faults back an evicted chain before it publishes a
+//     newer version of it, so an older snapshot still reads the anchor;
 //   * SpillChains compacts once a table's runs reach the trigger, keeping
 //     the newest commit per key, so repeated spills keep the count bounded;
 //   * a fault pins one page, whatever the number of newer runs (filters);
@@ -306,13 +309,13 @@ TEST(SpillTest, RunsAreTheDurableHomeAcrossRestart) {
     }
     db->SpillChains(table);
     ASSERT_EQ(db->SpillChains(table), kKeys);
-    // The checkpoint's sweep skips the evicted chains — the runs, not the
-    // image, are their durable home from here on.
+    // The checkpoint's sweep skips the evicted chains — the spill run is
+    // their durable home from here on.
     ASSERT_TRUE(db->Checkpoint().ok());
   }
   // Reopen: recovery must open the runs and leave the spilled chains on
-  // disk (the checkpoint image does not contain them, so any resident
-  // copy could only have come from a WAL segment the GC may keep or drop;
+  // disk (the checkpoint wrote no run for them, so any resident copy
+  // could only have come from a WAL segment the GC may keep or drop;
   // either way the values and their original commit timestamps survive).
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(opts, &db).ok());
@@ -332,6 +335,89 @@ TEST(SpillTest, RunsAreTheDurableHomeAcrossRestart) {
     EXPECT_EQ(after, cts[i]) << "restart must keep the original commit_ts";
     EXPECT_FALSE(tomb);
   }
+}
+
+/// A spill run newer than the manifest's watermark, plus WAL replay of an
+/// older version of the same key: recovery keeps the newest, whichever
+/// source holds it, with a pool (the key stays on disk) and without one.
+TEST(SpillTest, SpillRunNewerThanManifestWinsOverOlderReplay) {
+  ScratchDir dir;
+  DBOptions opts = TierOptions(dir.path + "/runs");
+  opts.log.wal_dir = dir.path + "/wal";
+  Timestamp newest = 0;
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(opts, &db).ok());
+    TableId table = 0;
+    ASSERT_TRUE(db->CreateTable("t", &table).ok());
+    const auto put = [&](const std::string& value) {
+      auto txn = db->Begin({IsolationLevel::kSnapshot});
+      ASSERT_TRUE(txn->Put(table, "k", value).ok());
+      ASSERT_TRUE(txn->Commit().ok());
+      newest = txn->commit_ts();
+    };
+    put("v1");
+    ASSERT_TRUE(db->Checkpoint().ok());  // Manifest watermark covers v1.
+    put("v2");
+    put("v3");
+    db->SpillChains(table);
+    ASSERT_EQ(db->SpillChains(table), 1u);  // A spill run holds v3.
+  }
+  // The WAL past the watermark replays v2 and v3; the runs hold v1 (the
+  // checkpoint) and v3 (the spill).
+  for (const uint64_t pool : {opts.buffer_pool_bytes, uint64_t{0}}) {
+    DBOptions reopen = opts;
+    reopen.buffer_pool_bytes = pool;
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(reopen, &db).ok()) << pool;
+    EXPECT_TRUE(db->recovery_stats().used_checkpoint);
+    EXPECT_LT(db->recovery_stats().checkpoint_ts, newest);
+    const TableId table = 0;
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    std::string v;
+    ASSERT_TRUE(txn->Get(table, "k", &v).ok()) << pool;
+    EXPECT_EQ(v, "v3") << pool;
+    txn->Commit();
+    Timestamp cts = 0;
+    ASSERT_TRUE(db->table(table)->Find("k")->LatestCommitted(&cts, nullptr));
+    EXPECT_EQ(cts, newest) << pool;
+  }
+}
+
+/// An upsert over an evicted chain leaves it evicted, with the new version
+/// resident above the anchor in the spill run. A checkpoint that writes the
+/// new version to a run must not let a snapshot older than it fault that
+/// version in place of the anchor: it faults the anchor back first.
+TEST(SpillTest, CheckpointFaultsBackAnEvictedChainItWrites) {
+  ScratchDir dir;
+  DBOptions opts = TierOptions(dir.path + "/runs");
+  opts.log.wal_dir = dir.path + "/wal";
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  const auto put = [&](const std::string& key, const std::string& value) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    ASSERT_TRUE(txn->Put(table, key, value).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  };
+  put("k", "anchor");
+  put("other", "x");
+  // A reader whose snapshot sees the anchor, held open throughout.
+  auto reader = db->Begin({IsolationLevel::kSnapshot});
+  std::string v;
+  ASSERT_TRUE(reader->Get(table, "other", &v).ok());
+  db->SpillChains(table);
+  db->SpillChains(table);
+  ASSERT_TRUE(db->table(table)->Find("k")->evicted());
+  put("k", "newer");  // Hybrid: still evicted, "newer" resident.
+  ASSERT_TRUE(db->table(table)->Find("k")->evicted());
+
+  ASSERT_TRUE(db->Checkpoint().ok());  // Its run holds k = "newer".
+  EXPECT_FALSE(db->table(table)->Find("k")->evicted());
+  ASSERT_TRUE(reader->Get(table, "k", &v).ok());
+  EXPECT_EQ(v, "anchor");
+  ASSERT_TRUE(reader->Commit().ok());
 }
 
 /// Concurrent readers/writers against a continuously spilling and
