@@ -121,7 +121,10 @@ class EpochReclaimer {
     const uint64_t start = oldest_.load(std::memory_order_seq_cst);
     if (start > horizon) return 0;
 
+    // A per-thread buffer, taken for the call (a nested Collect on this
+    // thread starts from an empty one), keeps collection allocation-free.
     std::vector<T> expired;
+    expired.swap(ScratchBuffer());
     uint64_t observed_min = kMaxEpoch;
     for (uint64_t i = 0; i <= mask_; ++i) {
       Slot& slot = slots_[i];
@@ -137,6 +140,7 @@ class EpochReclaimer {
         }
       }
       slot.items.resize(kept);
+      if (kept == 0) ShrinkIfLarge(&slot.items);
       slot.min_epoch.store(slot_min, std::memory_order_seq_cst);
       if (slot_min < observed_min) observed_min = slot_min;
     }
@@ -155,10 +159,30 @@ class EpochReclaimer {
       }
     }
 
-    size_.fetch_sub(expired.size(), std::memory_order_relaxed);
+    const size_t collected = expired.size();
+    size_.fetch_sub(collected, std::memory_order_relaxed);
     for (T& item : expired) fn(std::move(item));
-    return expired.size();
+    expired.clear();
+    ShrinkIfLarge(&expired);
+    expired.swap(ScratchBuffer());
+    return collected;
   }
+
+  /// Capacity the slots hold, in items (test hook: a drained slot gives
+  /// its peak back).
+  size_t slot_capacity() const {
+    size_t total = 0;
+    for (uint64_t i = 0; i <= mask_; ++i) {
+      std::lock_guard<std::mutex> guard(slots_[i].mu);
+      total += slots_[i].items.capacity();
+    }
+    return total;
+  }
+
+  /// Capacity an empty slot or buffer keeps: the steady state reuses it,
+  /// and a burst above it (a long reader holding the horizon back) is
+  /// returned once drained.
+  static constexpr size_t kKeptCapacity = 256;
 
   /// Retired-but-uncollected item count. O(1); coherent as a single
   /// counter (may be mid-flight relative to a concurrent Retire/Collect).
@@ -176,12 +200,25 @@ class EpochReclaimer {
   };
 
   struct alignas(64) Slot {
-    std::mutex mu;
+    mutable std::mutex mu;
     std::vector<Entry> items;
     /// Min epoch of `items` (kMaxEpoch when empty). Written under `mu`;
     /// read lock-free by Collect's verification pass.
     std::atomic<uint64_t> min_epoch{kMaxEpoch};
   };
+
+  template <typename V>
+  static void ShrinkIfLarge(V* v) {
+    if (v->capacity() > kKeptCapacity) {
+      V().swap(*v);
+      v->reserve(kKeptCapacity);
+    }
+  }
+
+  static std::vector<T>& ScratchBuffer() {
+    thread_local std::vector<T> buffer;
+    return buffer;
+  }
 
   void LowerOldest(uint64_t epoch) {
     uint64_t cur = oldest_.load(std::memory_order_relaxed);

@@ -227,6 +227,11 @@ void DB::RegisterAllMetrics() {
                        [tier] { return tier->faulted_chains(); });
     r->RegisterCounter("tier.pages_probed",
                        [tier] { return tier->pages_probed(); });
+    // Compaction output, apart from ckpt.bytes_written (a checkpoint's
+    // runs and manifest) and from the WAL.
+    r->RegisterCounter("tier.compaction_bytes_written", [tier] {
+      return tier->compaction_bytes_written();
+    });
     r->RegisterCounter("io.retries", [pool] { return pool->io_retries(); });
     r->RegisterCounter("io.errors.pool",
                        [pool] { return pool->io_errors(); });

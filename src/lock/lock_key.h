@@ -1,24 +1,13 @@
 // Lock-key vocabulary shared by the blocking lock table (LockManager) and
 // the SIREAD predicate index (SIReadIndex).
 //
-// Two key representations:
-//   LockKey      - owning (std::string key bytes); lives in lock-table and
-//                  page-write maps and in per-transaction held lists. The
-//                  FNV hash is computed once and cached in the struct
-//                  (mutable), so shard routing and the hash-map probe of a
-//                  single acquisition hash the bytes exactly once.
-//   LockKeyView  - non-owning (Slice key bytes) with a precomputed hash;
-//                  the heterogeneous probe type. Read-path lookups build a
-//                  view on the caller's stack and never copy key bytes.
-// LockKeyHash/LockKeyEq are transparent (C++20 heterogeneous lookup), so
-// an unordered_map keyed by LockKey can be probed with a LockKeyView
-// without materializing a std::string.
-//
-// Hash-cache contract: LockKey::cached_hash is a pure function of
-// (table, kind, key). It is only ever written while the bytes are stable
-// and the key is thread-confined or guarded by its container's mutex
-// (executor scratch keys, lock-table shard maps, the page-write map), so
-// the lazy fill is race-free. Mutate a reused LockKey only through
+// LockKey owns its bytes (lock-table and page-write maps, held lists) and
+// caches its FNV hash, so one acquisition hashes the bytes once.
+// LockKeyView is the non-owning probe type (Slice plus precomputed hash);
+// LockKeyHash/LockKeyEq are transparent, so maps keyed by LockKey are
+// probed with a view and no key copy. The cached hash is a pure function
+// of (table, kind, key), written only while the key is thread-confined or
+// guarded by its container's mutex; mutate a reused key only through
 // Assign(), which resets the cache.
 
 #ifndef SSIDB_LOCK_LOCK_KEY_H_

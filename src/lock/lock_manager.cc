@@ -74,37 +74,26 @@ void LockManager::CollectBlockers(const LockEntry& entry, TxnId txn,
   }
 }
 
-void LockManager::CollectExclusiveHolders(TxnId self, const LockKeyView& key,
-                                          RwConflicts* out) const {
-  const Shard& shard = shards_[key.hash % kNumShards];
-  std::lock_guard<std::mutex> guard(shard.mu);
-  auto it = shard.entries.find(key);  // Heterogeneous: no key copy.
-  if (it == shard.entries.end()) return;
-  for (const auto& [owner, bits] : it->second.holders) {
-    if (owner != self && (bits & kExclusiveBit) != 0) out->push_back(owner);
-  }
-}
-
-void LockManager::AcquireSIRead(TxnId txn, TableId table, LockKind kind,
-                                Slice key, RwConflicts* rw_out) {
-  // One hash of the key bytes serves the index stripe, the index bucket
-  // and the lock-table probe.
-  const LockKeyView view = MakeLockKeyView(table, kind, key);
-  // Publish-then-probe: this order is what makes the split-structure
-  // conflict detection lossless (see the §3.2 argument in the header).
-  sireads_.Publish(txn, view);
-  CollectExclusiveHolders(txn, view, rw_out);
-}
-
 AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
                                    LockMode mode) {
   AcquireResult result;
+  // Only non-row keys meet SIREAD and EXCLUSIVE here; a row key in this
+  // table is an absent key (header).
+  const bool probe = key.kind != LockKind::kRow;
 
   if (mode == LockMode::kSIRead) {
-    // Historical entry point for SIREAD (tests, lock-table benchmarks):
-    // same publish-then-probe fast lane, owning-key signature.
-    AcquireSIRead(txn, key.table, key.kind, Slice(key.key),
-                  &result.rw_conflicts);
+    // Publish-then-probe (header): then collect the EXCLUSIVE holders.
+    sireads_.Publish(txn, ViewOf(key));
+    if (!probe) return result;
+    const Shard& shard = ShardFor(key);
+    std::lock_guard<std::mutex> guard(shard.mu);
+    auto it = shard.entries.find(key);
+    if (it == shard.entries.end()) return result;
+    for (const auto& [owner, bits] : it->second.holders) {
+      if (owner != txn && (bits & kExclusiveBit) != 0) {
+        result.rw_conflicts.push_back(owner);
+      }
+    }
     return result;
   }
 
@@ -119,66 +108,20 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
 
   std::unique_lock<std::mutex> guard(shard.mu);
 
-  // Grants `bit` to txn in the entry currently stored for `key`.
-  // Re-looked-up on every call because the entries map may rehash while
-  // we wait.
-  auto grant = [&] {
-    LockEntry& entry = shard.entries[key];
-    uint8_t& bits = entry.holders[txn];
-    const bool is_new_holder = (bits == 0);
-    const uint8_t before = bits;
-    if ((bits & bit) == 0) {
-      bits |= bit;
-      if (is_new_holder) shard.held[txn].push_back(key);
-    }
-    grant_count_.fetch_add(
-        static_cast<uint64_t>(__builtin_popcount(bits) -
-                              __builtin_popcount(before)),
-        std::memory_order_relaxed);
-  };
-
-  // On success, gather the rw-antidependency evidence for a writer: the
-  // SIREAD holders of this key (Fig 3.5 line 4). Runs *after* the
-  // EXCLUSIVE grant is visible in this shard — the grant-then-probe half
-  // of the §3.2 ordering argument. Also applies §3.7.3: the writer's own
-  // SIREAD on the key is subsumed by the EXCLUSIVE lock.
-  auto probe_sireads_after_grant = [&] {
-    if (mode != LockMode::kExclusive) return;
-    guard.unlock();
-    const LockKeyView view{key.table, key.kind, Slice(key.key), hash};
-    if (config_.upgrade_siread_locks) sireads_.EraseOwn(txn, view);
-    sireads_.CollectHolders(txn, view, &result.rw_conflicts);
-  };
-
   std::vector<TxnId> blockers;
-  CollectBlockers(shard.entries[key], txn, mode, key.kind, &blockers);
-  if (blockers.empty()) {
-    grant();
-    probe_sireads_after_grant();
-    return result;
-  }
-
-  // Must wait.
-  waits_.fetch_add(1, std::memory_order_relaxed);
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.lock_timeout_ms);
+  bool waited = false;
+  std::chrono::steady_clock::time_point deadline;
   for (;;) {
-    {
-      std::lock_guard<std::mutex> g(graph_mu_);
-      waits_for_[txn] = blockers;
-      if (config_.deadlock_policy == DeadlockPolicy::kImmediate &&
-          OnCycleLocked(txn)) {
-        waits_for_.erase(txn);
-        deadlocks_detected_.fetch_add(1, std::memory_order_relaxed);
-        result.status = Status::Deadlock("lock cycle");
-        return result;
-      }
-      if (killed_.erase(txn) > 0) {
-        waits_for_.erase(txn);
-        result.status = Status::Deadlock("chosen as deadlock victim");
-        return result;
-      }
+    CollectBlockers(shard.entries[key], txn, mode, key.kind, &blockers);
+    if (blockers.empty()) break;
+    if (!waited) {
+      waited = true;
+      waits_.fetch_add(1, std::memory_order_relaxed);
+      deadline = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(config_.lock_timeout_ms);
     }
+    result.status = EnterWait(txn, blockers.data(), blockers.size());
+    if (!result.status.ok()) return result;
     // Woken by a release in this shard or by the detector's kill, which
     // notifies under this shard's mutex (DetectorLoop); we hold the mutex
     // from the killed_ check above into the wait, so no kill is missed.
@@ -187,14 +130,27 @@ AcquireResult LockManager::Acquire(TxnId txn, const LockKey& key,
       result.status = Status::TimedOut("lock wait timeout");
       return result;
     }
-    CollectBlockers(shard.entries[key], txn, mode, key.kind, &blockers);
-    if (blockers.empty()) {
-      ClearWaits(txn);
-      grant();
-      probe_sireads_after_grant();
-      return result;
-    }
   }
+  if (waited) ClearWaits(txn);
+
+  // Grant: the entries map may have rehashed while we waited.
+  uint8_t& bits = shard.entries[key].holders[txn];
+  if (bits == 0) shard.held[txn].push_back(key);
+  if ((bits & bit) == 0) {
+    bits |= bit;
+    grant_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // A writer of a non-row key then gathers its SIREAD holders (Fig 3.5
+  // line 4), after the grant is visible: the grant-then-probe half of the
+  // header's argument. §3.7.3: the grant subsumes the writer's own SIREAD.
+  if (mode == LockMode::kExclusive && probe) {
+    guard.unlock();
+    const LockKeyView view{key.table, key.kind, Slice(key.key), hash};
+    if (config_.upgrade_siread_locks) sireads_.EraseOwn(txn, view);
+    sireads_.CollectHolders(txn, view, &result.rw_conflicts);
+  }
+  return result;
 }
 
 void LockManager::ReleaseLocked(Shard& shard, TxnId txn) {
@@ -214,7 +170,7 @@ void LockManager::ReleaseLocked(Shard& shard, TxnId txn) {
   shard.held.erase(held_it);
 }
 
-void LockManager::ReleaseBlocking(TxnId txn) {
+void LockManager::ReleaseAllExceptSIRead(TxnId txn) {
   uint64_t mask = TakeTouchedShards(txn);
   while (mask != 0) {
     const int shard_idx = __builtin_ctzll(mask);
@@ -231,17 +187,6 @@ void LockManager::ReleaseBlocking(TxnId txn) {
   ClearWaits(txn);
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
-  ReleaseBlocking(txn);
-  sireads_.ReleaseAll(txn);
-}
-
-void LockManager::ReleaseAllExceptSIRead(TxnId txn) { ReleaseBlocking(txn); }
-
-bool LockManager::HoldsAnySIRead(TxnId txn) const {
-  return sireads_.HoldsAny(txn);
-}
-
 bool LockManager::Holds(TxnId txn, const LockKey& key, LockMode mode) const {
   if (mode == LockMode::kSIRead) {
     return sireads_.Holds(txn, ViewOf(key));
@@ -255,9 +200,73 @@ bool LockManager::Holds(TxnId txn, const LockKey& key, LockMode mode) const {
   return (holder_it->second & static_cast<uint8_t>(mode)) != 0;
 }
 
-void LockManager::SetWaits(TxnId txn, const std::vector<TxnId>& blockers) {
-  std::lock_guard<std::mutex> guard(graph_mu_);
-  waits_for_[txn] = blockers;
+size_t LockManager::RowEntryCount() const {
+  size_t n = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    for (const auto& [key, entry] : shard.entries) {
+      (void)entry;
+      if (key.kind == LockKind::kRow) ++n;
+    }
+  }
+  return n;
+}
+
+Status LockManager::EnterWait(TxnId txn, const TxnId* blockers, size_t n) {
+  std::lock_guard<std::mutex> g(graph_mu_);
+  waits_for_[txn].assign(blockers, blockers + n);
+  if (config_.deadlock_policy == DeadlockPolicy::kImmediate &&
+      OnCycleLocked(txn)) {
+    waits_for_.erase(txn);
+    deadlocks_detected_.fetch_add(1, std::memory_order_relaxed);
+    return Status::Deadlock("lock cycle");
+  }
+  if (killed_.erase(txn) > 0) {
+    waits_for_.erase(txn);
+    return Status::Deadlock("chosen as deadlock victim");
+  }
+  return Status::OK();
+}
+
+Status LockManager::WaitOnChain(TxnId txn, const VersionChain* chain,
+                                RowLockWait* wait) {
+  if (!wait->counted) {
+    wait->counted = true;
+    wait->deadline_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count() +
+        static_cast<int64_t>(config_.lock_timeout_ms) * 1000000;
+    waits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  Status st = EnterWait(txn, wait->blockers.data(), wait->blockers.size());
+  if (!st.ok()) return st;
+  // The generation was read under the chain latch when the step blocked.
+  // A release that unblocks us changed the chain after that and bumps the
+  // generation under `mu` after that again, and a detector kill after the
+  // check above bumps every stripe: either the generation has moved or we
+  // are parked when it moves.
+  ChainStripe& stripe = ChainStripeOf(chain);
+  const std::chrono::steady_clock::time_point deadline{
+      std::chrono::nanoseconds(wait->deadline_ns)};
+  std::unique_lock<std::mutex> guard(stripe.mu);
+  while (stripe.gen.load(std::memory_order_relaxed) == wait->seen_gen) {
+    if (stripe.cv.wait_until(guard, deadline) == std::cv_status::timeout &&
+        stripe.gen.load(std::memory_order_relaxed) == wait->seen_gen) {
+      guard.unlock();
+      ClearWaits(txn);
+      return Status::TimedOut("lock wait timeout");
+    }
+  }
+  return Status::OK();
+}
+
+void LockManager::Wake(ChainStripe& stripe) {
+  {
+    std::lock_guard<std::mutex> guard(stripe.mu);
+    stripe.gen.fetch_add(1, std::memory_order_release);
+  }
+  stripe.cv.notify_all();
 }
 
 void LockManager::ClearWaits(TxnId txn) {
@@ -335,6 +344,8 @@ void LockManager::DetectorLoop() {
         std::lock_guard<std::mutex> guard(shard.mu);
         shard.cv.notify_all();
       }
+      // Chain waiters re-check killed_ once their stripe moves.
+      for (ChainStripe& stripe : chain_stripes_) Wake(stripe);
     }
   }
 }

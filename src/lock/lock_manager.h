@@ -1,110 +1,66 @@
 // Lock manager (paper §2.2.1, §3.2, §3.5).
 //
-// Three modes:
-//   kShared     - S2PL read locks; block and are blocked by kExclusive.
-//   kExclusive  - write locks (all isolation levels).
-//   kSIRead     - the paper's new mode: records that an SI transaction read
-//                 an item. Never blocks and never delays anyone (Fig 3.4);
-//                 its coexistence with kExclusive on one key is the signal
-//                 of an rw-antidependency, which Acquire() reports to the
-//                 caller from *both* acquisition orders so that the §3.2
-//                 race cannot lose a conflict.
+// Modes: kShared (S2PL reads; blocks and is blocked by kExclusive),
+// kExclusive (writes, every isolation level) and kSIRead, the paper's new
+// mode: it never blocks anyone (Fig 3.4), and its meeting with kExclusive
+// on one item is the rw-antidependency both sides report.
 //
-// SIREAD state does not live in the blocking lock table: it is kept in a
-// dedicated read-optimized structure, the SIReadIndex (siread_index.h),
-// because SIREAD traffic dominates the read path, never participates in
-// blocking, and has different lifetime rules — SIREAD locks outlive their
-// owner's commit (§3.3) and are dropped by suspended-transaction cleanup.
-// The LockManager owns the index and keeps the historical API (kSIRead
-// Acquire/Holds/HoldsAnySIRead/ReleaseAll) by delegation; hot paths use
-// the allocation-free fast lane AcquireSIRead() instead.
+// One meeting point per key. Under row granularity a key with a version
+// chain keeps its row locks on the chain, under the chain's latch
+// (version.h): owner, S2PL shared holders, SSI SIREAD holders. A read
+// step (SIREAD, owner check, snapshot read) and a write step (owner claim,
+// SIREAD collection) are critical sections on that one latch, so
+// whichever runs second sees the first. This table keeps gap, supremum
+// and page keys, absent-key rows (an S2PL shared lock on a key without a
+// chain, the exclusive lock a write of such a key takes before it creates
+// the chain; version.h, "Absent keys"), the waits-for graph shared by
+// table and chain waits, the deadlock detector, and the stripes chain
+// waits park on. The SIReadIndex it owns keeps SIREADs of absent keys and
+// pages, and scan ranges.
 //
-// Cross-structure atomicity (the §3.2 race, Figs 3.4/3.5): with SIREAD
-// and EXCLUSIVE state in two differently-latched structures, conflict
-// evidence must still never be lost. Both sides follow publish-then-probe:
-//
-//   reader: (R1) publish SIREAD in the index   [index stripe mutex]
-//           (R2) probe EXCLUSIVE holders here  [lock-table shard mutex]
-//   writer: (W1) grant EXCLUSIVE here          [lock-table shard mutex]
-//           (W2) probe SIREAD holders in index [index stripe mutex]
-//
-// Claim: the reader reports the writer, or the writer reports the reader
-// (possibly both). Suppose the reader misses (R2 sees no EXCLUSIVE). Then
-// R2's critical section on the shard mutex precedes W1's. By program
-// order R1 precedes R2, and W1 precedes W2. So R1 happens-before W2
-// through the chain R1 →(sb) R2-unlock →(sync) W1-lock →(sb) W2, and W2's
-// probe of the index — a later critical section on the same stripe mutex
-// — must observe the published SIREAD. Symmetrically, if the writer
-// misses, the reader's probe observes the EXCLUSIVE grant. The only lost
-// case would need both probes to precede both publishes, which
-// publish-then-probe program order forbids.
+// Page keys keep SIREAD (index) and EXCLUSIVE (here) apart, and Acquire
+// orders both sides publish-then-probe: a kSIRead publishes, then
+// collects EXCLUSIVE holders; a kExclusive grants, then collects SIREAD
+// holders. A probe that misses ran before the other side's publication,
+// so the other side's probe sees it.
 //
 // Range SIREADs (row-granularity SSI scans, §3.5). A Scan of [lo, hi] on
-// table T publishes one range SIREAD, not a SIREAD per entry and gap, and
-// writers stab the table's ranges with the row key
-// (SIReadIndex::CollectRangeHolders). The steps are
+// table T publishes one range SIREAD, and writers stab T's ranges:
 //
-//   reader R: (R1) publish range [lo, hi]        [range stripe mutex]
-//             (R2) collect the chains in [lo, hi] [table shard latches]
-//             (R3) probe EXCLUSIVE holders of (kRow, k) for each
-//                  collected k                     [lock-table shard mutex]
-//             (R4) read each chain at the snapshot, marking ignored newer
-//                  committed versions (Fig 3.4 lines 8-9)
-//   writer W of k in [lo, hi]:
-//             (W1) grant EXCLUSIVE on (kRow, k)    [lock-table shard mutex]
-//             (W2) insert only: grant the insert-intention EXCLUSIVE on
-//                  the gap below next(k), then create k's chain
-//                                                  [shard mutex, latches]
-//             (W3) stab T's ranges with k         [range stripe mutex]
-//             then install the version; commit stamps it before the
-//             commit releases W1's lock.
+//   reader R: (R1) publish range [lo, hi]          [range stripe mutex]
+//             (R2) collect the chains in [lo, hi]  [table shard latches]
+//             (R3) per collected k, one latched step on k's chain: report
+//                  a foreign owner, read at the snapshot, mark ignored
+//                  newer versions (Fig 3.4 lines 8-9)  [chain latch]
+//   writer W of k: (W1) claim k's owner            [chain latch]
+//                  (an insert first takes its absent-key and
+//                  insert-intention gap locks and creates k's chain)
+//             (W3) stab T's ranges with k          [range stripe mutex]
+//             then install; commit stamps the version before it clears
+//             the owner.
 //
-// W3 runs after the statement's last exclusive grant and after k's chain
-// is in the table's index. Claim: if R and W are concurrent (W's write is
-// not in R's snapshot), R reports W or W reports R. Suppose R's steps
-// report nothing. Three cases:
+// Claim: if R and W are concurrent, R reports W or W reports R. Suppose
+// R reports nothing.
+//   * k's chain existed at R2, so R2 collected it. R3 saw no owner, so
+//     either R3's critical section preceded W1's — then R1 →(sb)
+//     R3-unlock →(sync) W1-lock →(sb) W3 and W3 sees the range — or W had
+//     committed and cleared the owner after stamping, and R3 read the
+//     newer version and marked the edge (unless R's callback stopped
+//     before k: Scan then still probes the owners of the rows it skipped).
+//   * k's chain did not exist at R2: R2's shard critical section precedes
+//     the chain's insertion, so R1 →(sb) R2-unlock →(sync) the insert
+//     →(sb) W3, and W3 sees the range.
+// Neighbours and gaps never enter the argument, which is why W3 follows
+// the chain's creation rather than the gap grant, and why R probes no gap
+// or successor and does not re-collect (S2PL still needs its next-key
+// locks and re-collect). A range covers exactly [lo, hi] and lives until
+// R's cleanup (§3.3), unless a later scan by R coalesced it further.
 //
-//   * Update (or delete) of an existing key: k's chain was in the index
-//     before W1, so R2 collected k (or R2's latch critical section
-//     preceded the chain's insertion, and R1 happens-before W3 through
-//     that latch and W's index probe). R3 probed (kRow, k) and missed W1,
-//     so either R3's shard critical section preceded W1's — then R1
-//     →(sb) R3-unlock →(sync) W1-lock →(sb) W3, and W3 observes the range
-//     — or W had already committed and released; its commit stamped the
-//     version before that release, so R4 reads k, ignores the newer
-//     version and marks the edge (unless R's callback stopped the scan
-//     before k: then R never returned k, as with per-entry SIREADs).
-//   * Insert whose chain does not exist at R2: R2's latch critical
-//     section on k's shard precedes W2's chain insertion, so R1 →(sb)
-//     R2-unlock →(sync) W2's insert →(sb) W3: W3 observes the range.
-//   * Insert next to a concurrently committed neighbour k': a writer W'
-//     inserted k' between W's next(k) lookup and R2, so the gap R saw
-//     around k is bounded by k', not by the next(k) whose gap W2 locked,
-//     and a gap lock taken by R could miss W. This is why W3 follows the
-//     chain's creation rather than the gap grant: R2 either collects k
-//     itself (first case: R3 probes (kRow, k) and R4 reads k) or precedes
-//     its insertion (second case). Neighbours and gaps never enter the
-//     argument.
-//
-// So R probes no gap, no successor and does not re-collect; S2PL needs
-// its next-key locks and re-collect, SSI does not. A probe at W1 alone
-// would lose a scan that publishes between W1 and the chain's creation:
-// R2 misses k, and R3 sees no lock on any key R collected. R's range
-// stays until R's cleanup (suspension, §3.3), like its point SIREADs. A
-// range covers exactly [lo, hi], so a writer between hi and the scan's
-// successor finds no reader there, whichever runs first — unless a later
-// scan by the same transaction coalesced across that gap. Page
-// granularity and S2PL keep their per-page and next-key locks.
-//
-// Keys carry a kind: row locks, gap locks (the InnoDB-style "gap before
-// this key" used for phantom detection, §2.5.2), a per-table supremum gap,
-// and page locks (Berkeley DB granularity). Locks of different kinds never
-// interact.
-//
-// Deadlocks: a waits-for graph keyed by transaction id. kImmediate runs a
-// DFS before each block (requester aborts on a cycle); kPeriodic models
-// Berkeley DB's db_perf detector: a background thread scans every interval
-// and kills the youngest transaction of each cycle (§6.1.3).
+// Key kinds: rows, gaps (the InnoDB-style gap below a key, §2.5.2), a
+// per-table supremum gap and pages (§4.1); kinds never interact.
+// Deadlocks: kImmediate runs a DFS before each block (the requester
+// aborts on a cycle); kPeriodic models Berkeley DB's detector, a thread
+// that kills the youngest member of each cycle every interval (§6.1.3).
 
 #ifndef SSIDB_LOCK_LOCK_MANAGER_H_
 #define SSIDB_LOCK_LOCK_MANAGER_H_
@@ -138,9 +94,9 @@ struct AcquireResult {
   /// kOk, kDeadlock (victim of immediate or periodic detection) or
   /// kTimedOut. SIREAD acquisition always succeeds.
   Status status;
-  /// rw-antidependency evidence gathered at grant time (§3.2): acquiring
-  /// kExclusive reports current kSIRead holders (Fig 3.5 line 4);
-  /// acquiring kSIRead reports current kExclusive holders (Fig 3.4 line 3).
+  /// rw evidence gathered at grant time on non-row keys: kExclusive
+  /// reports kSIRead holders (Fig 3.5 line 4), kSIRead reports kExclusive
+  /// holders (Fig 3.4 line 3).
   RwConflicts rw_conflicts;
 };
 
@@ -169,47 +125,72 @@ class LockManager {
   /// drain.
   AcquireResult Acquire(TxnId txn, const LockKey& key, LockMode mode);
 
-  /// SSI read-path fast lane: publish `txn`'s SIREAD on (table, kind, key)
-  /// and append the current EXCLUSIVE holders to `rw_out` (Fig 3.4
-  /// line 3), in the publish-then-probe order the §3.2 argument above
-  /// requires. Never blocks; performs no heap allocation on the warm
-  /// no-conflict path (see the SIReadIndex contract) — in particular the
-  /// key travels as a Slice end to end.
-  void AcquireSIRead(TxnId txn, TableId table, LockKind kind, Slice key,
-                     RwConflicts* rw_out);
+  /// Release every lock `txn` holds in this table and the SIREAD index
+  /// (abort, and cleanup of suspended transactions). Chain locks are
+  /// released from the transaction's own lists (TxnManager).
+  void ReleaseAll(TxnId txn) {
+    ReleaseAllExceptSIRead(txn);
+    sireads_.ReleaseAll(txn);
+  }
 
-  /// Release every lock `txn` holds — blocking locks *and* SIREAD entries
-  /// (abort of any transaction, and cleanup of suspended ones).
-  void ReleaseAll(TxnId txn);
-
-  /// Release `txn`'s blocking (kShared/kExclusive) locks but keep its
-  /// SIREAD entries (commit of a transaction that must stay suspended,
-  /// Fig 3.2 line 9). With SIREAD state in its own index this touches
-  /// only the blocking lock table.
+  /// Release `txn`'s kShared/kExclusive locks in this table but keep its
+  /// SIREADs (commit of an SSI transaction, Fig 3.2 line 9).
   void ReleaseAllExceptSIRead(TxnId txn);
 
-  /// True if `txn` currently holds at least one kSIRead lock (commit-time
-  /// suspension test, Fig 3.2 line 11). One hash lookup in the index.
-  bool HoldsAnySIRead(TxnId txn) const;
+  /// True if `txn` holds a SIREAD in the index (absent keys, pages,
+  /// ranges). One hash lookup.
+  bool HoldsAnySIRead(TxnId txn) const { return sireads_.HoldsAny(txn); }
 
-  /// True if `txn` holds `mode` on `key` (tests).
+  /// True if `txn` holds `mode` on `key` in this table or the index
+  /// (tests).
   bool Holds(TxnId txn, const LockKey& key, LockMode mode) const;
 
-  /// Append the EXCLUSIVE holders of `key` other than `self` to `out`: the
-  /// probe half of AcquireSIRead, on its own for a scan whose range
-  /// SIREAD is already published (R3 above). Heterogeneous probe: no
-  /// owning key is materialized.
-  void CollectExclusiveHolders(TxnId self, const LockKeyView& key,
-                               RwConflicts* out) const;
+  // --- Chain waits (row locks on version chains, version.h) ---
 
-  /// Total number of (txn, key, mode-bit) grants — blocking table plus
-  /// SIREAD index. Maintained as relaxed atomic counters at grant/release
-  /// time, so stats sampling never touches the shard mutexes.
+  /// The generation of the parking stripe `chain` maps to; a blocked
+  /// chain step records it under the chain latch (RowLockWait::gen).
+  const std::atomic<uint64_t>* ChainWaitGen(const VersionChain* chain) {
+    return &ChainStripeOf(chain).gen;
+  }
+
+  /// Park `txn`, whose step on `chain` blocked on `wait->blockers`:
+  /// register its waits-for edges (EnterWait), then sleep until the
+  /// stripe's generation moves past `wait->seen_gen` (kOk: retry the step)
+  /// or lock_timeout_ms passes. The first call counts in lock.waits.
+  Status WaitOnChain(TxnId txn, const VersionChain* chain,
+                     RowLockWait* wait);
+
+  /// A request that waited was granted: drop its waits-for edges.
+  void EndChainWait(TxnId txn, const RowLockWait& wait) {
+    if (wait.counted) ClearWaits(txn);
+  }
+
+  /// Wake the requests parked on `chain`'s stripe (a release whose chain
+  /// recorded a waiter).
+  void WakeChain(const VersionChain* chain) { Wake(ChainStripeOf(chain)); }
+
+  /// Apply lock-count changes made by chain steps to the gauges.
+  void Account(const RowLockDelta& delta) {
+    if (delta.locks != 0) {
+      chain_locks_.fetch_add(delta.locks, std::memory_order_relaxed);
+    }
+    if (delta.sireads != 0 || delta.siread_keys != 0) {
+      sireads_.AccountChains(delta.sireads, delta.siread_keys);
+    }
+  }
+
+  /// Live (txn, key, mode) grants in this table, the index and on chains,
+  /// from relaxed counters (sampling touches no mutex).
   size_t GrantCount() const {
+    const int64_t chain = chain_locks_.load(std::memory_order_relaxed);
     return static_cast<size_t>(
                grant_count_.load(std::memory_order_relaxed)) +
-           sireads_.GrantCount();
+           sireads_.GrantCount() + sireads_.ChainGrantCount() +
+           static_cast<size_t>(chain > 0 ? chain : 0);
   }
+
+  /// Row-kind entries in the lock table: absent-key locks only (tests).
+  size_t RowEntryCount() const;
 
   /// The SIREAD predicate index. The transaction manager drives suspended
   /// cleanup against it directly; tests and benchmarks may probe it.
@@ -237,12 +218,9 @@ class LockManager {
     std::unordered_map<TxnId, std::vector<LockKey>> held;
   };
 
-  /// Striped registry of which shards a transaction has (possibly)
-  /// acquired blocking locks in, so ReleaseAll visits only those shards
-  /// instead of sweeping all 64. A shard bit is set *before* the
-  /// acquisition attempt, so a granted lock always has its bit visible to
-  /// any later release; spurious bits (failed acquisitions) only cost a
-  /// wasted shard visit.
+  /// Which shards a transaction may hold locks in, so ReleaseAll visits
+  /// only those. The bit is set before the acquisition attempt; a
+  /// spurious bit only costs a wasted visit.
   struct TouchStripe {
     mutable std::mutex mu;
     std::unordered_map<TxnId, uint64_t> shard_masks;
@@ -252,11 +230,6 @@ class LockManager {
   static constexpr size_t kNumTouchStripes = 64;
   static_assert(kNumShards <= 64, "shard mask is a uint64_t");
 
-  Shard& ShardFor(const LockKey& key) {
-    // key.Hash() is cached: shard routing and the entries-map probe of one
-    // acquisition hash the key bytes exactly once.
-    return shards_[key.Hash() % kNumShards];
-  }
   const Shard& ShardFor(const LockKey& key) const {
     return shards_[key.Hash() % kNumShards];
   }
@@ -268,14 +241,34 @@ class LockManager {
   /// Remove and return the touched-shard mask (0 if never touched).
   uint64_t TakeTouchedShards(TxnId txn);
 
+  /// Parking stripes for chain waits, keyed by chain address. `gen` moves
+  /// under `mu` on every wake; a waiter sleeps while it equals the value
+  /// its blocked step read under the chain latch.
+  struct ChainStripe {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::atomic<uint64_t> gen{0};
+  };
+  static constexpr size_t kNumChainStripes = 64;
+  ChainStripe& ChainStripeOf(const VersionChain* chain) {
+    const auto a = reinterpret_cast<uintptr_t>(chain);
+    return chain_stripes_[(a >> 6) * 0x9E3779B97F4A7C15ULL >> 58];
+  }
+
+  /// Move the stripe's generation and wake its sleepers.
+  void Wake(ChainStripe& stripe);
+
+  /// Register `txn`'s waits-for edges; a cycle (kImmediate) or a detector
+  /// kill returns kDeadlock with the edges cleared.
+  Status EnterWait(TxnId txn, const TxnId* blockers, size_t n);
+
   /// Owners (other than txn) whose granted bits block `mode` on a key of
   /// the given kind (gap keys use insert-intention compatibility).
   static void CollectBlockers(const LockEntry& entry, TxnId txn,
                               LockMode mode, LockKind kind,
                               std::vector<TxnId>* blockers);
 
-  /// Record/clear the waits-for edge set of a blocked transaction.
-  void SetWaits(TxnId txn, const std::vector<TxnId>& blockers);
+  /// Clear the waits-for edge set of a transaction that stopped waiting.
   void ClearWaits(TxnId txn);
 
   /// DFS from `start` through waits-for edges; true if `start` is on a
@@ -288,9 +281,6 @@ class LockManager {
 
   /// Drop every grant `txn` holds in `shard`. Caller holds shard.mu.
   void ReleaseLocked(Shard& shard, TxnId txn);
-  /// Release blocking locks only (shared by ReleaseAll and
-  /// ReleaseAllExceptSIRead).
-  void ReleaseBlocking(TxnId txn);
 
   /// Decrement grant_count_ by `n` with the not-below-zero contract:
   /// every decrement corresponds to previously counted grants, asserted
@@ -305,6 +295,7 @@ class LockManager {
 
   Shard shards_[kNumShards];
   TouchStripe touch_stripes_[kNumTouchStripes];
+  ChainStripe chain_stripes_[kNumChainStripes];
   SIReadIndex sireads_;
 
   mutable std::mutex graph_mu_;
@@ -313,9 +304,11 @@ class LockManager {
 
   std::atomic<uint64_t> deadlocks_detected_{0};
   std::atomic<uint64_t> waits_{0};
-  /// Live blocking-table grants. Unsigned with an explicit
-  /// decrement-not-below-zero contract (SubGrants).
+  /// Live table grants (SubGrants asserts they never go below zero), and
+  /// chain owners plus shared holders (signed: a release may be accounted
+  /// before a concurrent grant's increment lands).
   std::atomic<uint64_t> grant_count_{0};
+  std::atomic<int64_t> chain_locks_{0};
 
   std::atomic<bool> stop_{false};
   std::thread detector_;

@@ -60,10 +60,7 @@ SIReadIndex::Entry* SIReadIndex::FindLocked(const KeyStripe& stripe,
   if (stripe.buckets.empty()) return nullptr;
   const size_t b = (key.hash / kNumStripes) & (stripe.buckets.size() - 1);
   for (Entry* e = stripe.buckets[b]; e != nullptr; e = e->next) {
-    if (e->hash == key.hash && e->table == key.table && e->kind == key.kind &&
-        Slice(e->key) == key.key) {
-      return e;
-    }
+    if (Matches(*e, key)) return e;
   }
   return nullptr;
 }
@@ -101,6 +98,7 @@ SIReadIndex::Entry* SIReadIndex::GetOrCreateLocked(KeyStripe& stripe,
   // assign() reuses the recycled string's capacity: no allocation unless
   // this key is longer than any the node has held before.
   e->key.assign(key.key.data(), key.key.size());
+  e->chain = nullptr;
   assert(e->owners.empty());
   const size_t b = (key.hash / kNumStripes) & (stripe.buckets.size() - 1);
   e->next = stripe.buckets[b];
@@ -131,11 +129,8 @@ void SIReadIndex::Publish(TxnId txn, const LockKeyView& key) {
     }
     e->owners.push_back(txn);
   }
-  // The entry pointer stays valid across the stripe boundary: an entry is
-  // recycled only when its owner list empties, the (e, txn) ownership just
-  // added can only be removed by this thread (EraseOwn is owner-thread-
-  // only) or by ReleaseAll, which requires the transaction to be finished
-  // — and a finished transaction no longer publishes.
+  // `e` stays valid past the stripe: only this thread (EraseOwn) or a
+  // ReleaseAll after the transaction finished can remove this owner.
   TxnStripe& ts = txn_stripes_[TxnStripeOf(txn)];
   {
     std::lock_guard<std::mutex> guard(ts.mu);
@@ -166,48 +161,32 @@ void SIReadIndex::CollectHolders(TxnId self, const LockKeyView& key,
   }
 }
 
-void SIReadIndex::EraseOwn(TxnId txn, const LockKeyView& key) {
-  // Quick unsynchronized-path rejection: look the entry up and check the
-  // owner under the key stripe alone. The result cannot go stale in the
-  // hazardous direction — only this thread removes this txn's ownership
-  // (see the threading contract in the header).
-  Entry* target = nullptr;
-  {
-    KeyStripe& stripe = key_stripes_[KeyStripeOf(key.hash)];
-    std::lock_guard<std::mutex> guard(stripe.mu);
-    target = FindLocked(stripe, key);
-    if (target == nullptr) return;
-    bool held = false;
-    for (TxnId owner : target->owners) {
-      if (owner == txn) {
-        held = true;
-        break;
-      }
-    }
-    if (!held) return;
-  }
-  // Unlink the ownership record chain-first, entry-second, in the same
-  // txn-stripe-before-key-stripe order ReleaseAll uses.
+bool SIReadIndex::EraseOwn(TxnId txn, const LockKeyView& key) {
+  // Transaction stripe before key stripe, as ReleaseAll. The owner's links
+  // are matched without the key stripe: an entry's key is fixed while it
+  // has an owner, and only this thread removes this owner.
   TxnStripe& ts = txn_stripes_[TxnStripeOf(txn)];
+  std::lock_guard<std::mutex> tguard(ts.mu);
+  auto it = ts.chains.find(txn);
+  if (it == ts.chains.end()) return false;
+  OwnerLink** plink = &it->second.points;
+  while (*plink != nullptr && !Matches(*(*plink)->entry, key)) {
+    plink = &(*plink)->next;
+  }
+  if (*plink == nullptr) return false;
+  OwnerLink* dead = *plink;
+  Entry* target = dead->entry;
+  *plink = dead->next;
+  dead->next = ts.free_links;
+  ts.free_links = dead;
+  if (it->second.points == nullptr && it->second.ranges == nullptr) {
+    ts.chains.erase(it);
+  }
+  bool carried;
   {
-    std::lock_guard<std::mutex> tguard(ts.mu);
-    auto it = ts.chains.find(txn);
-    assert(it != ts.chains.end());
-    OwnerLink** plink = &it->second.points;
-    while (*plink != nullptr && (*plink)->entry != target) {
-      plink = &(*plink)->next;
-    }
-    assert(*plink != nullptr);
-    OwnerLink* dead = *plink;
-    *plink = dead->next;
-    dead->next = ts.free_links;
-    ts.free_links = dead;
-    if (it->second.points == nullptr && it->second.ranges == nullptr) {
-      ts.chains.erase(it);
-    }
-
-    KeyStripe& stripe = key_stripes_[KeyStripeOf(key.hash)];
+    KeyStripe& stripe = key_stripes_[dead->key_stripe];
     std::lock_guard<std::mutex> kguard(stripe.mu);
+    carried = target->chain != nullptr;
     for (size_t i = 0; i < target->owners.size(); ++i) {
       if (target->owners[i] == txn) {
         target->owners.unordered_erase(i);
@@ -217,11 +196,24 @@ void SIReadIndex::EraseOwn(TxnId txn, const LockKeyView& key) {
     if (target->owners.empty()) RecycleEntryLocked(stripe, target);
   }
   grants_.fetch_sub(1, std::memory_order_relaxed);
+  return carried;
+}
+
+void SIReadIndex::CarryOnto(const LockKeyView& key, VersionChain* chain,
+                            ConflictBuf* out) {
+  KeyStripe& stripe = key_stripes_[KeyStripeOf(key.hash)];
+  std::lock_guard<std::mutex> guard(stripe.mu);
+  Entry* e = FindLocked(stripe, key);
+  if (e == nullptr) return;
+  e->chain = chain;
+  for (TxnId owner : e->owners) out->push_back(owner);
 }
 
 void SIReadIndex::ReleaseAll(TxnId txn) {
   TxnStripe& ts = txn_stripes_[TxnStripeOf(txn)];
   uint64_t released = 0;
+  // Chains to leave once the stripes are dropped (lock order, header).
+  InlineVec<VersionChain*, 4> carried;
   {
     std::lock_guard<std::mutex> tguard(ts.mu);
     auto it = ts.chains.find(txn);
@@ -248,6 +240,7 @@ void SIReadIndex::ReleaseAll(TxnId txn) {
       {
         std::lock_guard<std::mutex> kguard(stripe.mu);
         Entry* e = link->entry;
+        if (e->chain != nullptr) carried.push_back(e->chain);
         for (size_t i = 0; i < e->owners.size(); ++i) {
           if (e->owners[i] == txn) {
             e->owners.unordered_erase(i);
@@ -263,6 +256,11 @@ void SIReadIndex::ReleaseAll(TxnId txn) {
     }
   }
   if (released > 0) grants_.fetch_sub(released, std::memory_order_relaxed);
+  // The carry-over put each owner of a marked entry on the chain (unless
+  // it was there already, or a write later dropped it, §3.7.3).
+  RowLockDelta delta;
+  for (VersionChain* chain : carried) chain->ReleaseHolder(txn, &delta);
+  AccountChains(delta.sireads, delta.siread_keys);
 }
 
 bool SIReadIndex::Holds(TxnId txn, const LockKeyView& key) const {
@@ -283,7 +281,13 @@ bool SIReadIndex::HoldsAny(TxnId txn) const {
 }
 
 size_t SIReadIndex::EntryCount() const {
-  size_t total = RangeCount();
+  const int64_t chains = chain_keys_.load(std::memory_order_relaxed);
+  return RangeCount() + PointEntryCount() +
+         static_cast<size_t>(chains > 0 ? chains : 0);
+}
+
+size_t SIReadIndex::PointEntryCount() const {
+  size_t total = 0;
   for (const KeyStripe& stripe : key_stripes_) {
     std::lock_guard<std::mutex> guard(stripe.mu);
     total += stripe.entry_count;

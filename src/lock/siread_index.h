@@ -1,65 +1,40 @@
-// SIReadIndex: the dedicated predicate index for SIREAD locks (§3.2, §3.3).
+// SIReadIndex: the SIREAD locks that have no version chain to live on
+// (§3.2, §3.3).
 //
-// SIREAD locks are not locks in the blocking sense: they never block and
-// never delay anyone (Fig 3.4); their only job is to make rw-antidependency
-// evidence discoverable — a writer acquiring EXCLUSIVE on a key must learn
-// which transactions read it (Fig 3.5 line 4), and a reader must learn
-// which transactions hold EXCLUSIVE on it (Fig 3.4 line 3). They also have
-// different lifetime rules: SIREAD entries outlive their owner's commit
-// (suspension, §3.3) and are dropped only by suspended-transaction cleanup.
-// PostgreSQL's production SSI keeps this state in a dedicated partitioned
-// predicate-lock structure outside the heavyweight lock manager for the
-// same reasons (Ports & Grittner, VLDB 2012); this class is that structure.
+// SIREAD locks never block anyone (Fig 3.4); they make rw-antidependency
+// evidence discoverable, and they outlive their owner's commit until
+// suspended-transaction cleanup (§3.3). PostgreSQL's SSI keeps them in a
+// predicate-lock structure outside the heavyweight lock manager (Ports &
+// Grittner, VLDB 2012). Here the point SIREAD of a key with a chain goes
+// one step further and lives on the chain, beside the key's owner
+// (version.h). This index keeps the rest: SIREADs of absent keys (a read
+// never creates a chain), page SIREADs (page granularity) and scan ranges.
+// When a write creates an absent key's chain, the chain's first SSI write
+// step carries the key's entry onto it (CarryOnto) and marks the entry, so
+// each carried holder's ReleaseAll leaves the chain too; a reader whose
+// re-probe finds the chain moves there itself (EraseOwn). The argument is
+// in version.h ("Absent keys").
 //
-// Shape:
-//   * 64 key stripes, each a chained hash table keyed by
-//     (table, kind, key-bytes) under its own mutex. Probes take a
-//     LockKeyView (Slice + precomputed hash): no std::string is ever
-//     materialized to look a key up.
-//   * 64 transaction stripes (striped by txn id), each mapping TxnId to a
-//     singly-linked chain of ownership links. ReleaseAll(txn) walks only
-//     that chain — O(entries held), not O(stripes) — so releasing a
-//     transaction that holds nothing costs one hash lookup.
-//   * Entry and link nodes are pooled per stripe: a release pushes nodes
-//     onto a free list and the next publish pops them, so steady-state
-//     publish/release traffic performs no heap allocation (a recycled
-//     entry even reuses its key std::string's capacity).
-//   * Conflict reporting fills a caller-provided InlineVec; up to
-//     kInlineConflicts holders are reported without allocation.
-//   * Range SIREADs (the predicate locks of an SSI scan, §3.5) live in 64
-//     table stripes, each an interval treap keyed by (table, lo) whose
-//     nodes cache the largest (table, hi) of their subtree. A writer's
-//     stabbing probe (CollectRangeHolders) visits only subtrees that can
-//     cover its key — O(log ranges + holders), not O(ranges) — and a
-//     stripe with no ranges costs one relaxed load. Each range has one
-//     owner and sits on that owner's chain beside its point entries, so
-//     ReleaseAll, HoldsAny and the counts cover both kinds. A
-//     transaction's next scan on a table coalesces into its existing
-//     range when it overlaps it or starts at or below the successor key
-//     the range's last scan saw. The range then also covers the gap below
-//     that successor, as a next-key successor-gap lock would, and a scan
-//     marching through a table in chunks holds one range.
+// Shape: 64 key stripes, chained hash tables keyed by (table, kind, key)
+// and probed with a LockKeyView (no key copy); 64 transaction stripes
+// mapping each owner to its chain of ownership links and ranges, so
+// release is O(held); entry, link and range nodes pooled per stripe, so
+// steady-state traffic does not allocate. Ranges (SSI scans, §3.5) live in
+// 64 table stripes, each an interval treap ordered by (table, lo) whose
+// nodes cache their subtree's largest (table, hi): a writer's stab costs
+// O(log ranges + holders), and a stripe without ranges one relaxed load.
+// A transaction's next scan on a table coalesces into its range when it
+// overlaps it or starts at or below the successor the range's last scan
+// saw (covering that gap, as a next-key lock would).
 //
-// Zero-allocation contract (the read hot path): Publish and CollectHolders
-// on keys whose entry already exists and whose owner list fits the current
-// capacity perform no heap allocation, and no key bytes are copied unless
-// a brand-new entry node (not available from the free list) must be
-// created. The allocations that remain are one-time pool growth.
-//
-// Threading contract: Publish, PublishRange, NoteRangeSuccessor and
-// EraseOwn for a transaction are called only by the thread executing that
-// transaction; ReleaseAll(txn) may be called from any thread but only
-// once the transaction can no longer publish (it aborted, or committed
-// and is being cleaned up). Probes (CollectHolders / CollectRangeHolders /
-// Holds / HoldsAny) are safe from any thread at any time. Lock order
-// inside the index: a transaction stripe mutex may be held while
-// acquiring a key or range stripe mutex, never the reverse.
-//
-// Cross-structure atomicity (the §3.2 race): see the ordering arguments in
-// lock_manager.h — readers publish here *before* probing the lock table
-// (and, for ranges, before collecting the scan's entries); writers grant
-// there (and create the key's chain) *before* probing here; the mutex
-// happens-before chain guarantees at least one side observes the other.
+// Threading: Publish, PublishRange, NoteRangeSuccessor and EraseOwn for a
+// transaction run on its executing thread; ReleaseAll(txn) on any thread
+// once the transaction can no longer publish. Probes and CarryOnto are
+// safe anywhere. Lock order: a transaction stripe before a key or range
+// stripe; a chain latch before a key stripe (CarryOnto); no stripe held
+// while latching a chain (ReleaseAll). The ordering arguments that make
+// conflicts unlosable across this index, the lock table and the chains
+// are in lock_manager.h and version.h.
 
 #ifndef SSIDB_LOCK_SIREAD_INDEX_H_
 #define SSIDB_LOCK_SIREAD_INDEX_H_
@@ -81,9 +56,8 @@ namespace ssidb {
 
 class SIReadIndex {
  public:
-  /// Holders reported per probe without allocation.
-  static constexpr size_t kInlineConflicts = 8;
-  using ConflictBuf = InlineVec<TxnId, kInlineConflicts>;
+  /// Holders reported per probe without allocation (up to 8).
+  using ConflictBuf = TxnIdBuf;
 
   SIReadIndex() = default;
   ~SIReadIndex();
@@ -100,18 +74,22 @@ class SIReadIndex {
   void CollectHolders(TxnId self, const LockKeyView& key,
                       ConflictBuf* out) const;
 
-  /// Drop `txn`'s SIREAD on `key` if present (§3.7.3: an EXCLUSIVE grant
-  /// subsumes the owner's own SIREAD; the new version the writer creates
-  /// will detect later conflicts instead).
-  void EraseOwn(TxnId txn, const LockKeyView& key);
+  /// Drop `txn`'s SIREAD on `key` if present (§3.7.3, or a reader moving
+  /// onto the key's new chain). Returns true if the entry had been carried
+  /// onto a chain: `txn`'s place there is then the caller's to release.
+  bool EraseOwn(TxnId txn, const LockKeyView& key);
 
-  /// Drop every SIREAD `txn` holds: abort, or suspended-transaction
-  /// cleanup once no concurrent transaction remains (§3.3). O(held).
+  /// The carry-over (header): append `key`'s holders to `out` and mark its
+  /// entry as carried onto `chain`. Called under the chain's latch.
+  void CarryOnto(const LockKeyView& key, VersionChain* chain,
+                 ConflictBuf* out);
+
+  /// Drop every SIREAD `txn` holds (abort, or suspended cleanup, §3.3),
+  /// including its places on chains its entries were carried onto.
   void ReleaseAll(TxnId txn);
 
   bool Holds(TxnId txn, const LockKeyView& key) const;
-  /// Commit-time suspension test (Fig 3.2 line 11): one hash lookup.
-  /// Counts point entries and ranges alike.
+  /// Whether `txn` holds a point entry or range here: one hash lookup.
   bool HoldsAny(TxnId txn) const;
 
   /// Record that `txn` scanned [lo, hi] of `table`: one range SIREAD
@@ -121,28 +99,39 @@ class SIReadIndex {
   /// (NoteRangeSuccessor), at or above `lo`. Never blocks.
   void PublishRange(TxnId txn, TableId table, Slice lo, Slice hi);
 
-  /// Record the successor key the scan of [.., hi] saw above `hi`
-  /// (nullopt: the table's supremum), on `txn`'s range on `table` whose
-  /// upper end that scan set. Later scans starting at or below it
-  /// coalesce into the range.
+  /// Record the successor key (nullopt: supremum) the scan of [.., hi]
+  /// saw, on `txn`'s range on `table` ending at `hi`.
   void NoteRangeSuccessor(TxnId txn, TableId table, Slice hi,
                           const std::optional<std::string>& successor);
 
   /// Append the owner of every range SIREAD on `table` covering `key`,
-  /// other than `self`, to `out` (the writer's predicate probe). Does not
-  /// clear `out`.
+  /// other than `self`, to `out` (the writer's predicate probe).
   void CollectRangeHolders(TxnId self, TableId table, Slice key,
                            ConflictBuf* out) const;
 
-  /// Live SIREAD grants: (txn, key) pairs plus ranges. Relaxed counter;
-  /// never touches the stripe mutexes.
+  /// Live SIREAD grants here: (txn, key) pairs plus ranges.
   size_t GrantCount() const {
     return static_cast<size_t>(grants_.load(std::memory_order_relaxed));
   }
 
-  /// Distinct keys plus ranges currently indexed — the retained predicate
-  /// state the `siread.entries` gauge reports.
+  /// Keys with a SIREAD (entries here and chains with a SIREAD holder)
+  /// plus ranges: the `siread.entries` gauge.
   size_t EntryCount() const;
+
+  /// Point entries in the key stripes alone (tests).
+  size_t PointEntryCount() const;
+
+  /// SIREAD holders on chains (counted in lock.grants).
+  size_t ChainGrantCount() const {
+    const int64_t n = chain_sireads_.load(std::memory_order_relaxed);
+    return static_cast<size_t>(n > 0 ? n : 0);
+  }
+
+  /// Chain steps report their SIREAD holder and key changes here.
+  void AccountChains(int64_t sireads, int64_t keys) {
+    chain_sireads_.fetch_add(sireads, std::memory_order_relaxed);
+    chain_keys_.fetch_add(keys, std::memory_order_relaxed);
+  }
 
   /// Ranges currently indexed (the `siread.ranges` gauge).
   size_t RangeCount() const;
@@ -156,6 +145,8 @@ class SIReadIndex {
     /// Owners of a SIREAD on this key; hot keys with many concurrent
     /// readers spill to a heap buffer that recycling preserves.
     InlineVec<TxnId, 4> owners;
+    /// The chain the owners were carried onto (CarryOnto), or nullptr.
+    VersionChain* chain = nullptr;
     Entry* next = nullptr;  ///< Bucket chain, or free-list link.
   };
 
@@ -227,6 +218,10 @@ class SIReadIndex {
     return (txn * 0x9E3779B97F4A7C15ULL >> 32) % kNumStripes;
   }
 
+  static bool Matches(const Entry& e, const LockKeyView& key) {
+    return e.hash == key.hash && e.table == key.table && e.kind == key.kind &&
+           Slice(e.key) == key.key;
+  }
   /// Find the entry for `key` in `stripe`, or nullptr. Caller holds mu.
   Entry* FindLocked(const KeyStripe& stripe, const LockKeyView& key) const;
   /// Find-or-create. Caller holds mu.
@@ -260,6 +255,10 @@ class SIReadIndex {
   TxnStripe txn_stripes_[kNumStripes];
   RangeStripe range_stripes_[kNumStripes];
   std::atomic<uint64_t> grants_{0};
+  /// SIREAD holders on chains and chains with one (signed: see
+  /// LockManager::chain_locks_).
+  std::atomic<int64_t> chain_sireads_{0};
+  std::atomic<int64_t> chain_keys_{0};
 };
 
 }  // namespace ssidb

@@ -161,6 +161,9 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
                               options_.run_page_bytes, source, &pool_,
                               options_.log.wal_fsync, &replacement, env_);
   if (!st.ok()) return NoteIOError(st, table_id);
+  std::error_code ec;
+  compaction_bytes_written_.fetch_add(fs::file_size(replacement->path(), ec),
+                                      std::memory_order_relaxed);
 
   // Publish the replacement and unlink the inputs. Only after the rename +
   // dir fsync above: a crash in between leaves both generations on disk,

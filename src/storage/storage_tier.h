@@ -150,6 +150,12 @@ class StorageTier {
     return pages_probed_.load(std::memory_order_relaxed);
   }
 
+  /// Bytes of the runs compactions wrote (tier.compaction_bytes_written);
+  /// checkpoint and spill runs are not counted here.
+  uint64_t compaction_bytes_written() const {
+    return compaction_bytes_written_.load(std::memory_order_relaxed);
+  }
+
   /// Run creations/compactions that failed on I/O (io.errors.tier).
   uint64_t io_errors() const {
     return io_errors_.load(std::memory_order_relaxed);
@@ -189,6 +195,7 @@ class StorageTier {
   std::atomic<uint64_t> spilled_chains_{0};
   std::atomic<uint64_t> faulted_chains_{0};
   std::atomic<uint64_t> pages_probed_{0};
+  std::atomic<uint64_t> compaction_bytes_written_{0};
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<obs::TraceRing*> trace_{nullptr};
 };

@@ -6,6 +6,49 @@
 // becomes atomically visible to snapshots taken at or after that
 // timestamp. Deletes install tombstone versions (§3.5) so that the key keeps
 // its slot in the index and the gap-lock keyspace stays stable.
+//
+// Row locks live on the chain (row granularity). Beside its versions a
+// chain records, under the same latch, the key's exclusive owner (every
+// isolation level), its S2PL shared holders and its SSI SIREAD holders.
+// So the paper's meeting of a SIREAD and a write lock on one item (§3.2,
+// Figs 3.4/3.5) is mutual exclusion on one latch:
+//
+//   * an SSI read records its SIREAD, reports a foreign owner as rw
+//     evidence (Fig 3.4 line 3) and reads its snapshot in one latched
+//     step (LockedRead);
+//   * a write claims the owner, drops its own SIREAD (§3.7.3) and collects
+//     the SIREAD holders (Fig 3.5 line 4) in one latched step
+//     (ClaimOwner), and later runs first-committer-wins and installs its
+//     version in another (CheckAndInstall).
+//
+// Whichever step takes the latch second sees the first. The chain never
+// calls another subsystem under its latch, with one exception below:
+// conflict marking, snapshot allocation, waits-for bookkeeping and parking
+// all run in the caller between steps. A conflicting request (X against X
+// or S, S against X) registers itself as a waiter and returns; the caller
+// parks in the lock manager and retries. A release reports whether the
+// chain recorded a waiter, and only then is a wake-up sent.
+//
+// Absent keys. A read never creates a chain, so a key without one keeps
+// its SIREADs in the SIReadIndex key stripes and its S2PL shared locks in
+// the lock table. Chains are created only by writes, under the
+// insert-intention gap lock. The hand-over is a publish-then-probe pair:
+//
+//   reader R of k: (R1) publish in the index   (R2) re-probe the point index
+//   chain creation: (C1) the chain enters the point index
+//                   (C2) the chain's first SSI write step probes the index
+//
+// If R2 misses the chain, R1 precedes C1 and hence C2, so C2 sees R's
+// entry and carries it onto the chain (CarryOnce: the index is probed
+// under the chain latch, so no step on the chain can run between the
+// probe and the adoption, and the carried entry is marked so that R's
+// release also leaves the chain). If R2 finds the chain, R moves its
+// SIREAD onto the chain itself. Either way every SSI writer of k, each of
+// which runs its claim after C2, finds R on the chain. S2PL shared locks
+// on absent keys need no carrying: a creator first takes the key's
+// exclusive lock in the lock table, so no chain appears while such a
+// reader holds its lock there, and a reader that re-probes after its
+// lock-table grant and finds the chain takes the chain's shared lock too.
 
 #ifndef SSIDB_STORAGE_VERSION_H_
 #define SSIDB_STORAGE_VERSION_H_
@@ -82,6 +125,120 @@ struct ReadResult {
   /// active snapshot, so any resident visible version is the correct
   /// (newer) answer and the spilled one is unreachable.
   bool evicted = false;
+
+  // Row-lock outcome of VersionChain::LockedRead.
+  /// The requested shared lock conflicts with a foreign owner: nothing was
+  /// read and the request is registered as a waiter (see RowLockWait).
+  bool blocked = false;
+  /// The lock step recorded a new holder for the reader (its TxnState must
+  /// list the chain so that release is O(held)).
+  bool lock_added = false;
+  /// A foreign owner the read saw (kProbe/kSIRead): rw-antidependency
+  /// evidence from the reader to it (Fig 3.4 line 3). 0 if none.
+  TxnId writer = 0;
+};
+
+/// Transaction ids reported by a lock step without allocation.
+using TxnIdBuf = InlineVec<TxnId, 8>;
+
+/// Row-lock modes of a read step on a chain.
+enum class RowLockMode : uint8_t {
+  kNone,    ///< Plain read: no lock, no evidence (SI).
+  kProbe,   ///< Report a foreign owner only (SSI scan rows: the range
+            ///< SIREAD covers the key).
+  kSIRead,  ///< Record an SSI SIREAD and report a foreign owner.
+  kShared,  ///< S2PL shared lock: waits for a foreign owner.
+};
+
+/// The caller's side of one row-lock request on one chain, kept across the
+/// retries of that request. A step that finds a conflict fills `blockers`,
+/// counts itself as the chain's waiter and records the parking stripe's
+/// generation (`gen`, read under the latch); the caller parks until the
+/// generation moves (LockManager::WaitOnChain) and retries. The next step
+/// on the chain with this wait (or StopWaiting) uncounts it.
+struct RowLockWait {
+  const std::atomic<uint64_t>* gen = nullptr;
+  uint64_t seen_gen = 0;
+  bool waiting = false;
+  TxnIdBuf blockers;
+  /// Lock-manager bookkeeping: set once the request waited (lock.waits
+  /// counts it once) and its deadline.
+  bool counted = false;
+  int64_t deadline_ns = 0;
+};
+
+/// Lock-count changes made by chain lock steps, for the lock.grants and
+/// siread.entries gauges (LockManager::Account).
+struct RowLockDelta {
+  int64_t locks = 0;        ///< Owners and shared holders.
+  int64_t sireads = 0;      ///< SIREAD holders.
+  int64_t siread_keys = 0;  ///< Chains with at least one SIREAD holder.
+
+  bool empty() const { return locks == 0 && sireads == 0 && siread_keys == 0; }
+};
+
+/// What CheckAndInstall verifies before it installs.
+enum class WriteCheck : uint8_t {
+  kNone,         ///< Upsert.
+  kMustBeAbsent, ///< Insert: no visible version (else DuplicateKey).
+  kMustExist,    ///< Delete: a visible version (else NotFound).
+  kCopyIfFound,  ///< GetForUpdate: read, and install a copy of the visible
+                 ///< value unless it is the writer's own.
+};
+
+/// Outcome of VersionChain::CheckAndInstall.
+struct WriteResult {
+  /// First-committer-wins failed: a version committed after `fcw_since`;
+  /// `fcw_creator` created the newest one. Nothing was installed.
+  bool fcw_conflict = false;
+  TxnId fcw_creator = 0;
+  /// The check needs the spilled anchor: fault it in and retry.
+  bool evicted = false;
+  /// A visible non-tombstone version exists at read_ts (checked kinds).
+  bool found = false;
+  bool own_write = false;
+  Timestamp version_cts = 0;
+  /// The installed version (nullptr: nothing installed) and whether it
+  /// overwrote the writer's earlier uncommitted version.
+  Version* version = nullptr;
+  bool replaced_own = false;
+};
+
+/// The chain latch: a 4-byte mutex over one futex word (0 free, 1 held,
+/// 2 held with sleepers). A std::mutex is 40 bytes; with this latch a
+/// chain and its row-lock state (owner and two inline holders) fit the 64
+/// bytes the chain alone took with a std::mutex. Critical sections are
+/// short and call no other subsystem, so a contended acquire spins briefly
+/// before it sleeps.
+class ChainLatch {
+ public:
+  void lock() {
+    uint32_t c = 0;
+    if (state_.compare_exchange_strong(c, 1, std::memory_order_acquire)) {
+      return;
+    }
+    for (int spin = 0; spin < 64; ++spin) {
+      c = 0;
+      if (state_.load(std::memory_order_relaxed) == 0 &&
+          state_.compare_exchange_weak(c, 1, std::memory_order_acquire)) {
+        return;
+      }
+#if defined(__x86_64__)
+      __builtin_ia32_pause();
+#endif
+    }
+    while (state_.exchange(2, std::memory_order_acquire) != 0) {
+      state_.wait(2, std::memory_order_relaxed);
+    }
+  }
+  void unlock() {
+    if (state_.exchange(0, std::memory_order_release) == 2) {
+      state_.notify_one();
+    }
+  }
+
+ private:
+  std::atomic<uint32_t> state_{0};
 };
 
 /// The version list for a single key. All operations latch the chain; the
@@ -122,9 +279,10 @@ class VersionChain {
   void InstallRecovered(Timestamp commit_ts, Slice value, bool tombstone);
 
   /// First-committer-wins check (§2.5): true if some committed version has
-  /// commit_ts > since. Must be called while holding the write lock on the
-  /// key so no new committed version can appear concurrently.
-  bool HasCommittedVersionAfter(Timestamp since);
+  /// commit_ts > since; *creator (if non-null) then names the newest one's
+  /// creator. Must be called while holding the write lock on the key so no
+  /// new committed version can appear concurrently.
+  bool HasCommittedVersionAfter(Timestamp since, TxnId* creator = nullptr);
 
   /// True if the newest committed version exists and is not a tombstone;
   /// used by Insert duplicate checks. Also reports that newest commit ts.
@@ -138,6 +296,70 @@ class VersionChain {
 
   /// Number of versions currently in the chain (test/introspection).
   size_t size() const;
+
+  // --- Row locks (row granularity; see the file header) ---
+  //
+  // Each step below is one latched critical section. `wait` may be null
+  // for modes that cannot block; `delta` accumulates lock-count changes.
+
+  /// Read under a row lock: record `mode` for `reader` (kSIRead, kShared),
+  /// report a foreign owner (kProbe, kSIRead) in result.writer, then read
+  /// as Read() does. kShared against a foreign owner blocks instead:
+  /// result.blocked, nothing read.
+  ReadResult LockedRead(TxnId reader, RowLockMode mode, Timestamp read_ts,
+                        std::string* value, RowLockWait* wait,
+                        RowLockDelta* delta);
+
+  /// Claim the exclusive owner for `writer`. Blocks (returns false, waiter
+  /// registered in `wait`) against a foreign owner or foreign shared
+  /// holders. On a grant: drops the writer's own SIREAD if
+  /// `drop_own_siread` (§3.7.3), appends the other SIREAD holders to
+  /// `sireaders` if non-null (Fig 3.5 line 4), and sets *newly_owned when
+  /// the writer did not own the chain before.
+  bool ClaimOwner(TxnId writer, bool drop_own_siread, TxnIdBuf* sireaders,
+                  RowLockWait* wait, RowLockDelta* delta, bool* newly_owned);
+
+  /// The owner's write step: first-committer-wins against `fcw_since`
+  /// (kMaxTimestamp skips it), then `check` at `read_ts`, then install
+  /// `value` (or, for kCopyIfFound, a copy of the visible value, which
+  /// *read_value receives) as the writer's uncommitted version.
+  WriteResult CheckAndInstall(TxnId writer, Timestamp fcw_since,
+                              Timestamp read_ts, WriteCheck check,
+                              Slice value, bool tombstone,
+                              std::string* read_value);
+
+  /// Clear `txn`'s ownership (after commit stamped its version, or after
+  /// abort removed it). Returns true if a waiter must be woken.
+  bool ReleaseOwner(TxnId txn, RowLockDelta* delta);
+
+  /// Drop `txn`'s shared or SIREAD lock. Returns true if a waiter must be
+  /// woken (a shared lock left and the chain records a waiter).
+  bool ReleaseHolder(TxnId txn, RowLockDelta* delta);
+
+  /// Uncount a request that stops waiting without retrying (abort on
+  /// deadlock or timeout).
+  void StopWaiting(RowLockWait* wait);
+
+  /// True once the key's index SIREAD holders were carried onto the chain.
+  bool carried() const { return carried_.load(std::memory_order_acquire); }
+
+  /// The first SSI write step's carry-over (file header). Under the latch,
+  /// unless already carried: `collect(TxnIdBuf*)` probes the index for the
+  /// key's SIREAD holders (and marks the entry carried), and each becomes
+  /// a SIREAD holder of the chain.
+  template <typename Collect>
+  void CarryOnce(Collect&& collect, RowLockDelta* delta) {
+    std::lock_guard<ChainLatch> guard(latch_);
+    if (carried_.load(std::memory_order_relaxed)) return;
+    TxnIdBuf readers;
+    collect(&readers);
+    for (TxnId r : readers) AddSIReadLocked(r, delta);
+    carried_.store(true, std::memory_order_release);
+  }
+
+  // Introspection (tests).
+  TxnId owner() const;
+  bool HoldsSIRead(TxnId txn) const;
 
   // --- Disk spill / fault protocol (storage tier; see storage_tier.h) ---
   //
@@ -198,17 +420,80 @@ class VersionChain {
   bool evicted() const;
 
  private:
+  /// The shared and SIREAD holders of a chain: two inline, more in a heap
+  /// array that lives until the set empties. A holder is
+  /// (txn << 1) | shared. Arrays of the first heap size come from a small
+  /// per-thread cache, so steady-state lock traffic does not allocate.
+  class Holders {
+   public:
+    Holders() = default;
+    ~Holders();
+    Holders(const Holders&) = delete;
+    Holders& operator=(const Holders&) = delete;
+
+    static uint64_t Make(TxnId txn, bool shared) {
+      return (txn << 1) | (shared ? 1 : 0);
+    }
+    static TxnId Txn(uint64_t h) { return h >> 1; }
+    static bool Shared(uint64_t h) { return (h & 1) != 0; }
+
+    bool Contains(uint64_t h) const;
+    /// False if already present.
+    bool Add(uint64_t h);
+    /// False if absent.
+    bool Remove(uint64_t h);
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      const uint64_t* d = data();
+      for (uint32_t i = 0; i < size_; ++i) fn(d[i]);
+    }
+
+   private:
+    static constexpr uint32_t kInline = 2;
+    const uint64_t* data() const { return cap_ == kInline ? inline_ : heap_; }
+    uint64_t* data() { return cap_ == kInline ? inline_ : heap_; }
+
+    uint32_t size_ = 0;
+    uint32_t cap_ = kInline;
+    union {
+      uint64_t inline_[kInline];
+      uint64_t* heap_;
+    };
+  };
+
   /// Free every version in the chain. Caller holds latch_.
   void FreeAllLocked();
+  /// Read body shared by Read and LockedRead. Caller holds latch_.
+  void ReadLocked(TxnId reader, Timestamp read_ts, std::string* value,
+                  ReadResult* result);
+  /// Head install shared by InstallUncommitted and CheckAndInstall.
+  Version* InstallLocked(TxnId writer, Slice value, bool tombstone,
+                         bool* replaced_own);
+  bool AnySIReadLocked() const;
+  /// Record a SIREAD holder, counting it in `delta`. Caller holds latch_.
+  bool AddSIReadLocked(TxnId txn, RowLockDelta* delta);
+  /// Register a blocked request as a waiter. Caller holds latch_.
+  void BlockLocked(RowLockWait* wait);
+  /// The request stopped waiting (it retries). Caller holds latch_.
+  void UnwaitLocked(RowLockWait* wait);
 
-  mutable std::mutex latch_;
+  mutable ChainLatch latch_;
+  /// Row-lock state, under latch_ (carried_ is also read without it).
+  uint32_t waiters_ = 0;
   Version* newest_ = nullptr;
   /// Spill state, all under latch_. accessed_ is the clock bit: set by
   /// Read and InstallUncommitted, cleared by SpillProbe.
   bool evicted_ = false;
   bool accessed_ = false;
+  std::atomic<bool> carried_{false};
   Timestamp spilled_cts_ = 0;
+  TxnId owner_ = 0;
+  Holders holders_;
 };
+
+static_assert(sizeof(VersionChain) <= 64,
+              "a chain with its row locks keeps the 64 bytes of a chain "
+              "without them");
 
 }  // namespace ssidb
 

@@ -117,32 +117,57 @@ Status Executor::MarkConflicts(TxnCtx& txn, const RwConflicts& others,
 
 Status Executor::AcquireAndMark(TxnCtx& txn, const LockKey& lk,
                                 LockMode mode) {
-  assert(mode != LockMode::kSIRead);  // SIREAD uses AcquireSIReadAndMark.
   TxnState* state = txn.state.get();
   AcquireResult r = locks_->Acquire(state->id, lk, mode);
   if (!r.status.ok()) {
     return AbortWith(txn, r.status);
   }
   if (state->isolation != IsolationLevel::kSerializableSSI ||
-      mode != LockMode::kExclusive) {
-    r.rw_conflicts.clear();  // Only SSI writers act on SIREAD holders.
+      mode == LockMode::kShared) {
+    r.rw_conflicts.clear();  // Only SSI readers and writers act on them.
   }
-  return MarkConflicts(txn, r.rw_conflicts, /*reader_side=*/false);
+  return MarkConflicts(txn, r.rw_conflicts,
+                       /*reader_side=*/mode == LockMode::kSIRead);
 }
 
-Status Executor::AcquireSIReadAndMark(TxnCtx& txn, TableId table,
-                                      LockKind kind, Slice key) {
-  RwConflicts writers;
-  locks_->AcquireSIRead(txn.state->id, table, kind, key, &writers);
-  return MarkConflicts(txn, writers, /*reader_side=*/true);
+Status Executor::ParkOnChain(TxnCtx& txn, VersionChain* chain,
+                             RowLockWait* wait) {
+  const Status st = locks_->WaitOnChain(txn.state->id, chain, wait);
+  if (st.ok()) return st;
+  chain->StopWaiting(wait);
+  return AbortWith(txn, st);
 }
 
-Status Executor::ProbeWritersAndMark(TxnCtx& txn, TableId table,
-                                     LockKind kind, Slice key) {
-  RwConflicts writers;
-  locks_->CollectExclusiveHolders(txn.state->id,
-                                  MakeLockKeyView(table, kind, key), &writers);
-  return MarkConflicts(txn, writers, /*reader_side=*/true);
+Status Executor::ClaimRow(TxnCtx& txn, TableId table, Slice key,
+                          VersionChain* chain) {
+  TxnState* state = txn.state.get();
+  const bool ssi = state->isolation == IsolationLevel::kSerializableSSI;
+  RowLockDelta delta;
+  if (ssi && !chain->carried()) {
+    // The chain's first SSI write step carries the key's absent-key
+    // SIREADs onto it (version.h, "Absent keys").
+    SIReadIndex* sireads = locks_->siread_index();
+    const LockKeyView view = MakeLockKeyView(table, LockKind::kRow, key);
+    chain->CarryOnce(
+        [&](TxnIdBuf* out) { sireads->CarryOnto(view, chain, out); }, &delta);
+  }
+  RwConflicts readers;
+  RowLockWait wait;
+  wait.gen = locks_->ChainWaitGen(chain);
+  bool newly_owned = false;
+  while (!chain->ClaimOwner(state->id, ssi && options_.upgrade_siread_locks,
+                            ssi ? &readers : nullptr, &wait, &delta,
+                            &newly_owned)) {
+    const Status st = ParkOnChain(txn, chain, &wait);
+    if (!st.ok()) {
+      locks_->Account(delta);
+      return st;
+    }
+  }
+  locks_->EndChainWait(state->id, wait);
+  if (!delta.empty()) locks_->Account(delta);
+  if (newly_owned) state->owned_chains.push_back(chain);
+  return MarkConflicts(txn, readers, /*reader_side=*/false);
 }
 
 Status Executor::ProbeRangeReadersAndMark(TxnCtx& txn, TableId table,
@@ -153,8 +178,24 @@ Status Executor::ProbeRangeReadersAndMark(TxnCtx& txn, TableId table,
   return MarkConflicts(txn, readers, /*reader_side=*/false);
 }
 
+RowLockMode Executor::ReadLockMode(const TxnState& state) const {
+  if (options_.granularity == LockGranularity::kPage) {
+    return RowLockMode::kNone;
+  }
+  switch (state.isolation) {
+    case IsolationLevel::kSerializableSSI:
+      return RowLockMode::kSIRead;
+    case IsolationLevel::kSerializable2PL:
+      return RowLockMode::kShared;
+    case IsolationLevel::kSnapshot:
+      break;
+  }
+  return RowLockMode::kNone;
+}
+
 Status Executor::ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
-                                  VersionChain* chain, std::string* value,
+                                  VersionChain* chain, RowLockMode mode,
+                                  RowLockWait* wait, std::string* value,
                                   ReadResult* out) {
   TxnState* state = txn.state.get();
   const bool locking_read =
@@ -162,12 +203,23 @@ Status Executor::ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
   const Timestamp read_ts =
       locking_read ? kMaxTimestamp : state->read_ts.load();
   if (chain != nullptr) {
-    *out = chain->Read(state->id, read_ts, value);
+    RowLockDelta delta;
+    *out = chain->LockedRead(state->id, mode, read_ts, value, wait, &delta);
+    if (!delta.empty()) locks_->Account(delta);
+    if (out->lock_added) state->read_chains.push_back(chain);
   } else {
     *out = ReadResult{};
   }
-  if (state->isolation != IsolationLevel::kSerializableSSI) {
+  if (out->blocked || state->isolation != IsolationLevel::kSerializableSSI) {
     return Status::OK();
+  }
+  if (mode == RowLockMode::kSIRead || mode == RowLockMode::kProbe) {
+    // Fig 3.4 line 3: a foreign owner of what we read, seen under the
+    // latch of the read itself.
+    RwConflicts writers;
+    if (out->writer != 0) writers.push_back(out->writer);
+    Status st = MarkConflicts(txn, writers, /*reader_side=*/true);
+    if (!st.ok()) return st;
   }
   // Fig 3.4 lines 8-9: every ignored newer committed version is an
   // rw-antidependency from this reader to its creator.
@@ -201,28 +253,40 @@ Status Executor::ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
 
 Status Executor::ReadChainFaulting(TxnCtx& txn, Table* t, Slice key,
                                    const LockKey* page_lk,
-                                   VersionChain* chain, std::string* value,
-                                   ReadResult* out) {
+                                   VersionChain* chain, RowLockMode mode,
+                                   std::string* value, ReadResult* out) {
   // Hit latency is sampled; once a fault fires the I/O dominates, so an
   // unsampled read starts its clock at the first fault and the fault
   // histogram stays complete either way.
   const bool sampled = obs::SampleTick(sample_mask_);
   uint64_t t0 = sampled ? obs::NowNanos() : 0;
+  RowLockWait wait;
+  if (mode == RowLockMode::kShared && chain != nullptr) {
+    wait.gen = locks_->ChainWaitGen(chain);
+  }
   int attempt = 0;
   // A faulted chain can in principle be re-evicted by a concurrent
   // DB::SpillChains between our install and the re-read; the bound turns a
   // pathological loop into an abort the application can retry.
-  for (;; ++attempt) {
-    Status st = ReadChainAndMark(txn, page_lk, chain, value, out);
+  for (;;) {
+    Status st = ReadChainAndMark(txn, page_lk, chain, mode, &wait, value, out);
     if (!st.ok()) return st;
+    if (out->blocked) {
+      st = ParkOnChain(txn, chain, &wait);
+      if (!st.ok()) return st;
+      if (sampled) t0 = obs::NowNanos();  // Time the read, not the wait.
+      continue;
+    }
     if (!out->evicted) break;
     if (attempt >= 8) {
       return AbortWith(txn, Status::IOError("version fault retry limit"));
     }
     if (attempt == 0 && !sampled) t0 = obs::NowNanos();
+    ++attempt;
     st = t->FaultChain(key, chain);
     if (!st.ok()) return AbortWith(txn, st);
   }
+  locks_->EndChainWait(txn.state->id, wait);
   if (attempt > 0) {
     const uint64_t ns = obs::NowNanos() - t0;
     read_fault_ns_.Record(ns);
@@ -236,6 +300,35 @@ Status Executor::ReadChainFaulting(TxnCtx& txn, Table* t, Slice key,
   return Status::OK();
 }
 
+Status Executor::InstallFaulting(TxnCtx& txn, Table* t, Slice key,
+                                 VersionChain* chain, WriteCheck check,
+                                 Slice value, bool tombstone,
+                                 std::string* read_value, WriteResult* out) {
+  TxnState* state = txn.state.get();
+  const bool s2pl = state->isolation == IsolationLevel::kSerializable2PL;
+  const Timestamp read_ts = s2pl ? kMaxTimestamp : state->read_ts.load();
+  // S2PL needs no first-committer-wins; page granularity ran it already.
+  const Timestamp fcw_since =
+      s2pl || options_.granularity == LockGranularity::kPage ? kMaxTimestamp
+                                                            : read_ts;
+  for (int attempt = 0;; ++attempt) {
+    *out = chain->CheckAndInstall(state->id, fcw_since, read_ts, check, value,
+                                  tombstone, read_value);
+    if (out->fcw_conflict) {
+      state->SetAbortCause(AbortReason::kFcwRow, out->fcw_creator);
+      return AbortWith(txn, Status::UpdateConflict("newer committed version"));
+    }
+    if (!out->evicted) return Status::OK();
+    // The check may hinge on the spilled anchor (e.g. its tombstone):
+    // fault it back before deciding.
+    if (attempt >= 8) {
+      return AbortWith(txn, Status::IOError("version fault retry limit"));
+    }
+    Status st = t->FaultChain(key, chain);
+    if (!st.ok()) return AbortWith(txn, st);
+  }
+}
+
 Status Executor::Get(TxnCtx& txn, TableId table, Slice key,
                      std::string* value) {
   Status st = CheckUsable(txn);
@@ -243,39 +336,51 @@ Status Executor::Get(TxnCtx& txn, TableId table, Slice key,
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   TxnState* state = txn.state.get();
+  EnsureSnapshot(txn);
 
   const bool page_mode = options_.granularity == LockGranularity::kPage;
   const LockKey* page_lk = nullptr;
-  switch (state->isolation) {
-    case IsolationLevel::kSerializable2PL:
-      EnsureSnapshot(txn);
-      st = AcquireAndMark(txn, RowLockKeyInto(txn, table, key),
-                          LockMode::kShared);
-      break;
-    case IsolationLevel::kSerializableSSI:
-      EnsureSnapshot(txn);
-      if (page_mode) {
-        // The page key is materialized once (scratch) and shared with the
-        // §4.2 page-conflict check below.
-        const LockKey& lk = RowLockKeyInto(txn, table, key);
-        page_lk = &lk;
-        st = AcquireSIReadAndMark(txn, table, LockKind::kPage, lk.key);
-      } else {
-        // Hot path: the SIREAD publication and the EXCLUSIVE-holder probe
-        // take the key as a Slice — no LockKey, no copy, no allocation.
-        st = AcquireSIReadAndMark(txn, table, LockKind::kRow, key);
-      }
-      break;
-    case IsolationLevel::kSnapshot:
-      EnsureSnapshot(txn);
-      break;
+  VersionChain* chain = t->Find(key);
+  // An SSI read of an absent key whose re-probe found the chain.
+  bool moved = false;
+  if (page_mode && state->isolation != IsolationLevel::kSnapshot) {
+    // The page key is materialized once (scratch) and shared with the
+    // §4.2 page-conflict check below.
+    const LockKey& lk = RowLockKeyInto(txn, table, key);
+    page_lk = &lk;
+    st = AcquireAndMark(txn, lk,
+                        state->isolation == IsolationLevel::kSerializableSSI
+                            ? LockMode::kSIRead
+                            : LockMode::kShared);
+  } else if (chain == nullptr &&
+             state->isolation == IsolationLevel::kSerializable2PL) {
+    // Absent key: the lock-table row lock, then the re-probe (version.h).
+    st = AcquireAndMark(txn, RowLockKeyInto(txn, table, key),
+                        LockMode::kShared);
+    if (st.ok()) chain = t->Find(key);
+  } else if (chain == nullptr &&
+             state->isolation == IsolationLevel::kSerializableSSI) {
+    // Absent key: publish in the index, then re-probe (version.h).
+    locks_->siread_index()->Publish(
+        state->id, MakeLockKeyView(table, LockKind::kRow, key));
+    chain = t->Find(key);
+    moved = chain != nullptr;
   }
   if (!st.ok()) return st;
 
-  VersionChain* chain = t->Find(key);
+  const size_t held = state->read_chains.size();
   ReadResult rr;
-  st = ReadChainFaulting(txn, t, key, page_lk, chain, value, &rr);
+  st = ReadChainFaulting(txn, t, key, page_lk, chain,
+                         ReadLockMode(*state), value, &rr);
   if (!st.ok()) return st;
+  if (moved &&
+      locks_->siread_index()->EraseOwn(
+          state->id, MakeLockKeyView(table, LockKind::kRow, key)) &&
+      state->read_chains.size() == held) {
+    // The creator carried our entry onto the chain before our step added
+    // us: the carried place is ours to release now.
+    state->read_chains.push_back(chain);
+  }
 
   if (history_ != nullptr) {
     history_->Read(state->id, table, key, rr.version_cts, rr.own_write);
@@ -295,71 +400,81 @@ Status Executor::GetForUpdate(TxnCtx& txn, TableId table, Slice key,
   // first, snapshot after (§4.5), then verify first-committer-wins. The
   // exclusive lock is held to commit, so the read "promotes" to an update
   // from every concurrent transaction's point of view.
+  const bool page_mode = options_.granularity == LockGranularity::kPage;
   const LockKey& row_lk = RowLockKeyInto(txn, table, key);
-  st = AcquireAndMark(txn, row_lk, LockMode::kExclusive);
-  if (!st.ok()) return st;
+  VersionChain* chain = t->Find(key);
+  if (page_mode || chain == nullptr) {
+    // The page lock, or an absent key's lock-table row lock followed by
+    // the re-probe (version.h).
+    st = AcquireAndMark(txn, row_lk, LockMode::kExclusive);
+    if (!st.ok()) return st;
+    if (chain == nullptr) chain = t->Find(key);
+  }
+  if (!page_mode && chain != nullptr) {
+    st = ClaimRow(txn, table, key, chain);
+    if (!st.ok()) return st;
+  }
   EnsureSnapshot(txn);
 
-  const bool page_mode = options_.granularity == LockGranularity::kPage;
-  const LockKey* page_lk = page_mode ? &row_lk : nullptr;
-
-  VersionChain* chain = t->Find(key);
   if (chain != nullptr && UsesRangeSIReads(*state)) {
     // W3 of the range SIREAD argument (lock_manager.h): the row grant is
-    // this statement's only exclusive grant and the chain exists.
+    // this statement's only grant and the chain exists.
     st = ProbeRangeReadersAndMark(txn, table, key);
     if (!st.ok()) return st;
   }
-  if (chain != nullptr &&
-      state->isolation != IsolationLevel::kSerializable2PL) {
-    st = CheckFirstCommitterWins(txn, chain, row_lk);
+  if (chain == nullptr) {
+    if (history_ != nullptr) {
+      history_->Read(state->id, table, key, /*version_cts=*/0, false);
+    }
+    return Status::NotFound();
+  }
+  if (page_mode && state->isolation != IsolationLevel::kSerializable2PL) {
+    st = CheckPageFirstCommitterWins(txn, chain, row_lk);
     if (!st.ok()) return AbortWith(txn, st);
   }
 
   std::string local;
   if (value == nullptr) value = &local;
-  ReadResult rr;
-  st = ReadChainFaulting(txn, t, key, page_lk, chain, value, &rr);
+  // Time the locking read like a read (read.hit_ns / read.fault_ns).
+  const bool sampled = obs::SampleTick(sample_mask_);
+  const uint64_t t0 = sampled ? obs::NowNanos() : 0;
+  WriteResult wr;
+  st = InstallFaulting(txn, t, key, chain, WriteCheck::kCopyIfFound, Slice(),
+                       /*tombstone=*/false, value, &wr);
   if (!st.ok()) return st;
+  if (sampled) read_hit_ns_.Record(obs::NowNanos() - t0);
   if (history_ != nullptr) {
-    history_->Read(state->id, table, key, rr.version_cts, rr.own_write);
+    history_->Read(state->id, table, key, wr.version_cts, wr.own_write);
   }
-  if (rr.found && !rr.own_write) {
-    // Oracle semantics (§2.6.2): the locking read is "treated for
-    // concurrency control exactly like an update" — install an identity
-    // version so a concurrent writer's first-committer-wins check sees
-    // this transaction's commit. Without it, the PostgreSQL interleaving
-    // the paper documents (SFU commits, concurrent write slips through)
-    // would be admitted.
-    bool replaced_own = false;
-    Version* v = chain->InstallUncommitted(state->id, *value,
-                                           /*tombstone=*/false,
-                                           &replaced_own);
-    if (!replaced_own) {
+  if (wr.version != nullptr) {
+    // The identity version (WriteCheck::kCopyIfFound): a concurrent
+    // writer's first-committer-wins check sees this transaction's commit.
+    // Without it, the PostgreSQL interleaving the paper documents (SFU
+    // commits, concurrent write slips through) would be admitted.
+    if (!wr.replaced_own) {
       state->write_set.push_back(
-          TxnState::WriteRecord{table, key.ToString(), chain, v, t});
-    }
-    if (page_mode && !replaced_own) {
-      state->page_writes.push_back(row_lk);
+          TxnState::WriteRecord{table, key.ToString(), chain, wr.version, t});
+      if (page_mode) state->page_writes.push_back(row_lk);
     }
     if (history_ != nullptr) {
       history_->Write(state->id, table, key, /*tombstone=*/false);
     }
   }
-  return rr.found ? Status::OK() : Status::NotFound();
+  return wr.found ? Status::OK() : Status::NotFound();
 }
 
-Status Executor::CheckFirstCommitterWins(TxnCtx& txn, VersionChain* chain,
-                                         const LockKey& row_lk) {
+Status Executor::CheckPageFirstCommitterWins(TxnCtx& txn, VersionChain* chain,
+                                             const LockKey& page_lk) {
   const Timestamp read_ts = txn.state->read_ts.load();
-  if (chain->HasCommittedVersionAfter(read_ts)) {
-    txn.state->SetAbortCause(AbortReason::kFcwRow, 0);
+  TxnId creator = 0;
+  if (chain->HasCommittedVersionAfter(read_ts, &creator)) {
+    txn.state->SetAbortCause(AbortReason::kFcwRow, creator);
     return Status::UpdateConflict("newer committed version");
   }
-  if (options_.granularity == LockGranularity::kPage &&
-      txns_->PageLastWriteTs(row_lk) > read_ts) {
+  Timestamp ts = 0;
+  if (txns_->PageLastWrite(page_lk, &ts, &creator) && ts > read_ts) {
     // §4.2: Berkeley DB applies first-committer-wins per page.
-    txn.state->SetAbortCause(AbortReason::kFcwPage, 0);
+    txn.state->SetAbortCause(AbortReason::kFcwPage, creator);
     return Status::UpdateConflict("page modified since snapshot");
   }
   return Status::OK();
@@ -373,20 +488,23 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   if (key.empty()) return Status::InvalidArgument("empty key");
   TxnState* state = txn.state.get();
+  const bool page_mode = options_.granularity == LockGranularity::kPage;
 
   // One point-index probe: the chain found here is the one written below;
   // a miss creates it once the locks are held.
   VersionChain* chain = t->Find(key);
-  const bool new_index_entry = chain == nullptr;
   const LockKey& row_lk = RowLockKeyInto(txn, table, key);
 
   // §4.5: the exclusive lock is acquired *before* the snapshot is chosen,
   // so a single-statement update always sees the latest committed version
   // and never aborts under first-committer-wins.
-  st = AcquireAndMark(txn, row_lk, LockMode::kExclusive);
-  if (!st.ok()) return st;
-
-  if (new_index_entry && options_.granularity == LockGranularity::kRow) {
+  if (page_mode || chain == nullptr) {
+    // The page lock, or an absent key's lock-table row lock: S2PL readers
+    // of the absent key wait on it (version.h).
+    st = AcquireAndMark(txn, row_lk, LockMode::kExclusive);
+    if (!st.ok()) return st;
+  }
+  if (chain == nullptr && !page_mode) {
     // Fig 3.7: inserts take the gap lock on next(key) — an insert-intention
     // exclusive that conflicts with scanners' gap locks but not with other
     // inserts into the same gap (InnoDB semantics). Page locks subsume
@@ -395,21 +513,23 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
                         LockMode::kExclusive);
     if (!st.ok()) return st;
   }
-
-  EnsureSnapshot(txn);
-
   if (chain == nullptr) chain = t->GetOrCreate(key);
-
-  if (UsesRangeSIReads(*state)) {
-    // W3 of the range SIREAD argument (lock_manager.h): after the last
-    // exclusive grant (the insert-intention gap lock) and after the chain
-    // is in the index, so a scan this probe misses collects the key.
-    st = ProbeRangeReadersAndMark(txn, table, key);
+  if (!page_mode) {
+    st = ClaimRow(txn, table, key, chain);
     if (!st.ok()) return st;
   }
 
-  if (state->isolation != IsolationLevel::kSerializable2PL) {
-    st = CheckFirstCommitterWins(txn, chain, row_lk);
+  EnsureSnapshot(txn);
+
+  if (UsesRangeSIReads(*state)) {
+    // W3 of the range SIREAD argument (lock_manager.h): after the last
+    // grant (the owner claim) and after the chain is in the index, so a
+    // scan this probe misses collects the key.
+    st = ProbeRangeReadersAndMark(txn, table, key);
+    if (!st.ok()) return st;
+  }
+  if (page_mode && state->isolation != IsolationLevel::kSerializable2PL) {
+    st = CheckPageFirstCommitterWins(txn, chain, row_lk);
     if (!st.ok()) return AbortWith(txn, st);
   }
 
@@ -417,39 +537,21 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   // existence for Delete. These return without aborting — statement-level
   // errors the application may handle (SmallBank rolls back explicitly on
   // unknown customer names, §2.8.3).
-  if (kind != WriteKind::kUpsert) {
-    const Timestamp read_ts =
-        state->isolation == IsolationLevel::kSerializable2PL
-            ? kMaxTimestamp
-            : state->read_ts.load();
-    ReadResult rr = chain->Read(state->id, read_ts, nullptr);
-    for (int attempt = 0; rr.evicted; ++attempt) {
-      // The duplicate/existence verdict may hinge on the spilled anchor
-      // (e.g. its tombstone): fault it back before deciding.
-      if (attempt >= 8) {
-        return AbortWith(txn, Status::IOError("version fault retry limit"));
-      }
-      st = t->FaultChain(key, chain);
-      if (!st.ok()) return AbortWith(txn, st);
-      rr = chain->Read(state->id, read_ts, nullptr);
-    }
-    if (kind == WriteKind::kInsert && rr.found) {
-      return Status::DuplicateKey();
-    }
-    if (kind == WriteKind::kDelete && !rr.found) {
-      return Status::NotFound();
-    }
+  const WriteCheck check = kind == WriteKind::kInsert   ? WriteCheck::kMustBeAbsent
+                           : kind == WriteKind::kDelete ? WriteCheck::kMustExist
+                                                        : WriteCheck::kNone;
+  WriteResult wr;
+  st = InstallFaulting(txn, t, key, chain, check, value,
+                       kind == WriteKind::kDelete, nullptr, &wr);
+  if (!st.ok()) return st;
+  if (wr.version == nullptr) {
+    return kind == WriteKind::kInsert ? Status::DuplicateKey()
+                                      : Status::NotFound();
   }
-
-  bool replaced_own = false;
-  Version* v = chain->InstallUncommitted(
-      state->id, value, kind == WriteKind::kDelete, &replaced_own);
-  if (!replaced_own) {
+  if (!wr.replaced_own) {
     state->write_set.push_back(
-        TxnState::WriteRecord{table, key.ToString(), chain, v, t});
-  }
-  if (options_.granularity == LockGranularity::kPage && !replaced_own) {
-    state->page_writes.push_back(row_lk);
+        TxnState::WriteRecord{table, key.ToString(), chain, wr.version, t});
+    if (page_mode) state->page_writes.push_back(row_lk);
   }
 
   if (history_ != nullptr) {
@@ -496,22 +598,28 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   std::optional<std::string> successor;
   t->CollectRange(lo, hi, &entries, &successor);
   if (range_siread) {
+    // R3, one latched read per collected row, runs in the read loop below.
+    // Later writers stab the range (W3), and an insert the collection
+    // missed created its chain after R2, so its W3 observes the range: no
+    // gap probes and no re-collect.
     sireads->NoteRangeSuccessor(state->id, table, hi, successor);
-    // R3: probe each collected row for a writer already holding it. Later
-    // writers stab the range (W3), and an insert the collection missed
-    // created its chain after R2, so its W3 observes the range: no gap
-    // probes and no re-collect.
-    for (const ScanEntry& e : entries) {
-      st = ProbeWritersAndMark(txn, table, LockKind::kRow, e.key);
-      if (!st.ok()) return st;
-    }
   } else if (take_locks) {
-    // S2PL's next-key locks on one entry: its row and the gap below it.
-    auto lock_entry = [&](Slice entry_key) {
-      Status s = AcquireAndMark(txn, RowLockKeyInto(txn, table, entry_key),
-                                LockMode::kShared);
-      if (!s.ok()) return s;
-      txn.scratch_gap_key.Assign(table, LockKind::kGap, entry_key);
+    // S2PL's next-key locks on one entry: its row's shared lock on the
+    // chain and the gap below it in the lock table.
+    auto lock_entry = [&](const ScanEntry& e) {
+      RowLockWait wait;
+      wait.gen = locks_->ChainWaitGen(e.chain);
+      for (;;) {
+        ReadResult rr;
+        Status s = ReadChainAndMark(txn, nullptr, e.chain,
+                                    RowLockMode::kShared, &wait, nullptr, &rr);
+        if (!s.ok()) return s;
+        if (!rr.blocked) break;
+        s = ParkOnChain(txn, e.chain, &wait);
+        if (!s.ok()) return s;
+      }
+      locks_->EndChainWait(state->id, wait);
+      txn.scratch_gap_key.Assign(table, LockKind::kGap, e.key);
       return AcquireAndMark(txn, txn.scratch_gap_key, LockMode::kShared);
     };
     if (!page_mode) {
@@ -520,7 +628,7 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
       // protects (last entry, successor), so inserts anywhere in [lo, hi]
       // conflict.
       for (const ScanEntry& e : entries) {
-        st = lock_entry(e.key);
+        st = lock_entry(e);
         if (!st.ok()) return st;
       }
       st = AcquireAndMark(txn, GapLockKeyInto(txn, table, successor),
@@ -543,11 +651,8 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
       // via their entries).
       auto lock_page = [&](uint64_t p) {
         txn.scratch_row_key.Assign(table, LockKind::kPage, EncodeU64Key(p));
-        if (ssi) {
-          return AcquireSIReadAndMark(txn, table, LockKind::kPage,
-                                      txn.scratch_row_key.key);
-        }
-        return AcquireAndMark(txn, txn.scratch_row_key, LockMode::kShared);
+        return AcquireAndMark(txn, txn.scratch_row_key,
+                              ssi ? LockMode::kSIRead : LockMode::kShared);
       };
       const uint64_t lo_page = Table::PageOf(lo, options_.rows_per_page);
       const uint64_t hi_page = Table::PageOf(hi, options_.rows_per_page);
@@ -586,7 +691,7 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
         for (const ScanEntry& e : entries) known.insert(e.key);
         for (const ScanEntry& e : recheck) {
           if (known.count(e.key) > 0) continue;
-          st = lock_entry(e.key);
+          st = lock_entry(e);
           if (!st.ok()) return st;
         }
       }
@@ -598,15 +703,20 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
                                       ? txns_->clock_now()
                                       : state->read_ts.load();
 
+  // Under S2PL the rows are locked already; SSI rows get R3's probe.
+  const RowLockMode mode =
+      range_siread ? RowLockMode::kProbe : RowLockMode::kNone;
   std::string value;
-  for (const ScanEntry& e : entries) {
+  size_t next = 0;
+  while (next < entries.size()) {
+    const ScanEntry& e = entries[next++];
     const LockKey* page_lk = nullptr;
     if (ssi && page_mode) {
       // Reuse the scratch key for each entry's §4.2 page check.
       page_lk = &RowLockKeyInto(txn, table, e.key);
     }
     ReadResult rr;
-    st = ReadChainFaulting(txn, t, e.key, page_lk, e.chain, &value, &rr);
+    st = ReadChainFaulting(txn, t, e.key, page_lk, e.chain, mode, &value, &rr);
     if (!st.ok()) return st;
     if (history_ != nullptr) {
       history_->Read(state->id, table, e.key, rr.version_cts, rr.own_write);
@@ -614,6 +724,17 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
     if (rr.found) {
       if (!fn(e.key, value)) break;
     }
+  }
+  if (range_siread && next < entries.size()) {
+    // The callback stopped early: R3 still probes the rows it did not
+    // read, as the range covers them.
+    RwConflicts writers;
+    for (; next < entries.size(); ++next) {
+      const TxnId owner = entries[next].chain->owner();
+      if (owner != 0 && owner != state->id) writers.push_back(owner);
+    }
+    st = MarkConflicts(txn, writers, /*reader_side=*/true);
+    if (!st.ok()) return st;
   }
 
   if (history_ != nullptr) {

@@ -13,7 +13,16 @@
 //            SSI writers then probe the table's range SIREADs.
 //   commit - Fig 3.2/3.10 via the ConflictTracker hook.
 //
-// S2PL uses the same code paths with blocking kShared/kExclusive locks and
+// Under row granularity a key's row locks live on its version chain
+// (version.h): a read's lock, its owner check and its snapshot read are
+// one latched step (LockedRead), a write's owner claim and SIREAD
+// collection another (ClaimOwner), its first-committer-wins check and
+// install a third (CheckAndInstall). Conflict marking, snapshots, range
+// probes and lock waits run between the steps, in the order the paper's
+// pseudocode gives. Keys without a chain, gaps and pages use the lock
+// table and the SIREAD index (lock_manager.h).
+//
+// S2PL uses the same code paths with blocking shared/exclusive locks and
 // latest-committed reads; SI takes no read locks at all.
 //
 // The executor is a stateless per-engine service over the lower layers
@@ -139,53 +148,69 @@ class Executor {
   Status MarkConflicts(TxnCtx& txn, const RwConflicts& others,
                        bool reader_side);
 
-  /// Acquire a *blocking* mode (kShared/kExclusive) on `lk` and route any
-  /// rw-conflict evidence to the SSI tracker (Fig 3.5 line 4). Aborts this
-  /// transaction on deadlock/timeout/unsafe and returns the cause.
+  /// Acquire `mode` on `lk` in the lock table (gap, page and absent-key
+  /// row locks) and route any rw-conflict evidence to the SSI tracker
+  /// (Fig 3.4 line 3 for kSIRead, Fig 3.5 line 4 for kExclusive). Aborts
+  /// this transaction on deadlock/timeout/unsafe and returns the cause.
   Status AcquireAndMark(TxnCtx& txn, const LockKey& lk, LockMode mode);
 
-  /// The SSI read fast lane: publish the SIREAD on (table, kind, key) and
-  /// mark rw-conflicts with the EXCLUSIVE holders found (Fig 3.4 line 3).
-  /// The key travels as a Slice: no owning LockKey, no heap allocation on
-  /// the no-conflict path.
-  Status AcquireSIReadAndMark(TxnCtx& txn, TableId table, LockKind kind,
-                              Slice key);
+  /// A write's owner grant on `chain`, waiting as long as it conflicts,
+  /// then rw marking with the SIREAD holders it collected (Fig 3.5 line
+  /// 4). An SSI writer first carries the key's absent-key SIREADs onto
+  /// the chain (version.h). Aborts on deadlock/timeout/unsafe.
+  Status ClaimRow(TxnCtx& txn, TableId table, Slice key, VersionChain* chain);
 
-  /// A scan's per-entry check: mark rw-conflicts with the EXCLUSIVE
-  /// holders of (table, kind, key) without publishing a SIREAD (the
-  /// scan's range SIREAD covers the key).
-  Status ProbeWritersAndMark(TxnCtx& txn, TableId table, LockKind kind,
-                             Slice key);
+  /// Park after a chain step blocked (LockManager::WaitOnChain). kOk means
+  /// retry the step; otherwise the transaction is aborted with the cause.
+  Status ParkOnChain(TxnCtx& txn, VersionChain* chain, RowLockWait* wait);
 
   /// A writer's predicate check: mark rw-conflicts with the owners of the
   /// range SIREADs on `table` covering `key`.
   Status ProbeRangeReadersAndMark(TxnCtx& txn, TableId table, Slice key);
 
-  /// The paper's modified read applied to one chain: snapshot-read (or
-  /// latest-committed for S2PL) and mark rw-conflicts with creators of
-  /// ignored newer versions (Fig 3.4 lines 8-9). `page_lk` is the
-  /// operation's page lock key, required (non-null) when granularity is
-  /// kPage and the caller is an SSI transaction — the §4.2 page-conflict
-  /// check consults it instead of recomputing the page key.
+  /// The paper's modified read applied to one chain: one latched step
+  /// takes the row lock `mode` and snapshot-reads (or reads the latest
+  /// committed version for S2PL); then rw-conflicts are marked with a
+  /// foreign owner (Fig 3.4 line 3) and with creators of ignored newer
+  /// versions (Fig 3.4 lines 8-9). A blocked kShared step returns with
+  /// out->blocked for the caller to park. `page_lk` is the operation's
+  /// page lock key, required (non-null) when granularity is kPage and the
+  /// caller is an SSI transaction — the §4.2 page-conflict check consults
+  /// it instead of recomputing the page key.
   Status ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
-                          VersionChain* chain, std::string* value,
+                          VersionChain* chain, RowLockMode mode,
+                          RowLockWait* wait, std::string* value,
                           ReadResult* out);
 
-  /// ReadChainAndMark plus the storage-tier fault path: when the read
-  /// reports an evicted chain (nothing resident visible but the cold
-  /// anchor lives in a run file), fault the anchor back through the buffer
-  /// pool and retry. Memory-only engines never set `evicted`, so the hot
-  /// path is a single extra branch. Conflict re-marking across retries is
-  /// idempotent. Aborts on tier I/O failure or retry exhaustion.
+  /// ReadChainAndMark plus lock waits and the storage-tier fault path:
+  /// when the read reports an evicted chain (nothing resident visible but
+  /// the cold anchor lives in a run file), fault the anchor back through
+  /// the buffer pool and retry. Memory-only engines never set `evicted`,
+  /// so the hot path is a single extra branch. Conflict re-marking across
+  /// retries is idempotent. Aborts on tier I/O failure or retry
+  /// exhaustion. Times the read into read.hit_ns or read.fault_ns.
   Status ReadChainFaulting(TxnCtx& txn, Table* t, Slice key,
                            const LockKey* page_lk, VersionChain* chain,
-                           std::string* value, ReadResult* out);
+                           RowLockMode mode, std::string* value,
+                           ReadResult* out);
 
-  /// First-committer-wins check (§2.5/§4.2) for a write to `chain`; in
-  /// page mode also consults the page write table. Call with the exclusive
-  /// lock held and the snapshot assigned.
-  Status CheckFirstCommitterWins(TxnCtx& txn, VersionChain* chain,
-                                 const LockKey& row_lk);
+  /// The owner's CheckAndInstall, faulting the chain back while the check
+  /// needs its spilled anchor. A first-committer-wins failure aborts
+  /// naming the newer version's creator.
+  Status InstallFaulting(TxnCtx& txn, Table* t, Slice key,
+                         VersionChain* chain, WriteCheck check, Slice value,
+                         bool tombstone, std::string* read_value,
+                         WriteResult* out);
+
+  /// Page-granularity first-committer-wins (§2.5/§4.2): the chain, then
+  /// the page write table. Call with the page lock held and the snapshot
+  /// assigned. (Row granularity checks inside CheckAndInstall.)
+  Status CheckPageFirstCommitterWins(TxnCtx& txn, VersionChain* chain,
+                                     const LockKey& page_lk);
+
+  /// Row-lock mode of a point read by `state` under the configured
+  /// granularity: SSI kSIRead, S2PL kShared, SI and page mode kNone.
+  RowLockMode ReadLockMode(const TxnState& state) const;
 
   /// Shared body of Put/Insert/Delete.
   enum class WriteKind { kUpsert, kInsert, kDelete };

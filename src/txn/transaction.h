@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/abort_reason.h"
+#include "src/common/inline_vec.h"
 #include "src/common/options.h"
 #include "src/common/status.h"
 #include "src/lock/lock_key.h"
@@ -179,6 +180,16 @@ struct TxnState {
   /// In kPage granularity, the page lock keys this transaction wrote;
   /// used for page-level first-committer-wins bookkeeping (§4.2).
   std::vector<LockKey> page_writes;
+
+  /// Row locks held on version chains (row granularity, version.h), so
+  /// that release is O(held): the chains this transaction owns, and those
+  /// it holds a shared or SIREAD lock on. Appended by the executing
+  /// thread; emptied by TxnManager — owners at commit or abort, shared
+  /// locks at commit or abort, SIREADs at abort or by the suspended
+  /// cleanup, which may run on another thread while the committing one
+  /// still empties `owned_chains`.
+  InlineVec<VersionChain*, 4> owned_chains;
+  InlineVec<VersionChain*, 8> read_chains;
 
   bool IsActive() const { return status.load() == TxnStatus::kActive; }
   bool IsCommitted() const { return status.load() == TxnStatus::kCommitted; }

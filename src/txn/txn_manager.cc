@@ -527,12 +527,41 @@ void TxnManager::FinalizeAcked(AsyncCommit* ac, Status flush_status) {
 }
 
 void TxnManager::ReleaseCommitLocks(TxnState* txn) {
+  // The owners clear after the commit stamped its versions (the range
+  // argument in lock_manager.h relies on that order).
   if (txn->isolation == IsolationLevel::kSerializableSSI) {
-    // Fig 3.2 line 9: keep SIREAD locks active past commit.
+    // Fig 3.2 line 9: keep SIREAD locks active past commit. (The suspended
+    // transaction is retired already, so a cleanup on another thread may
+    // release its SIREAD list meanwhile; this thread touches only its
+    // owner list.)
+    ReleaseChainLocks(txn, /*owners=*/true, /*readers=*/false);
     lock_manager_->ReleaseAllExceptSIRead(txn->id);
   } else {
+    ReleaseChainLocks(txn, /*owners=*/true, /*readers=*/true);
     lock_manager_->ReleaseAll(txn->id);
   }
+}
+
+void TxnManager::ReleaseChainLocks(TxnState* txn, bool owners,
+                                   bool readers) {
+  RowLockDelta delta;
+  if (owners) {
+    for (VersionChain* chain : txn->owned_chains) {
+      if (chain->ReleaseOwner(txn->id, &delta)) {
+        lock_manager_->WakeChain(chain);
+      }
+    }
+    txn->owned_chains.clear();
+  }
+  if (readers) {
+    for (VersionChain* chain : txn->read_chains) {
+      if (chain->ReleaseHolder(txn->id, &delta)) {
+        lock_manager_->WakeChain(chain);
+      }
+    }
+    txn->read_chains.clear();
+  }
+  if (!delta.empty()) lock_manager_->Account(delta);
 }
 
 void TxnManager::Abort(const std::shared_ptr<TxnState>& txn) {
@@ -584,6 +613,7 @@ void TxnManager::AbortInternal(const std::shared_ptr<TxnState>& txn) {
   for (const TxnState::WriteRecord& w : txn->write_set) {
     w.chain->RemoveUncommitted(txn->id);
   }
+  ReleaseChainLocks(txn.get(), /*owners=*/true, /*readers=*/true);
   lock_manager_->ReleaseAll(txn->id);
   CleanupSuspended();
 }
@@ -612,9 +642,10 @@ void TxnManager::CleanupSuspended() {
       t->DropConflictRefs();
     }
     // A suspended transaction's blocking locks were released at its own
-    // commit; only the retained SIREAD entries remain (§3.3). Drop them
-    // straight from the SIREAD index — O(held) per transaction, no
-    // lock-table sweep.
+    // commit; only the retained SIREADs remain (§3.3): on the chains it
+    // lists, and in the index — O(held) per transaction, no lock-table
+    // sweep.
+    ReleaseChainLocks(t.get(), /*owners=*/false, /*readers=*/true);
     sireads->ReleaseAll(t->id);
   });
 

@@ -510,6 +510,9 @@ class TxnManager {
   void FinalizeAcked(AsyncCommit* ac, Status flush_status);
   /// Post-commit lock release: SSI keeps SIREAD locks (Fig 3.2 line 9).
   void ReleaseCommitLocks(TxnState* txn);
+  /// Release the chain row locks `txn` lists — its owners, its shared and
+  /// SIREAD locks, or both — and wake the chains that record a waiter.
+  void ReleaseChainLocks(TxnState* txn, bool owners, bool readers);
 
   /// Release suspended transactions no longer overlapping anything active,
   /// and prune the chains of commits the prune horizon has passed. Fast

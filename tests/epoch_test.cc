@@ -66,6 +66,25 @@ TEST(EpochReclaimerTest, FastPathSkipsWhenNothingCollectible) {
   EXPECT_EQ(r.Collect(50, [](int) {}), 1u);
 }
 
+TEST(EpochReclaimerTest, DrainedSlotGivesBackItsPeakCapacity) {
+  // A burst held back by the horizon (a long reader) grows a slot; once
+  // collected, the slot returns that capacity instead of keeping it.
+  EpochReclaimer<uint64_t> r(1);
+  constexpr uint64_t kBurst = 100000;
+  for (uint64_t e = 1; e <= kBurst; ++e) r.Retire(e, e);
+  EXPECT_GE(r.slot_capacity(), kBurst);
+  uint64_t sum = 0;
+  EXPECT_EQ(r.Collect(kBurst, [&](uint64_t v) { sum += v; }), kBurst);
+  EXPECT_EQ(sum, kBurst * (kBurst + 1) / 2);
+  EXPECT_LE(r.slot_capacity(), EpochReclaimer<uint64_t>::kKeptCapacity);
+  // Steady state below the kept capacity keeps its buffer.
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t e = 1; e <= 100; ++e) r.Retire(kBurst + e, e);
+    EXPECT_EQ(r.Collect(2 * kBurst, [](uint64_t) {}), 100u);
+    EXPECT_GE(r.slot_capacity(), 100u);
+  }
+}
+
 TEST(EpochReclaimerTest, RetiresFromManyThreadsAllVisibleToOneCollect) {
   // Retire lands in per-thread slots; a single Collect must still scan
   // them all (TxnManager::CleanupSuspended runs on whichever thread

@@ -442,22 +442,26 @@ TEST(SIReadLifetimeTest, EntriesSurviveCommitWhileOverlapped) {
   auto reader = db->Begin({IsolationLevel::kSerializableSSI});
   ASSERT_TRUE(reader->Get(table, "k", &v).ok());
   const TxnId reader_id = reader->id();
-  const SIReadIndex* idx = db->lock_manager()->siread_index();
-  EXPECT_TRUE(idx->Holds(reader_id, MakeLockKeyView(table, LockKind::kRow,
-                                                    "k")));
+  // "k" has a chain: its SIREAD lives there, not in the index.
+  const VersionChain* chain = db->table(table)->Find("k");
+  EXPECT_TRUE(chain->HoldsSIRead(reader_id));
+  EXPECT_FALSE(db->lock_manager()->siread_index()->Holds(
+      reader_id, MakeLockKeyView(table, LockKind::kRow, "k")));
   ASSERT_TRUE(reader->Commit().ok());
 
   // Retained past commit: the keeper overlaps the reader.
-  EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(reader_id));
+  EXPECT_TRUE(chain->HoldsSIRead(reader_id));
   EXPECT_GE(Metric(db.get(), "engine.suspended_txns"), 1u);
+  EXPECT_GE(Metric(db.get(), "siread.entries"), 1u);
 
   // Once no overlap remains, the next cleanup sweep drops the entries.
   ASSERT_TRUE(keeper->Commit().ok());
   auto pulse = db->Begin({IsolationLevel::kSnapshot});
   pulse->Get(table, "k", &v);
   ASSERT_TRUE(pulse->Commit().ok());
-  EXPECT_FALSE(db->lock_manager()->HoldsAnySIRead(reader_id));
+  EXPECT_FALSE(chain->HoldsSIRead(reader_id));
   EXPECT_EQ(Metric(db.get(), "engine.suspended_txns"), 0u);
+  EXPECT_EQ(Metric(db.get(), "siread.entries"), 0u);
 }
 
 TEST(SIReadLifetimeTest, RangesSurviveCommitWhileOverlapped) {
@@ -533,10 +537,10 @@ TEST(SIReadLifetimeTest, AbortDropsEntriesImmediately) {
   EXPECT_FALSE(db->lock_manager()->HoldsAnySIRead(reader->id()));
 }
 
-TEST(SIReadLifetimeTest, WriterSeesPostCommitReaderThroughIndex) {
+TEST(SIReadLifetimeTest, WriterSeesPostCommitReaderOnChain) {
   // The Fig 3.5 overlap filter ("rl.owner has not committed or
   // commit(rl.owner) > begin(T)") applied to evidence coming from the
-  // index: a reader that committed *after* the writer's snapshot was
+  // key's chain: a reader that committed *after* the writer's snapshot was
   // taken still produces the rw-antidependency.
   DBOptions opts;
   std::unique_ptr<DB> db;
@@ -563,13 +567,13 @@ TEST(SIReadLifetimeTest, WriterSeesPostCommitReaderThroughIndex) {
   ASSERT_TRUE(reader->Get(table, "k", &v).ok());
   const TxnId reader_id = reader->id();
   ASSERT_TRUE(reader->Commit().ok());
-  EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(reader_id));
+  EXPECT_TRUE(db->table(table)->Find("k")->HoldsSIRead(reader_id));
   const std::weak_ptr<TxnState> reader_state =
       db->txn_manager()->Find(reader_id);
   ASSERT_FALSE(reader_state.expired());
 
-  // The writer's EXCLUSIVE acquisition probes the index, finds the
-  // suspended reader, and the tracker records reader -> writer.
+  // The writer's owner claim collects the chain's SIREAD holders, finds
+  // the suspended reader, and the tracker records reader -> writer.
   ASSERT_TRUE(writer->Put(table, "k", "w").ok());
   std::shared_ptr<TxnState> writer_state =
       db->txn_manager()->Find(writer->id());
@@ -617,7 +621,7 @@ TEST(SIReadLifetimeTest, NonOverlappingCommittedReaderIsFiltered) {
   ASSERT_TRUE(reader->Get(table, "k", &v).ok());
   const TxnId reader_id = reader->id();
   ASSERT_TRUE(reader->Commit().ok());
-  EXPECT_TRUE(db->lock_manager()->HoldsAnySIRead(reader_id));
+  EXPECT_TRUE(db->table(table)->Find("k")->HoldsSIRead(reader_id));
 
   // Writer begins after the reader committed: no overlap.
   auto writer = db->Begin({IsolationLevel::kSerializableSSI});

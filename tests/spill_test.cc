@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -418,6 +419,56 @@ TEST(SpillTest, CheckpointFaultsBackAnEvictedChainItWrites) {
   ASSERT_TRUE(reader->Get(table, "k", &v).ok());
   EXPECT_EQ(v, "anchor");
   ASSERT_TRUE(reader->Commit().ok());
+}
+
+/// Bytes of the files under `dir` (recursively) whose names end in `ext`.
+uint64_t FileBytes(const std::string& dir, const std::string& ext) {
+  uint64_t total = 0;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (e.is_regular_file() && name.size() >= ext.size() &&
+        name.compare(name.size() - ext.size(), ext.size(), ext) == 0) {
+      total += e.file_size();
+    }
+  }
+  return total;
+}
+
+TEST(SpillTest, CompactionBytesAreCountedApartFromCheckpoints) {
+  // ckpt.bytes_written is a checkpoint's runs plus its manifest; the
+  // compaction a checkpoint triggers counts in
+  // tier.compaction_bytes_written instead.
+  ScratchDir dir;
+  DBOptions opts = TierOptions(dir.path + "/runs");
+  opts.log.wal_dir = dir.path + "/wal";
+  opts.run_compaction_min_runs = 2;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  const auto wave = [&](const std::string& value) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    for (uint64_t i = 0; i < 32; ++i) {
+      ASSERT_TRUE(txn->Put(table, EncodeU64Key(i), value).ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  };
+  wave("v1");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const uint64_t first = Metric(db.get(), "ckpt.bytes_written");
+  EXPECT_EQ(first, FileBytes(dir.path, ".run") +
+                       FileBytes(dir.path + "/wal", "MANIFEST"));
+  EXPECT_EQ(Metric(db.get(), "tier.compaction_bytes_written"), 0u);
+
+  // The second checkpoint's run (same keys, same value sizes) reaches the
+  // trigger: the two runs merge into one.
+  wave("v2");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_EQ(db->storage_tier()->run_count(table), 1u);
+  const uint64_t compacted = Metric(db.get(), "tier.compaction_bytes_written");
+  EXPECT_GT(compacted, 0u);
+  EXPECT_EQ(compacted, FileBytes(dir.path, ".run"));
+  EXPECT_EQ(Metric(db.get(), "ckpt.bytes_written"), 2 * first);
 }
 
 /// Concurrent readers/writers against a continuously spilling and
