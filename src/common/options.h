@@ -188,12 +188,14 @@ struct DBOptions {
   uint32_t txn_registry_shards = 0;
 
   /// Buffer pool of the storage tier (buffer_pool.h / storage_tier.h).
-  /// Nonzero lets DB::SpillChains evict cold version chains (newest commit
-  /// at or below the prune horizon, not accessed since the previous call)
-  /// to immutable sorted run files under data_dir, and a read that misses
-  /// in memory faults the chain suffix back through a pool of this many
-  /// bytes (fixed frame array, clock second-chance eviction); recovery
-  /// then leaves the runs' keys on disk. 0 (the default) spills nothing
+  /// Nonzero lets DB::SpillChains write the chains committed since its
+  /// table's last run generation to an immutable sorted run file under
+  /// data_dir and evict cold version chains (newest commit in a run and at
+  /// or below the prune horizon, not accessed since the previous call;
+  /// values of any size), and a read that misses in memory faults the
+  /// chain suffix back through a pool of this many bytes (fixed frame
+  /// array, clock second-chance eviction); recovery then leaves the runs'
+  /// keys on disk. 0 (the default) spills nothing
   /// and recovery loads every run into memory, so every chain stays
   /// resident. A durable engine has a tier either way — its checkpoints
   /// are runs — and the pool keeps a 4-frame floor for writing them.
@@ -208,8 +210,7 @@ struct DBOptions {
 
   /// Size of one run-file page: the buffer pool's frame size and the CRC
   /// framing unit of run files. Entries larger than a page's payload are
-  /// never spilled (they stay memory-resident); checkpoints write them as
-  /// multi-page extents.
+  /// written as multi-page extents, by spills and checkpoints alike.
   uint32_t run_page_bytes = 16384;
 
   /// Compaction trigger: when a spill (DB::SpillChains) or a checkpoint

@@ -397,8 +397,7 @@ Status DB::Checkpoint() {
     Table* table = catalog_.table(id);
     manifest.tables.push_back(table->name());
     const uint64_t before = bytes;
-    st = table->WriteCheckpointRun(checkpoint_watermark_, watermark,
-                                   &bytes);
+    st = table->WriteGeneration(watermark, &bytes);
     if (bytes != before) grown.push_back(id);
   }
   txn_manager_->EndCheckpointSweep();
@@ -504,7 +503,7 @@ std::unique_ptr<Session> DB::CreateSession() {
 }
 
 size_t DB::SpillChains(TableId id) {
-  // Read-only gate: a spill evicts chains to a new run file, and in
+  // Read-only gate: a spill's generation writes a run file, and in
   // degraded mode that run could durably capture in-memory commits whose
   // WAL records never reached the disk — recovery would then resurrect
   // unacknowledged writes. No new durable artifacts past the failure.
@@ -513,7 +512,11 @@ size_t DB::SpillChains(TableId id) {
   }
   Table* t = catalog_.table(id);
   if (t == nullptr) return 0;
-  const size_t evicted = t->SpillShards(txn_manager_->prune_horizon());
+  const Timestamp horizon = txn_manager_->prune_horizon();
+  // Best effort: a failed generation leaves the table's cut where it was,
+  // and the eviction pass then takes only what earlier generations wrote.
+  t->WriteGeneration(horizon);
+  const size_t evicted = t->EvictChains(horizon);
   // The caller that adds runs keeps their count bounded. Best effort: a
   // failed merge leaves the inputs in place and retries on the next call.
   tier_->MaybeCompact(id);

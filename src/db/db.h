@@ -176,9 +176,10 @@ class DB {
   }
 
   /// Checkpoint committed state at the current stable watermark (durable
-  /// mode only; kInvalidArgument otherwise): per table, one storage-tier
-  /// run holding what committed since the previous checkpoint (cold
-  /// storage shards are skipped via their max-commit-ts hints), then the
+  /// mode only; kInvalidArgument otherwise): per table, a run generation
+  /// (Table::WriteGeneration) holding what committed since the table's
+  /// last generation (cold storage shards are skipped via their
+  /// max-commit-ts hints), then the
   /// manifest (manifest.h) naming the watermark and the tables. Runs
   /// concurrently with transactions — the sweep holds one storage-shard
   /// latch at a time and never blocks the commit path. A call that finds
@@ -226,13 +227,16 @@ class DB {
   /// DBOptions::record_history was set.
   sgt::HistoryRecorder* history() { return history_.get(); }
 
-  /// One spill sweep over `table` at the current prune horizon: cold
-  /// committed chains move to a run file, then the table's runs are
-  /// merged once run_compaction_min_runs have accumulated. Chains touched
-  /// since the previous probe only have their clock bit cleared — call
-  /// twice to spill a chain that was just written. Nothing spills on its
-  /// own: the caller decides when. Returns chains evicted; 0 when the DB
-  /// has no tier, a zero-byte pool ("spill nothing") or is read-only.
+  /// One spill over `table` at the current prune horizon: a run
+  /// generation writes the chains committed since the table's last one
+  /// (Table::WriteGeneration, no manifest), then an eviction pass frees
+  /// the cold chains a generation has written, with no I/O, then the
+  /// table's runs are merged once run_compaction_min_runs have
+  /// accumulated. Chains touched since the previous pass only have their
+  /// clock bit cleared — call twice to evict a chain that was just
+  /// written. Nothing spills on its own: the caller decides when. Returns
+  /// chains evicted; 0 when the DB has no tier, a zero-byte pool ("spill
+  /// nothing") or is read-only.
   size_t SpillChains(TableId table);
 
   // Internal subsystem access (tests, benchmarks).

@@ -144,9 +144,10 @@ Status Recover(const std::string& dir, Catalog* catalog, StorageTier* tier,
     }
   }
 
-  // 4. The runs: checkpoint runs up to the watermark, plus any spill runs.
+  // 4. The runs: every generation's, checkpoints' up to the watermark and
+  // spills' possibly past it.
   Timestamp max_run_cts = 0;
-  st = tier->RecoverRuns(catalog, &max_run_cts);
+  st = tier->RecoverRuns(catalog, stats->checkpoint_ts, &max_run_cts);
   if (!st.ok()) return st;
   stats->max_commit_ts = std::max(stats->max_commit_ts, max_run_cts);
   return Status::OK();

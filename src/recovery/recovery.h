@@ -20,9 +20,11 @@
 //      kCorruption.
 //   4. Open every run (StorageTier::RecoverRuns): with a buffer pool the
 //      covered keys are marked evicted, with a zero pool their values are
-//      installed. A run that fails validation fails recovery with
-//      kCorruption naming the file — runs are renamed into place only
-//      when complete, so damage there is never a torn write.
+//      installed. Every table's run generation cut starts at the
+//      manifest's watermark (0 without one). A run that fails validation
+//      fails recovery with kCorruption naming the file — runs are renamed
+//      into place only when complete, so damage there is never a torn
+//      write.
 // Runs come after the WAL because a run may belong to a table created
 // after the manifest, whose create record only the WAL holds. The order
 // does not change the outcome: every install keeps the newest commit per

@@ -29,9 +29,9 @@ Status PreadFull(io::Env* env, int fd, void* buf, size_t n, uint64_t offset) {
       return Status::IOError(std::string("pread: ") + strerror(errno));
     }
     if (r == 0) {
-      // Short file: the tail of the page is zero (the writer pads pages,
-      // so this only happens for a corrupt/truncated file — the page CRC
-      // check downstream rejects it).
+      // Short file: the tail of the page is zero. A run's last frame is
+      // unpadded and its footer may end before the page does; a truncated
+      // file fails the page CRC check downstream.
       memset(p + done, 0, n - done);
       return Status::OK();
     }

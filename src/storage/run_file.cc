@@ -17,8 +17,9 @@ namespace ssidb {
 
 namespace {
 
-constexpr char kRunMagic[] = "SSIDBRUN";
-constexpr char kIndexMagic[] = "SSIDBRIF";
+/// The footer's magic. Runs of the header-page layout, whose footer
+/// started "SSIDBRIF", fail its check.
+constexpr char kFooterMagic[] = "SSIDBRFT";
 constexpr char kEndMagic[] = "SSIDBEND";
 constexpr size_t kMagicLen = 8;
 constexpr size_t kTrailerLen = 8 + kMagicLen;  // u64 footer_offset + magic.
@@ -198,15 +199,16 @@ uint64_t RunFile::MaxEntryBytes(uint32_t page_bytes) {
 
 RunFile::RunFile(std::string path, std::shared_ptr<PoolFile> file,
                  uint32_t table_id, uint64_t seq, uint32_t page_bytes,
-                 uint32_t page_count, uint64_t entry_count,
-                 std::vector<std::string> fences, RunFilter filter,
-                 BufferPool* pool, io::Env* env)
+                 uint32_t page_count, uint64_t data_bytes,
+                 uint64_t entry_count, std::vector<std::string> fences,
+                 RunFilter filter, BufferPool* pool, io::Env* env)
     : path_(std::move(path)),
       file_(std::move(file)),
       table_id_(table_id),
       seq_(seq),
       page_bytes_(page_bytes),
       page_count_(page_count),
+      data_bytes_(data_bytes),
       entry_count_(entry_count),
       fences_(std::move(fences)),
       filter_(std::move(filter)),
@@ -227,26 +229,19 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
   auto file = std::make_shared<PoolFile>(file_id, fd, env);
   pool->RegisterFile(file);
 
-  // Header page.
-  std::string header;
-  header.append(kRunMagic, kMagicLen);
-  PutBig32(&header, table_id);
-  PutBig32(&header, page_bytes);
-  PutBig64(&header, seq);
-  header.resize(page_bytes, '\0');
-  Status st = PwriteFull(env, fd, header.data(), header.size(), 0);
-
   // Data pages, through the pool: build each page's payload, frame it with
   // its CRC, and hand the bytes to dirty frames, one page at a time (an
   // extent spans several). FlushFile below performs the actual pwrites
   // (the pool's writeback path — also exercised early by clock evictions
   // when the pool is smaller than the run). The filter, sized by the key
   // count, is built from each key's hash at the end.
+  Status st;
   std::vector<std::string> fences;
   std::vector<uint64_t> hashes;
   std::string payload;
   uint32_t entry_count_in_page = 0;
-  uint32_t page_no = 0;  // Data page index; file page is page_no + 1.
+  uint32_t page_no = 0;    // Next data page (= file page).
+  uint64_t data_end = 0;   // End of the last frame: the footer's offset.
   std::string first_key_in_page;
   auto emit_page = [&]() -> Status {
     if (entry_count_in_page == 0) return Status::OK();
@@ -261,9 +256,10 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     std::string crc_be;
     PutBig32(&crc_be, crc);
     framed.replace(0, 4, crc_be);
+    data_end = uint64_t{page_no} * page_bytes + framed.size();
     for (size_t at = 0; at < framed.size(); at += page_bytes) {
       BufferPool::WritePin pin;
-      Status s = pool->PinForWrite(file_id, page_no + 1, &pin);
+      Status s = pool->PinForWrite(file_id, page_no, &pin);
       if (!s.ok()) return s;
       memcpy(pin.data, framed.data() + at,
              std::min<size_t>(page_bytes, framed.size() - at));
@@ -295,17 +291,24 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
   for (const uint64_t hash : hashes) filter.AddHash(hash);
   if (st.ok()) {
     std::string footer;
-    footer.append(kIndexMagic, kMagicLen);
+    footer.append(kFooterMagic, kMagicLen);
+    PutBig32(&footer, table_id);
+    PutBig32(&footer, page_bytes);
+    PutBig64(&footer, seq);
     PutBig32(&footer, page_no);
     PutBig32(&footer, static_cast<uint32_t>(hashes.size()));
     for (const std::string& f : fences) PutLengthPrefixed(&footer, f);
     PutLengthPrefixed(&footer, filter.bits());
     PutBig32(&footer, Crc32c(0, footer.data(), footer.size()));
-    const uint64_t footer_offset =
-        static_cast<uint64_t>(page_no + 1) * page_bytes;
-    PutBig64(&footer, footer_offset);
+    PutBig64(&footer, data_end);
     footer.append(kEndMagic, kMagicLen);
-    st = PwriteFull(env, fd, footer.data(), footer.size(), footer_offset);
+    // The footer starts where the last frame ends, inside the padding the
+    // pool wrote for that page; cut the file after the trailer.
+    st = PwriteFull(env, fd, footer.data(), footer.size(), data_end);
+    const uint64_t file_end = data_end + footer.size();
+    if (st.ok() && file_end < uint64_t{page_no} * page_bytes) {
+      st = env->ResizeFile(tmp, file_end);
+    }
     if (st.ok() && fsync && env->Fsync(fd) != 0) {
       st = recovery::ErrnoStatus("fsync", tmp);
     }
@@ -318,7 +321,7 @@ Status RunFile::Create(const std::string& path, uint32_t table_id,
     }
     if (st.ok()) {
       out->reset(new RunFile(path, std::move(file), table_id, seq,
-                             page_bytes, page_no,
+                             page_bytes, page_no, data_end,
                              static_cast<uint64_t>(hashes.size()),
                              std::move(fences), std::move(filter), pool,
                              env));
@@ -361,9 +364,10 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
   std::string footer(size - kTrailerLen - footer_offset, '\0');
   st = PreadFull(env, fd, footer.data(), footer.size(), footer_offset);
   if (!st.ok()) return st;
-  if (footer.size() < kMagicLen + 12 ||
-      memcmp(footer.data(), kIndexMagic, kMagicLen) != 0) {
-    return Status::Corruption("bad run index magic: " + path);
+  // Fixed fields: table id, page size, seq, page count, entry count, crc.
+  if (footer.size() < kMagicLen + 28 ||
+      memcmp(footer.data(), kFooterMagic, kMagicLen) != 0) {
+    return Status::Corruption("bad run footer magic: " + path);
   }
   const uint32_t stored_crc_off = static_cast<uint32_t>(footer.size() - 4);
   uint32_t stored_crc = 0;
@@ -375,7 +379,11 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
     return Status::Corruption("run index crc mismatch: " + path);
   }
   size_t off = kMagicLen;
-  uint32_t page_count = 0, entry_count = 0;
+  uint32_t table_id = 0, page_bytes = 0, page_count = 0, entry_count = 0;
+  uint64_t seq = 0;
+  GetBig32(footer, &off, &table_id);
+  GetBig32(footer, &off, &page_bytes);
+  GetBig64(footer, &off, &seq);
   GetBig32(footer, &off, &page_count);
   GetBig32(footer, &off, &entry_count);
   std::vector<std::string> fences;
@@ -393,29 +401,17 @@ Status RunFile::Open(const std::string& path, uint64_t file_id,
     return Status::Corruption("run filter truncated: " + path);
   }
 
-  // Header.
-  std::string header(kMagicLen + 16, '\0');
-  st = PreadFull(env, fd, header.data(), header.size(), 0);
-  if (!st.ok()) return st;
-  if (memcmp(header.data(), kRunMagic, kMagicLen) != 0) {
-    return Status::Corruption("bad run magic: " + path);
-  }
-  size_t hoff = kMagicLen;
-  uint32_t table_id = 0, page_bytes = 0;
-  uint64_t seq = 0;
-  GetBig32(header, &hoff, &table_id);
-  GetBig32(header, &hoff, &page_bytes);
-  GetBig64(header, &hoff, &seq);
   if (page_bytes != pool->page_bytes()) {
     return Status::Corruption("run page size mismatch: " + path);
   }
-  if (footer_offset != static_cast<uint64_t>(page_count + 1) * page_bytes) {
+  if (page_count != (footer_offset + page_bytes - 1) / page_bytes) {
     return Status::Corruption("run page count mismatch: " + path);
   }
 
   pool->RegisterFile(file);
   out->reset(new RunFile(path, std::move(file), table_id, seq, page_bytes,
-                         page_count, entry_count, std::move(fences),
+                         page_count, footer_offset, entry_count,
+                         std::move(fences),
                          RunFilter(std::move(bits)), pool, env));
   return Status::OK();
 }
@@ -461,7 +457,7 @@ Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
                       extent.size(), key, out, found);
   }
   BufferPool::Pin pin;
-  Status st = pool->PinPage(file_->id(), static_cast<uint32_t>(lo) + 1, &pin);
+  Status st = pool->PinPage(file_->id(), static_cast<uint32_t>(lo), &pin);
   if (!st.ok()) return st;
   if (pinned != nullptr) *pinned = true;
   st = SearchPage(pin.data, page_bytes_, key, out, found);
@@ -470,26 +466,26 @@ Status RunFile::Lookup(BufferPool* pool, Slice key, RunEntry* out,
 }
 
 Status RunFile::ReadFrame(uint32_t first, std::string* frame) const {
-  const auto offset = [&](uint32_t page) {
-    return static_cast<uint64_t>(page + 1) * page_bytes_;
-  };
-  frame->resize(page_bytes_);
+  const uint64_t offset = uint64_t{first} * page_bytes_;
+  // The last page ends where the footer begins.
+  frame->resize(std::min<uint64_t>(page_bytes_, data_bytes_ - offset));
   Status st =
-      PreadFull(env_, file_->fd(), frame->data(), page_bytes_, offset(first));
+      PreadFull(env_, file_->fd(), frame->data(), frame->size(), offset);
   if (!st.ok()) return st;
   size_t off = 4;
   uint32_t payload_bytes = 0;
-  GetBig32(*frame, &off, &payload_bytes);
-  const uint64_t pages =
-      (uint64_t{kPageHeaderLen} + payload_bytes + page_bytes_ - 1) /
-      page_bytes_;
-  if (pages == 1) return Status::OK();
-  if (pages > page_count_ - first) {
+  if (!GetBig32(*frame, &off, &payload_bytes)) {
+    return Status::Corruption("run page header damaged: " + path_);
+  }
+  const uint64_t bytes = uint64_t{kPageHeaderLen} + payload_bytes;
+  if (bytes <= frame->size()) return Status::OK();
+  if (offset + bytes > data_bytes_) {
     return Status::Corruption("run extent out of bounds: " + path_);
   }
-  frame->resize(pages * page_bytes_);
-  return PreadFull(env_, file_->fd(), frame->data() + page_bytes_,
-                   frame->size() - page_bytes_, offset(first + 1));
+  const size_t have = frame->size();
+  frame->resize(bytes);
+  return PreadFull(env_, file_->fd(), frame->data() + have, bytes - have,
+                   offset + have);
 }
 
 Status RunFile::Cursor::Next() {
@@ -509,7 +505,8 @@ Status RunFile::Cursor::Next() {
       return Status::Corruption(st.message() + ": " + run_->path_);
     }
     if (!st.ok()) return st;
-    next_page_ += static_cast<uint32_t>(frame_.size() / run_->page_bytes_);
+    next_page_ += static_cast<uint32_t>(
+        (frame_.size() + run_->page_bytes_ - 1) / run_->page_bytes_);
   }
   return Status::OK();
 }

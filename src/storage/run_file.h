@@ -1,14 +1,13 @@
-// RunFile: an immutable sorted run — the on-disk home of spilled version
-// chains and of checkpoints.
+// RunFile: an immutable sorted run — the on-disk home of version chains,
+// written by run generations (checkpoints and spills) and compactions.
 //
-// A run holds one committed version per key (a spilled chain's anchor, or
-// the version a checkpoint swept: key, commit_ts, tombstone flag, value),
-// sorted by key, packed into fixed-size CRC-framed pages, with a fence-key
-// sparse index and a Bloom filter over its keys in the footer. A key may
-// appear in several runs of a table (respilled or checkpointed again after
-// new commits); lookups probe runs newest-first and stop at the first hit,
-// and compaction merges a table's runs keeping the newest commit_ts per
-// key.
+// A run holds one committed version per key (the newest at or below a
+// generation's cut: key, commit_ts, tombstone flag, value), sorted by key,
+// packed into fixed-size CRC-framed pages, with a fence-key sparse index
+// and a Bloom filter over its keys in the footer. A key may appear in
+// several runs of a table (written again by a later generation after new
+// commits); lookups probe runs newest-first and stop at the first hit, and
+// compaction merges a table's runs keeping the newest commit_ts per key.
 //
 // Probe rule: Lookup asks the filter first. A filter miss proves the key
 // absent (a Bloom filter has no false negatives), so the run is skipped
@@ -18,17 +17,20 @@
 // in about 1% of the N - 1 runs it skips.
 //
 // File layout (all integers big-endian via encoding.h):
-//   page 0                        header: magic8 "SSIDBRUN", u32 table_id,
-//                                 u32 page_bytes, u64 seq, zero padding
-//   pages 1..page_count           data pages (format below)
-//   footer (after the last page)  magic8 "SSIDBRIF", u32 page_count,
+//   pages 0..page_count-1         data pages (format below); the last one
+//                                 ends with its frame, unpadded
+//   footer (after the last frame) magic8 "SSIDBRFT", u32 table_id,
+//                                 u32 page_bytes, u64 seq, u32 page_count,
 //                                 u32 entry_count_total,
 //                                 page_count x { lp first_key },
 //                                 lp filter (RunFilter bits),
 //                                 u32 crc of the footer bytes above
 //   trailer (last 16 bytes)       u64 footer_offset, magic8 "SSIDBEND"
+// A run of N data pages thus takes N - 1 pages, its last frame and its
+// footer: a few-key run is well under one page. Runs of the older
+// header-page layout (page 0 a header, footer magic "SSIDBRIF") fail Open.
 //
-// Data page (page_bytes long, zero-padded):
+// Data page (page_bytes long, zero-padded, but for the last one):
 //   u32 crc          CRC32C of bytes [4, 12 + payload_bytes)
 //   u32 payload_bytes
 //   u32 entry_count
@@ -38,17 +40,18 @@
 // 12 + payload_bytes needs. Each extent page carries the entry's key as its
 // fence, so equal neighbouring fences mark an extent; Lookup and Cursor
 // read an extent directly rather than through the pool.
-// Only checkpoints and compaction write extents: spills skip such chains.
 //
 // Durability: the writer serializes into "<name>.tmp", writes data pages
 // through the buffer pool (dirty frames, flushed back before the fsync so
-// the pool's writeback path is the real write path), fsyncs, renames and
+// the pool's writeback path is the real write path), writes the footer
+// after the last frame and cuts the file there, fsyncs, renames and
 // fsyncs the directory — the manifest's protocol too. A run is only
-// opened if its header, trailer and footer CRC validate; the filter sits
-// under the footer CRC, so a damaged filter fails Open instead of hiding
-// keys. A data page's CRC is checked every time it is read: on every
-// Lookup that pins it (even when the page is already resident in the pool)
-// and for every frame a Cursor or an extent read visits.
+// opened if its trailer and footer CRC validate; the filter and the
+// table id, page size and seq sit under the footer CRC, so damage to them
+// fails Open instead of hiding keys. A data page's CRC is checked every
+// time it is read: on every Lookup that pins it (even when the page is
+// already resident in the pool) and for every frame a Cursor or an extent
+// read visits.
 
 #ifndef SSIDB_STORAGE_RUN_FILE_H_
 #define SSIDB_STORAGE_RUN_FILE_H_
@@ -95,7 +98,7 @@ class RunFilter {
   std::string bits_;
 };
 
-/// One spilled key: the version-chain anchor at spill time.
+/// One key of a run: a committed version of its chain.
 struct RunEntry {
   std::string key;
   std::string value;
@@ -105,8 +108,7 @@ struct RunEntry {
 
 class RunFile {
  public:
-  /// Largest entry a page can hold; larger entries are never spilled
-  /// (checkpoints write them as extents).
+  /// Largest entry a page can hold; larger entries become extents.
   static uint64_t MaxEntryBytes(uint32_t page_bytes);
 
   /// Pulls a new run's entries in ascending key order: sets *next to the
@@ -137,7 +139,7 @@ class RunFile {
     };
   }
 
-  /// Open an existing run (recovery): validate header/footer, load the
+  /// Open an existing run (recovery): validate trailer and footer, load the
   /// fence index and the filter (no pass over the data pages), register
   /// the descriptor with the pool under `file_id`.
   static Status Open(const std::string& path, uint64_t file_id,
@@ -191,8 +193,9 @@ class RunFile {
  private:
   RunFile(std::string path, std::shared_ptr<PoolFile> file, uint32_t table_id,
           uint64_t seq, uint32_t page_bytes, uint32_t page_count,
-          uint64_t entry_count, std::vector<std::string> fences,
-          RunFilter filter, BufferPool* pool, io::Env* env);
+          uint64_t data_bytes, uint64_t entry_count,
+          std::vector<std::string> fences, RunFilter filter, BufferPool* pool,
+          io::Env* env);
 
   /// Search one CRC-checked data frame (`bytes` long: a page or an
   /// extent) for `key`, comparing keys in place and copying out only the
@@ -200,9 +203,9 @@ class RunFile {
   static Status SearchPage(const uint8_t* page, size_t bytes, Slice key,
                            RunEntry* out, bool* found);
 
-  /// pread the data frame starting at data page `first` (file page
-  /// first + 1) into *frame, bypassing the pool: one page, or a whole
-  /// extent when its header announces one.
+  /// pread the data frame starting at data page `first` into *frame,
+  /// bypassing the pool: one page (the last one stops at the footer), or a
+  /// whole extent when its header announces one.
   Status ReadFrame(uint32_t first, std::string* frame) const;
 
   const std::string path_;
@@ -211,8 +214,10 @@ class RunFile {
   const uint64_t seq_;
   const uint32_t page_bytes_;
   const uint32_t page_count_;
+  /// Bytes of data pages: where the last frame ends and the footer starts.
+  const uint64_t data_bytes_;
   const uint64_t entry_count_;
-  /// fences_[i] = first key of data page i (file page i + 1).
+  /// fences_[i] = first key of data page i.
   const std::vector<std::string> fences_;
   const RunFilter filter_;
   /// The pool this run is registered with (for unregistration on destroy).

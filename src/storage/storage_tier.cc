@@ -67,6 +67,20 @@ void StorageTier::Publish(uint32_t table_id,
   runs_[table_id] = std::move(runs);
 }
 
+Timestamp StorageTier::generation_cut(
+    [[maybe_unused]] const ProducerLock& producer, uint32_t table_id) const {
+  assert(producer.mutex() == &producer_mu_ && producer.owns_lock());
+  const auto it = cuts_.find(table_id);
+  return it == cuts_.end() ? recovered_cut_ : it->second;
+}
+
+void StorageTier::set_generation_cut(
+    [[maybe_unused]] const ProducerLock& producer, uint32_t table_id,
+    Timestamp cut) {
+  assert(producer.mutex() == &producer_mu_ && producer.owns_lock());
+  cuts_[table_id] = cut;
+}
+
 Status StorageTier::WriteRun([[maybe_unused]] const ProducerLock& producer,
                              uint32_t table_id,
                              const RunFile::Source& source,
@@ -179,7 +193,8 @@ Status StorageTier::MaybeCompact(uint32_t table_id) {
   return Status::OK();
 }
 
-Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
+Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp cut,
+                                Timestamp* max_commit_ts) {
   *max_commit_ts = 0;
   std::error_code ec;
   std::vector<std::string> paths;
@@ -188,10 +203,13 @@ Status StorageTier::RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts) {
       paths.push_back(entry.path().string());
     }
   }
+  // Run names sort by table, then by seq: each table's runs come oldest
+  // first.
   std::sort(paths.begin(), paths.end());
   Timestamp max_cts = 0;
   const bool evict = options_.buffer_pool_bytes > 0;
   const ProducerLock producer = LockProducers();
+  recovered_cut_ = cut;
   std::unordered_map<uint32_t, RunList> lists;
   for (const std::string& path : paths) {
     const uint64_t file_id = next_file_id_++;

@@ -1,6 +1,7 @@
 // StorageTier: the disk-backed half of the storage layer — owns the buffer
-// pool, the run-file directory and each table's run list, and implements
-// the spill / fault / checkpoint / compaction protocols Table delegates to.
+// pool, the run-file directory, each table's run list and its last
+// generation cut, and implements the write / fault / compaction protocols
+// Table delegates to.
 //
 // Enablement: every durable engine (LogOptions::wal_dir set) has a tier,
 // with runs in DBOptions::data_dir, defaulting to "<wal_dir>/runs": its
@@ -10,42 +11,52 @@
 // floor for writing runs, and Table's hot paths reach the tier only for
 // evicted chains, which a zero-pool engine never has.
 //
-// Durability contract: a version chain is marked evicted only after the
-// run holding its anchor version is durably on disk (tmp + fsync + rename
-// + directory fsync; the fsyncs follow LogOptions::wal_fsync, like the
-// WAL's). A checkpoint (Table::WriteCheckpointRun) writes, as
-// one run per table, the newest version at or below its watermark of
-// every chain committed since the previous checkpoint; evicted chains
-// need no entry, since their anchor is already durable in a run. So the
-// runs ARE the durable home of every key below the manifest's watermark:
-// they are deleted only when a merged replacement run is durable
-// (compaction), never by WAL GC.
+// Run generations: Table::WriteGeneration, the one sweep that writes
+// chains, writes at cut c, as one run per table, the newest version <= c
+// of every chain whose such version committed after the table's last cut,
+// then makes c that cut. DB::Checkpoint cuts at the stable watermark (and
+// then writes the manifest), DB::SpillChains at the prune horizon (no
+// manifest); a cut at or below the last one writes nothing. Both cuts lie
+// at or below the stable watermark, so the commits they cover are stamped
+// and their shard hints raised.
 //
-// Lookup order: a key may appear in several runs (respilled after new
-// commits); Lookup probes newest-first (descending seq) and stops at the
-// first hit, so the newest spilled version wins. A run whose filter rules
-// the key out is skipped without a page read (run_file.h). Compaction
-// merges a table's runs into one, keeping the highest commit_ts per key.
+// Invariant: after a generation at cut c, every chain's newest version
+// <= c is in a run (it committed before c was taken, versions are added
+// only at the head, and pruning never frees the newest). A spill's sweep
+// may lose to a pruner a version <= c that a newer one at or below the
+// horizon superseded; no snapshot reads it, and that chain's head lies
+// above c. After recovery a table's cut is the manifest watermark (0
+// without one): replay installs only later commits, and a chain replay
+// left resident is just written once more.
 //
-// Run order: three run producers exist — spills (Table::SpillShards),
-// checkpoints (Table::WriteCheckpointRun) and compactions (MaybeCompact);
-// DB::SpillChains and DB::Checkpoint each add runs, then compact. Nothing
-// spills or compacts on a timer: the caller that adds runs is the caller
-// that keeps their count bounded.
-// They run one at a time under producer_mu_: a spill holds it from its
-// first chain probe to its publish, a checkpoint from a table's sweep to
-// that table's publish, a compaction from its input snapshot to its
-// publish. So seq order, publication order and probe order agree,
-// and every run holds versions at least as new as those of any older run
-// for the same key — the newest-first rule is then exact in memory, and
-// recovery, which orders runs by seq, rebuilds the same order.
+// Durability contract: a chain is marked evicted only when its newest
+// version is at or below its table's cut, hence durably in a run (tmp +
+// fsync + rename + directory fsync; the fsyncs follow
+// LogOptions::wal_fsync, like the WAL's). So eviction (Table::EvictChains)
+// does no I/O, and the runs ARE the durable home of every key below the
+// manifest's watermark: they are deleted only when a merged replacement
+// run is durable (compaction), never by WAL GC.
+//
+// Lookup order: a key may appear in several runs; Lookup probes
+// newest-first (descending seq) and stops at the first hit. A run whose
+// filter rules the key out is skipped without a page read (run_file.h).
+// Compaction merges a table's runs into one, keeping the highest
+// commit_ts per key.
+//
+// Run order: two run producers exist — generations and compactions
+// (MaybeCompact); DB::SpillChains and DB::Checkpoint each add runs, then
+// compact. Nothing spills or compacts on a timer. Producers run one at a
+// time under producer_mu_, a generation from a table's sweep to that
+// table's publish, a compaction from its input snapshot to its publish.
+// So seq order, publication order and sweep order agree, every run holds
+// versions at least as new as those of any older run for the same key,
+// and recovery, which orders runs by seq, rebuilds the same order.
 // A checkpoint's versions need not lie below the prune horizon, so a
-// snapshot may still need an older version than the one a checkpoint run
-// holds for a key. Only an evicted chain ever probes the runs, so the
-// checkpoint first faults back every evicted chain it writes an entry for
-// (an upsert over an evicted chain leaves it evicted with resident
-// versions): once its run is published, no evicted chain's anchor is older
-// than that run's entry for the key.
+// snapshot may still need an older version than a run's entry for a key.
+// Only an evicted chain ever probes the runs, so a generation first faults
+// back every evicted chain it writes an entry for (an upsert over an
+// evicted chain leaves it evicted with resident versions): once its run is
+// published, no evicted chain's anchor is older than that run's entry.
 //
 // Locking: producer_mu_ is taken with no latch held, before any shard or
 // chain latch (lock order producer_mu_ -> shard -> chain). runs_mu_
@@ -94,19 +105,20 @@ class StorageTier {
 
   BufferPool* pool() { return &pool_; }
 
-  /// Largest entry the spill path accepts (bigger chains stay resident;
-  /// checkpoints write them as extents, run_file.h).
-  uint64_t max_entry_bytes() const {
-    return RunFile::MaxEntryBytes(options_.run_page_bytes);
-  }
-
-  /// Held by a run producer from its first probe to its publish.
+  /// Held by a run producer from its sweep to its publish.
   using ProducerLock = std::unique_lock<std::mutex>;
   ProducerLock LockProducers() { return ProducerLock(producer_mu_); }
 
+  /// Table `table_id`'s last generation cut (the recovered floor before
+  /// its first generation). It only grows.
+  Timestamp generation_cut(const ProducerLock& producer,
+                           uint32_t table_id) const;
+  void set_generation_cut(const ProducerLock& producer, uint32_t table_id,
+                          Timestamp cut);
+
   /// Durably write the entries `source` yields as table `table`'s newest
   /// run and publish it for lookups. The caller holds `producer` (from
-  /// LockProducers) since before it probed the chains in the entries.
+  /// LockProducers) since before it swept the chains in the entries.
   /// `bytes` (if non-null) receives the run file's size.
   Status WriteRun(const ProducerLock& producer, uint32_t table_id,
                   const RunFile::Source& source, uint64_t* bytes = nullptr);
@@ -118,20 +130,23 @@ class StorageTier {
   /// run_compaction_min_runs have accumulated (newest commit_ts per key
   /// wins); delete the inputs once the replacement is durable. Called by
   /// DB::SpillChains and DB::Checkpoint right after they add runs. Takes
-  /// the producer lock, so concurrent spills wait for the merge.
+  /// the producer lock, so concurrent generations wait for the merge.
   Status MaybeCompact(uint32_t table_id);
 
   /// Recovery: open every run file in the directory and publish each under
-  /// its table. With a buffer pool the covered chains are re-marked
-  /// evicted (Table::RecoverEvicted), so the values stay on disk instead of
-  /// being loaded into RAM; with a zero pool the values are installed
-  /// (Table::RecoverVersion). Returns the highest commit_ts seen in any run.
-  Status RecoverRuns(Catalog* catalog, Timestamp* max_commit_ts);
+  /// its table, applying a table's runs oldest first. With a buffer pool
+  /// the covered chains are re-marked evicted (Table::RecoverEvicted), so
+  /// the values stay on disk instead of being loaded into RAM; with a zero
+  /// pool the values are installed (Table::RecoverVersion). Every table's
+  /// generation cut starts at `cut` (the manifest watermark). Returns the
+  /// highest commit_ts seen in any run.
+  Status RecoverRuns(Catalog* catalog, Timestamp cut,
+                     Timestamp* max_commit_ts);
 
   size_t run_count(uint32_t table_id) const;
 
-  // Spill/fault counters (relaxed; registry contract). The pool owns
-  // hits/misses/evictions/writebacks.
+  // Eviction/fault counters (relaxed; registry contract). The pool owns
+  // hits/misses/evictions/writebacks. spilled_chains counts evicted chains.
   uint64_t spilled_chains() const {
     return spilled_chains_.load(std::memory_order_relaxed);
   }
@@ -151,7 +166,7 @@ class StorageTier {
   }
 
   /// Bytes of the runs compactions wrote (tier.compaction_bytes_written);
-  /// checkpoint and spill runs are not counted here.
+  /// generation runs are not counted here.
   uint64_t compaction_bytes_written() const {
     return compaction_bytes_written_.load(std::memory_order_relaxed);
   }
@@ -184,10 +199,13 @@ class StorageTier {
   io::Env* const env_;
   BufferPool pool_;
 
-  /// Serializes run producers; guards the two counters below.
+  /// Serializes run producers; guards the counters and cuts below.
   std::mutex producer_mu_;
   uint64_t next_file_id_ = 1;
   uint64_t next_seq_ = 1;
+  /// Tables without an entry are at `recovered_cut_`.
+  std::unordered_map<uint32_t, Timestamp> cuts_;
+  Timestamp recovered_cut_ = 0;
 
   mutable std::shared_mutex runs_mu_;
   std::unordered_map<uint32_t, std::shared_ptr<const RunList>> runs_;

@@ -228,84 +228,59 @@ Status Table::FaultChain(Slice key, VersionChain* chain) {
   return Status::OK();
 }
 
-size_t Table::SpillShards(Timestamp horizon) {
-  if (tier_ == nullptr || horizon == 0) return 0;
-  const uint64_t max_entry = tier_->max_entry_bytes();
-  // One run producer at a time, from the first probe to the publish: runs
-  // publish in probe order, so no run holds an older anchor for a key than
-  // a run published before it (see storage_tier.h).
+Status Table::WriteGeneration(Timestamp cut, uint64_t* bytes) {
+  // One run producer at a time, from the sweep to the publish: runs
+  // publish in sweep order, so no run holds an older version for a key
+  // than a run published before it (see storage_tier.h).
   const StorageTier::ProducerLock producer = tier_->LockProducers();
-  // Phase A: probe under the shard latches (lock order shard -> chain, the
-  // same as every reader). ForEachChain walks shards in range order, so
-  // `entries` comes out sorted by key — ready for RunFile::Create.
-  std::vector<RunEntry> entries;
-  std::vector<VersionChain*> chains;
-  size_t evicted = 0;
-  ForEachChain([&](const std::string& key, VersionChain* chain) {
-    // Conservative per-entry encoding overhead (two varint32 length
-    // prefixes, u64 commit_ts, tombstone byte): 32 bytes covers it.
-    const uint64_t overhead = key.size() + 32;
-    const uint64_t max_value = overhead >= max_entry ? 0 : max_entry - overhead;
-    RunEntry e;
-    switch (chain->SpillProbe(horizon, max_value, &e.value, &e.commit_ts,
-                              &e.tombstone)) {
-      case VersionChain::SpillAction::kSkip:
-        break;
-      case VersionChain::SpillAction::kDropNow:
-        ++evicted;  // Anchor already durable; freed inline.
-        break;
-      case VersionChain::SpillAction::kWrite:
-        e.key = key;
-        entries.push_back(std::move(e));
-        chains.push_back(chain);
-        break;
-    }
+  const Timestamp since = tier_->generation_cut(producer, id_);
+  if (cut <= since) return Status::OK();
+  std::deque<RunEntry> entries;  // Grows with no reallocation peak.
+  std::vector<std::pair<size_t, VersionChain*>> evicted;
+  // ForEachChain walks shards in range order, so `entries` comes out
+  // sorted by key — ready for RunFile::Create.
+  RunEntry e;
+  ForEachChain(since, [&](const std::string& key, VersionChain* chain) {
+    bool was_evicted = false;
+    e.commit_ts =
+        chain->GenerationRead(since, cut, &e.value, &e.tombstone, &was_evicted);
+    if (e.commit_ts == 0) return;
+    if (was_evicted) evicted.emplace_back(entries.size(), chain);
+    e.key = key;
+    entries.push_back(std::move(e));
   });
-  // Phase B: no latches held. Persist the run, then re-verify and evict
-  // each chain; a chain touched since its probe stays resident and retries
-  // as kDropNow on a later sweep (its anchor is durable now).
   if (!entries.empty()) {
-    if (tier_->WriteRun(producer, id_, RunFile::Over(entries)).ok()) {
-      for (size_t i = 0; i < entries.size(); ++i) {
-        if (chains[i]->CommitSpill(entries[i].commit_ts)) ++evicted;
-      }
+    // No latch held: fault the older anchors back. No pass evicts these
+    // chains again before the run is published: their heads lie above the
+    // current cut until this generation raises it.
+    for (const auto& [i, chain] : evicted) {
+      Status st = FaultChain(entries[i].key, chain);
+      if (!st.ok()) return st;
     }
+    uint64_t run_bytes = 0;
+    Status st =
+        tier_->WriteRun(producer, id_, RunFile::Over(entries), &run_bytes);
+    if (!st.ok()) return st;
+    if (bytes != nullptr) *bytes += run_bytes;
   }
-  if (evicted != 0) tier_->AddSpilled(evicted);
-  return evicted;
+  tier_->set_generation_cut(producer, id_, cut);
+  return Status::OK();
 }
 
-Status Table::WriteCheckpointRun(Timestamp since, Timestamp watermark,
-                                 uint64_t* bytes) {
-  // The sweep's reader id matches no version creator (real ids come from
-  // the clock, recovered versions use 0), so Read never takes the
-  // own-write path.
-  constexpr TxnId kSweepReader = UINT64_MAX;
-  const StorageTier::ProducerLock producer = tier_->LockProducers();
-  std::deque<RunEntry> entries;  // Grows without moving what it holds.
-  std::vector<std::pair<size_t, VersionChain*>> evicted;
-  std::string value;
-  ForEachChain(since, [&](const std::string& key, VersionChain* chain) {
-    // version_cts: the newest version visible at the watermark, tombstones
-    // included; 0 when nothing is (resident).
-    const ReadResult rr = chain->Read(kSweepReader, watermark, &value);
-    if (rr.version_cts <= since) return;  // Already in an earlier run.
-    if (chain->evicted()) evicted.emplace_back(entries.size(), chain);
-    entries.push_back(RunEntry{key, rr.found ? value : std::string(),
-                               rr.version_cts, !rr.found});
-  });
-  if (entries.empty()) return Status::OK();
-  // No latch held: fault the older anchors back (the producer lock keeps
-  // spills from evicting them again before the run is published).
-  for (const auto& [i, chain] : evicted) {
-    Status st = FaultChain(entries[i].key, chain);
-    if (!st.ok()) return st;
+size_t Table::EvictChains(Timestamp horizon) {
+  // The cut only grows, so one read of it bounds the whole pass: a chain
+  // whose head is at or below it has its head in a run (storage_tier.h).
+  Timestamp bound = horizon;
+  {
+    const StorageTier::ProducerLock producer = tier_->LockProducers();
+    bound = std::min(bound, tier_->generation_cut(producer, id_));
   }
-  uint64_t run_bytes = 0;
-  Status st =
-      tier_->WriteRun(producer, id_, RunFile::Over(entries), &run_bytes);
-  *bytes += run_bytes;
-  return st;
+  size_t evicted = 0;
+  ForEachChain([&](const std::string&, VersionChain* chain) {
+    if (chain->Evict(bound)) ++evicted;
+  });
+  if (evicted != 0) tier_->AddSpilled(evicted);
+  return evicted;
 }
 
 void Table::RecoverEvicted(Slice key, Timestamp commit_ts) {

@@ -10,7 +10,7 @@
 //     hot tables spread across latches without any a-priori knowledge of
 //     the key distribution (small tables pay nothing). The shards are the
 //     only structure behind NextKey, SeekCeil, CollectRange, ForEachChain,
-//     splits and spilling.
+//     splits, run generations and eviction.
 //   * Point index. 64 key stripes, each a chained hash table under its own
 //     mutex (the stripe pattern of SIReadIndex). Find and GetOrCreate on an
 //     existing key are one hash probe: no routing, no shard latch, no tree
@@ -120,7 +120,7 @@ class Table {
   /// Number of index entries (including tombstoned keys).
   size_t EntryCount() const;
 
-  /// Visit every index entry in key order (spills, consistency checks).
+  /// Visit every index entry in key order (eviction, consistency checks).
   /// The callback must not re-enter the table.
   void ForEachChain(
       const std::function<void(const std::string&, VersionChain*)>& fn) const;
@@ -128,7 +128,7 @@ class Table {
   /// Filtered overload for incremental sweeps: visit only entries of
   /// shards whose per-shard max-commit-ts hint is > `since` — a shard no
   /// commit has touched past `since` is skipped without taking its latch,
-  /// so a checkpoint over a cold table costs one routing-latch
+  /// so a run generation over a cold table costs one routing-latch
   /// acquisition. The hint is maintained by NoteCommit/RecoverVersion and
   /// is conservative (splits copy it to both halves), so a skipped shard
   /// provably holds no version with commit_ts > since; a visited shard may
@@ -161,21 +161,23 @@ class Table {
   /// must). Racing faulters are fine: FaultInstall keeps the first winner.
   Status FaultChain(Slice key, VersionChain* chain);
 
-  /// Two-phase spill sweep (DB::SpillChains): probe every chain under the
-  /// shard latch (phase A, collecting cold anchors below `horizon` in key
-  /// order), durably write them as one run, then re-verify and evict each
-  /// chain (phase B). Returns chains evicted.
-  size_t SpillShards(Timestamp horizon);
+  /// Run generation (DB::Checkpoint at the stable watermark, DB::SpillChains
+  /// at the prune horizon): durably write, as one run, the newest version
+  /// at or below `cut` of every chain whose such version committed after
+  /// the table's last generation cut (StorageTier::generation_cut),
+  /// tombstones and oversized values (extents) included, then raise that
+  /// cut to `cut`. Shards no commit touched since are skipped, so the cost
+  /// is O(touched), not O(table). Evicted chains that get an entry are
+  /// faulted back first (storage_tier.h, run order). A cut at or below the
+  /// last one writes nothing, and so does an empty window; `bytes` (if
+  /// non-null) accumulates the run's size.
+  Status WriteGeneration(Timestamp cut, uint64_t* bytes = nullptr);
 
-  /// Checkpoint sweep (DB::Checkpoint): durably write, as one run, the
-  /// newest version at or below `watermark` of every chain whose such
-  /// version committed after `since`, tombstones included. Shards no commit
-  /// touched past `since` are skipped, so the cost is O(touched), not
-  /// O(table). Evicted chains that get an entry are faulted back first
-  /// (storage_tier.h, run order). Writes no run when nothing qualifies;
-  /// `bytes` accumulates the run's size.
-  Status WriteCheckpointRun(Timestamp since, Timestamp watermark,
-                            uint64_t* bytes);
+  /// Eviction pass (DB::SpillChains, after a generation): evict every
+  /// chain VersionChain::Evict accepts at the lower of `horizon` and the
+  /// table's generation cut. Frees memory only; writes nothing. Returns
+  /// chains evicted.
+  size_t EvictChains(Timestamp horizon);
 
   /// Recovery: a run file durably holds `key` at `commit_ts`. Marks the
   /// chain evicted unless WAL replay installed something at least as new

@@ -254,52 +254,35 @@ size_t VersionChain::size() const {
   return n;
 }
 
-VersionChain::SpillAction VersionChain::SpillProbe(Timestamp horizon,
-                                                   uint64_t max_value_bytes,
-                                                   std::string* value,
-                                                   Timestamp* commit_ts,
-                                                   bool* tombstone) {
+Timestamp VersionChain::GenerationRead(Timestamp since, Timestamp cut,
+                                       std::string* value, bool* tombstone,
+                                       bool* evicted) {
   std::lock_guard<ChainLatch> guard(latch_);
-  // Note: no evicted_ test — a chain can be evicted AND hold resident
-  // versions (an upsert over an evicted chain installs at the head without
-  // faulting the anchor in). Such a hybrid chain re-spills through the
-  // normal path: its newest committed version becomes the new anchor and
-  // shadows the stale run entry (newest-first lookup).
-  if (newest_ == nullptr) return SpillAction::kSkip;
-  if (accessed_) {
-    accessed_ = false;  // Second chance: spill only if still cold next sweep.
-    return SpillAction::kSkip;
+  for (Version* v = newest_; v != nullptr; v = v->older) {
+    const Timestamp cts = v->commit_ts.load(std::memory_order_acquire);
+    if (cts == 0 || cts > cut) continue;
+    if (cts <= since) return 0;  // Already in an earlier generation's run.
+    *value = v->value;
+    *tombstone = v->tombstone;
+    *evicted = evicted_;
+    return cts;
   }
-  const Timestamp cts = newest_->commit_ts.load(std::memory_order_acquire);
-  if (cts == 0) return SpillAction::kSkip;  // Uncommitted head: in use.
-  // Committed-at-head implies the whole chain is committed, and versions
-  // commit in timestamp order, so `newest_` is the anchor.
-  if (cts > horizon) return SpillAction::kSkip;  // Some snapshot may differ.
-  if (cts == spilled_cts_) {
-    // The anchor is already durable in a live run (an earlier CommitSpill
-    // lost its re-verification race, or recovery kept a resident copy).
-    FreeAllLocked();
-    evicted_ = true;
-    return SpillAction::kDropNow;
-  }
-  if (max_value_bytes == 0 || newest_->value.size() > max_value_bytes) {
-    return SpillAction::kSkip;  // Oversized for a run page: stays resident.
-  }
-  *value = newest_->value;
-  *commit_ts = cts;
-  *tombstone = newest_->tombstone;
-  return SpillAction::kWrite;
+  return 0;
 }
 
-bool VersionChain::CommitSpill(Timestamp cts) {
+bool VersionChain::Evict(Timestamp bound) {
   std::lock_guard<ChainLatch> guard(latch_);
-  // The run is durable regardless of what happened to the chain since the
-  // probe; remember that so a skipped eviction retries as kDropNow.
-  if (cts > spilled_cts_) spilled_cts_ = cts;
+  // A chain can be evicted AND hold resident versions (an upsert over an
+  // evicted chain installs at the head without faulting the anchor in);
+  // once a generation has written its head, it is evicted like any other.
   if (newest_ == nullptr) return false;
-  if (accessed_) return false;  // Touched since the probe: stay resident.
-  const Timestamp head_cts = newest_->commit_ts.load(std::memory_order_acquire);
-  if (head_cts != cts) return false;  // New write (committed or not) arrived.
+  if (accessed_) {
+    accessed_ = false;  // Second chance: evicted only if still cold next pass.
+    return false;
+  }
+  // Committed-at-head implies the whole chain is committed.
+  const Timestamp cts = newest_->commit_ts.load(std::memory_order_acquire);
+  if (cts == 0 || cts > bound) return false;
   FreeAllLocked();
   evicted_ = true;
   return true;
@@ -330,12 +313,10 @@ void VersionChain::FaultInstall(Timestamp cts, Slice value, bool tombstone) {
 void VersionChain::SetEvictedRecovered(Timestamp cts) {
   assert(cts != 0);
   std::lock_guard<ChainLatch> guard(latch_);
-  if (cts <= spilled_cts_) return;  // An older run entry; already covered.
-  spilled_cts_ = cts;
   if (newest_ != nullptr &&
       newest_->commit_ts.load(std::memory_order_relaxed) >= cts) {
-    // WAL/checkpoint replay installed this version (or a newer one): the
-    // resident copy wins; the run entry is merely its durable twin.
+    // WAL replay installed this version (or a newer one): the resident
+    // copy wins; the run entry is merely its durable twin.
     return;
   }
   // The run holds a newer version than anything replayed: the replayed

@@ -361,47 +361,30 @@ class VersionChain {
   TxnId owner() const;
   bool HoldsSIRead(TxnId txn) const;
 
-  // --- Disk spill / fault protocol (storage tier; see storage_tier.h) ---
+  // --- Disk tier (run generations, eviction, faults; storage_tier.h) ---
   //
-  // A chain is "evicted" when its versions have been freed and its anchor
-  // (newest committed version at spill time) lives durably in a run file.
-  // spilled_cts_ records the anchor's commit timestamp and only grows —
-  // it names the newest version that is durable in SOME live run, whether
-  // or not the chain is currently resident. Invariant maintained by the
-  // spiller: a version is only spilled when its commit_ts <= the prune
-  // horizon, so it is invisible to FCW races and at-or-below every active
-  // snapshot; and every resident version is newer than spilled_cts_ (new
-  // installs commit past the horizon), so FaultInstall's tail append is
-  // always order-correct.
+  // A chain is "evicted" when its versions have been freed and its newest
+  // version lives durably in a run file. Eviction needs no write: a chain
+  // is evicted only when its newest version is at or below the table's
+  // last generation cut, which puts that version in a run, and at or
+  // below the prune horizon, which makes it visible to every snapshot and
+  // invisible to FCW races. Every version installed after eviction commits
+  // past that horizon, so FaultInstall's tail append is order-correct.
 
-  /// What a spill sweep (Table::SpillShards) should do with this chain.
-  enum class SpillAction {
-    kSkip,     ///< Hot, uncommitted, too new, or empty — leave resident.
-    kDropNow,  ///< Anchor already durable in a run: versions freed inline.
-    kWrite,    ///< Anchor copied out; caller writes a run then CommitSpill.
-  };
+  /// A run generation's read (Table::WriteGeneration), one latched step:
+  /// the newest committed version at or below `cut`, if it committed after
+  /// `since`. Returns its commit_ts with *value and *tombstone, and sets
+  /// *evicted when the chain's older anchor lives only in a run; returns 0
+  /// (nothing copied) when no version qualifies. Leaves the access bit.
+  Timestamp GenerationRead(Timestamp since, Timestamp cut, std::string* value,
+                           bool* tombstone, bool* evicted);
 
-  /// Phase A of the two-phase spill. Cold test: skips (clearing the
-  /// accessed bit — second-chance) if the chain was touched since the last
-  /// probe, has an uncommitted head, or its newest committed version is
-  /// newer than `horizon` or larger than `max_value_bytes`. If the anchor's
-  /// commit_ts equals spilled_cts_ it is already durable and the chain is
-  /// evicted inline (kDropNow). Otherwise copies the anchor out for the
-  /// caller to persist (kWrite). A hybrid chain — evicted but carrying
-  /// resident versions installed by an upsert that never faulted the old
-  /// anchor in — re-spills the same way: its newest committed version
-  /// becomes the new anchor and shadows the stale run entry.
-  SpillAction SpillProbe(Timestamp horizon, uint64_t max_value_bytes,
-                         std::string* value, Timestamp* commit_ts,
-                         bool* tombstone);
-
-  /// Phase B: called after the run holding the anchor (commit_ts `cts`) is
-  /// durable. Re-verifies under the latch that the chain is still exactly
-  /// as probed (same newest committed cts, no uncommitted head, not
-  /// touched); if so frees all versions and marks the chain evicted.
-  /// Either way records cts as durable (spilled_cts_), so a skipped
-  /// commit retries as kDropNow next sweep. Returns true if evicted.
-  bool CommitSpill(Timestamp cts);
+  /// Eviction pass (Table::EvictChains): frees every version and marks the
+  /// chain evicted when it is fully committed, not accessed since the last
+  /// pass (second chance: the pass clears the bit) and its newest version
+  /// is at or below `bound` (the lower of the table's generation cut and
+  /// the prune horizon). No I/O. Returns true if evicted.
+  bool Evict(Timestamp bound);
 
   /// Fault the spilled anchor back in (tier lookup result). No-op if the
   /// chain is no longer evicted (lost race with another faulter). The
@@ -410,10 +393,11 @@ class VersionChain {
   void FaultInstall(Timestamp cts, Slice value, bool tombstone);
 
   /// Recovery (single-threaded, quiescent): a run holds `cts` for this
-  /// key. If the WAL/checkpoint replay already installed a version at or
-  /// past `cts`, the resident copy wins and the run entry is just recorded
-  /// as durable; otherwise the chain is emptied and marked evicted so the
-  /// run stays its home (no RAM cost on open).
+  /// key. If WAL replay already installed a version at or past `cts`, the
+  /// resident copy wins; otherwise the chain is emptied and marked evicted
+  /// so the run stays its home (no RAM cost on open). RecoverRuns applies
+  /// a table's runs oldest first, and an older entry for an evicted chain
+  /// leaves it evicted: the newest run holding the key stays its home.
   void SetEvictedRecovered(Timestamp cts);
 
   /// True if the chain is currently evicted (test/introspection).
@@ -481,12 +465,11 @@ class VersionChain {
   /// Row-lock state, under latch_ (carried_ is also read without it).
   uint32_t waiters_ = 0;
   Version* newest_ = nullptr;
-  /// Spill state, all under latch_. accessed_ is the clock bit: set by
-  /// Read and InstallUncommitted, cleared by SpillProbe.
+  /// Tier state, under latch_. accessed_ is the clock bit: set by
+  /// Read and InstallUncommitted, cleared by Evict.
   bool evicted_ = false;
   bool accessed_ = false;
   std::atomic<bool> carried_{false};
-  Timestamp spilled_cts_ = 0;
   TxnId owner_ = 0;
   Holders holders_;
 };

@@ -1,8 +1,9 @@
 // Buffer pool + run file tests: the pin/victim discipline (hash lookup,
 // pin refcounts, clock second-chance eviction, dirty writeback), the run
 // file format (CRC-framed sorted pages, multi-page extents for entries
-// larger than a page, fence index, key filter, durability envelope, and
-// the refusal of the pre-filter footer layout),
+// larger than a page, fence index, key filter, durability envelope, data
+// from file page 0 with an unpadded last frame, and the refusal of the
+// pre-filter and header-page layouts),
 // and a concurrent pin/evict/read stress that the TSan CI job runs to
 // prove the frame state machine race-free.
 
@@ -312,12 +313,13 @@ TEST(RunFileTest, CorruptDataPageIsDetectedByLookup) {
                                 &pool, true, &run)
                     .ok());
   }
-  // Flip a byte in the middle of data page 1 (file page 2).
+  // Flip a byte in the middle of data page 1 (data pages start at file
+  // page 0).
   {
     const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
     ASSERT_GE(fd, 0);
     uint8_t b = 0;
-    const off_t off = 2 * kPage + 100;
+    const off_t off = kPage + 100;
     ASSERT_EQ(pread(fd, &b, 1, off), 1);
     b ^= 0x40;
     ASSERT_EQ(pwrite(fd, &b, 1, off), 1);
@@ -479,10 +481,12 @@ TEST(RunFileTest, FilterHashKnownAnswers) {
             0x02a36802u);
 }
 
-/// Write a run in the footer layout that predates the filter: index magic
-/// "SSIDBRIX" and no filter block. One data page.
+/// Write a one-data-page run in an older layout: page 0 a header, the data
+/// page at file page 1, then the footer. `with_filter` writes the
+/// header-page layout (footer magic "SSIDBRIF" and a filter block);
+/// without it, the layout that predates the filter ("SSIDBRIX", no filter).
 void WriteLegacyRun(const std::string& path,
-                    const std::vector<RunEntry>& entries) {
+                    const std::vector<RunEntry>& entries, bool with_filter) {
   std::string file(std::string("SSIDBRUN", 8));
   PutBig32(&file, /*table_id=*/3);
   PutBig32(&file, kPage);
@@ -503,10 +507,15 @@ void WriteLegacyRun(const std::string& path,
   file += body;
   ASSERT_LE(file.size(), 2u * kPage);
   file.resize(2 * kPage, '\0');
-  std::string footer(std::string("SSIDBRIX", 8));
+  std::string footer(std::string(with_filter ? "SSIDBRIF" : "SSIDBRIX", 8));
   PutBig32(&footer, /*page_count=*/1);
   PutBig32(&footer, static_cast<uint32_t>(entries.size()));
   PutLengthPrefixed(&footer, entries.front().key);
+  if (with_filter) {
+    RunFilter filter(entries.size());
+    for (const RunEntry& e : entries) filter.Add(e.key);
+    PutLengthPrefixed(&footer, filter.bits());
+  }
   PutBig32(&footer, Crc32c(0, footer.data(), footer.size()));
   file += footer;
   PutBig64(&file, 2 * kPage);
@@ -518,11 +527,7 @@ void WriteLegacyRun(const std::string& path,
   close(fd);
 }
 
-/// One format per artifact: no writer has produced the pre-filter footer
-/// since the filter landed, so such a file is corruption, not a layout.
-TEST(RunFileTest, PreFilterFooterFailsOpen) {
-  ScratchDir dir;
-  const std::string path = dir.path + "/legacy.run";
+std::vector<RunEntry> LegacyEntries() {
   std::vector<RunEntry> entries;
   for (uint64_t i = 0; i < 10; ++i) {
     RunEntry e;
@@ -531,11 +536,88 @@ TEST(RunFileTest, PreFilterFooterFailsOpen) {
     e.commit_ts = 10 + i;
     entries.push_back(std::move(e));
   }
-  WriteLegacyRun(path, entries);
+  return entries;
+}
+
+/// One format per artifact: no writer has produced the pre-filter footer
+/// since the filter landed, so such a file is corruption, not a layout.
+TEST(RunFileTest, PreFilterFooterFailsOpen) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/legacy.run";
+  WriteLegacyRun(path, LegacyEntries(), /*with_filter=*/false);
   BufferPool pool(4 * kPage, kPage);
   std::shared_ptr<RunFile> run;
   const Status st = RunFile::Open(path, 1, &pool, &run);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+/// The same for the layout with a header page: its table id, page size
+/// and seq now sit in the footer, and such a run fails Open naming it.
+TEST(RunFileTest, HeaderPageLayoutFailsOpenNamingTheFile) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/header-page.run";
+  WriteLegacyRun(path, LegacyEntries(), /*with_filter=*/true);
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  const Status st = RunFile::Open(path, 1, &pool, &run);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find(path), std::string::npos) << st.ToString();
+}
+
+/// A run of N data pages takes N - 1 whole pages, its last frame unpadded
+/// and the footer; its pages are read back from file page 0.
+TEST(RunFileTest, LastFrameIsUnpaddedAndDataStartsAtPageZero) {
+  ScratchDir dir;
+  const std::string path = dir.path + "/t.run";
+  const auto entries = MakeEntries(100, /*base_cts=*/1);
+  uint32_t pages = 0;
+  {
+    BufferPool pool(4 * kPage, kPage);
+    std::shared_ptr<RunFile> run;
+    ASSERT_TRUE(RunFile::Create(path, 3, 1, 1, kPage, RunFile::Over(entries),
+                                &pool, true, &run)
+                    .ok());
+    pages = run->page_count();
+    ASSERT_GT(pages, 1u);
+  }
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  ASSERT_FALSE(ec);
+  EXPECT_GT(size, uint64_t{pages - 1} * kPage);
+  EXPECT_LT(size, uint64_t{pages} * kPage + kPage);
+  // Page 0 is a data page: its frame CRC covers its header fields and
+  // payload (the layout with a header page began with "SSIDBRUN").
+  std::string page(kPage, '\0');
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(pread(fd, page.data(), kPage, 0), static_cast<ssize_t>(kPage));
+  close(fd);
+  size_t off = 0;
+  uint32_t crc = 0, payload_bytes = 0;
+  ASSERT_TRUE(GetBig32(page, &off, &crc));
+  ASSERT_TRUE(GetBig32(page, &off, &payload_bytes));
+  ASSERT_LE(payload_bytes, kPage - 12);
+  EXPECT_EQ(Crc32c(0, page.data() + 4, 8 + payload_bytes), crc);
+
+  BufferPool pool(4 * kPage, kPage);
+  std::shared_ptr<RunFile> run;
+  ASSERT_TRUE(RunFile::Open(path, 2, &pool, &run).ok());
+  EXPECT_EQ(run->page_count(), pages);
+  size_t i = 0;
+  ASSERT_TRUE(run->ForEachEntry([&](const RunEntry& e) {
+                    EXPECT_EQ(e.key, entries[i].key);
+                    EXPECT_EQ(e.value, entries[i].value);
+                    ++i;
+                  })
+                  .ok());
+  EXPECT_EQ(i, entries.size());
+  for (const RunEntry& want : {entries.front(), entries.back()}) {
+    RunEntry got;
+    bool found = false;
+    ASSERT_TRUE(run->Lookup(&pool, want.key, &got, &found).ok());
+    ASSERT_TRUE(found);
+    EXPECT_EQ(got.value, want.value);
+  }
 }
 
 /// An entry larger than one page's payload gets a multi-page extent:

@@ -227,8 +227,9 @@ TEST_P(CheckpointNoSpaceTest, LeavesPriorCheckpointLoadable) {
 
   // ENOSPC mid-file: skip=1 lets the O_CREAT open of the .tmp through,
   // so the failure lands mid-write with a partial file on disk — which
-  // the writer must remove.
-  env.InjectFault(FaultKind::kNoSpace, GetParam(), /*skip=*/1, /*count=*/1);
+  // the writer must remove. The disk stays full until ClearFaults: a
+  // run's first write is a pool writeback, which retries.
+  env.InjectFault(FaultKind::kNoSpace, GetParam(), /*skip=*/1);
   Status st = db->Checkpoint();
   ASSERT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_FALSE(DirHasTmpFile(wal_dir)) << "partial .tmp must be removed";
@@ -280,8 +281,9 @@ TEST(FaultInjectionTest, ENOSPCRunCreationCleansUpTmp) {
     ASSERT_TRUE(
         CommitPut(db.get(), t, "k" + std::to_string(i), "v").ok());
   }
-  // skip=1 lets the run .tmp be created, then the first page write fails.
-  env.InjectFault(FaultKind::kNoSpace, "run-", /*skip=*/1, /*count=*/1);
+  // skip=1 lets the run .tmp be created, then every page write fails
+  // (the pool's writeback retries a single failure away).
+  env.InjectFault(FaultKind::kNoSpace, "run-", /*skip=*/1);
   db->SpillChains(t);
   EXPECT_EQ(db->SpillChains(t), 0u);
   EXPECT_FALSE(DirHasTmpFile(run_dir)) << "failed run's .tmp must be removed";

@@ -1,15 +1,20 @@
-// Storage-tier integration tests: the spill / fault protocols between
-// Table, VersionChain and StorageTier.
+// Storage-tier integration tests: run generations, eviction and faults
+// between Table, VersionChain and StorageTier.
 //
 // The invariants under test (see version.h and storage_tier.h):
 //   * a spill/fault round trip preserves the original commit timestamp,
-//     value and tombstone flag of the chain anchor;
+//     value and tombstone flag of the chain anchor, oversized values
+//     (extents) included;
 //   * reads, scans and write-path visibility checks transparently fault
 //     evicted chains back in;
 //   * the second-chance clock bit keeps hot chains resident;
+//   * eviction writes nothing: it takes only chains a generation already
+//     wrote, so a disk that fails every write does not stop it, and a
+//     chain no generation could write stays resident;
 //   * runs are the durable home of spilled keys across restarts (recovery
 //     opens runs instead of replaying everything into RAM), and a spill run
 //     newer than the checkpoint manifest wins over older replayed versions;
+//   * a checkpoint of a few keys writes a run smaller than one page;
 //   * a checkpoint faults back an evicted chain before it publishes a
 //     newer version of it, so an older snapshot still reads the anchor;
 //   * SpillChains compacts once a table's runs reach the trigger, keeping
@@ -30,6 +35,7 @@
 #include "src/common/encoding.h"
 #include "src/common/random.h"
 #include "src/db/db.h"
+#include "src/io/env.h"
 #include "src/storage/storage_tier.h"
 #include "tests/test_util.h"
 
@@ -202,6 +208,74 @@ TEST(SpillTest, SecondChanceKeepsHotChainsResident) {
   EXPECT_EQ(f.db->SpillChains(f.table), 1u);
   EXPECT_FALSE(f.Chain("hot")->evicted());
   EXPECT_TRUE(f.Chain("cold")->evicted());
+}
+
+/// Eviction does no I/O: the generation of the first call writes the
+/// chains, and the second call evicts them although every write now
+/// fails. A chain the failing generations cannot write stays resident
+/// through any number of passes.
+TEST(SpillTest, EvictionIssuesNoWrite) {
+  ScratchDir dir;
+  io::FaultInjectingEnv env;
+  DBOptions opts = TierOptions(dir.path);
+  opts.env = &env;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  const auto put = [&](const std::string& key, const std::string& value) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    ASSERT_TRUE(txn->Put(table, key, value).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  };
+  const auto get = [&](const std::string& key, std::string* value) {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    Status st = txn->Get(table, key, value);
+    txn->Commit();
+    return st;
+  };
+  constexpr uint64_t kKeys = 8;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    put(EncodeU64Key(i), "v" + std::to_string(i));
+  }
+  EXPECT_EQ(db->SpillChains(table), 0u);  // Writes the run, clears bits.
+  ASSERT_EQ(db->storage_tier()->run_count(table), 1u);
+
+  env.InjectFault(io::FaultInjectingEnv::FaultKind::kWriteError, "");
+  EXPECT_EQ(db->SpillChains(table), kKeys);
+  EXPECT_EQ(env.injected_faults(), 0u) << "eviction attempted a write";
+  EXPECT_EQ(db->storage_tier()->io_errors(), 0u);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    EXPECT_TRUE(db->table(table)->Find(EncodeU64Key(i))->evicted());
+    std::string v;
+    ASSERT_TRUE(get(EncodeU64Key(i), &v).ok()) << i;
+    EXPECT_EQ(v, "v" + std::to_string(i));
+  }
+
+  put("late", "l");
+  for (int pass = 0; pass < 3; ++pass) db->SpillChains(table);
+  EXPECT_GT(env.injected_faults(), 0u) << "the generation tried to write";
+  EXPECT_FALSE(db->table(table)->Find("late")->evicted());
+  std::string v;
+  ASSERT_TRUE(get("late", &v).ok());
+  EXPECT_EQ(v, "l");
+}
+
+/// A value larger than a run page spills like any other: the generation
+/// writes it as an extent, and a read faults it back whole.
+TEST(SpillTest, OversizedValueSpillsAsAnExtent) {
+  TierFixture f;
+  const std::string big(3 * f.db->options().run_page_bytes + 5, 'b');
+  f.Put("big", big);
+  f.Put("small", "s");
+  ASSERT_EQ(f.SpillAll(), 2u);
+  EXPECT_TRUE(f.Chain("big")->evicted());
+  std::string v;
+  ASSERT_TRUE(f.Get("big", &v).ok());
+  EXPECT_EQ(v, big);
+  ASSERT_TRUE(f.Get("small", &v).ok());
+  EXPECT_EQ(v, "s");
+  EXPECT_EQ(Metric(f.db.get(), "tier.faulted_chains"), 2u);
 }
 
 TEST(SpillTest, UpdateAfterSpillFaultsAndSupersedes) {
@@ -469,6 +543,33 @@ TEST(SpillTest, CompactionBytesAreCountedApartFromCheckpoints) {
   EXPECT_GT(compacted, 0u);
   EXPECT_EQ(compacted, FileBytes(dir.path, ".run"));
   EXPECT_EQ(Metric(db.get(), "ckpt.bytes_written"), 2 * first);
+}
+
+/// A checkpoint of ten keys writes a run smaller than one default page:
+/// data starts at file page 0 and the last frame is not padded.
+TEST(SpillTest, TenKeyCheckpointRunIsSmallerThanAPage) {
+  ScratchDir dir;
+  DBOptions opts;
+  opts.log.wal_dir = dir.path + "/wal";
+  ASSERT_EQ(opts.run_page_bytes, 16384u);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  {
+    auto txn = db->Begin({IsolationLevel::kSnapshot});
+    for (uint64_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(txn->Put(table, EncodeU64Key(i), "value").ok());
+    }
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_EQ(db->storage_tier()->run_count(table), 1u);
+  const uint64_t run_bytes = FileBytes(dir.path, ".run");
+  EXPECT_GT(run_bytes, 0u);
+  EXPECT_LT(run_bytes, 16384u);
+  EXPECT_EQ(Metric(db.get(), "ckpt.bytes_written"),
+            run_bytes + FileBytes(dir.path + "/wal", "MANIFEST"));
 }
 
 /// Concurrent readers/writers against a continuously spilling and
