@@ -13,7 +13,7 @@
 // with first-writer-wins semantics (TxnState::SetAbortCause): the most
 // specific classification is the one made where the verdict was reached,
 // and later generic mappings (e.g. the executor's status-code fallback)
-// cannot overwrite it. TxnManager::AbortInternal counts each abort
+// cannot overwrite it. TxnManager::Rollback counts each abort
 // exactly once, at the single place every abort path funnels through.
 
 #ifndef SSIDB_COMMON_ABORT_REASON_H_

@@ -18,10 +18,8 @@ namespace ssidb {
 // Transaction: a thin handle forwarding to the executor.
 // --------------------------------------------------------------------------
 
-Transaction::Transaction(Executor* executor, std::shared_ptr<TxnState> state)
-    : executor_(executor) {
-  ctx_.state = std::move(state);
-}
+Transaction::Transaction(Executor* executor, TxnState* state)
+    : executor_(executor), ctx_(state) {}
 
 Transaction::~Transaction() {
   if (!ctx_.finished) {
@@ -150,6 +148,10 @@ void DB::RegisterAllMetrics() {
   r->RegisterGauge("engine.suspended_txns", [txns] {
     return static_cast<uint64_t>(txns->suspended_count());
   });
+  // Allocated minus freed TxnStates: active ones plus finished ones the
+  // reclaimer has not reached yet (txn_manager.h, "TxnState lifetime").
+  r->RegisterGauge("engine.txn_states",
+                   [txns] { return txns->live_states(); });
   r->RegisterGauge("session.open", [this] {
     return static_cast<uint64_t>(
         sessions_open_.load(std::memory_order_relaxed));

@@ -109,28 +109,29 @@ class Transaction {
   /// Roll back. Idempotent; safe after a failed operation.
   Status Abort();
 
-  TxnId id() const { return ctx_.state->id; }
-  IsolationLevel isolation() const { return ctx_.state->isolation; }
+  TxnId id() const { return ctx_.id; }
+  IsolationLevel isolation() const { return ctx_.isolation; }
   /// The transaction's snapshot timestamp (0 before late allocation, §4.5).
-  Timestamp snapshot_ts() const { return ctx_.state->read_ts.load(); }
+  Timestamp snapshot_ts() const { return Outcome().snapshot_ts; }
   /// Commit timestamp (0 unless committed).
-  Timestamp commit_ts() const { return ctx_.state->commit_ts.load(); }
+  Timestamp commit_ts() const { return Outcome().commit_ts; }
   bool active() const { return !ctx_.finished; }
   /// Abort forensics: why this transaction aborted (kNone while active or
   /// after a successful commit; abort_reason.h taxonomy otherwise).
-  AbortReason abort_cause() const {
-    return static_cast<AbortReason>(
-        ctx_.state->abort_cause.load(std::memory_order_relaxed));
-  }
+  AbortReason abort_cause() const { return Outcome().abort_cause; }
   /// The conflicting transaction recorded with the cause, when the abort
   /// came from an rw-antidependency (0 otherwise).
-  TxnId abort_conflict_txn() const {
-    return ctx_.state->abort_conflict_txn.load(std::memory_order_relaxed);
-  }
+  TxnId abort_conflict_txn() const { return Outcome().abort_conflict_txn; }
 
  private:
   friend class DB;
-  Transaction(Executor* executor, std::shared_ptr<TxnState> state);
+  Transaction(Executor* executor, TxnState* state);
+
+  /// Live while active; the copy taken at finish afterwards (the state is
+  /// retired then).
+  TxnOutcome Outcome() const {
+    return ctx_.finished ? ctx_.outcome : ctx_.state->Outcome();
+  }
 
   Executor* const executor_;
   Executor::TxnCtx ctx_;

@@ -22,8 +22,8 @@ Session::~Session() {
 }
 
 TxnHandle Session::Begin(const TxnOptions& options) {
-  auto ctx = std::make_unique<Executor::TxnCtx>();
-  ctx->state = db_->txn_manager_->Begin(options.isolation);
+  auto ctx = std::make_unique<Executor::TxnCtx>(
+      db_->txn_manager_->Begin(options.isolation));
   std::lock_guard<std::mutex> guard(mu_);
   const TxnHandle h = next_handle_++;
   open_.emplace(h, std::move(ctx));
@@ -137,13 +137,17 @@ size_t Session::open_transactions() const {
 TxnId Session::id(TxnHandle h) const {
   std::lock_guard<std::mutex> guard(mu_);
   auto it = open_.find(h);
-  return it == open_.end() ? 0 : it->second->state->id;
+  return it == open_.end() ? 0 : it->second->id;
 }
 
 Timestamp Session::snapshot_ts(TxnHandle h) const {
   std::lock_guard<std::mutex> guard(mu_);
   auto it = open_.find(h);
-  return it == open_.end() ? 0 : it->second->state->read_ts.load();
+  if (it == open_.end()) return 0;
+  // An abort whose status is not an abort code (an I/O failure) finishes
+  // the context but leaves the handle open: read the copy taken then.
+  const Executor::TxnCtx& ctx = *it->second;
+  return ctx.finished ? ctx.outcome.snapshot_ts : ctx.state->read_ts.load();
 }
 
 }  // namespace ssidb

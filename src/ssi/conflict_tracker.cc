@@ -13,28 +13,47 @@ bool Participates(const TxnState& txn) {
   return txn.isolation == IsolationLevel::kSerializableSSI;
 }
 
-/// The pairwise atomic block: both endpoints' latches, ascending txn-id
-/// order (the deadlock-free total order all pairwise markers agree on; a
-/// committing transaction holds only its own latch, so no cycle can form).
+/// The pairwise atomic block: the caller's and the partner's latches, in
+/// ascending txn-id order (the deadlock-free total order all pairwise
+/// markers agree on; a committing transaction holds only its own latch, so
+/// no cycle can form). The partner is resolved by TxnManager::FindLatched,
+/// which hands it over latched; `partner()` is null — and nothing is held
+/// — when it is gone or cannot overlap a snapshot at or above `floor`.
 class PairLatch {
  public:
-  PairLatch(TxnState* a, TxnState* b) : a_(a), b_(b) {
-    TxnState* first = a_->id < b_->id ? a_ : b_;
-    TxnState* second = a_->id < b_->id ? b_ : a_;
-    first->ssi_mu.lock();
-    second->ssi_mu.lock();
+  PairLatch(TxnManager* txns, TxnState* caller, TxnId partner_id,
+            Timestamp floor)
+      : caller_(caller) {
+    if (caller->id < partner_id) {
+      caller->ssi_mu.lock();
+      partner_ = txns->FindLatched(partner_id, floor);
+      if (partner_ == nullptr) caller->ssi_mu.unlock();
+    } else {
+      partner_ = txns->FindLatched(partner_id, floor);
+      if (partner_ != nullptr) caller->ssi_mu.lock();
+    }
   }
   ~PairLatch() {
-    a_->ssi_mu.unlock();
-    b_->ssi_mu.unlock();
+    if (partner_ == nullptr) return;
+    partner_->ssi_mu.unlock();
+    caller_->ssi_mu.unlock();
   }
   PairLatch(const PairLatch&) = delete;
   PairLatch& operator=(const PairLatch&) = delete;
 
+  TxnState* partner() const { return partner_; }
+
  private:
-  TxnState* const a_;
-  TxnState* const b_;
+  TxnState* const caller_;
+  TxnState* partner_ = nullptr;
 };
+
+/// The Fig 3.5 overlap floor of `txn`: its snapshot, or — before a late
+/// snapshot (§4.5) exists — the watermark, which bounds it from below.
+Timestamp OverlapFloor(const TxnState& txn, const TxnManager& txns) {
+  const Timestamp begin = txn.read_ts.load(std::memory_order_acquire);
+  return begin != 0 ? begin : txns.stable_ts();
+}
 
 }  // namespace
 
@@ -42,82 +61,46 @@ ConflictTracker::ConflictTracker(const DBOptions& options,
                                  TxnManager* txn_manager)
     : options_(options), txn_manager_(txn_manager) {}
 
-void ConflictTracker::TidyRefLocked(ConflictRef* ref) {
-  if (ref->kind != ConflictRef::Kind::kOther) return;
-  const TxnState& partner = *ref->other;
-  const TxnStatus st = partner.status.load(std::memory_order_acquire);
-  if (st == TxnStatus::kCommitted) {
-    // The thesis's Fig 3.10 lines 9-12, made precise: remember the commit
-    // time, drop the pointer so reference chains cannot accumulate.
-    ref->Collapse(partner.commit_ts.load(std::memory_order_acquire));
-  } else if (st == TxnStatus::kAborted) {
-    // Aborted transactions never appear in the MVSG; the edge is gone.
-    ref->Clear();
-  }
-}
-
-void ConflictTracker::SetOutLocked(TxnState* txn,
-                                   const std::shared_ptr<TxnState>& partner) {
-  if (options_.conflict_tracking == ConflictTracking::kFlags) {
-    txn->out_conflict_flag = true;
-    return;
-  }
-  TidyRefLocked(&txn->out_ref);
-  ConflictRef& ref = txn->out_ref;
-  switch (ref.kind) {
+void ConflictTracker::SetRefLocked(ConflictRef* ref, TxnState* partner) {
+  ref->Tidy();
+  switch (ref->kind) {
     case ConflictRef::Kind::kNone:
-      ref.SetOther(partner);
+      ref->SetOther(partner, partner->id);
       break;
     case ConflictRef::Kind::kOther:
-      if (ref.other.get() != partner.get()) ref.SetSelf();
+      if (ref->other != partner) ref->SetSelf();
       break;
     case ConflictRef::Kind::kCollapsed:
     case ConflictRef::Kind::kSelf:
-      // A second, distinct out-conflict: degrade to the conservative
-      // multi-conflict representation (Fig 3.9 lines 11-12).
-      ref.SetSelf();
+      // A second, distinct conflict of this polarity: degrade to the
+      // conservative multi-conflict representation (Fig 3.9 lines 11-12).
+      ref->SetSelf();
       break;
   }
 }
 
-void ConflictTracker::SetInLocked(TxnState* txn,
-                                  const std::shared_ptr<TxnState>& partner) {
+void ConflictTracker::SetEdgeLocked(TxnState* reader, TxnState* writer) {
   if (options_.conflict_tracking == ConflictTracking::kFlags) {
-    txn->in_conflict_flag = true;
+    reader->out_conflict_flag = true;
+    writer->in_conflict_flag = true;
     return;
   }
-  TidyRefLocked(&txn->in_ref);
-  ConflictRef& ref = txn->in_ref;
-  switch (ref.kind) {
-    case ConflictRef::Kind::kNone:
-      ref.SetOther(partner);
-      break;
-    case ConflictRef::Kind::kOther:
-      if (ref.other.get() != partner.get()) ref.SetSelf();
-      break;
-    case ConflictRef::Kind::kCollapsed:
-    case ConflictRef::Kind::kSelf:
-      ref.SetSelf();
-      break;
-  }
+  SetRefLocked(&reader->out_ref, writer);
+  SetRefLocked(&writer->in_ref, reader);
 }
 
-ConflictTracker::EdgeTime ConflictTracker::OutEdgeTimeLocked(
-    const TxnState& txn) const {
-  EdgeTime edge;
-  const ConflictRef& ref = txn.out_ref;
+ConflictTracker::EdgeTime ConflictTracker::EdgeTimeLocked(
+    const ConflictRef& ref, Timestamp several) {
   switch (ref.kind) {
     case ConflictRef::Kind::kNone:
-      return edge;
+      return EdgeTime{};
     case ConflictRef::Kind::kSelf:
-      // Several out-partners: some may have committed arbitrarily early.
-      edge.present = true;
-      edge.cts = 0;
-      return edge;
+      // Several partners: 0 on the out side (some may have committed
+      // arbitrarily early), +inf on the in side (some may still be
+      // active) — see "Why kSelf reads as 0 on the out side".
+      return EdgeTime{true, several};
     case ConflictRef::Kind::kCollapsed:
-      edge.present = true;
-      edge.cts = ref.collapsed_cts;
-      return edge;
+      return EdgeTime{true, ref.collapsed_cts};
     case ConflictRef::Kind::kOther: {
       // Keyed on the published commit timestamp, not the status flip: a
       // partner holding an edge to us is itself a certifying commit
@@ -126,61 +109,18 @@ ConflictTracker::EdgeTime ConflictTracker::OutEdgeTimeLocked(
       // stage in commit order relative to this check (commit_combiner.h)
       // and before its status store becomes visible — and once the cts
       // exists the partner commits unconditionally. Reading the status
-      // here instead could miss an out-partner that wins a smaller
-      // timestamp.
+      // instead could miss an out-partner that wins a smaller timestamp;
+      // on the in side a stale "active" only errs toward kMaxTimestamp,
+      // the conservative direction.
       const Timestamp cts =
           ref.other->commit_ts.load(std::memory_order_acquire);
-      if (cts != 0) {
-        edge.present = true;
-        edge.cts = cts;
-        return edge;
-      }
+      if (cts != 0) return EdgeTime{true, cts};
       const TxnStatus st = ref.other->status.load(std::memory_order_acquire);
-      if (st == TxnStatus::kAborted) return edge;  // Edge vanished.
-      edge.present = true;
-      edge.cts = kMaxTimestamp;  // Active: has not committed first.
-      return edge;
+      if (st == TxnStatus::kAborted) return EdgeTime{};  // Edge vanished.
+      return EdgeTime{true, kMaxTimestamp};  // Not committed (yet).
     }
   }
-  return edge;
-}
-
-ConflictTracker::EdgeTime ConflictTracker::InEdgeTimeLocked(
-    const TxnState& txn) const {
-  EdgeTime edge;
-  const ConflictRef& ref = txn.in_ref;
-  switch (ref.kind) {
-    case ConflictRef::Kind::kNone:
-      return edge;
-    case ConflictRef::Kind::kSelf:
-      // Several in-partners: some may still be active (commit later than
-      // any out-partner), so the edge cannot rule danger out.
-      edge.present = true;
-      edge.cts = kMaxTimestamp;
-      return edge;
-    case ConflictRef::Kind::kCollapsed:
-      edge.present = true;
-      edge.cts = ref.collapsed_cts;
-      return edge;
-    case ConflictRef::Kind::kOther: {
-      // Same cts-first protocol as OutEdgeTimeLocked. For an in-edge a
-      // stale "active" read only errs toward kMaxTimestamp, which is the
-      // conservative (more-dangerous) direction.
-      const Timestamp cts =
-          ref.other->commit_ts.load(std::memory_order_acquire);
-      if (cts != 0) {
-        edge.present = true;
-        edge.cts = cts;
-        return edge;
-      }
-      const TxnStatus st = ref.other->status.load(std::memory_order_acquire);
-      if (st == TxnStatus::kAborted) return edge;
-      edge.present = true;
-      edge.cts = kMaxTimestamp;
-      return edge;
-    }
-  }
-  return edge;
+  return EdgeTime{};
 }
 
 bool ConflictTracker::DangerousLocked(const TxnState& txn,
@@ -188,13 +128,13 @@ bool ConflictTracker::DangerousLocked(const TxnState& txn,
   if (options_.conflict_tracking == ConflictTracking::kFlags) {
     return txn.in_conflict_flag && txn.out_conflict_flag;
   }
-  const EdgeTime out = OutEdgeTimeLocked(txn);
+  const EdgeTime out = EdgeTimeLocked(txn.out_ref, /*several=*/0);
   if (!out.present || out.cts == kMaxTimestamp) {
     // No out-edge, or the out-partner has not committed: it cannot have
     // committed first of the structure (§3.6).
     return false;
   }
-  const EdgeTime in = InEdgeTimeLocked(txn);
+  const EdgeTime in = EdgeTimeLocked(txn.in_ref, kMaxTimestamp);
   if (!in.present) return false;
   const Timestamp own_cts =
       (committing_now || !txn.IsCommitted())
@@ -254,13 +194,11 @@ Status ConflictTracker::AbortVictimLocked(TxnState* caller, TxnState* pivot,
   return Status::OK();
 }
 
-Status ConflictTracker::MarkLocked(TxnState* caller,
-                                   const std::shared_ptr<TxnState>& reader,
-                                   const std::shared_ptr<TxnState>& writer) {
-  if (reader.get() == writer.get()) return Status::OK();
+Status ConflictTracker::MarkLocked(TxnState* caller, TxnState* reader,
+                                   TxnState* writer) {
   // §4.6: conflicts are not recorded against transactions already destined
   // to abort.
-  for (const TxnState* t : {reader.get(), writer.get()}) {
+  for (const TxnState* t : {reader, writer}) {
     if (t->status.load(std::memory_order_acquire) == TxnStatus::kAborted ||
         t->marked_for_abort.load(std::memory_order_acquire)) {
       return Status::OK();
@@ -275,14 +213,14 @@ Status ConflictTracker::MarkLocked(TxnState* caller,
   if (flags_mode) {
     if (writer->IsCommitted() && writer->out_conflict_flag) {
       unsafe_aborts_.fetch_add(1, std::memory_order_relaxed);
-      assert(caller == reader.get());
+      assert(caller == reader);
       // The caller read into a committed pivot: it is the T_in side.
       caller->SetAbortCause(AbortReason::kSsiInSide, writer->id);
       return Status::Unsafe("committed pivot (writer) has out-conflict");
     }
     if (reader->IsCommitted() && reader->in_conflict_flag) {
       unsafe_aborts_.fetch_add(1, std::memory_order_relaxed);
-      assert(caller == writer.get());
+      assert(caller == writer);
       // The caller wrote out of a committed pivot: it is the T_out side.
       caller->SetAbortCause(AbortReason::kSsiOutSide, reader->id);
       return Status::Unsafe("committed pivot (reader) has in-conflict");
@@ -299,14 +237,13 @@ Status ConflictTracker::MarkLocked(TxnState* caller,
   const bool saved_writer_in_flag = writer->in_conflict_flag;
   const ConflictRef saved_reader_out = reader->out_ref;
   const ConflictRef saved_writer_in = writer->in_ref;
-  SetOutLocked(reader.get(), writer);
-  SetInLocked(writer.get(), reader);
+  SetEdgeLocked(reader, writer);
 
   // Evaluate both endpoints as potential pivots. Committed pivots must be
   // resolved now (their own commit check already passed); active pivots are
   // resolved now only under the abort-early optimization (§3.7.1),
   // otherwise at their commit (Fig 3.2 / 3.10).
-  for (TxnState* t : {reader.get(), writer.get()}) {
+  for (TxnState* t : {reader, writer}) {
     if (t->IsActive() && !options_.abort_early) continue;
     if (t->marked_for_abort.load(std::memory_order_relaxed)) continue;
     if (DangerousLocked(*t, /*committing_now=*/false)) {
@@ -314,7 +251,7 @@ Status ConflictTracker::MarkLocked(TxnState* caller,
       writer->in_conflict_flag = saved_writer_in_flag;
       reader->out_ref = saved_reader_out;
       writer->in_ref = saved_writer_in;
-      return AbortVictimLocked(caller, t, reader.get(), writer.get());
+      return AbortVictimLocked(caller, t, reader, writer);
     }
   }
   return Status::OK();
@@ -325,59 +262,46 @@ Status ConflictTracker::MarkReadOfNewerVersion(TxnState* reader,
                                                Timestamp creator_cts) {
   (void)creator_cts;
   if (!Participates(*reader) || creator_id == reader->id) return Status::OK();
-  std::shared_ptr<TxnState> creator = txn_manager_->Find(creator_id);
-  if (creator == nullptr || !Participates(*creator)) return Status::OK();
-  std::shared_ptr<TxnState> reader_ref = txn_manager_->Find(reader->id);
-  if (reader_ref == nullptr) return Status::OK();
-  PairLatch latch(reader, creator.get());
   // creator_cts > reader's snapshot by construction, so they overlap.
-  return MarkLocked(reader, reader_ref, creator);
+  PairLatch latch(txn_manager_, reader, creator_id,
+                  OverlapFloor(*reader, *txn_manager_));
+  TxnState* creator = latch.partner();
+  if (creator == nullptr || !Participates(*creator)) return Status::OK();
+  return MarkLocked(reader, reader, creator);
 }
 
 Status ConflictTracker::OnReaderSawExclusiveHolder(TxnState* reader,
                                                    TxnId writer_id) {
   if (!Participates(*reader) || writer_id == reader->id) return Status::OK();
-  std::shared_ptr<TxnState> writer = txn_manager_->Find(writer_id);
+  // A holder that committed inside the reader's (eventual) snapshot is no
+  // antidependency — the reader sees its version — and FindLatched skips
+  // it before anything dereferences it.
+  PairLatch latch(txn_manager_, reader, writer_id,
+                  OverlapFloor(*reader, *txn_manager_));
+  TxnState* writer = latch.partner();
   if (writer == nullptr || !Participates(*writer)) return Status::OK();
-  std::shared_ptr<TxnState> reader_ref = txn_manager_->Find(reader->id);
-  if (reader_ref == nullptr) return Status::OK();
-  PairLatch latch(reader, writer.get());
-  // The holder may have committed between the lock-table snapshot and now;
-  // if it committed inside the reader's snapshot there is no
-  // antidependency (the reader sees its version). Evaluated under the pair
-  // latch so the writer's status cannot transition mid-check.
-  if (writer->IsCommitted() &&
-      writer->commit_ts.load(std::memory_order_acquire) <=
-          reader->read_ts.load(std::memory_order_acquire)) {
-    return Status::OK();
-  }
-  return MarkLocked(reader, reader_ref, writer);
+  return MarkLocked(reader, reader, writer);
 }
 
 Status ConflictTracker::OnWriterSawSIReadHolder(TxnState* writer,
                                                 TxnId reader_id) {
   if (!Participates(*writer) || reader_id == writer->id) return Status::OK();
-  std::shared_ptr<TxnState> reader = txn_manager_->Find(reader_id);
+  // Fig 3.5: "where rl.owner has not committed or commit(rl.owner) >
+  // begin(T)" — only overlapping readers matter, and FindLatched drops
+  // the others under the registry shard mutex, before anything
+  // dereferences them (a suspended reader that overlaps nothing active
+  // may be collected at any moment). For a writer without a snapshot yet
+  // (late allocation, §4.5), the eventual snapshot will be >= the
+  // *current* stable watermark (monotonic), so a reader whose commit is
+  // already below the watermark provably cannot overlap. A reader
+  // committed above the watermark might still be invisible to the
+  // writer's eventual snapshot, so its edge must be recorded (possibly a
+  // false positive, never a missed conflict).
+  PairLatch latch(txn_manager_, writer, reader_id,
+                  OverlapFloor(*writer, *txn_manager_));
+  TxnState* reader = latch.partner();
   if (reader == nullptr || !Participates(*reader)) return Status::OK();
-  std::shared_ptr<TxnState> writer_ref = txn_manager_->Find(writer->id);
-  if (writer_ref == nullptr) return Status::OK();
-  PairLatch latch(writer, reader.get());
-  // Fig 3.5: "where rl.owner has not committed or
-  // commit(rl.owner) > begin(T)" — only overlapping readers matter. For a
-  // writer without a snapshot yet (late allocation, §4.5), the eventual
-  // snapshot will be >= the *current* stable watermark (monotonic), so a
-  // reader whose commit is already below the watermark provably cannot
-  // overlap. A reader committed above the watermark might still be
-  // invisible to the writer's eventual snapshot, so its edge must be
-  // recorded (possibly a false positive, never a missed conflict).
-  if (reader->IsCommitted()) {
-    const Timestamp begin = writer->read_ts.load(std::memory_order_acquire);
-    const Timestamp floor = begin != 0 ? begin : txn_manager_->stable_ts();
-    const Timestamp reader_cts =
-        reader->commit_ts.load(std::memory_order_acquire);
-    if (reader_cts <= floor) return Status::OK();
-  }
-  return MarkLocked(writer, reader, writer_ref);
+  return MarkLocked(writer, reader, writer);
 }
 
 Status ConflictTracker::CommitCheck(TxnState* txn) {
@@ -390,15 +314,13 @@ Status ConflictTracker::CommitCheck(TxnState* txn) {
     }
     return Status::OK();
   }
-  TidyRefLocked(&txn->in_ref);
-  TidyRefLocked(&txn->out_ref);
+  txn->in_ref.Tidy();
+  txn->out_ref.Tidy();
   if (DangerousLocked(*txn, /*committing_now=*/true)) {
     unsafe_aborts_.fetch_add(1, std::memory_order_relaxed);
-    // References mode may still know the out-partner: record it.
-    const TxnId partner = txn->out_ref.kind == ConflictRef::Kind::kOther
-                              ? txn->out_ref.other->id
-                              : 0;
-    txn->SetAbortCause(AbortReason::kSsiPivot, partner);
+    // The out-partner that committed first, when one is known (0 for
+    // kSelf: several partners).
+    txn->SetAbortCause(AbortReason::kSsiPivot, txn->out_ref.partner);
     return Status::Unsafe("pivot at commit: out-partner committed first");
   }
   return Status::OK();

@@ -30,9 +30,12 @@
 // through atomics; a partner committing concurrently is observed either
 // before or after — both orders correspond to a legal global schedule of
 // the seed's serialized marking. This mirrors the partitioned locking of
-// the PostgreSQL SSI implementation (Ports & Grittner, VLDB 2012).
+// the PostgreSQL SSI implementation (Ports & Grittner, VLDB 2012). The
+// partner's latch is taken by TxnManager::FindLatched, which hands it over
+// latched and so also keeps it allocated while it is used (txn_manager.h,
+// "TxnState lifetime").
 //
-// Soundness note on kReferences (documented deviation, DESIGN.md): a
+// Soundness note on kReferences (documented deviation, argued below): a
 // transaction's dangerous structure is only lethal when its out-partner
 // committed first among {in, pivot, out} (§3.6). We evaluate:
 //   out side:  kOther(active) => not committed first; kOther/kCollapsed
@@ -41,11 +44,21 @@
 // Multi-conflict transactions therefore degrade to the basic-flag
 // behaviour instead of adopting the thesis's literal self-commit-time
 // rule, which can underestimate danger on the out side.
+//
+// Why kSelf reads as 0 on the out side. Fig 3.9 replaces a second
+// out-partner by a self-reference, and Fig 3.10 then reads the pivot's own
+// commit time as the out-partner's. Take an active pivot P with
+// out-partners O1 and O2 (out = kSelf) and in-partner I: O1 commits at 10,
+// I at 20, then P at 30. The literal rule compares 30 against 20 and finds
+// no danger, yet O1 committed before both I and P — the Fig 3.8 structure
+// that admits a cycle. The self time bounds the out-partners' commits from
+// above where the test needs a lower bound, and without their identities
+// the only sound one is 0. The in side needs an upper bound, so kSelf
+// reads +inf there. Either way a kSelf side never looks safer than the
+// basic algorithm's flags (Fig 3.2).
 
 #ifndef SSIDB_SSI_CONFLICT_TRACKER_H_
 #define SSIDB_SSI_CONFLICT_TRACKER_H_
-
-#include <memory>
 
 #include "src/common/options.h"
 #include "src/common/status.h"
@@ -89,10 +102,9 @@ class ConflictTracker {
 
  private:
   /// Shared marking body. `caller` is the transaction executing on this
-  /// thread; exactly one of reader/writer equals caller. Caller must hold
-  /// both endpoints' ssi_mu latches.
-  Status MarkLocked(TxnState* caller, const std::shared_ptr<TxnState>& reader,
-                    const std::shared_ptr<TxnState>& writer);
+  /// thread; exactly one of reader/writer equals caller, and they differ.
+  /// Caller must hold both endpoints' ssi_mu latches.
+  Status MarkLocked(TxnState* caller, TxnState* reader, TxnState* writer);
 
   /// True if `txn` currently has both an in- and an out-conflict whose
   /// commit-time pattern is (or may be) dangerous. `committing_now` means
@@ -106,16 +118,15 @@ class ConflictTracker {
     bool present = false;
     Timestamp cts = kMaxTimestamp;  // kMaxTimestamp => not committed (yet)
   };
-  EdgeTime OutEdgeTimeLocked(const TxnState& txn) const;
-  EdgeTime InEdgeTimeLocked(const TxnState& txn) const;
+  /// `several` is the time a kSelf side reads as: 0 out, +inf in.
+  static EdgeTime EdgeTimeLocked(const ConflictRef& ref, Timestamp several);
 
-  /// Record an edge endpoint in the mode-appropriate representation.
-  void SetOutLocked(TxnState* txn, const std::shared_ptr<TxnState>& partner);
-  void SetInLocked(TxnState* txn, const std::shared_ptr<TxnState>& partner);
-
-  /// Drop shared_ptrs to finished partners (collapse committed ones to
-  /// their commit time, clear aborted ones).
-  static void TidyRefLocked(ConflictRef* ref);
+  /// Record the edge reader -> writer on both endpoints in the
+  /// mode-appropriate representation.
+  void SetEdgeLocked(TxnState* reader, TxnState* writer);
+  /// One endpoint's side of an edge (kReferences): tidy, then point at
+  /// `partner` or degrade to kSelf.
+  static void SetRefLocked(ConflictRef* ref, TxnState* partner);
 
   /// Pick and dispatch the victim once `pivot` is dangerous. Returns
   /// kUnsafe if the victim is `caller`; otherwise marks the victim and

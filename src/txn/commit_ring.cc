@@ -11,7 +11,7 @@ CommitRing::CommitRing(uint64_t slots)
       waiters_(new WaiterShard[waiter_mask_ + 1]) {}
 
 Timestamp CommitRing::Allocate() {
-  const Timestamp ts = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const Timestamp ts = clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
   // Window-depth high-water mark. The watermark load is seq_cst: a stale
   // (relaxed) read could lawfully run many commits behind and inflate the
   // sampled depth past the true uncovered window, which stats consumers

@@ -152,8 +152,10 @@ class CommitRing {
     return stable_.load(std::memory_order_seq_cst);
   }
 
-  /// Last allocated commit timestamp.
-  Timestamp clock() const { return clock_.load(std::memory_order_relaxed); }
+  /// Last allocated commit timestamp. seq_cst, like Allocate: a retiring
+  /// transaction's clock read is ordered against allocations
+  /// (txn_manager.h, "TxnState lifetime" (3)).
+  Timestamp clock() const { return clock_.load(std::memory_order_seq_cst); }
 
   /// Jump clock and watermark to at least `ts`. Quiescent use only
   /// (recovery at DB::Open, before any commit is in flight).

@@ -37,11 +37,15 @@ Status Executor::CheckUsable(TxnCtx& txn) {
     return AbortWith(txn, reason.ok() ? Status::Unsafe("marked for abort")
                                       : reason);
   }
+  // Before the statement takes a lock or marks a conflict: a late snapshot
+  // (§4.5) comes after both, and until it does the pin holds the horizon
+  // (txn_manager.h, "TxnState lifetime").
+  txns_->ClaimPin(txn.state);
   return Status::OK();
 }
 
 void Executor::EnsureSnapshot(TxnCtx& txn) {
-  txns_->EnsureSnapshot(txn.state.get());
+  txns_->EnsureSnapshot(txn.state);
   if (!txn.history_begin_recorded && history_ != nullptr) {
     history_->Begin(txn.state->id, txn.state->read_ts.load());
     txn.history_begin_recorded = true;
@@ -49,10 +53,11 @@ void Executor::EnsureSnapshot(TxnCtx& txn) {
 }
 
 Status Executor::AbortWith(TxnCtx& txn, const Status& cause) {
+  if (txn.finished) return cause;
   // Taxonomy fallback from the status code. SetAbortCause is
   // first-writer-wins, so a more specific classification made at the
   // decision site (conflict tracker, FCW check) survives this mapping.
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   if (cause.IsDeadlock()) {
     state->SetAbortCause(AbortReason::kDeadlock, 0);
   } else if (cause.IsTimedOut()) {
@@ -64,11 +69,9 @@ Status Executor::AbortWith(TxnCtx& txn, const Status& cause) {
   } else if (cause.IsUnsafe()) {
     state->SetAbortCause(AbortReason::kSsiPivot, 0);
   }
-  txns_->Abort(txn.state);
-  if (!txn.finished && history_ != nullptr) {
-    history_->Abort(txn.state->id);
-  }
-  txn.finished = true;
+  txns_->Abort(state, &txn.outcome);
+  if (history_ != nullptr) history_->Abort(txn.id);
+  txn.Finished();
   return cause;
 }
 
@@ -97,7 +100,7 @@ const LockKey& Executor::GapLockKeyInto(
 
 Status Executor::MarkConflicts(TxnCtx& txn, const RwConflicts& others,
                                bool reader_side) {
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   for (TxnId other : others) {
     // Fig 3.4 line 3 (the reader found an EXCLUSIVE holder) or Fig 3.5
     // line 4 (the writer found a SIREAD holder).
@@ -117,7 +120,7 @@ Status Executor::MarkConflicts(TxnCtx& txn, const RwConflicts& others,
 
 Status Executor::AcquireAndMark(TxnCtx& txn, const LockKey& lk,
                                 LockMode mode) {
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   AcquireResult r = locks_->Acquire(state->id, lk, mode);
   if (!r.status.ok()) {
     return AbortWith(txn, r.status);
@@ -140,7 +143,7 @@ Status Executor::ParkOnChain(TxnCtx& txn, VersionChain* chain,
 
 Status Executor::ClaimRow(TxnCtx& txn, TableId table, Slice key,
                           VersionChain* chain) {
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   const bool ssi = state->isolation == IsolationLevel::kSerializableSSI;
   RowLockDelta delta;
   if (ssi && !chain->carried()) {
@@ -197,7 +200,7 @@ Status Executor::ReadChainAndMark(TxnCtx& txn, const LockKey* page_lk,
                                   VersionChain* chain, RowLockMode mode,
                                   RowLockWait* wait, std::string* value,
                                   ReadResult* out) {
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   const bool locking_read =
       state->isolation == IsolationLevel::kSerializable2PL;
   const Timestamp read_ts =
@@ -304,7 +307,7 @@ Status Executor::InstallFaulting(TxnCtx& txn, Table* t, Slice key,
                                  VersionChain* chain, WriteCheck check,
                                  Slice value, bool tombstone,
                                  std::string* read_value, WriteResult* out) {
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   const bool s2pl = state->isolation == IsolationLevel::kSerializable2PL;
   const Timestamp read_ts = s2pl ? kMaxTimestamp : state->read_ts.load();
   // S2PL needs no first-committer-wins; page granularity ran it already.
@@ -335,7 +338,7 @@ Status Executor::Get(TxnCtx& txn, TableId table, Slice key,
   if (!st.ok()) return st;
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   EnsureSnapshot(txn);
 
   const bool page_mode = options_.granularity == LockGranularity::kPage;
@@ -394,7 +397,7 @@ Status Executor::GetForUpdate(TxnCtx& txn, TableId table, Slice key,
   if (!st.ok()) return st;
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
 
   // The write protocol's front half (§2.6.2 promotion semantics): lock
   // first, snapshot after (§4.5), then verify first-committer-wins. The
@@ -487,7 +490,7 @@ Status Executor::WriteImpl(TxnCtx& txn, TableId table, Slice key, Slice value,
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   if (key.empty()) return Status::InvalidArgument("empty key");
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
   const bool page_mode = options_.granularity == LockGranularity::kPage;
 
   // One point-index probe: the chain found here is the one written below;
@@ -579,7 +582,7 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   Table* t = catalog_->table(table);
   if (t == nullptr) return Status::InvalidArgument("unknown table");
   if (hi.compare(lo) < 0) return Status::InvalidArgument("hi < lo");
-  TxnState* state = txn.state.get();
+  TxnState* state = txn.state;
 
   const IsolationLevel iso = state->isolation;
   EnsureSnapshot(txn);
@@ -743,37 +746,49 @@ Status Executor::Scan(TxnCtx& txn, TableId table, Slice lo, Slice hi,
   return Status::OK();
 }
 
+namespace {
+
+/// Per-key redo from the write set: enough for WAL replay to reinstall
+/// each committed version (table, key, value/tombstone).
+std::vector<RedoEntry> CaptureRedo(const TxnState& state) {
+  std::vector<RedoEntry> redo;
+  redo.reserve(state.write_set.size());
+  for (const TxnState::WriteRecord& w : state.write_set) {
+    redo.push_back(RedoEntry{w.table, w.key, w.version->value,
+                             w.version->tombstone});
+  }
+  return redo;
+}
+
+/// kIOError means committed-in-memory but not durable: the history oracle
+/// reasons about the in-memory execution, so it is a commit.
+void RecordOutcome(sgt::HistoryRecorder* history, TxnId id, const Status& st,
+                   Timestamp commit_ts) {
+  if (history == nullptr) return;
+  if (st.ok() || st.IsIOError()) {
+    history->Commit(id, commit_ts);
+  } else {
+    history->Abort(id);
+  }
+}
+
+}  // namespace
+
+TxnManager::CommitCheck Executor::CheckFor(const TxnState& state) const {
+  if (state.isolation != IsolationLevel::kSerializableSSI) return nullptr;
+  ConflictTracker* tracker = tracker_;
+  return [tracker](TxnState* t) { return tracker->CommitCheck(t); };
+}
+
 Status Executor::Commit(TxnCtx& txn) {
   if (txn.finished) {
     return Status::TxnInvalid("transaction already finished");
   }
-  TxnState* state = txn.state.get();
-  // Capture per-key redo from the write set: enough for WAL replay to
-  // reinstall each committed version (table, key, value/tombstone).
-  std::vector<RedoEntry> redo;
-  redo.reserve(state->write_set.size());
-  for (const TxnState::WriteRecord& w : state->write_set) {
-    redo.push_back(RedoEntry{w.table, w.key, w.version->value,
-                             w.version->tombstone});
-  }
-
-  TxnManager::CommitCheck check;
-  if (state->isolation == IsolationLevel::kSerializableSSI) {
-    ConflictTracker* tracker = tracker_;
-    check = [tracker](TxnState* t) { return tracker->CommitCheck(t); };
-  }
-
-  const Status st = txns_->Commit(txn.state, check, std::move(redo));
-  txn.finished = true;
-  if (history_ != nullptr) {
-    // kIOError means committed-in-memory but not durable: the history
-    // oracle reasons about the in-memory execution, so it is a commit.
-    if (st.ok() || st.IsIOError()) {
-      history_->Commit(state->id, state->commit_ts.load());
-    } else {
-      history_->Abort(state->id);
-    }
-  }
+  TxnState* state = txn.state;
+  const Status st = txns_->Commit(state, CheckFor(*state),
+                                  CaptureRedo(*state), &txn.outcome);
+  txn.Finished();
+  RecordOutcome(history_, txn.id, st, txn.outcome.commit_ts);
   return st;
 }
 
@@ -783,42 +798,19 @@ void Executor::CommitAsync(TxnCtx& txn, TxnManager::CommitCallback done) {
     return;
   }
   // Everything the acknowledgment path needs outlives the TxnCtx: the
-  // TxnState travels by shared_ptr, the redo by value, the recorder by
-  // pointer (it is engine-lifetime and mutex-guarded).
-  std::shared_ptr<TxnState> state = txn.state;
-  std::vector<RedoEntry> redo;
-  redo.reserve(state->write_set.size());
-  for (const TxnState::WriteRecord& w : state->write_set) {
-    redo.push_back(RedoEntry{w.table, w.key, w.version->value,
-                             w.version->tombstone});
-  }
-
-  TxnManager::CommitCheck check;
-  if (state->isolation == IsolationLevel::kSerializableSSI) {
-    ConflictTracker* tracker = tracker_;
-    check = [tracker](TxnState* t) { return tracker->CommitCheck(t); };
-  }
-
-  // Finished at submit: the handle's job ends here, the outcome arrives
-  // via `done`. Set before the call because an inline acknowledgment
-  // (read-only, non-durable, or abort) fires inside it.
-  txn.finished = true;
+  // TxnState until `done` has run (TxnManager::CommitAsync), the redo by
+  // value, the recorder by pointer (it is engine-lifetime and
+  // mutex-guarded). Finished at submit: the handle's job ends here, and
+  // an inline acknowledgment fires inside the call.
+  TxnState* state = txn.state;
+  txn.Finished();
   sgt::HistoryRecorder* history = history_;
-  txns_->CommitAsync(
-      state, check, std::move(redo),
-      [history, state, done = std::move(done)](Status st) {
-        if (history != nullptr) {
-          // kIOError means committed-in-memory but not durable: the
-          // history oracle reasons about the in-memory execution, so it
-          // is a commit.
-          if (st.ok() || st.IsIOError()) {
-            history->Commit(state->id, state->commit_ts.load());
-          } else {
-            history->Abort(state->id);
-          }
-        }
-        done(st);
-      });
+  txns_->CommitAsync(state, CheckFor(*state), CaptureRedo(*state),
+                     [history, state, done = std::move(done)](Status st) {
+                       RecordOutcome(history, state->id, st,
+                                     state->commit_ts.load());
+                       done(st);
+                     });
 }
 
 Status Executor::Abort(TxnCtx& txn) {
@@ -826,11 +818,9 @@ Status Executor::Abort(TxnCtx& txn) {
     return Status::OK();
   }
   txn.state->SetAbortCause(AbortReason::kExplicit, 0);
-  txns_->Abort(txn.state);
-  if (history_ != nullptr) {
-    history_->Abort(txn.state->id);
-  }
-  txn.finished = true;
+  txns_->Abort(txn.state, &txn.outcome);
+  if (history_ != nullptr) history_->Abort(txn.id);
+  txn.Finished();
   return Status::OK();
 }
 

@@ -61,8 +61,21 @@ class Executor {
   /// Client-side transaction context: the engine state handle plus the
   /// single-threaded bookkeeping the public Transaction object carries.
   struct TxnCtx {
-    std::shared_ptr<TxnState> state;
+    explicit TxnCtx(TxnState* s)
+        : state(s), id(s->id), isolation(s->isolation) {}
+    /// Owned by the transaction manager; null once finished (the finishing
+    /// call retires it).
+    TxnState* state;
+    const TxnId id;
+    const IsolationLevel isolation;
+    /// What the client may still ask once finished (blocking Commit and
+    /// Abort fill it).
+    TxnOutcome outcome;
     bool finished = false;
+    void Finished() {
+      finished = true;
+      state = nullptr;
+    }
     bool history_begin_recorded = false;
     /// Scratch lock keys, reused across operations so the blocking-lock
     /// path never constructs a fresh LockKey (the std::string buffers are
@@ -110,7 +123,8 @@ class Executor {
 
  private:
   /// Pre-flight for every operation: reject finished transactions, honour
-  /// an asynchronous victim mark (§3.7.2) by aborting now.
+  /// an asynchronous victim mark (§3.7.2) by aborting now, and claim the
+  /// transaction's horizon pin if it has none yet.
   Status CheckUsable(TxnCtx& txn);
 
   /// Assign the read snapshot if still unassigned, per the §4.5 rule
@@ -120,6 +134,9 @@ class Executor {
   /// Abort and return `cause` (the paper's "abort as soon as the problem
   /// is discovered", §3.7.1).
   Status AbortWith(TxnCtx& txn, const Status& cause);
+
+  /// The commit-time check for `state`: the tracker's, for SSI only.
+  TxnManager::CommitCheck CheckFor(const TxnState& state) const;
 
   /// Fill txn.scratch_row_key with the lock key of a row operation under
   /// the configured granularity — the row itself (kRow) or its page

@@ -15,13 +15,14 @@
 //
 // A committed transaction that still holds SIREAD locks is *suspended*
 // (§3.3): its TxnState stays registered so later conflicts can be detected,
-// until no concurrent transaction remains.
+// until no concurrent transaction remains. Each TxnState has exactly one
+// owner at a time — the registry while active, the transaction manager's
+// reclaimer once finished (txn_manager.h, "TxnState lifetime").
 
 #ifndef SSIDB_TXN_TRANSACTION_H_
 #define SSIDB_TXN_TRANSACTION_H_
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -46,42 +47,53 @@ struct TxnState;
 /// kNone/kSelf play the thesis's NULL / self-pointer roles. Where the
 /// thesis replaces references to committed partners by self-references at
 /// commit time (to avoid dangling pointers after cleanup), we instead
-/// *collapse* them: drop the shared_ptr and keep the partner's commit
-/// timestamp (kCollapsed). This is strictly more precise than the thesis's
-/// replacement (the real commit time survives) while still breaking
-/// reference chains so memory stays bounded by the overlap window.
+/// *collapse* them: drop the pointer and keep the partner's commit
+/// timestamp and id (kCollapsed). This is strictly more precise than the
+/// thesis's replacement (the real commit time survives).
 ///
-/// kSelf (multiple conflicts of one polarity) is evaluated conservatively:
-/// as an out-conflict it means "some partner may have committed first"
-/// (commit time 0); as an in-conflict it means "some partner may still be
-/// active" (commit time +inf). See DESIGN.md for why the thesis's literal
-/// self-commit-time evaluation can be unsound on the out side.
+/// `other` is a plain pointer: the partner's state has one owner (the
+/// transaction manager), and the lifetime argument in txn_manager.h says
+/// why it outlives every ref that can still be read. kSelf (multiple
+/// conflicts of one polarity) is evaluated conservatively; see "Why kSelf
+/// reads as 0 on the out side" in conflict_tracker.h.
 struct ConflictRef {
   enum class Kind : uint8_t { kNone, kSelf, kOther, kCollapsed };
   Kind kind = Kind::kNone;
-  std::shared_ptr<TxnState> other;
+  /// The partner; valid when kind == kOther.
+  TxnState* other = nullptr;
+  /// The partner's id; valid when kind is kOther or kCollapsed.
+  TxnId partner = 0;
   /// Partner commit timestamp; valid when kind == kCollapsed.
   Timestamp collapsed_cts = 0;
 
   bool IsSet() const { return kind != Kind::kNone; }
-  void Clear() {
-    kind = Kind::kNone;
-    other.reset();
-    collapsed_cts = 0;
-  }
+  void Clear() { *this = ConflictRef(); }
   void SetSelf() {
+    Clear();
     kind = Kind::kSelf;
-    other.reset();
   }
-  void SetOther(std::shared_ptr<TxnState> t) {
+  void SetOther(TxnState* t, TxnId id) {
     kind = Kind::kOther;
-    other = std::move(t);
+    other = t;
+    partner = id;
   }
   void Collapse(Timestamp cts) {
     kind = Kind::kCollapsed;
-    other.reset();
+    other = nullptr;
     collapsed_cts = cts;
   }
+  /// Collapse a ref to a committed partner, clear one to an aborted
+  /// partner. Caller holds the owning transaction's ssi_mu.
+  void Tidy();
+};
+
+/// What a client may still ask about a transaction after it finished:
+/// TxnManager::Commit and Abort copy it out before the state is retired.
+struct TxnOutcome {
+  Timestamp snapshot_ts = 0;
+  Timestamp commit_ts = 0;
+  AbortReason abort_cause = AbortReason::kNone;
+  TxnId abort_conflict_txn = 0;
 };
 
 struct TxnState {
@@ -118,7 +130,7 @@ struct TxnState {
   /// and, when the cause was an rw-antidependency, the conflicting
   /// transaction's id. First writer wins — the classification made at the
   /// decision site sticks; later generic fallbacks cannot overwrite it.
-  /// TxnManager::AbortInternal reads these exactly once per abort.
+  /// TxnManager::Rollback reads these exactly once per abort.
   std::atomic<uint8_t> abort_cause{0};
   std::atomic<TxnId> abort_conflict_txn{0};
 
@@ -148,21 +160,22 @@ struct TxnState {
   bool in_conflict_flag = false;
   bool out_conflict_flag = false;
   /// Precise algorithm (Fig 3.9): references. An edge's two refs point at
-  /// each other (reader.out_ref and writer.in_ref), a shared_ptr cycle;
-  /// TidyRefLocked collapses refs to finished partners, and the
-  /// transaction manager drops a transaction's own refs once no later
-  /// conflict can reach them (abort, suspended cleanup, teardown).
+  /// each other (reader.out_ref and writer.in_ref); ConflictRef::Tidy
+  /// collapses refs to finished partners.
   ConflictRef in_ref;
   ConflictRef out_ref;
 
-  void DropConflictRefs() {
-    in_ref.Clear();
-    out_ref.Clear();
-  }
+  /// Horizon pin (written under the registry shard mutex, by the owning
+  /// thread only): the stable watermark claimed at Begin, or for a late
+  /// snapshot (§4.5) when the first statement starts, <= the snapshot; 0
+  /// until claimed. It holds the reclaimer's horizon back while the
+  /// snapshot is still unassigned (txn_manager.h, "TxnState lifetime").
+  Timestamp pin = 0;
 
-  /// True once the transaction was retired to the suspended-state epoch
-  /// reclaimer (§3.3). Written by the committing thread just before
-  /// Retire publishes the state (epoch.h slot handoff).
+  /// True for a committed SSI transaction: it stays registered while
+  /// retired (§3.3), and the reclaimer unregisters it and releases its
+  /// SIREADs when it collects it. Written before Retire publishes the
+  /// state (epoch.h slot handoff).
   bool suspended = false;
 
   // --- Write set (owned by the executing client thread). ---
@@ -192,10 +205,19 @@ struct TxnState {
   InlineVec<VersionChain*, 8> read_chains;
 
   bool IsActive() const { return status.load() == TxnStatus::kActive; }
+  bool HasConflictRefs() const { return in_ref.IsSet() || out_ref.IsSet(); }
   bool IsCommitted() const { return status.load() == TxnStatus::kCommitted; }
 
   /// The paper's begin(T) for overlap tests: the snapshot timestamp.
   Timestamp BeginTs() const { return read_ts.load(); }
+
+  TxnOutcome Outcome() const {
+    return TxnOutcome{read_ts.load(std::memory_order_relaxed),
+                      commit_ts.load(std::memory_order_relaxed),
+                      static_cast<AbortReason>(
+                          abort_cause.load(std::memory_order_relaxed)),
+                      abort_conflict_txn.load(std::memory_order_relaxed)};
+  }
 };
 
 }  // namespace ssidb

@@ -27,7 +27,7 @@ TxnManager::TxnManager(const DBOptions& options, LockManager* lock_manager,
                               /*floor=*/1) -
                   1),
       shards_(new RegistryShard[shard_mask_ + 1]),
-      suspended_(/*slots=*/0),
+      retired_(/*slots=*/0),
       written_chains_(/*slots=*/0),
       // kRow engines never touch the page-FCW map; one token shard.
       page_shard_mask_(options.granularity == LockGranularity::kPage
@@ -41,13 +41,14 @@ TxnManager::~TxnManager() {
   // drive, suspended cleanup) on the flusher thread, and that tail can
   // still be running after the client's `done` callback already fired.
   if (log_manager_ != nullptr) log_manager_->Quiesce();
-  // Transactions still registered (suspended, or active past the engine)
-  // may hold refs to each other: unlink them so they are freed.
+  // Free every retired state (suspended ones leave the registry first),
+  // then the states still active past the engine.
+  retired_.Collect(EpochReclaimer<TxnState*>::kMaxEpoch, [&](TxnState* t) {
+    if (t->suspended) ShardFor(t->id).txns.erase(t->id);
+    delete t;
+  });
   for (uint64_t i = 0; i <= shard_mask_; ++i) {
-    for (auto& [id, txn] : shards_[i].txns) {
-      std::lock_guard<std::mutex> latch(txn->ssi_mu);
-      txn->DropConflictRefs();
-    }
+    for (auto& entry : shards_[i].txns) delete entry.second;
   }
 }
 
@@ -67,37 +68,44 @@ void TxnManager::RegisterMetrics(obs::MetricsRegistry* registry,
   ring_.set_trace(trace);
 }
 
-std::shared_ptr<TxnState> TxnManager::Begin(IsolationLevel isolation) {
+TxnState* TxnManager::Begin(IsolationLevel isolation) {
   // Lock-free id allocation. Ids are a separate domain from commit
   // timestamps (the ring's commit clock); nothing compares across them.
   const TxnId id = id_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto txn = std::make_shared<TxnState>(id, isolation);
+  TxnState* txn = new TxnState(id, isolation);
   const bool defer_snapshot =
       options_.late_snapshot && isolation != IsolationLevel::kSerializable2PL;
   RegistryShard& shard = ShardFor(id);
   std::lock_guard<std::mutex> guard(shard.mu);
   if (!defer_snapshot) {
-    txn->read_ts.store(ClaimSnapshotLocked(&shard),
-                       std::memory_order_release);
+    txn->pin = ClaimSnapshotLocked(&shard);
+    txn->read_ts.store(txn->pin, std::memory_order_release);
   }
   shard.txns.emplace(id, txn);
-  shard.active.insert(txn.get());
+  shard.active.insert(txn);
   active_count_.fetch_add(1, std::memory_order_relaxed);
   // No PublishMinActive: a registration adds a constraint at or above the
   // current watermark, which can never raise the stored minimum.
   return txn;
 }
 
-void TxnManager::EnsureSnapshot(TxnState* txn) {
-  if (txn->read_ts.load(std::memory_order_acquire) != 0) return;
-  // The snapshot is the stable watermark: every commit at or below it has
-  // finished stamping its versions, so the snapshot is consistent without
-  // any global lock. The shard mutex only covers the cached-minimum
-  // maintenance (a new, older snapshot may lower the shard's minimum).
+void TxnManager::ClaimPin(TxnState* txn) {
+  // Only the owning thread writes the pin, so this unlocked read sees its
+  // own write.
+  if (txn->pin != 0) return;
   RegistryShard& shard = ShardFor(txn->id);
   std::lock_guard<std::mutex> guard(shard.mu);
+  txn->pin = ClaimSnapshotLocked(&shard);
+}
+
+void TxnManager::EnsureSnapshot(TxnState* txn) {
+  // The snapshot is the stable watermark: every commit at or below it has
+  // finished stamping its versions, so the snapshot is consistent without
+  // any global lock. The pin, a watermark read no later, already holds the
+  // horizon at or below it. Only the owning thread assigns it.
   if (txn->read_ts.load(std::memory_order_relaxed) != 0) return;
-  txn->read_ts.store(ClaimSnapshotLocked(&shard), std::memory_order_release);
+  ClaimPin(txn);
+  txn->read_ts.store(ring_.stable(), std::memory_order_release);
 }
 
 Timestamp TxnManager::ClaimSnapshotLocked(RegistryShard* shard) {
@@ -121,8 +129,8 @@ Timestamp TxnManager::ClaimSnapshotLocked(RegistryShard* shard) {
   // Settle the cache at the exact minimum: `prev` bounds every other
   // member (the cache was exact before the pre-claim), `snapshot` bounds
   // this registrant. Without this, a conservative pre-claim (s0 below
-  // every member) would stick — NoteDepartureLocked's rescan-skip could
-  // then never raise it again and version pruning would stall forever.
+  // every member) would stick — Depart's rescan-skip could then never
+  // raise it again and version pruning would stall forever.
   const Timestamp exact = prev < snapshot ? prev : snapshot;
   if (exact != shard->min_read_ts.load(std::memory_order_relaxed)) {
     shard->min_read_ts.store(exact, std::memory_order_seq_cst);
@@ -130,35 +138,56 @@ Timestamp TxnManager::ClaimSnapshotLocked(RegistryShard* shard) {
   return snapshot;
 }
 
-std::shared_ptr<TxnState> TxnManager::Find(TxnId id) const {
+TxnState* TxnManager::FindLatched(TxnId id, Timestamp floor) const {
   RegistryShard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> guard(shard.mu);
-  auto it = shard.txns.find(id);
-  return it == shard.txns.end() ? nullptr : it->second;
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> guard(shard.mu);
+      auto it = shard.txns.find(id);
+      if (it == shard.txns.end()) return nullptr;
+      TxnState* t = it->second;
+      const Timestamp cts = t->commit_ts.load(std::memory_order_acquire);
+      if (cts != 0 && cts <= floor) return nullptr;
+      // Latched while registered: the reclaimer cycles this latch before
+      // it frees the state (file header, case (1)).
+      if (t->ssi_mu.try_lock()) return t;
+    }
+    // The holder is committing, aborting or marking. It may wait for a
+    // shard mutex, but no shard holder waits for a latch, and latches are
+    // acquired in txn-id order, so it lets go.
+    std::this_thread::yield();
+  }
 }
 
-void TxnManager::NoteDepartureLocked(RegistryShard* shard,
-                                     Timestamp departed_read_ts) {
-  // Skip the O(active) rescan unless the departing snapshot was (at or
-  // below) the cached minimum. Sound because the cache is exact outside
-  // ClaimSnapshotLocked's critical section (which this call, holding the
-  // same shard mutex, cannot interleave with): a member above the minimum
-  // leaving cannot change the minimum. An unassigned snapshot (0) never
-  // constrained it.
-  if (departed_read_ts != 0 &&
-      departed_read_ts >
-          shard->min_read_ts.load(std::memory_order_relaxed)) {
-    return;
+bool TxnManager::IsRegistered(TxnId id) const {
+  RegistryShard& shard = ShardFor(id);
+  std::lock_guard<std::mutex> guard(shard.mu);
+  return shard.txns.count(id) != 0;
+}
+
+void TxnManager::Depart(TxnState* txn, bool keep_registered) {
+  RegistryShard& shard = ShardFor(txn->id);
+  {
+    std::lock_guard<std::mutex> guard(shard.mu);
+    shard.active.erase(txn);
+    if (!keep_registered) shard.txns.erase(txn->id);
+    // Skip the O(active) rescan unless the departing pin was (at or below)
+    // the cached minimum. Sound because the cache is exact outside
+    // ClaimSnapshotLocked's critical section (which this call, holding the
+    // same shard mutex, cannot interleave with): a member above the
+    // minimum leaving cannot change the minimum. An unclaimed pin (0)
+    // never constrained it.
+    if (txn->pin != 0 &&
+        txn->pin <= shard.min_read_ts.load(std::memory_order_relaxed)) {
+      Timestamp min_ts = kMaxTimestamp;
+      for (const TxnState* t : shard.active) {
+        if (t->pin != 0 && t->pin < min_ts) min_ts = t->pin;
+      }
+      shard.min_read_ts.store(min_ts, std::memory_order_release);
+    }
   }
-  // Transactions with an unassigned (late) snapshot do not constrain the
-  // minimum: their eventual read_ts will be >= the stable watermark at
-  // assignment time, which is monotonic and floors the aggregate.
-  Timestamp min_ts = kMaxTimestamp;
-  for (const TxnState* t : shard->active) {
-    const Timestamp ts = t->read_ts.load(std::memory_order_relaxed);
-    if (ts != 0 && ts < min_ts) min_ts = ts;
-  }
-  shard->min_read_ts.store(min_ts, std::memory_order_release);
+  active_count_.fetch_sub(1, std::memory_order_relaxed);
+  PublishMinActive();
 }
 
 void TxnManager::PublishMinActive() {
@@ -212,9 +241,8 @@ void TxnManager::AdvanceClockTo(Timestamp ts) {
   PublishMinActive();
 }
 
-Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
-                          const CommitCheck& check,
-                          std::vector<RedoEntry> redo) {
+Status TxnManager::Commit(TxnState* txn, const CommitCheck& check,
+                          std::vector<RedoEntry> redo, TxnOutcome* out) {
   // Blocking commit IS the async path: submit, then park until the
   // completion pipeline acknowledges. No certification, stamping, or
   // acknowledgment logic lives here — one commit code path (file header).
@@ -227,16 +255,24 @@ Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
   // mid-notify). The common case, though, acknowledges inline on THIS
   // thread before CommitAsync returns (coverage at publish + non-durable
   // flush ack); that is ordinary program order and takes no lock —
-  // `done_inline` is written and read by this thread only.
+  // `done_inline` is written and read by this thread only. `done` runs
+  // before the retire, so the outcome is copied there.
   struct SyncWaiter {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;         // Guarded by mu (cross-thread acks).
     bool done_inline = false;  // Submitting-thread acks only.
     Status status;
+    TxnState* txn = nullptr;
+    TxnOutcome* out = nullptr;
   } w;
+  w.txn = txn;
+  w.out = out;
   const std::thread::id self = std::this_thread::get_id();
+  // Two captured words: std::function stores the callback inline, so a
+  // commit allocates nothing for it.
   CommitAsync(txn, check, std::move(redo), [&w, self](Status st) {
+    if (w.out != nullptr) *w.out = w.txn->Outcome();
     if (std::this_thread::get_id() == self) {
       w.status = std::move(st);
       w.done_inline = true;
@@ -259,13 +295,13 @@ Status TxnManager::Commit(const std::shared_ptr<TxnState>& txn,
   return w.status;
 }
 
-void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
-                             const CommitCheck& check,
+void TxnManager::CommitAsync(TxnState* txn, const CommitCheck& check,
                              std::vector<RedoEntry> redo,
                              CommitCallback done) {
   Timestamp commit_ts = 0;
   Status abort_cause;
   bool must_abort = false;
+  bool past_clock = false;
   // Stage timing (sampled): a sampled commit records every stage it
   // executes — entry..timestamp-final is "certify" whether it took the
   // combiner or the fast path.
@@ -283,10 +319,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
     // endpoints' latches, so it either completes before the triage below
     // (and is seen) or observes the committed status afterwards.
     std::lock_guard<std::mutex> latch(txn->ssi_mu);
-    if (txn->status.load(std::memory_order_relaxed) != TxnStatus::kActive) {
-      done(Status::TxnInvalid("commit of finished transaction"));
-      return;
-    }
+    assert(txn->status.load(std::memory_order_relaxed) == TxnStatus::kActive);
     if (txn->marked_for_abort.load(std::memory_order_acquire)) {
       const Status reason = txn->abort_reason;
       abort_cause = reason.ok() ? Status::Unsafe("marked for abort") : reason;
@@ -306,7 +339,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
       // latch) — allocates lock-free.
       const bool needs_certification =
           check && (txn->in_conflict_flag || txn->out_conflict_flag ||
-                    txn->in_ref.IsSet() || txn->out_ref.IsSet());
+                    txn->HasConflictRefs());
       if (!needs_certification) {
         if (check) fastpath_commits_.fetch_add(1, std::memory_order_relaxed);
         commit_ts = has_writes ? ring_.Allocate() : ring_.stable();
@@ -316,20 +349,34 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
         // runs atomically-in-order with the timestamp allocation across
         // every certifying commit (commit_combiner.h).
         const Status st =
-            combiner_.Certify(txn.get(), check, has_writes, &commit_ts);
+            combiner_.Certify(txn, check, has_writes, &commit_ts);
         if (!st.ok()) {
           abort_cause = st;
           must_abort = true;
+        } else {
+          // Now that the timestamp is final, collapse or clear refs to
+          // partners that finished meanwhile: one still active finishes
+          // after this tidy, so the clock it retires at covers commit_ts
+          // (file header, "TxnState lifetime" (3)).
+          txn->in_ref.Tidy();
+          txn->out_ref.Tidy();
         }
       }
     }
     if (!must_abort) {
-      txn->status.store(TxnStatus::kCommitted, std::memory_order_release);
+      // A writer's allocation above came after every edge recorded while
+      // it was active, so its clock covers those partners' pins; only a
+      // read-only commit with refs retires past the clock (file header,
+      // "TxnState lifetime" (2)).
+      past_clock = !has_writes && txn->HasConflictRefs();
+      txn->status.store(TxnStatus::kCommitted, std::memory_order_seq_cst);
     }
   }
   if (must_abort) {
-    AbortInternal(txn);
+    // `done` may still read the state; it is retired after it.
+    const bool refs = Rollback(txn, nullptr);
     done(abort_cause);
+    Finish(txn, refs);
     return;
   }
   uint64_t t_stage = 0;
@@ -344,6 +391,7 @@ void TxnManager::CommitAsync(const std::shared_ptr<TxnState>& txn,
   AsyncCommit acs;
   acs.mgr = this;
   acs.txn = txn;
+  acs.past_clock = past_clock;
   acs.done = std::move(done);
   acs.commit_ts = commit_ts;
   acs.sampled = sampled;
@@ -444,61 +492,47 @@ void TxnManager::FinalizeCovered(AsyncCommit* ac) {
   log_manager_->OnFlushed(ac->lsn, [ac](Status st) {
     TxnManager* mgr = ac->mgr;
     if (!mgr->options_.log.early_lock_release) {
-      mgr->ReleaseCommitLocks(ac->txn.get());
+      mgr->ReleaseCommitLocks(ac->txn);
     }
     mgr->FinalizeAcked(ac, st);
   });
 }
 
 bool TxnManager::FinalizeCoveredStep(AsyncCommit* ac) {
-  const std::shared_ptr<TxnState>& txn = ac->txn;
+  TxnState* txn = ac->txn;
   if (ac->sampled && ac->t_publish != 0) {
     watermark_ns_.Record(obs::NowNanos() - ac->t_publish);
   }
-  // Deregister from the active set. Only SSI transactions are retained
+  // Deregister from the active set. Only SSI transactions stay registered
   // past commit (§3.3): they may still be resolved by conflict marking
   // against their retained SIREAD state. SI/S2PL transactions are
   // unreachable after commit (the tracker filters to SSI participants),
   // so they leave the registry immediately.
-  const bool retain = txn->isolation == IsolationLevel::kSerializableSSI;
-  const Timestamp departed_read_ts =
-      txn->read_ts.load(std::memory_order_relaxed);
-  {
-    RegistryShard& shard = ShardFor(txn->id);
-    std::lock_guard<std::mutex> guard(shard.mu);
-    shard.active.erase(txn.get());
-    if (!retain) shard.txns.erase(txn->id);
-    NoteDepartureLocked(&shard, departed_read_ts);
-  }
-  active_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (retain) {
-    txn->suspended = true;  // Published by the Retire slot release.
-    suspended_.Retire(ac->commit_ts, txn);
-  }
+  Depart(txn, /*keep_registered=*/txn->isolation ==
+                  IsolationLevel::kSerializableSSI);
   // The versions this commit superseded become prunable once the horizon
   // reaches commit_ts (file header, "Version reclamation").
   for (const TxnState::WriteRecord& w : txn->write_set) {
     written_chains_.Retire(ac->commit_ts, w.chain);
   }
-  PublishMinActive();
 
   if (ac->lsn == 0) {
     // Nothing was appended (read-only): acknowledge straight away.
-    ReleaseCommitLocks(txn.get());
+    ReleaseCommitLocks(txn);
     FinalizeAcked(ac, Status::OK());
     return true;
   }
   if (options_.log.early_lock_release) {
     // InnoDB's original ordering (§4.4): locks released before the flush
     // (but still after coverage — the §4.5 invariant holds either way).
-    ReleaseCommitLocks(txn.get());
+    ReleaseCommitLocks(txn);
   }
   if (ac->sampled) ac->t_flush = obs::NowNanos();
   if (!options_.log.flush_on_commit) {
     // The flush ack is unconditional in this regime — LogManager::
     // OnFlushed's first branch would fire inline with OK — so skip the
     // subscription machinery and acknowledge here.
-    if (!options_.log.early_lock_release) ReleaseCommitLocks(txn.get());
+    if (!options_.log.early_lock_release) ReleaseCommitLocks(txn);
     FinalizeAcked(ac, Status::OK());
     return true;
   }
@@ -516,24 +550,25 @@ void TxnManager::FinalizeAcked(AsyncCommit* ac, Status flush_status) {
     total_ns_.Record(now - ac->t_entry);
   }
   // The acknowledgment is the latency-critical edge: fire it first, then
+  // retire the state (its last use was the lock release and `done`) and
   // amortize cleanup on this thread. A failed flush cannot be rolled back
   // — the commit is already visible; surface the I/O error so the client
   // knows durability was not achieved.
   CommitCallback done = std::move(ac->done);
+  TxnState* txn = ac->txn;
+  const bool past_clock = ac->past_clock;
   if (ac->heap) delete ac;  // Stack instances are owned by CommitAsync.
   ac = nullptr;
   done(flush_status);
-  CleanupSuspended();
+  Finish(txn, past_clock);
 }
 
 void TxnManager::ReleaseCommitLocks(TxnState* txn) {
   // The owners clear after the commit stamped its versions (the range
   // argument in lock_manager.h relies on that order).
   if (txn->isolation == IsolationLevel::kSerializableSSI) {
-    // Fig 3.2 line 9: keep SIREAD locks active past commit. (The suspended
-    // transaction is retired already, so a cleanup on another thread may
-    // release its SIREAD list meanwhile; this thread touches only its
-    // owner list.)
+    // Fig 3.2 line 9: keep SIREAD locks active past commit; the reclaimer
+    // releases them when it collects the suspended state.
     ReleaseChainLocks(txn, /*owners=*/true, /*readers=*/false);
     lock_manager_->ReleaseAllExceptSIRead(txn->id);
   } else {
@@ -564,25 +599,23 @@ void TxnManager::ReleaseChainLocks(TxnState* txn, bool owners,
   if (!delta.empty()) lock_manager_->Account(delta);
 }
 
-void TxnManager::Abort(const std::shared_ptr<TxnState>& txn) {
-  AbortInternal(txn);
+void TxnManager::Abort(TxnState* txn, TxnOutcome* out) {
+  Finish(txn, Rollback(txn, out));
 }
 
-void TxnManager::AbortInternal(const std::shared_ptr<TxnState>& txn) {
+bool TxnManager::Rollback(TxnState* txn, TxnOutcome* out) {
+  bool past_clock = false;
   {
     // Status transitions happen under the latch so conflict marking never
     // races with them (a marker holding this latch sees either kActive or
-    // the final state, never a torn transition).
+    // the final state, never a torn transition). Markers skip an aborted
+    // endpoint, so its refs are final from here on; partners tidy theirs
+    // to it away.
     std::lock_guard<std::mutex> latch(txn->ssi_mu);
-    if (txn->status.load(std::memory_order_relaxed) != TxnStatus::kActive) {
-      return;
-    }
-    txn->status.store(TxnStatus::kAborted, std::memory_order_release);
-    // An aborted transaction's edges are gone (partners tidy their refs to
-    // it), so drop its own refs too: a suspended reader's out-ref to this
-    // writer and this writer's in-ref to the reader would otherwise keep
-    // each other alive after both leave the registry.
-    txn->DropConflictRefs();
+    assert(txn->status.load(std::memory_order_relaxed) == TxnStatus::kActive);
+    txn->status.store(TxnStatus::kAborted, std::memory_order_seq_cst);
+    past_clock = txn->HasConflictRefs();
+    if (out != nullptr) *out = txn->Outcome();
   }
   // Forensics: the kActive->kAborted transition above happens exactly once
   // per transaction, so this is the single counting point for the abort
@@ -597,66 +630,80 @@ void TxnManager::AbortInternal(const std::shared_ptr<TxnState>& txn) {
     trace_->Emit(obs::TraceEvent::kAbort, txn->id, cause, /*arg32=*/0,
                  txn->abort_conflict_txn.load(std::memory_order_relaxed));
   }
-  const Timestamp departed_read_ts =
-      txn->read_ts.load(std::memory_order_relaxed);
-  {
-    RegistryShard& shard = ShardFor(txn->id);
-    std::lock_guard<std::mutex> guard(shard.mu);
-    shard.active.erase(txn.get());
-    shard.txns.erase(txn->id);
-    NoteDepartureLocked(&shard, departed_read_ts);
-  }
-  active_count_.fetch_sub(1, std::memory_order_relaxed);
-  PublishMinActive();
+  Depart(txn, /*keep_registered=*/false);
   // Roll back uncommitted versions while still holding the write locks, so
   // no concurrent writer can observe or interleave with the removal.
   for (const TxnState::WriteRecord& w : txn->write_set) {
     w.chain->RemoveUncommitted(txn->id);
   }
-  ReleaseChainLocks(txn.get(), /*owners=*/true, /*readers=*/true);
+  ReleaseChainLocks(txn, /*owners=*/true, /*readers=*/true);
   lock_manager_->ReleaseAll(txn->id);
+  return past_clock;
+}
+
+void TxnManager::Finish(TxnState* txn, bool past_clock) {
+  // The clock read follows the final status store in the seq_cst order
+  // (case (3) of "TxnState lifetime"); `suspended` is published by the
+  // Retire slot release.
+  if (txn->isolation == IsolationLevel::kSerializableSSI &&
+      txn->status.load(std::memory_order_relaxed) == TxnStatus::kCommitted) {
+    txn->suspended = true;
+    suspended_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+  retired_.Retire(ring_.clock() + (past_clock ? 1 : 0), txn);
   CleanupSuspended();
 }
 
 void TxnManager::CleanupSuspended() {
-  // A suspended transaction is released once every active transaction's
-  // snapshot (and every future snapshot: >= the stable watermark, the
-  // base of the maintained minimum) is at or past its commit — no overlap
-  // remains. The epoch reclaimer's Collect has the lock-free "nothing
-  // collectible" fast path and hands out each expired state exactly once
-  // (epoch.h); the registry erase and SIREAD release run after its slot
-  // locks are dropped (lock-ordering leaf rule).
+  // Free the retired states the horizon has passed (file header,
+  // "TxnState lifetime"). A suspended transaction goes once every active
+  // transaction's pin (and every future snapshot: >= the stable watermark,
+  // the base of the maintained minimum) is at or past its epoch — no
+  // overlap remains. The epoch reclaimer's Collect has the lock-free
+  // "nothing collectible" fast path and hands out each expired state
+  // exactly once (epoch.h); the registry erase and SIREAD release run
+  // after its slot locks are dropped (lock-ordering leaf rule).
   const Timestamp cutoff = min_active_read_ts();
   SIReadIndex* sireads = lock_manager_->siread_index();
-  suspended_.Collect(cutoff, [&](std::shared_ptr<TxnState> t) {
-    {
+  size_t suspended = 0;
+  size_t freed = 0;
+  retired_.Collect(cutoff, [&](TxnState* t) {
+    if (t->suspended) {
+      ++suspended;
       RegistryShard& shard = ShardFor(t->id);
-      std::lock_guard<std::mutex> guard(shard.mu);
-      shard.txns.erase(t->id);
+      {
+        std::lock_guard<std::mutex> guard(shard.mu);
+        shard.txns.erase(t->id);
+      }
+      // A suspended transaction's blocking locks were released at its own
+      // commit; only the retained SIREADs remain (§3.3): on the chains it
+      // lists, and in the index — O(held) per transaction, no lock-table
+      // sweep.
+      ReleaseChainLocks(t, /*owners=*/false, /*readers=*/true);
+      sireads->ReleaseAll(t->id);
     }
-    {
-      // No transaction overlaps it any more, so no new edge can reach it.
-      // Two partners that certified together each saw the other active
-      // and kept its ref: drop ours to break that cycle.
-      std::lock_guard<std::mutex> latch(t->ssi_mu);
-      t->DropConflictRefs();
-    }
-    // A suspended transaction's blocking locks were released at its own
-    // commit; only the retained SIREADs remain (§3.3): on the chains it
-    // lists, and in the index — O(held) per transaction, no lock-table
-    // sweep.
-    ReleaseChainLocks(t.get(), /*owners=*/false, /*readers=*/true);
-    sireads->ReleaseAll(t->id);
+    // Unregistered now: wait out a marker that latched it while it was
+    // registered (file header, "TxnState lifetime" (1)).
+    t->ssi_mu.lock();
+    t->ssi_mu.unlock();
+    delete t;
+    ++freed;
   });
+  if (freed != 0) {
+    suspended_count_.fetch_sub(suspended, std::memory_order_relaxed);
+    states_freed_.fetch_add(freed, std::memory_order_relaxed);
+  }
 
   // Superseded versions: prune every chain whose commit the horizon has
   // passed, at that horizon (which is capped by a checkpoint sweep's
   // floor, so a checkpoint never loses the version it must write).
   const Timestamp horizon = prune_horizon();
-  size_t freed = 0;
+  size_t pruned = 0;
   written_chains_.Collect(
-      horizon, [&](VersionChain* chain) { freed += chain->Prune(horizon); });
-  if (freed != 0) versions_pruned_.fetch_add(freed, std::memory_order_relaxed);
+      horizon, [&](VersionChain* chain) { pruned += chain->Prune(horizon); });
+  if (pruned != 0) {
+    versions_pruned_.fetch_add(pruned, std::memory_order_relaxed);
+  }
 
   // Page-granularity FCW bookkeeping (§4.2) would otherwise grow without
   // bound: entries are inserted at commit and were never erased. An entry
@@ -716,7 +763,5 @@ uint64_t TxnManager::page_entries_pruned() const {
 size_t TxnManager::active_count() const {
   return active_count_.load(std::memory_order_relaxed);
 }
-
-size_t TxnManager::suspended_count() const { return suspended_.size(); }
 
 }  // namespace ssidb

@@ -90,12 +90,69 @@
 // transaction overlaps them, at which point their retained SIREAD locks
 // are released and the state is dropped — the eager cleanup of the InnoDB
 // prototype (§4.6.1). The retained states park in an epoch reclaimer
-// keyed by commit timestamp (src/common/epoch.h): retiring is one
+// (src/common/epoch.h, "TxnState lifetime" below): retiring is one
 // per-thread slot touch instead of an ordered-multimap insert under a
 // global mutex, and the "nothing to release" case stays lock-free. SI and
 // S2PL transactions never participate in SSI conflict tracking (nothing
 // ever resolves them after commit), so they are deregistered at commit
 // and skip suspension entirely.
+//
+// TxnState lifetime (one owner, no reference counts). Begin allocates a
+// state; the registry owns it while it is active. Every finished state —
+// committed or aborted, any isolation level — is retired into one epoch
+// reclaimer, `retired_` (src/common/epoch.h), after its last use on the
+// finishing path (its lock release and, for a commit, `done`), at
+//
+//     E = clock() + (conflict refs set at the final transition and no
+//                    commit timestamp allocated ? 1 : 0),
+//
+// the clock read after the final status store. CleanupSuspended frees it
+// once min_active_read_ts() >= E; Collect hands each state out once. The
+// collect unregisters a suspended state and releases its SIREADs; every
+// other state left the registry when it finished. Who can still read a
+// retired state X, and why it is still allocated:
+//
+//   (1) A marker that found X in the registry. FindLatched hands X out
+//       latched — it try-locks X.ssi_mu under the registry shard mutex —
+//       and the collect cycles X's latch after unregistering X, before
+//       freeing it. On a failed try-lock FindLatched drops the shard and
+//       retries: no shard holder waits for a latch, and the retry is the
+//       partner's latch acquire in the tracker's txn-id order.
+//   (2) An active partner P whose ref points at X. Either the edge was
+//       recorded while X was active — P claimed its pin before it took
+//       the lock or the version the edge was found through, so pin(P) <=
+//       the clock when X retired. A writing X allocated its commit_ts
+//       after the edge (both under X's latch), so pin(P) < commit_ts(X) <=
+//       E; otherwise X's side of the edge is still set (a side is cleared
+//       only when its partner aborts), which adds the 1. Or P found the
+//       suspended X: pin(P) < commit_ts(X) <= E by the filter in (3).
+//       Either way min_active_read_ts() <= pin(P) < E.
+//   (3) A committed partner P whose ref points at X, read by a marker M
+//       that found P. FindLatched hands out a committed P only when
+//       commit_ts(P) > M's floor >= pin(M) (the Fig 3.5 overlap filter,
+//       under the shard mutex), and commit_ts(P) <= E: P tidies its refs
+//       once its timestamp is final (CommitAsync), and an X still active
+//       then stores its final status after that tidy in the seq_cst
+//       order — after P's allocation (Allocate is seq_cst) — and reads
+//       the clock after that. An edge recorded after P committed was
+//       recorded under P's latch, after P's timestamp was published.
+//   (4) A transaction M overlapping a suspended X may still need its
+//       SIREADs: pin(M) <= snapshot(M) < commit_ts(X) <= E.
+//
+// The bounds hold for any horizon CleanupSuspended reads, however stale:
+// the published minimum never exceeds a pin claimed before it was computed
+// (claim-then-read, PublishMinActive), and one computed earlier is at most
+// the watermark then, at most that pin. A pin is claimed at Begin, or —
+// for a late snapshot (§4.5), which follows the first statement's locks
+// and conflict marking — when that statement starts (ClaimPin). Before
+// that the transaction holds no lock and no pointer to another state, and
+// does not hold the horizon. Liveness: a state retired without refs is
+// freed once the watermark covers the clock at its retire and every
+// transaction pinned before then has ended, in a write-free stretch too;
+// one retired past the clock (an abort or a read-only commit, with refs)
+// after one more writing commit — so an SSI reader with an edge to a
+// writer still active at its commit keeps its SIREADs until then, even
+// once no snapshot overlaps it. ~TxnManager frees what is left.
 //
 // Version reclamation rides the same trigger. A writing commit at
 // commit_ts supersedes the previous version of each key it wrote, and
@@ -136,11 +193,11 @@
 // pipeline is cut there. CommitAsync runs the *submit* half on the calling
 // thread — triage/certify, status transition, version stamping, WAL
 // append, ring publication — and registers the *finalize* half as a
-// CommitRing coverage completion: registry departure, SSI suspension and
-// min-active publication once the watermark covers the commit
-// (FinalizeCovered), then a LogManager flush subscription whose firing
-// releases locks, records the ack histograms and runs the client callback
-// (FinalizeAcked). The WAL append deliberately
+// CommitRing coverage completion: registry departure and min-active
+// publication once the watermark covers the commit (FinalizeCovered),
+// then a LogManager flush subscription whose firing releases locks,
+// records the ack histograms, runs the client callback and retires the
+// state (FinalizeAcked). The WAL append deliberately
 // moves BEFORE ring publication: records reach the log buffer at submit,
 // so a deep async pipeline batches into one fsync instead of one
 // per blocked thread. That ordering is admissible because WAL durability
@@ -188,20 +245,31 @@ class TxnManager {
   /// before teardown: an acknowledged async commit's pipeline tail (flush
   /// subscription -> FinalizeAcked -> cleanup) runs on
   /// the flusher thread and may still be touching this object after the
-  /// client saw its `done` fire — the destructor must not race it.
+  /// client saw its `done` fire — the destructor must not race it. Then
+  /// frees every state still retired or registered.
   ~TxnManager();
 
   /// Start a transaction. S2PL transactions get their begin timestamp
   /// immediately; SI/SSI transactions defer it when late_snapshot is set
   /// (§4.5) until EnsureSnapshot. The transaction id is a lock-free
-  /// fetch-add; only registration takes the (sharded) registry mutex.
-  std::shared_ptr<TxnState> Begin(IsolationLevel isolation);
+  /// fetch-add; only registration takes the (sharded) registry mutex. The
+  /// registry owns the returned state until its one finishing call
+  /// (Commit, CommitAsync or Abort); the caller must not touch it
+  /// afterwards.
+  TxnState* Begin(IsolationLevel isolation);
+
+  /// Claim the horizon pin if it is not yet claimed (a deferred snapshot):
+  /// called when each statement starts, before it takes a lock or marks a
+  /// conflict (file header, "TxnState lifetime"). Takes the registry
+  /// shard mutex once per transaction.
+  void ClaimPin(TxnState* txn);
 
   /// Assign the read snapshot if not yet assigned. Called by the operation
   /// layer *after* the first statement's locks are granted, implementing
   /// the §4.5 optimization that lets single-statement updates never abort
   /// under first-committer-wins. The snapshot is the stable watermark (all
-  /// commits at or below it are fully stamped).
+  /// commits at or below it are fully stamped); the pin bounds it from
+  /// below.
   void EnsureSnapshot(TxnState* txn);
 
   /// Hook run under the committing transaction's ssi_mu latch, just
@@ -225,7 +293,8 @@ class TxnManager {
   /// commits acknowledged at submit. It runs with no engine mutex held (a
   /// draining committer still holds its own transaction's row locks), but
   /// on a shared pipeline thread — keep it short, and do not submit new
-  /// transactions from inside it (signal the owning worker instead).
+  /// transactions from inside it (signal the owning worker instead). It
+  /// runs before the state is retired, so it may still read the state.
   using CommitCallback = std::function<void(Status)>;
 
   /// Commit, blocking: a thin wrapper over CommitAsync that parks until
@@ -234,9 +303,10 @@ class TxnManager {
   /// `redo` is the transaction's per-key redo, captured by the executor;
   /// it lands in the commit's WAL record so recovery can reinstall the
   /// write set. Returns kIOError if the commit succeeded in memory but its
-  /// log flush failed (durable mode).
-  Status Commit(const std::shared_ptr<TxnState>& txn,
-                const CommitCheck& check, std::vector<RedoEntry> redo);
+  /// log flush failed (durable mode). `out`, if given, receives what a
+  /// client may still ask about the transaction, copied before the retire.
+  Status Commit(TxnState* txn, const CommitCheck& check,
+                std::vector<RedoEntry> redo, TxnOutcome* out = nullptr);
 
   /// Commit, asynchronous: submit on the calling thread, acknowledge via
   /// `done`. The submit half — certification triage (flat combiner or
@@ -252,25 +322,27 @@ class TxnManager {
   /// the submitting thread: commit_ring_slots bounds the in-flight
   /// window, so an async client can keep at most that many unacknowledged
   /// commits open.
-  void CommitAsync(const std::shared_ptr<TxnState>& txn,
-                   const CommitCheck& check, std::vector<RedoEntry> redo,
-                   CommitCallback done);
+  void CommitAsync(TxnState* txn, const CommitCheck& check,
+                   std::vector<RedoEntry> redo, CommitCallback done);
 
   /// Abort: roll back installed versions, release all locks (including
   /// SIREAD — aborted transactions never participate in conflicts), drop
-  /// registration.
-  void Abort(const std::shared_ptr<TxnState>& txn);
+  /// registration and retire the state. `out` as for Commit.
+  void Abort(TxnState* txn, TxnOutcome* out = nullptr);
 
-  /// Resolve a transaction id to its state, if still registered (active,
-  /// or committed-SSI-and-suspended). Thread-safe (one registry shard
-  /// probed); the returned shared_ptr keeps the state alive past
-  /// deregistration. Committed SI/S2PL transactions are not resolvable —
-  /// nothing in the engine asks for them (the conflict tracker filters to
-  /// SSI participants before use).
-  std::shared_ptr<TxnState> Find(TxnId id) const;
+  /// Resolve a conflict partner: the state registered under `id` (active
+  /// or suspended), returned with its ssi_mu held for the caller to
+  /// unlock. Null, holding nothing, when `id` is not registered or
+  /// committed at or below `floor` — it cannot overlap a snapshot at or
+  /// above `floor`. Case (1) of "TxnState lifetime" (file header).
+  TxnState* FindLatched(TxnId id, Timestamp floor) const;
 
-  /// Oldest snapshot among active transactions (stable watermark if none);
-  /// versions older than this are unreachable (prune threshold).
+  /// Whether `id` is registered (active or suspended). Test hook.
+  bool IsRegistered(TxnId id) const;
+
+  /// Oldest pin among active transactions (stable watermark if none); a
+  /// pin is at most its snapshot, so versions older than this are
+  /// unreachable (prune threshold), and it is the reclaimer's horizon.
   /// Maintained as a monotonic CAS-max of lock-free aggregates over the
   /// registry shards' cached minima (see PublishMinActive).
   Timestamp min_active_read_ts() const {
@@ -338,7 +410,16 @@ class TxnManager {
   bool PageLastWrite(const LockKey& page_key, Timestamp* ts, TxnId* txn) const;
 
   size_t active_count() const;
-  size_t suspended_count() const;
+  /// Committed SSI transactions retained for conflict detection (§3.3).
+  size_t suspended_count() const {
+    return suspended_count_.load(std::memory_order_relaxed);
+  }
+  /// TxnStates allocated and not yet freed: active, plus finished ones
+  /// awaiting the reclaimer (the engine.txn_states gauge).
+  uint64_t live_states() const {
+    return id_clock_.load(std::memory_order_relaxed) - 1 -
+           states_freed_.load(std::memory_order_relaxed);
+  }
 
   /// Versions freed by the commit-driven prune (the gc.versions_pruned
   /// counter; see "Version reclamation" in the file header).
@@ -386,7 +467,7 @@ class TxnManager {
   }
 
   /// Aborts whose TxnState carried this taxonomy class (abort_reason.h).
-  /// Counted exactly once per abort, in AbortInternal; an unclassified
+  /// Counted exactly once per abort, in Rollback; an unclassified
   /// abort counts as kExplicit.
   uint64_t abort_count(AbortReason r) const {
     return abort_counts_[static_cast<size_t>(r)].load(
@@ -418,11 +499,12 @@ class TxnManager {
   struct alignas(64) RegistryShard {
     mutable std::mutex mu;
     /// Registered transactions homed here: active, plus committed SSI
-    /// transactions retained for conflict resolution (§3.3).
-    std::unordered_map<TxnId, std::shared_ptr<TxnState>> txns;
+    /// transactions retained for conflict resolution (§3.3). The registry
+    /// owns the active ones; the reclaimer owns the suspended ones.
+    std::unordered_map<TxnId, TxnState*> txns;
     std::unordered_set<TxnState*> active;
-    /// Exact min over the assigned read_ts of `active` members
-    /// (kMaxTimestamp when none is assigned) — except for the bounded
+    /// Exact min over the pins of `active` members (kMaxTimestamp when
+    /// empty) — except for the bounded
     /// instant inside ClaimSnapshotLocked where a pre-claim holds it one
     /// watermark step low. Maintained under `mu`: assignments store
     /// min(previous, snapshot), removals of the minimum holder recompute;
@@ -434,14 +516,13 @@ class TxnManager {
     return shards_[id & shard_mask_];
   }
 
-  /// Recompute shard.min_read_ts from its members — but only when the
-  /// departing transaction's snapshot could have been the cached minimum.
-  /// The cache is exact (see RegistryShard::min_read_ts), so a departing
-  /// read_ts above it cannot change the minimum and the O(active) rescan
-  /// is skipped; an unassigned snapshot (0) never constrained it. Caller
-  /// holds shard.mu.
-  static void NoteDepartureLocked(RegistryShard* shard,
-                                  Timestamp departed_read_ts);
+  /// Remove `txn` from its shard's active set (and from `txns` unless it
+  /// stays registered as suspended), then recompute shard.min_read_ts
+  /// from the members — but only when the departing pin could have been
+  /// the cached minimum. The cache is exact (see
+  /// RegistryShard::min_read_ts), so a departing pin above it cannot
+  /// change the minimum and the O(active) rescan is skipped.
+  void Depart(TxnState* txn, bool keep_registered);
 
   /// Assign a snapshot: pre-claim the shard minimum at a watermark lower
   /// bound, take the snapshot from a second watermark read (the
@@ -463,9 +544,16 @@ class TxnManager {
   /// events; registrations never need it (they cannot raise the minimum).
   void PublishMinActive();
 
-  /// Abort body shared by Abort() and failed commits. The caller must NOT
-  /// hold the transaction's ssi_mu latch.
-  void AbortInternal(const std::shared_ptr<TxnState>& txn);
+  /// Abort body shared by Abort() and failed commits, up to (not
+  /// including) the retire. Returns whether its conflict refs were set at
+  /// the abort transition, so it retires past the clock. The caller must
+  /// NOT hold the transaction's ssi_mu latch.
+  bool Rollback(TxnState* txn, TxnOutcome* out);
+
+  /// Retire a finished state after its last use (file header, "TxnState
+  /// lifetime"), then collect. `past_clock`: retire at clock() + 1 (refs
+  /// set at the final transition, and no commit timestamp allocated).
+  void Finish(TxnState* txn, bool past_clock);
 
   /// Per-commit state that travels from submit to acknowledgment.
   /// Ownership is linear — exactly one stage (submit, coverage completion,
@@ -474,12 +562,14 @@ class TxnManager {
   /// is trivially copyable and fits the small-buffer store, so the
   /// hand-offs never allocate), and a commit whose whole pipeline runs
   /// inline on the submitting thread lives on its stack and never touches
-  /// the heap. FinalizeAcked frees heap instances (`heap` flag) at the
-  /// same point the old shared_ptr release sat: after `done` is extracted,
-  /// before it fires.
+  /// the heap. FinalizeAcked frees heap instances (`heap` flag) after
+  /// `done` is extracted, before it fires; the TxnState itself is retired
+  /// after `done` (Finish).
   struct AsyncCommit {
     TxnManager* mgr = nullptr;
-    std::shared_ptr<TxnState> txn;
+    TxnState* txn = nullptr;
+    /// Retire at clock() + 1 (Finish).
+    bool past_clock = false;
     CommitCallback done;
     Timestamp commit_ts = 0;
     /// True for deferred commits (new'd at the OnCovered hand-off).
@@ -506,7 +596,8 @@ class TxnManager {
   /// commits arriving from the ring's completion registry.
   void FinalizeCovered(AsyncCommit* ac);
   /// Finalize, second half — the acknowledgment: stage/ack histograms,
-  /// the client callback and cleanup. Frees heap instances.
+  /// the client callback, then the state's retire and cleanup. Frees heap
+  /// instances.
   void FinalizeAcked(AsyncCommit* ac, Status flush_status);
   /// Post-commit lock release: SSI keeps SIREAD locks (Fig 3.2 line 9).
   void ReleaseCommitLocks(TxnState* txn);
@@ -514,10 +605,11 @@ class TxnManager {
   /// SIREAD locks, or both — and wake the chains that record a waiter.
   void ReleaseChainLocks(TxnState* txn, bool owners, bool readers);
 
-  /// Release suspended transactions no longer overlapping anything active,
-  /// and prune the chains of commits the prune horizon has passed. Fast
-  /// path: one atomic compare inside each epoch reclaimer (oldest retired
-  /// commit_ts vs the horizon) — no lock when nothing can be released.
+  /// Free retired states the horizon has passed (releasing suspended
+  /// transactions' SIREADs), and prune the chains of commits the prune
+  /// horizon has passed. Fast path: one atomic compare inside each epoch
+  /// reclaimer (oldest retired epoch vs the horizon) — no lock when
+  /// nothing can be released.
   void CleanupSuspended();
 
   const DBOptions options_;
@@ -579,10 +671,12 @@ class TxnManager {
   /// coherent cut; the registry promises individually coherent counters).
   std::atomic<size_t> active_count_{0};
 
-  /// Committed, retained SSI transactions, keyed by commit timestamp
-  /// (duplicates allowed: read-only commit timestamps may collide).
-  /// Collected by CleanupSuspended once min_active_read_ts passes them.
-  EpochReclaimer<std::shared_ptr<TxnState>> suspended_;
+  /// Every finished TxnState, keyed by its retire epoch (file header,
+  /// "TxnState lifetime"; duplicates allowed). Collected and freed by
+  /// CleanupSuspended once min_active_read_ts passes them.
+  EpochReclaimer<TxnState*> retired_;
+  std::atomic<size_t> suspended_count_{0};
+  std::atomic<uint64_t> states_freed_{0};
 
   /// Each chain a writing commit wrote, keyed by its commit timestamp
   /// (one 16-byte entry per chain). Collected by CleanupSuspended once

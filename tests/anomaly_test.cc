@@ -425,9 +425,9 @@ TEST(PhantomTest, DeletedRowStillConflictsViaTombstone) {
 /// Whether `id` has recorded an outgoing / incoming rw-antidependency, in
 /// either tracking representation.
 bool HasRwEdge(DB* db, TxnId id, bool outgoing) {
-  std::shared_ptr<TxnState> state = db->txn_manager()->Find(id);
+  TxnState* state = db->txn_manager()->FindLatched(id, /*floor=*/0);
   if (state == nullptr) return false;
-  std::lock_guard<std::mutex> latch(state->ssi_mu);
+  std::lock_guard<std::mutex> latch(state->ssi_mu, std::adopt_lock);
   return outgoing ? state->out_conflict_flag || state->out_ref.IsSet()
                   : state->in_conflict_flag || state->in_ref.IsSet();
 }

@@ -18,7 +18,10 @@
 #include "src/db/db.h"
 #include "src/db/session.h"
 #include "src/lock/lock_manager.h"
+#include "src/ssi/conflict_tracker.h"
+#include "src/storage/catalog.h"
 #include "src/txn/commit_ring.h"
+#include "src/txn/executor.h"
 #include "src/txn/log_manager.h"
 #include "src/txn/txn_manager.h"
 
@@ -179,7 +182,7 @@ class AsyncCommitTest : public ::testing::Test {
         mgr_(options_, &locks_, &log_) {}
 
   /// Attach a synthetic write so the commit allocates a ring timestamp.
-  void AttachWrite(const std::shared_ptr<TxnState>& txn) {
+  void AttachWrite(TxnState* txn) {
     auto chain = std::make_unique<VersionChain>();
     bool replaced = false;
     Version* v = chain->InstallUncommitted(txn->id, "v", false, &replaced);
@@ -223,59 +226,121 @@ class AsyncCommitTest : public ::testing::Test {
 
 TEST_F(AsyncCommitTest, WritingCommitAcknowledgesCoveredAndStamped) {
   auto t = mgr_.Begin(IsolationLevel::kSnapshot);
-  mgr_.EnsureSnapshot(t.get());
+  mgr_.EnsureSnapshot(t);
   AttachWrite(t);
   Ack ack;
-  mgr_.CommitAsync(t, nullptr, {}, ack.Cb());
+  Timestamp commit_ts = 0;
+  TxnStatus final_status = TxnStatus::kActive;
+  TxnManager::CommitCallback cb = ack.Cb();
+  mgr_.CommitAsync(t, nullptr, {}, [&, t](Status st) {
+    // `done` runs before the retire.
+    commit_ts = t->commit_ts.load();
+    final_status = t->status.load();
+    cb(st);
+  });
   ASSERT_NO_FATAL_FAILURE(ack.Wait());
   ASSERT_TRUE(ack.status.ok());
-  EXPECT_EQ(t->status.load(), TxnStatus::kCommitted);
-  EXPECT_GT(t->commit_ts.load(), 0u);
+  EXPECT_EQ(final_status, TxnStatus::kCommitted);
+  EXPECT_GT(commit_ts, 0u);
   // The acknowledgment ordering guarantee: done fired only after the
   // watermark covered the commit and the registry dropped it.
-  EXPECT_GE(mgr_.stable_ts(), t->commit_ts.load());
+  EXPECT_GE(mgr_.stable_ts(), commit_ts);
   EXPECT_EQ(mgr_.active_count(), 0u);
   EXPECT_EQ(mgr_.commits_inflight(), 0u);
 }
 
 TEST_F(AsyncCommitTest, ReadOnlyCommitAcknowledgesInline) {
   auto t = mgr_.Begin(IsolationLevel::kSnapshot);
-  mgr_.EnsureSnapshot(t.get());
+  mgr_.EnsureSnapshot(t);
   bool fired = false;
-  mgr_.CommitAsync(t, nullptr, {}, [&](Status st) {
+  Timestamp commit_ts = 0;
+  mgr_.CommitAsync(t, nullptr, {}, [&, t](Status st) {
     fired = true;
+    commit_ts = t->commit_ts.load();
     EXPECT_TRUE(st.ok());
   });
   EXPECT_TRUE(fired);  // Nothing published, nothing logged: inline ack.
-  EXPECT_EQ(t->commit_ts.load(), mgr_.stable_ts());
+  EXPECT_EQ(commit_ts, mgr_.stable_ts());
 }
 
 TEST_F(AsyncCommitTest, AbortVerdictArrivesThroughTheCallback) {
   auto t = mgr_.Begin(IsolationLevel::kSerializableSSI);
-  mgr_.EnsureSnapshot(t.get());
+  mgr_.EnsureSnapshot(t);
   t->in_conflict_flag = true;
   t->out_conflict_flag = true;
   Status verdict;
+  TxnStatus final_status = TxnStatus::kActive;
   bool fired = false;
   mgr_.CommitAsync(
       t, [](TxnState*) { return Status::Unsafe("nope"); }, {},
-      [&](Status st) {
+      [&, t](Status st) {
         fired = true;
         verdict = st;
+        final_status = t->status.load();  // `done` runs before the retire.
       });
   EXPECT_TRUE(fired);  // Certification failed at submit: inline ack.
   EXPECT_TRUE(verdict.IsUnsafe());
-  EXPECT_EQ(t->status.load(), TxnStatus::kAborted);
+  EXPECT_EQ(final_status, TxnStatus::kAborted);
+  EXPECT_EQ(mgr_.active_count(), 0u);
   EXPECT_EQ(mgr_.commits_inflight(), 0u);
 }
 
 TEST_F(AsyncCommitTest, DoubleCommitRejectedThroughTheCallback) {
-  auto t = mgr_.Begin(IsolationLevel::kSnapshot);
-  mgr_.EnsureSnapshot(t.get());
-  ASSERT_TRUE(mgr_.Commit(t, nullptr, {}).ok());
+  // The guard is the executor's TxnCtx `finished` flag: a second commit
+  // never reaches the (retired) state.
+  Catalog catalog;
+  ConflictTracker tracker(options_, &mgr_);
+  Executor exec(options_, &catalog, &mgr_, &locks_, &tracker, nullptr);
+  Executor::TxnCtx ctx(mgr_.Begin(IsolationLevel::kSnapshot));
+  ASSERT_TRUE(exec.Commit(ctx).ok());
   Status verdict;
-  mgr_.CommitAsync(t, nullptr, {}, [&](Status st) { verdict = st; });
+  exec.CommitAsync(ctx, [&](Status st) { verdict = st; });
   EXPECT_TRUE(verdict.IsTxnInvalid());
+}
+
+TEST_F(AsyncCommitTest, DeferredAckReleasesLocksBeforeTheRetire) {
+  // With flush_on_commit the acknowledgment — and the lock release before
+  // it — runs later, on the flusher thread. The state is retired only
+  // after both, so collect passes that run meanwhile (other transactions
+  // ending, the horizon past the commit) cannot free it under the
+  // flusher (txn_manager.h, "TxnState lifetime").
+  DBOptions opts;
+  opts.log.flush_on_commit = true;
+  opts.log.flush_latency_us = 300 * 1000;
+  LogManager log(opts.log);
+  LockManager locks{LockManager::Config{}};
+  std::vector<std::unique_ptr<VersionChain>> chains;  // Outlives mgr.
+  TxnManager mgr(opts, &locks, &log);
+  auto t = mgr.Begin(IsolationLevel::kSerializableSSI);
+  mgr.EnsureSnapshot(t);
+  const TxnId id = t->id;
+  locks.Acquire(id, LockKey{1, LockKind::kRow, "k"}, LockMode::kExclusive);
+  auto chain = std::make_unique<VersionChain>();
+  bool replaced = false;
+  Version* v = chain->InstallUncommitted(id, "v", false, &replaced);
+  t->write_set.push_back(
+      TxnState::WriteRecord{0, "k", chain.get(), v, nullptr});
+  chains.push_back(std::move(chain));
+  Ack ack;
+  mgr.CommitAsync(t, nullptr, {}, ack.Cb());
+  ASSERT_GE(mgr.stable_ts(), mgr.clock_now());  // Covered, flush pending.
+  for (int i = 0; i < 4; ++i) {  // Collect passes while the flush waits.
+    auto other = mgr.Begin(IsolationLevel::kSnapshot);
+    mgr.Abort(other);
+  }
+  EXPECT_EQ(mgr.live_states(), 1u);
+  EXPECT_EQ(locks.GrantCount(), 1u);  // Released on the flusher, later.
+  ASSERT_NO_FATAL_FAILURE(ack.Wait());
+  EXPECT_TRUE(ack.status.ok());
+  // The flusher retires and collects right after `done`.
+  const auto deadline = std::chrono::steady_clock::now() + kAckDeadline;
+  while (mgr.live_states() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(mgr.live_states(), 0u);
+  EXPECT_EQ(locks.GrantCount(), 0u);
+  EXPECT_FALSE(mgr.IsRegistered(id));
 }
 
 TEST_F(AsyncCommitTest, BlockingAndAsyncAreTheSamePath) {
@@ -295,48 +360,48 @@ TEST_F(AsyncCommitTest, BlockingAndAsyncAreTheSamePath) {
     LockManager locks{LockManager::Config{}};
     std::vector<std::unique_ptr<VersionChain>> chains;  // Outlives mgr.
     TxnManager mgr(opts, &locks, &log);
-    auto commit = [&](const std::shared_ptr<TxnState>& t,
-                      const TxnManager::CommitCheck& check) {
-      if (!async) return mgr.Commit(t, check, {});
-      Status verdict;
-      bool done = false;
-      mgr.CommitAsync(t, check, {}, [&](Status st) {
-        verdict = st;
-        done = true;
-      });
-      // Default options: no flush_on_commit, so the whole finalize half
-      // ran inline on this thread.
-      EXPECT_TRUE(done);
-      return verdict;
-    };
     std::vector<Outcome> out;
-    auto record = [&](const std::shared_ptr<TxnState>& t, Status st) {
-      out.push_back(Outcome{st.ok(), st.IsUnsafe(), t->commit_ts.load()});
+    auto record = [&](TxnState* t, const TxnManager::CommitCheck& check) {
+      Status verdict;
+      TxnOutcome outcome;
+      if (!async) {
+        verdict = mgr.Commit(t, check, {}, &outcome);
+      } else {
+        bool done = false;
+        mgr.CommitAsync(t, check, {}, [&](Status st) {
+          verdict = st;
+          outcome = t->Outcome();  // `done` runs before the retire.
+          done = true;
+        });
+        // Default options: no flush_on_commit, so the whole finalize half
+        // ran inline on this thread.
+        EXPECT_TRUE(done);
+      }
+      out.push_back(
+          Outcome{verdict.ok(), verdict.IsUnsafe(), outcome.commit_ts});
     };
     for (int i = 0; i < 3; ++i) {  // Three writers: consecutive ring slots.
       auto t = mgr.Begin(IsolationLevel::kSnapshot);
-      mgr.EnsureSnapshot(t.get());
+      mgr.EnsureSnapshot(t);
       auto chain = std::make_unique<VersionChain>();
       bool replaced = false;
       Version* v = chain->InstallUncommitted(t->id, "v", false, &replaced);
       t->write_set.push_back(
           TxnState::WriteRecord{0, "k", chain.get(), v, nullptr});
       chains.push_back(std::move(chain));
-      record(t, commit(t, nullptr));
+      record(t, nullptr);
     }
     {  // Read-only: commit_ts is the watermark.
       auto t = mgr.Begin(IsolationLevel::kSnapshot);
-      mgr.EnsureSnapshot(t.get());
-      record(t, commit(t, nullptr));
+      mgr.EnsureSnapshot(t);
+      record(t, nullptr);
     }
     {  // Certification failure.
       auto t = mgr.Begin(IsolationLevel::kSerializableSSI);
-      mgr.EnsureSnapshot(t.get());
+      mgr.EnsureSnapshot(t);
       t->in_conflict_flag = true;
       t->out_conflict_flag = true;
-      record(t, commit(t, [](TxnState*) {
-               return Status::Unsafe("pivot");
-             }));
+      record(t, [](TxnState*) { return Status::Unsafe("pivot"); });
     }
     return out;
   };
@@ -369,7 +434,7 @@ TEST_F(AsyncCommitTest, ManyInFlightDrainThroughTheFlusher) {
   uint64_t peak_inflight = 0;
   for (int i = 0; i < kBurst; ++i) {
     auto t = mgr.Begin(IsolationLevel::kSnapshot);
-    mgr.EnsureSnapshot(t.get());
+    mgr.EnsureSnapshot(t);
     auto chain = std::make_unique<VersionChain>();
     bool replaced = false;
     Version* v = chain->InstallUncommitted(t->id, "v", false, &replaced);

@@ -44,7 +44,7 @@ namespace {
 
 /// A candidate certification request in a randomized conflict graph.
 struct Candidate {
-  std::shared_ptr<TxnState> state;
+  TxnState* state = nullptr;
   bool has_writes = false;
 };
 
@@ -67,25 +67,29 @@ struct TwinEngine {
 /// committed partners (ids 1000+) and `k` certification candidates whose
 /// in/out conflict state is drawn from `rng` — including references to
 /// fellow candidates in the same batch, the case batch atomicity is about.
-std::vector<Candidate> BuildGraph(const DBOptions& opts, uint64_t seed,
-                                  int committed, int k) {
+/// `pool` owns every state.
+std::vector<Candidate> BuildGraph(
+    const DBOptions& opts, uint64_t seed, int committed, int k,
+    std::vector<std::unique_ptr<TxnState>>* pool) {
   Random rng(seed);
-  std::vector<std::shared_ptr<TxnState>> partners;
+  std::vector<TxnState*> partners;
   for (int p = 0; p < committed; ++p) {
-    auto t = std::make_shared<TxnState>(1000 + p,
-                                        IsolationLevel::kSerializableSSI);
+    pool->push_back(std::make_unique<TxnState>(
+        1000 + p, IsolationLevel::kSerializableSSI));
+    TxnState* t = pool->back().get();
     t->commit_ts.store(2 + rng.Uniform(8));
     t->status.store(TxnStatus::kCommitted);
-    partners.push_back(std::move(t));
+    partners.push_back(t);
   }
   std::vector<Candidate> out;
   for (int i = 0; i < k; ++i) {
+    pool->push_back(
+        std::make_unique<TxnState>(1 + i, IsolationLevel::kSerializableSSI));
     Candidate c;
-    c.state =
-        std::make_shared<TxnState>(1 + i, IsolationLevel::kSerializableSSI);
+    c.state = pool->back().get();
     c.state->read_ts.store(1);
     c.has_writes = rng.Bernoulli(0.7);
-    out.push_back(std::move(c));
+    out.push_back(c);
   }
   auto pick_ref = [&](ConflictRef* ref) {
     switch (rng.Uniform(5)) {
@@ -96,12 +100,15 @@ std::vector<Candidate> BuildGraph(const DBOptions& opts, uint64_t seed,
         break;
       case 2:  // Committed partner (or none if there are none).
         if (committed > 0) {
-          ref->SetOther(partners[rng.Uniform(committed)]);
+          TxnState* partner = partners[rng.Uniform(committed)];
+          ref->SetOther(partner, partner->id);
         }
         break;
-      case 3:  // Same-batch candidate: the batch-atomicity case.
-        ref->SetOther(out[rng.Uniform(k)].state);
+      case 3: {  // Same-batch candidate: the batch-atomicity case.
+        TxnState* partner = out[rng.Uniform(k)].state;
+        ref->SetOther(partner, partner->id);
         break;
+      }
       case 4:
         ref->Collapse(2 + rng.Uniform(8));
         break;
@@ -130,7 +137,7 @@ std::vector<std::pair<bool, Timestamp>> CertifySerial(
   std::vector<std::pair<bool, Timestamp>> results(cands->size());
   for (size_t idx : order) {
     Candidate& c = (*cands)[idx];
-    const Status v = eng->tracker.CommitCheck(c.state.get());
+    const Status v = eng->tracker.CommitCheck(c.state);
     Timestamp ts = 0;
     if (v.ok()) {
       ts = c.has_writes ? eng->ring.Allocate() : eng->ring.stable();
@@ -148,14 +155,14 @@ std::vector<std::pair<bool, Timestamp>> CertifyBatched(
   std::vector<CommitCombiner::CheckFn> checks;
   checks.reserve(cands->size());
   for (Candidate& c : *cands) {
-    TxnState* raw = c.state.get();
+    TxnState* raw = c.state;
     checks.emplace_back(
         [eng, raw](TxnState*) { return eng->tracker.CommitCheck(raw); });
   }
   std::vector<size_t> slots;
   for (size_t i = 0; i < cands->size(); ++i) {
     slots.push_back(
-        combiner.Post((*cands)[i].state.get(), &checks[i],
+        combiner.Post((*cands)[i].state, &checks[i],
                       (*cands)[i].has_writes));
   }
   EXPECT_EQ(combiner.Combine(), cands->size());
@@ -187,8 +194,11 @@ void RunDifferential(ConflictTracking mode) {
     const int k = 2 + static_cast<int>(shape.Uniform(7));
 
     // Twin graphs: same seed => isomorphic conflict state.
-    std::vector<Candidate> batched_g = BuildGraph(opts, seed, committed, k);
-    std::vector<Candidate> serial_g = BuildGraph(opts, seed, committed, k);
+    std::vector<std::unique_ptr<TxnState>> pool;
+    std::vector<Candidate> batched_g =
+        BuildGraph(opts, seed, committed, k, &pool);
+    std::vector<Candidate> serial_g =
+        BuildGraph(opts, seed, committed, k, &pool);
 
     TwinEngine batched_e(opts);
     TwinEngine serial_e(opts);
@@ -201,14 +211,6 @@ void RunDifferential(ConflictTracking mode) {
           << "verdict diverged: seed=" << seed << " candidate=" << i;
       EXPECT_EQ(batched[i].second, serial[i].second)
           << "commit_ts diverged: seed=" << seed << " candidate=" << i;
-    }
-    // Same-batch refs make shared_ptr cycles between candidates: unlink
-    // them so the states are freed.
-    for (std::vector<Candidate>* g : {&batched_g, &serial_g}) {
-      for (Candidate& c : *g) {
-        c.state->in_ref.Clear();
-        c.state->out_ref.Clear();
-      }
     }
   }
 }

@@ -520,9 +520,10 @@ class RowLockTest : public ::testing::Test {
     return db_->table(table_)->Find(key);
   }
   bool HasInEdge(const Transaction& t) {
-    auto state = db_->txn_manager()->Find(t.id());
+    TxnState* state =
+        db_->txn_manager()->FindLatched(t.id(), /*floor=*/0);
     if (state == nullptr) return false;
-    std::lock_guard<std::mutex> latch(state->ssi_mu);
+    std::lock_guard<std::mutex> latch(state->ssi_mu, std::adopt_lock);
     return state->in_ref.IsSet() || state->in_conflict_flag;
   }
 
@@ -734,8 +735,11 @@ TEST_F(RowLockTest, MixWithoutInsertsLeavesNoRowEntries) {
   EXPECT_EQ(db_->lock_manager()->RowEntryCount(), 0u);
   EXPECT_EQ(db_->lock_manager()->siread_index()->PointEntryCount(), 0u);
   ASSERT_TRUE(keeper->Commit().ok());
+  // A writing pulse: a reader whose edge partner was still active when it
+  // committed is freed, with its SIREADs, one writing commit later
+  // (txn_manager.h, "TxnState lifetime").
   auto pulse = Begin(IsolationLevel::kSnapshot);
-  ASSERT_TRUE(pulse->Get(table_, "a", &v).ok());
+  ASSERT_TRUE(pulse->Put(table_, "a", "v").ok());
   ASSERT_TRUE(pulse->Commit().ok());
   EXPECT_EQ(Metric("lock.grants"), 0u);
   EXPECT_EQ(Metric("siread.entries"), 0u);

@@ -13,6 +13,8 @@
 #include "src/common/encoding.h"
 #include "src/db/db.h"
 #include "src/db/session.h"
+#include "src/io/env.h"
+#include "tests/test_util.h"
 
 namespace ssidb {
 namespace {
@@ -111,7 +113,7 @@ TEST_F(SessionTest, AbortStatusReapsTheHandle) {
   const Status st = session->Put(h, table, "k", "loser");
   ASSERT_TRUE(st.IsAbort()) << st.ToString();
   EXPECT_EQ(session->open_transactions(), 0u);
-  EXPECT_TRUE(session->Get(h, table, "k", &v).IsTxnInvalid());
+  EXPECT_TRUE(session->Get(h, table, EncodeU64Key(0), &v).IsTxnInvalid());
 }
 
 TEST_F(SessionTest, ExplicitAbortRetiresAndReleases) {
@@ -173,6 +175,50 @@ TEST_F(SessionTest, SnapshotTsReportsTheLateSnapshot) {
   (void)session->Get(h, table, "k", &v);
   EXPECT_GT(session->snapshot_ts(h), 0u);
   ASSERT_TRUE(session->Commit(h).ok());
+}
+
+TEST(SessionFaultTest, SnapshotTsAfterAnIOAbortReadsTheFinishedCopy) {
+  // A read that cannot fault its spilled chain back aborts with kIOError,
+  // which is not an abort code: the handle stays open on a finished
+  // context, and snapshot_ts must still answer from it.
+  ScratchDir dir;
+  io::FaultInjectingEnv env;
+  DBOptions opts;
+  opts.buffer_pool_bytes = 1 << 14;  // 4 frames of 4 KiB.
+  opts.run_page_bytes = 4096;
+  opts.data_dir = dir.path;
+  opts.env = &env;
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(opts, &db).ok());
+  TableId table = 0;
+  ASSERT_TRUE(db->CreateTable("t", &table).ok());
+  // 64 KiB of values spilled into a 16 KiB pool: the first key's run page
+  // is not cached when it is read back.
+  constexpr uint64_t kKeys = 64;
+  {
+    auto seed = db->Begin({IsolationLevel::kSnapshot});
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(
+          seed->Put(table, EncodeU64Key(i), std::string(1000, 'v')).ok());
+    }
+    ASSERT_TRUE(seed->Commit().ok());
+  }
+  db->SpillChains(table);  // Two sweeps: clear the clock bits, then spill.
+  ASSERT_EQ(db->SpillChains(table), kKeys);
+  env.InjectFault(io::FaultInjectingEnv::FaultKind::kReadError, "run-");
+
+  auto session = db->CreateSession();
+  const TxnHandle h = session->Begin({IsolationLevel::kSerializableSSI});
+  std::string v;
+  const Status st = session->Get(h, table, EncodeU64Key(0), &v);
+  ASSERT_TRUE(st.IsIOError()) << st.ToString();
+  ASSERT_FALSE(st.IsAbort());
+  EXPECT_EQ(session->open_transactions(), 1u);
+  EXPECT_GT(session->snapshot_ts(h), 0u);
+  EXPECT_TRUE(session->Get(h, table, EncodeU64Key(0), &v).IsTxnInvalid());
+  EXPECT_TRUE(session->Abort(h).ok());
+  EXPECT_EQ(session->open_transactions(), 0u);
+  env.ClearFaults();
 }
 
 TEST_F(SessionTest, ScanThroughTheSession) {

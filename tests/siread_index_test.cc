@@ -504,10 +504,12 @@ TEST(SIReadLifetimeTest, RangesSurviveCommitWhileOverlapped) {
   // An insert into the scanned range, between the rows the scan saw,
   // stabs the retained range: scanner -> writer.
   ASSERT_TRUE(writer->Insert(table, "k3", "w").ok());
-  auto writer_state = db->txn_manager()->Find(writer->id());
+  TxnState* writer_state =
+      db->txn_manager()->FindLatched(writer->id(), /*floor=*/0);
   ASSERT_NE(writer_state, nullptr);
   {
-    std::lock_guard<std::mutex> latch(writer_state->ssi_mu);
+    std::lock_guard<std::mutex> latch(writer_state->ssi_mu,
+                                      std::adopt_lock);
     EXPECT_TRUE(writer_state->in_ref.IsSet());
   }
   writer->Abort();
@@ -568,33 +570,27 @@ TEST(SIReadLifetimeTest, WriterSeesPostCommitReaderOnChain) {
   const TxnId reader_id = reader->id();
   ASSERT_TRUE(reader->Commit().ok());
   EXPECT_TRUE(db->table(table)->Find("k")->HoldsSIRead(reader_id));
-  const std::weak_ptr<TxnState> reader_state =
-      db->txn_manager()->Find(reader_id);
-  ASSERT_FALSE(reader_state.expired());
+  ASSERT_TRUE(db->txn_manager()->IsRegistered(reader_id));
 
   // The writer's owner claim collects the chain's SIREAD holders, finds
   // the suspended reader, and the tracker records reader -> writer.
   ASSERT_TRUE(writer->Put(table, "k", "w").ok());
-  std::shared_ptr<TxnState> writer_state =
-      db->txn_manager()->Find(writer->id());
-  ASSERT_NE(writer_state, nullptr);
   {
-    std::lock_guard<std::mutex> latch(writer_state->ssi_mu);
+    TxnState* writer_state = db->txn_manager()->FindLatched(writer->id(), 0);
+    ASSERT_NE(writer_state, nullptr);
     EXPECT_TRUE(writer_state->in_ref.IsSet());
+    writer_state->ssi_mu.unlock();
   }
-  const std::weak_ptr<TxnState> writer_weak = writer_state;
-  writer_state.reset();
   writer->Abort();
   keeper->Abort();
 
-  // The edge made the two states point at each other. The writer's abort
-  // and the reader's cleanup (nothing overlaps it now) unlink them, so
-  // both are freed once the handles go.
-  writer.reset();
-  reader.reset();
-  keeper.reset();
-  EXPECT_TRUE(reader_state.expired());
-  EXPECT_TRUE(writer_weak.expired());
+  // The edge made the two states point at each other; the reclaimer frees
+  // both once nothing overlaps them, with no unlinking (txn_manager.h,
+  // "TxnState lifetime"). The writer aborted with a ref set, so it goes
+  // one writing commit later.
+  BumpWatermark(db.get(), table);
+  EXPECT_FALSE(db->txn_manager()->IsRegistered(reader_id));
+  EXPECT_EQ(db->txn_manager()->live_states(), 0u);
 }
 
 TEST(SIReadLifetimeTest, NonOverlappingCommittedReaderIsFiltered) {
@@ -626,10 +622,12 @@ TEST(SIReadLifetimeTest, NonOverlappingCommittedReaderIsFiltered) {
   // Writer begins after the reader committed: no overlap.
   auto writer = db->Begin({IsolationLevel::kSerializableSSI});
   ASSERT_TRUE(writer->Put(table, "k", "w").ok());
-  auto writer_state = db->txn_manager()->Find(writer->id());
+  TxnState* writer_state =
+      db->txn_manager()->FindLatched(writer->id(), /*floor=*/0);
   ASSERT_NE(writer_state, nullptr);
   {
-    std::lock_guard<std::mutex> latch(writer_state->ssi_mu);
+    std::lock_guard<std::mutex> latch(writer_state->ssi_mu,
+                                      std::adopt_lock);
     EXPECT_FALSE(writer_state->in_ref.IsSet());
   }
   writer->Abort();
